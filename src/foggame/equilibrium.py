@@ -4,6 +4,12 @@ All enumeration is exhaustive and deterministic: candidate strategies are
 scanned by increasing size and then lexicographic member order, and only a
 strict improvement replaces the incumbent, so ties always resolve to the
 smallest, lexicographically first set.
+
+The joint level-2 analyses (social optimum, equilibrium enumeration, price
+of anarchy) share one pass over all 2^(n1*n2) job profiles.  It evaluates
+job costs once per multiset of the other jobs' strategies and reads every
+profile's social cost and equilibrium status from those cost tables, so a
+profile never re-solves a best response (see _level2_scan).
 """
 
 from __future__ import annotations
@@ -263,6 +269,8 @@ def best_response_dynamics(
         raise ValueError(f"unknown schedule {schedule!r}")
     if oracle not in ("exact", "greedy"):
         raise ValueError(f"unknown oracle {oracle!r}")
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
     players = _scoped_players(state, scope)
     rng = random.Random(seed)
     seen: dict[GameState, int] = {state: 0}
@@ -321,10 +329,57 @@ def _fixed_state(g1: Graph, profile: Level2Profile) -> GameState:
     return GameState(g1, profile, allow_unequal=True)
 
 
-def _all_level2_profiles(n1: int, n2: int) -> Iterator[Level2Profile]:
-    per_job = list(_candidate_sets(range(n1)))
-    for combo in itertools.product(per_job, repeat=n2):
-        yield Level2Profile(n1, combo)
+def _check_joint_size(n1: int, n2: int, joint_guard: int) -> None:
+    if n2 < 0:
+        raise ValueError(f"n2 must be non-negative, got {n2}")
+    if n1 * n2 > joint_guard:
+        raise GuardExceeded("joint profile enumeration", joint_guard, n1 * n2)
+
+
+def _joint_candidates(n1: int, n2: int) -> list[VertexSet]:
+    """Per-job strategies in _candidate_sets order; none are needed without jobs."""
+    return list(_candidate_sets(range(n1))) if n2 else []
+
+
+def _profile(n1: int, cands: list[VertexSet], indices: tuple[int, ...]) -> Level2Profile:
+    return Level2Profile(n1, tuple(cands[i] for i in indices))
+
+
+def _level2_scan(
+    g1: Graph, cands: list[VertexSet], n2: int, cfg: GameConfig
+) -> Iterator[tuple[tuple[int, ...], float, bool]]:
+    """Every level-2 profile once, as (candidate indices, social cost, is NE).
+
+    Profiles come in itertools.product order over indices into cands.  A
+    job's cost depends only on its own strategy and on the multiset of the
+    other jobs' strategies (distances are integer hop counts, so which job
+    holds which strategy cannot change a sum), so one cost table per
+    sorted tuple of the others' indices serves every job and profile with
+    that multiset.  A table holds the job's cost for each own candidate
+    plus its minimum, which is the exact best-response cost; a profile is
+    an equilibrium iff no job's cost exceeds its table minimum.  Tables
+    live for one scan, which costs C(2^n1 + n2 - 2, n2 - 1) * 2^n1 job-cost
+    evaluations in total instead of n2 * 2^(n1*n2) * 2^n1.
+    """
+    tables: dict[tuple[int, ...], tuple[tuple[float, ...], float]] = {}
+    for indices in itertools.product(range(len(cands)), repeat=n2):
+        costs = []
+        stable = True
+        for j, own in enumerate(indices):
+            others = tuple(sorted(indices[:j] + indices[j + 1 :]))
+            table = tables.get(others)
+            if table is None:
+                rest = tuple(cands[i] for i in others)
+                row = tuple(
+                    job_player_cost(0, _fixed_state(g1, Level2Profile(g1.n, (c,) + rest)), cfg)
+                    for c in cands
+                )
+                table = tables[others] = (row, min(row))
+            row, best = table
+            costs.append(row[own])
+            if best < row[own]:
+                stable = False
+        yield indices, sum(costs), stable
 
 
 def social_optimum_level2(
@@ -337,24 +392,26 @@ def social_optimum_level2(
 ) -> tuple[float, Level2Profile]:
     """Minimum level-2 social cost over job profiles, with the minimizer.
 
-    "exhaustive_joint" scans all 2^(n1*n2) profiles and works under any
-    transit policy.  "separable_per_job" optimizes one job and replicates
-    the result; it requires FOG_ONLY transit, where job costs do not
-    interact, and rejects other policies.
+    "exhaustive_joint" reads all 2^(n1*n2) profiles from the one-pass
+    cost-table scan (see _level2_scan), C(2^n1 + n2 - 2, n2 - 1) * 2^n1
+    job-cost evaluations, and works under any transit policy; the first
+    profile with the strictly smallest cost wins.
+    "separable_per_job" optimizes one job and replicates the result; it
+    requires FOG_ONLY transit, where job costs do not interact, and
+    rejects other policies.
     """
     if n2 < 0:
         raise ValueError(f"n2 must be non-negative, got {n2}")
     if method == "exhaustive_joint":
-        if g1.n * n2 > joint_guard:
-            raise GuardExceeded("joint profile enumeration", joint_guard, g1.n * n2)
+        _check_joint_size(g1.n, n2, joint_guard)
+        cands = _joint_candidates(g1.n, n2)
         best_cost = 0.0
-        best_profile: Level2Profile | None = None
-        for profile in _all_level2_profiles(g1.n, n2):
-            cost = social_cost_level2(_fixed_state(g1, profile), cfg)
-            if best_profile is None or cost < best_cost:
-                best_cost, best_profile = cost, profile
-        assert best_profile is not None
-        return best_cost, best_profile
+        best: tuple[int, ...] | None = None
+        for indices, cost, _ in _level2_scan(g1, cands, n2, cfg):
+            if best is None or cost < best_cost:
+                best_cost, best = cost, indices
+        assert best is not None
+        return best_cost, _profile(g1.n, cands, best)
     if method == "separable_per_job":
         if cfg.transit_policy is not TransitPolicy.FOG_ONLY:
             raise PolicyError(
@@ -376,16 +433,21 @@ def enumerate_nash_level2(
     cfg: GameConfig,
     joint_guard: int = JOINT_ENUMERATION_GUARD,
 ) -> list[tuple[Level2Profile, float]]:
-    """All pure level-2 equilibria with the fog graph held fixed."""
-    if g1.n * n2 > joint_guard:
-        raise GuardExceeded("joint profile enumeration", joint_guard, g1.n * n2)
-    found: list[tuple[Level2Profile, float]] = []
-    for profile in _all_level2_profiles(g1.n, n2):
-        state = _fixed_state(g1, profile)
-        stable, _ = is_nash(state, cfg, Scope.LEVEL2)
-        if stable:
-            found.append((profile, social_cost_level2(state, cfg)))
-    return found
+    """All pure level-2 equilibria with the fog graph held fixed.
+
+    Equilibria come from the one-pass cost-table scan (see _level2_scan),
+    in its profile order, each with its social cost.  A profile is kept
+    when every job's cost equals the minimum of its cost table, which
+    matches is_nash under Scope.LEVEL2 exactly, at C(2^n1 + n2 - 2, n2 - 1)
+    * 2^n1 job-cost evaluations for the whole enumeration.
+    """
+    _check_joint_size(g1.n, n2, joint_guard)
+    cands = _joint_candidates(g1.n, n2)
+    return [
+        (_profile(g1.n, cands, indices), cost)
+        for indices, cost, stable in _level2_scan(g1, cands, n2, cfg)
+        if stable
+    ]
 
 
 @dataclass(frozen=True)
@@ -408,31 +470,44 @@ def empirical_poa(
 ) -> PoAReport:
     """Price of anarchy by full enumeration of level-2 profiles.
 
+    One pass of the cost-table scan (see _level2_scan) gives the optimum
+    (first strict minimum), the worst equilibrium (first strict maximum
+    among equilibria) and the equilibrium count, with the same results as
+    social_optimum_level2 and enumerate_nash_level2, for the
+    C(2^n1 + n2 - 2, n2 - 1) * 2^n1 job-cost evaluations of a single scan.
+    Only the two reported profiles are built.
+
     Raises NoEquilibriumError when no pure equilibrium exists and
     ValueError when the optimum social cost is not positive, which can
     happen under TYPE_I where costs may reach zero or below.
     """
-    optimum_cost, optimum_profile = social_optimum_level2(
-        g1, n2, cfg, "exhaustive_joint", joint_guard
-    )
-    equilibria = enumerate_nash_level2(g1, n2, cfg, joint_guard)
-    if not equilibria:
+    _check_joint_size(g1.n, n2, joint_guard)
+    cands = _joint_candidates(g1.n, n2)
+    optimum_cost = worst_cost = 0.0
+    optimum: tuple[int, ...] | None = None
+    worst: tuple[int, ...] | None = None
+    ne_count = 0
+    for indices, cost, stable in _level2_scan(g1, cands, n2, cfg):
+        if optimum is None or cost < optimum_cost:
+            optimum_cost, optimum = cost, indices
+        if stable:
+            ne_count += 1
+            if worst is None or cost > worst_cost:
+                worst_cost, worst = cost, indices
+    assert optimum is not None
+    if worst is None:
         raise NoEquilibriumError(f"no pure level-2 equilibrium (n1={g1.n}, n2={n2})")
-    worst_profile, worst_cost = equilibria[0]
-    for profile, cost in equilibria[1:]:
-        if cost > worst_cost:
-            worst_profile, worst_cost = profile, cost
     if optimum_cost <= 0:
         raise ValueError(
             f"price of anarchy undefined for non-positive optimum cost {optimum_cost}"
         )
     return PoAReport(
         optimum_cost=optimum_cost,
-        optimum_profile=optimum_profile,
+        optimum_profile=_profile(g1.n, cands, optimum),
         worst_ne_cost=worst_cost,
-        worst_ne_profile=worst_profile,
+        worst_ne_profile=_profile(g1.n, cands, worst),
         poa=worst_cost / optimum_cost,
-        ne_count=len(equilibria),
+        ne_count=ne_count,
     )
 
 

@@ -8,6 +8,7 @@ graph (price beta each) and pays a distance term over all fog vertices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -62,6 +63,9 @@ class GameConfig:
     transit_policy: TransitPolicy = TransitPolicy.FULL_COMBINED
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "rcs_constant"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
         if self.beta < 0:

@@ -3,9 +3,11 @@
 A scenario is a JSON object with a mode, an instance description, and
 mode-specific options.  Parsing is strict: unknown keys anywhere are
 rejected with the offending key named, so misspelled fields never pass
-silently.  run_record wraps a run's payload with the echoed scenario, the
-tool version, and the wall-clock duration; everything inside the payload
-is deterministic for fixed seeds.
+silently, and a value of the wrong JSON type (a string or boolean count, a
+fractional vertex, a three-element edge) is rejected with its field named.
+run_record wraps a run's payload with the echoed scenario, the tool
+version, and the wall-clock duration; everything inside the payload is
+deterministic for fixed seeds.
 """
 
 from __future__ import annotations
@@ -80,25 +82,56 @@ def _require(section: dict, key: str, where: str) -> Any:
     return section[key]
 
 
+def _integer(value: Any, where: str, minimum: int | None = None) -> int:
+    # bool is an int subclass, but JSON true/false is not a count or an index.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ScenarioError(f"{where}: must be at least {minimum}, got {value}")
+    return value
+
+
+def _number(value: Any, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _boolean(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
+def _parse_edge(raw: Any) -> tuple[int, int]:
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise ScenarioError(f"graph.edges: each edge must be a pair of vertices, got {raw!r}")
+    return _integer(raw[0], "graph.edges"), _integer(raw[1], "graph.edges")
+
+
 def _parse_graph(section: Any) -> Graph:
     if not isinstance(section, dict):
         raise ScenarioError("graph: expected an object")
     if "edges" in section:
         _check_keys(section, _INLINE_KEYS, "graph")
-        n = _require(section, "n", "graph")
+        n = _integer(_require(section, "n", "graph"), "graph.n")
         edges = section["edges"]
         if not isinstance(edges, list):
             raise ScenarioError("graph: edges must be a list of pairs")
-        return new_graph(n, [tuple(e) for e in edges])
+        return new_graph(n, [_parse_edge(e) for e in edges])
     _check_keys(section, _GENERATOR_KEYS, "graph")
     kind = _require(section, "kind", "graph")
-    n = _require(section, "n", "graph")
+    n = _integer(_require(section, "n", "graph"), "graph.n")
+    p = section.get("p")
+    seed = section.get("seed")
     return generate(
         kind,
         n,
-        p=section.get("p"),
-        seed=section.get("seed"),
-        require_connected=bool(section.get("require_connected", False)),
+        p=None if p is None else _number(p, "graph.p"),
+        seed=None if seed is None else _integer(seed, "graph.seed"),
+        require_connected=_boolean(
+            section.get("require_connected", False), "graph.require_connected"
+        ),
     )
 
 
@@ -108,13 +141,11 @@ def _parse_config(section: Any) -> GameConfig:
     if not isinstance(section, dict):
         raise ScenarioError("config: expected an object")
     _check_keys(section, _CONFIG_KEYS, "config")
-    kwargs: dict[str, Any] = {}
-    if "alpha" in section:
-        kwargs["alpha"] = float(section["alpha"])
-    if "beta" in section:
-        kwargs["beta"] = float(section["beta"])
-    if "rcs_constant" in section:
-        kwargs["rcs_constant"] = float(section["rcs_constant"])
+    kwargs: dict[str, Any] = {
+        name: _number(section[name], f"config.{name}")
+        for name in ("alpha", "beta", "rcs_constant")
+        if name in section
+    }
     if "job_cost_type" in section:
         try:
             kwargs["job_cost_type"] = JobCostType(section["job_cost_type"])
@@ -141,7 +172,7 @@ def _parse_strategies(raw: Any, where: str) -> tuple[frozenset[int], ...]:
     for entry in raw:
         if not isinstance(entry, list):
             raise ScenarioError(f"{where}: each strategy must be a list of vertices")
-        out.append(frozenset(entry))
+        out.append(frozenset(_integer(v, where) for v in entry))
     return tuple(out)
 
 
@@ -173,18 +204,20 @@ def _build_state(data: dict, options: dict, mode: str) -> GameState:
         level1 = _parse_graph(data["graph"])
         n1 = level1.n
 
+    n2 = _integer(data["n2"], "n2", minimum=0) if "n2" in data else None
     if "level2_strategies" in options:
         strategies = _parse_strategies(options["level2_strategies"], "options.level2_strategies")
-    elif "n2" in data:
-        strategies = (frozenset(),) * int(data["n2"])
+    elif n2 is not None:
+        strategies = (frozenset(),) * n2
     else:
         raise ScenarioError(f"{mode}: needs options.level2_strategies or n2")
-    if "n2" in data and int(data["n2"]) != len(strategies):
+    if n2 is not None and n2 != len(strategies):
         raise ScenarioError(
-            f"{mode}: n2={data['n2']} disagrees with {len(strategies)} level-2 strategies"
+            f"{mode}: n2={n2} disagrees with {len(strategies)} level-2 strategies"
         )
     level2 = Level2Profile(n1, strategies)
-    return GameState(level1, level2, allow_unequal=bool(data.get("allow_unequal", False)))
+    allow_unequal = _boolean(data.get("allow_unequal", False), "allow_unequal")
+    return GameState(level1, level2, allow_unequal=allow_unequal)
 
 
 def run_spec(data: Any) -> dict:
@@ -216,7 +249,7 @@ def run_spec(data: Any) -> dict:
 
     if mode == "poa":
         g = _parse_graph(_require(data, "graph", "scenario"))
-        n2 = int(data.get("n2", g.n))
+        n2 = _integer(data["n2"], "n2", minimum=0) if "n2" in data else g.n
         report = empirical_poa(g, n2, cfg)
         return to_jsonable(report)
 
@@ -245,8 +278,8 @@ def run_spec(data: Any) -> dict:
         cfg,
         scope,
         schedule=options.get("schedule", "round_robin"),
-        seed=int(options.get("seed", 0)),
-        max_rounds=int(options.get("max_rounds", 100)),
+        seed=_integer(options.get("seed", 0), "options.seed"),
+        max_rounds=_integer(options.get("max_rounds", 100), "options.max_rounds", minimum=0),
         oracle=options.get("oracle", "exact"),
     )
     return to_jsonable(trace)
@@ -290,6 +323,10 @@ def sweep_records(template: Any, parameter: str, values: list) -> dict:
             graph = data.get("graph")
             if not isinstance(graph, dict) or "kind" not in graph:
                 raise ScenarioError(f"sweep: sweeping {parameter!r} needs a generator graph")
-            graph[parameter] = int(value) if parameter == "n" else value
+            if parameter == "n":
+                if not float(value).is_integer():
+                    raise ScenarioError(f"sweep: n values must be whole numbers, got {value}")
+                value = int(value)
+            graph[parameter] = value
         records.append(run_record(data))
     return {"parameter": parameter, "values": list(values), "records": records}

@@ -53,8 +53,12 @@ def revive_infinities(obj: Any) -> Any:
 
 
 def emit_json(record: Any) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(to_jsonable(record), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+    A NaN anywhere in the record raises ValueError rather than emitting
+    text that strict JSON parsers reject.
+    """
+    return json.dumps(to_jsonable(record), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def parse_record(text: str) -> Any:

@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +183,11 @@ def test_emit_json_canonical_form():
     assert '"inf"' in text
 
 
+def test_emit_json_refuses_nan():
+    with pytest.raises(ValueError, match="JSON compliant"):
+        emit_json({"poa": math.nan})
+
+
 def test_to_jsonable_rejects_unknown_types():
     with pytest.raises(FormatError, match="cannot serialize"):
         to_jsonable(object())
@@ -266,6 +273,9 @@ def test_sweep_records_validation():
         sweep_records(dict(POA_K3), "delta", [1.0])
     with pytest.raises(ScenarioError, match="at least one value"):
         sweep_records(dict(POA_K3), "beta", [])
+    for value in (2.5, math.inf, math.nan):
+        with pytest.raises(ScenarioError, match="whole numbers"):
+            sweep_records(dict(POA_K3), "n", [value])
 
 
 def test_sweep_csv_shape():
@@ -324,6 +334,65 @@ def test_main_guard_exit_code(tmp_path, capsys):
     )
     assert cli.main(["poa", path]) == cli.EXIT_GUARD
     assert "guard exceeded" in capsys.readouterr().err
+
+
+# Each scenario holds one value of the wrong JSON type or range.  The run
+# must end in exit 1 with the field named, not a traceback, and not in a
+# result computed from a coerced value.
+_BAD_SCENARIOS = {
+    "n-as-string": ("poa", '{"graph": {"kind": "path", "n": "3"}}', "graph.n"),
+    "n-as-boolean": ("poa", '{"graph": {"kind": "path", "n": true}}', "graph.n"),
+    "edge-of-three": ("gen", '{"graph": {"n": 3, "edges": [[0, 1, 2]]}}', "graph.edges"),
+    "strategy-of-strings": (
+        "cost",
+        '{"graph": {"kind": "path", "n": 1}, "options": {"level2_strategies": [["a"]]}}',
+        "options.level2_strategies",
+    ),
+    "strategy-of-floats": (
+        "cost",
+        '{"graph": {"kind": "path", "n": 1}, "options": {"level2_strategies": [[1.0]]}}',
+        "options.level2_strategies",
+    ),
+    "n2-fractional": ("poa", '{"graph": {"kind": "path", "n": 2}, "n2": 1.5}', "n2"),
+    "n2-as-string": ("poa", '{"graph": {"kind": "path", "n": 2}, "n2": "2"}', "n2"),
+    "max-rounds-negative": (
+        "dynamics",
+        '{"graph": {"kind": "path", "n": 2}, "n2": 2, "options": {"max_rounds": -1}}',
+        "options.max_rounds",
+    ),
+    "beta-nan": ("poa", '{"graph": {"kind": "path", "n": 2}, "config": {"beta": NaN}}', "beta"),
+    "beta-infinity": (
+        "poa",
+        '{"graph": {"kind": "path", "n": 2}, "config": {"beta": Infinity}}',
+        "beta",
+    ),
+    "alpha-nan": (
+        "cost",
+        '{"graph": {"kind": "path", "n": 2}, "n2": 2, "config": {"alpha": NaN}}',
+        "alpha",
+    ),
+    "rcs-constant-infinity": (
+        "bounds",
+        '{"graph": {"kind": "path", "n": 2}, "n2": 2, "config": {"rcs_constant": Infinity}}',
+        "rcs_constant",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SCENARIOS))
+def test_main_rejects_mistyped_scenario_fields(tmp_path, capsys, case):
+    mode, text, field = _BAD_SCENARIOS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main([mode, str(path)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
+def test_main_rejects_non_finite_beta_flag(capsys):
+    assert cli.main(["poa", "--beta", "nan"]) == cli.EXIT_USAGE
+    assert "beta must be finite" in capsys.readouterr().err
 
 
 def test_main_cost_csv(tmp_path, capsys):
@@ -388,10 +457,18 @@ def test_main_verify_failure_exit_code(monkeypatch, capsys):
 
 
 def test_module_entry_point_runs():
+    # The child imports the same package as this process, installed or not.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=package_root if not inherited else package_root + os.pathsep + inherited,
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "foggame.cli", "gen", "--kind", "star", "--n", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["graph"]["n"] == 3

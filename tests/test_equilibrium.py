@@ -261,6 +261,8 @@ def test_dynamics_validates_schedule_and_oracle():
         best_response_dynamics(st, GameConfig(), Scope.LEVEL2, schedule="sorted")
     with pytest.raises(ValueError, match="unknown oracle"):
         best_response_dynamics(st, GameConfig(), Scope.LEVEL2, oracle="magic")
+    with pytest.raises(ValueError, match="max_rounds must be non-negative"):
+        best_response_dynamics(st, GameConfig(), Scope.LEVEL2, max_rounds=-1)
 
 
 def test_dynamics_greedy_oracle_converges_on_star():

@@ -1,5 +1,6 @@
 """Profiles, cost functions, and social cost for both player levels."""
 
+import math
 import random
 
 import pytest
@@ -42,6 +43,13 @@ def test_config_validation():
         GameConfig(beta=-0.5)
     with pytest.raises(ValueError, match="rcs_constant"):
         GameConfig(rcs_constant=0.0)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "rcs_constant"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_parameters(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        GameConfig(**{name: value})
 
 
 def test_config_defaults():
