@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .equilibrium import JOINT_ENUMERATION_GUARD, empirical_poa
+from .equilibrium import JOINT_ENUMERATION_GUARD, empirical_poa, joint_enumeration_fits
 from .graph import INF, Graph, min_dominating_set
 from .model import (
     GameConfig,
@@ -291,7 +291,9 @@ def check_bounds_on_instance(
             )
         )
 
-    if cfg.job_cost_type is JobCostType.TYPE_II and state.n1 * state.n2 <= joint_guard:
+    if cfg.job_cost_type is JobCostType.TYPE_II and joint_enumeration_fits(
+        state.n1, state.n2, joint_guard
+    ):
         verdict = type2_poa_bound(cfg.beta)
         if verdict.kind != "uncovered":
             report = empirical_poa(state.g1, state.n2, cfg, joint_guard)

@@ -5,6 +5,13 @@ scanned by increasing size and then lexicographic member order, and only a
 strict improvement replaces the incumbent, so ties always resolve to the
 smallest, lexicographically first set.
 
+Every best response, exact or greedy, prices its candidates on one set of
+distance rows (see model.DeviationRows): n1 BFS per oracle call, then one
+element-wise minimum per candidate, each extended from its prefix (the
+candidate minus its largest member).  An exact best response costs n1 BFS
++ 2^n1 min-vectors instead of a graph build and a BFS per candidate, and
+its costs equal job_player_cost and edge_fog_player_cost exactly.
+
 The joint level-2 analyses (social optimum, equilibrium enumeration, price
 of anarchy) share one pass over all 2^(n1*n2) job profiles.  It evaluates
 job costs once per multiset of the other jobs' strategies and reads every
@@ -15,6 +22,7 @@ profile never re-solves a best response (see _level2_scan).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -23,17 +31,19 @@ from typing import Callable, Iterator, Sequence
 from .errors import GuardExceeded, NoEquilibriumError, PolicyError
 from .graph import Graph, VertexSet, is_connected, is_dominating_set, min_dominating_set
 from .model import (
+    DeviationRows,
     GameConfig,
     GameState,
     Level2Profile,
     TransitPolicy,
-    edge_fog_player_cost,
-    job_player_cost,
+    fog_deviation_rows,
+    job_deviation_rows,
     social_cost_level2,
 )
 
 EXACT_ENUMERATION_GUARD = 20
-JOINT_ENUMERATION_GUARD = 12
+# Predicted steps of one level-2 scan (see _joint_work).
+JOINT_ENUMERATION_GUARD = 2**16
 
 
 class Level(Enum):
@@ -60,10 +70,26 @@ class DeviationWitness:
     better_cost: float
 
 
-def _candidate_sets(universe: Sequence[int]) -> Iterator[VertexSet]:
-    for k in range(len(universe) + 1):
-        for combo in itertools.combinations(universe, k):
-            yield frozenset(combo)
+def _exact_best(rows: DeviationRows) -> tuple[VertexSet, float]:
+    """First candidate with the strictly smallest cost, in scan order."""
+    best_k = best_i = -1
+    best_cost = 0.0
+    for k, costs in enumerate(rows.scan()):
+        cost = min(costs)
+        if best_k < 0 or cost < best_cost:
+            best_k, best_i, best_cost = k, costs.index(cost), cost
+    members = itertools.combinations(rows.universe, best_k)
+    return frozenset(next(itertools.islice(members, best_i, None))), best_cost
+
+
+def _check_exact_size(n1: int, guard: int) -> None:
+    if n1 > guard:
+        raise GuardExceeded("exact best-response enumeration", guard, n1)
+
+
+def _require_profile_mode(state: GameState) -> None:
+    if not state.profile_mode:
+        raise PolicyError("fog best response needs profile mode, not a fixed graph")
 
 
 def best_response_job_exact(
@@ -71,39 +97,25 @@ def best_response_job_exact(
 ) -> tuple[VertexSet, float]:
     """Cost-minimal strategy for job j against the rest of the state.
 
-    Enumerates all 2^n1 subsets; refuses when n1 exceeds the guard.
+    Scans all 2^n1 subsets over the job's distance rows (n1 BFS, or the
+    cached fog distances under FOG_ONLY, plus 2^n1 min-vectors); refuses
+    when n1 exceeds the guard.
     """
-    n1 = state.n1
-    if n1 > guard:
-        raise GuardExceeded("exact best-response enumeration", guard, n1)
-    best_set: VertexSet | None = None
-    best_cost = 0.0
-    for cand in _candidate_sets(range(n1)):
-        cost = job_player_cost(j, state.with_level2_strategy(j, cand), cfg)
-        if best_set is None or cost < best_cost:
-            best_set, best_cost = cand, cost
-    assert best_set is not None
-    return best_set, best_cost
+    _check_exact_size(state.n1, guard)
+    return _exact_best(job_deviation_rows(j, state, cfg))
 
 
 def best_response_fog_exact(
     i: int, state: GameState, cfg: GameConfig, guard: int = EXACT_ENUMERATION_GUARD
 ) -> tuple[VertexSet, float]:
-    """Cost-minimal purchase set for fog player i; profile mode only."""
-    if not state.profile_mode:
-        raise PolicyError("fog best response needs profile mode, not a fixed graph")
-    n1 = state.n1
-    if n1 > guard:
-        raise GuardExceeded("exact best-response enumeration", guard, n1)
-    universe = [v for v in range(n1) if v != i]
-    best_set: VertexSet | None = None
-    best_cost = 0.0
-    for cand in _candidate_sets(universe):
-        cost = edge_fog_player_cost(i, state.with_level1_strategy(i, cand), cfg)
-        if best_set is None or cost < best_cost:
-            best_set, best_cost = cand, cost
-    assert best_set is not None
-    return best_set, best_cost
+    """Cost-minimal purchase set for fog player i; profile mode only.
+
+    Scans all 2^(n1-1) purchase sets over the player's distance rows (n1
+    BFS plus 2^(n1-1) min-vectors); refuses when n1 exceeds the guard.
+    """
+    _require_profile_mode(state)
+    _check_exact_size(state.n1, guard)
+    return _exact_best(fog_deviation_rows(i, state, cfg))
 
 
 def _local_step_candidates(current: VertexSet, universe: Sequence[int]) -> Iterator[VertexSet]:
@@ -142,26 +154,19 @@ def best_response_job_greedy(
     """Local search from the current strategy.
 
     Applies the best strictly improving add, drop, or swap until none
-    exists.  May stop at a local optimum above the exact best response.
+    exists, pricing candidates on the job's distance rows.  May stop at a
+    local optimum above the exact best response.
     """
-    return _local_search(
-        state.level2.strategies[j],
-        range(state.n1),
-        lambda cand: job_player_cost(j, state.with_level2_strategy(j, cand), cfg),
-    )
+    rows = job_deviation_rows(j, state, cfg)
+    return _local_search(state.level2.strategies[j], rows.universe, rows.evaluate)
 
 
 def _best_response_fog_greedy(
     i: int, state: GameState, cfg: GameConfig
 ) -> tuple[VertexSet, float]:
-    if not state.profile_mode:
-        raise PolicyError("fog best response needs profile mode, not a fixed graph")
-    universe = [v for v in range(state.n1) if v != i]
-    return _local_search(
-        state.level1.strategies[i],
-        universe,
-        lambda cand: edge_fog_player_cost(i, state.with_level1_strategy(i, cand), cfg),
-    )
+    _require_profile_mode(state)
+    rows = fog_deviation_rows(i, state, cfg)
+    return _local_search(state.level1.strategies[i], rows.universe, rows.evaluate)
 
 
 def _scoped_players(state: GameState, scope: Scope) -> list[tuple[Level, int]]:
@@ -175,18 +180,27 @@ def _scoped_players(state: GameState, scope: Scope) -> list[tuple[Level, int]]:
     return players
 
 
-def _current_cost(level: Level, player: int, state: GameState, cfg: GameConfig) -> float:
-    if level is Level.LEVEL1:
-        return edge_fog_player_cost(player, state, cfg)
-    return job_player_cost(player, state, cfg)
+def _deviation(
+    level: Level, player: int, state: GameState, cfg: GameConfig, oracle: str, guard: int
+) -> tuple[VertexSet, float, VertexSet, float]:
+    """Current strategy and cost of a player and the oracle's answer.
 
-
-def _exact_oracle(
-    level: Level, player: int, state: GameState, cfg: GameConfig, guard: int
-) -> tuple[VertexSet, float]:
+    Both costs come from one set of distance rows.  oracle is "exact"
+    (guarded) or "greedy".
+    """
+    if oracle == "exact":
+        _check_exact_size(state.n1, guard)
     if level is Level.LEVEL1:
-        return best_response_fog_exact(player, state, cfg, guard)
-    return best_response_job_exact(player, state, cfg, guard)
+        rows = fog_deviation_rows(player, state, cfg)
+        current = state.level1.strategies[player]
+    else:
+        rows = job_deviation_rows(player, state, cfg)
+        current = state.level2.strategies[player]
+    if oracle == "exact":
+        cand, cand_cost = _exact_best(rows)
+    else:
+        cand, cand_cost = _local_search(current, rows.universe, rows.evaluate)
+    return current, rows.evaluate(current), cand, cand_cost
 
 
 def is_nash(
@@ -201,8 +215,7 @@ def is_nash(
     order (level-1 players before level-2 players under Scope.BOTH).
     """
     for level, player in _scoped_players(state, scope):
-        current = _current_cost(level, player, state, cfg)
-        better_set, better_cost = _exact_oracle(level, player, state, cfg, guard)
+        _, current, better_set, better_cost = _deviation(level, player, state, cfg, "exact", guard)
         if better_cost < current:
             return False, DeviationWitness(level, player, current, better_set, better_cost)
     return True, None
@@ -282,19 +295,8 @@ def best_response_dynamics(
             order = rng.sample(players, len(players))
         moved = False
         for level, player in order:
-            current = _current_cost(level, player, state, cfg)
-            if oracle == "exact":
-                cand, cand_cost = _exact_oracle(level, player, state, cfg, guard)
-            elif level is Level.LEVEL1:
-                cand, cand_cost = _best_response_fog_greedy(player, state, cfg)
-            else:
-                cand, cand_cost = best_response_job_greedy(player, state, cfg)
+            old, current, cand, cand_cost = _deviation(level, player, state, cfg, oracle, guard)
             if cand_cost < current:
-                old = (
-                    state.level1.strategies[player]
-                    if level is Level.LEVEL1
-                    else state.level2.strategies[player]
-                )
                 if level is Level.LEVEL1:
                     state = state.with_level1_strategy(player, cand)
                 else:
@@ -329,20 +331,55 @@ def _fixed_state(g1: Graph, profile: Level2Profile) -> GameState:
     return GameState(g1, profile, allow_unequal=True)
 
 
+def _joint_work(n1: int, n2: int) -> int:
+    """Predicted steps of one level-2 scan (see _level2_scan).
+
+    2^(n1*n2) profile visits plus C(2^n1 + n2 - 2, n2 - 1) cost tables of
+    2^n1 job costs each; a scan without jobs visits one empty profile.
+    """
+    if n2 == 0:
+        return 1
+    return 2 ** (n1 * n2) + math.comb(2**n1 + n2 - 2, n2 - 1) * 2**n1
+
+
 def _check_joint_size(n1: int, n2: int, joint_guard: int) -> None:
+    """Refuse a level-2 scan whose predicted work exceeds joint_guard."""
     if n2 < 0:
         raise ValueError(f"n2 must be non-negative, got {n2}")
-    if n1 * n2 > joint_guard:
-        raise GuardExceeded("joint profile enumeration", joint_guard, n1 * n2)
+    bits = joint_guard.bit_length()
+    if n1 * n2 > bits:
+        # The profile visits alone pass the budget; the exact count would
+        # take n1*n2 binary digits, so report the power of two it clears.
+        raise GuardExceeded("joint profile enumeration", joint_guard, 2**bits, at_least=True)
+    work = _joint_work(n1, n2)
+    if work > joint_guard:
+        raise GuardExceeded("joint profile enumeration", joint_guard, work)
+
+
+def joint_enumeration_fits(n1: int, n2: int, joint_guard: int = JOINT_ENUMERATION_GUARD) -> bool:
+    """Whether the joint level-2 analyses accept n1 fog vertices and n2 jobs."""
+    try:
+        _check_joint_size(n1, n2, joint_guard)
+    except GuardExceeded:
+        return False
+    return True
 
 
 def _joint_candidates(n1: int, n2: int) -> list[VertexSet]:
-    """Per-job strategies in _candidate_sets order; none are needed without jobs."""
-    return list(_candidate_sets(range(n1))) if n2 else []
+    """Per-job strategies in scan order (see DeviationRows.scan); none without jobs."""
+    if not n2:
+        return []
+    return [frozenset(c) for k in range(n1 + 1) for c in itertools.combinations(range(n1), k)]
 
 
 def _profile(n1: int, cands: list[VertexSet], indices: tuple[int, ...]) -> Level2Profile:
     return Level2Profile(n1, tuple(cands[i] for i in indices))
+
+
+def _job_cost_table(g1: Graph, rest: tuple[VertexSet, ...], cfg: GameConfig) -> tuple[float, ...]:
+    """A job's cost for each candidate, in scan order, against rest."""
+    state = _fixed_state(g1, Level2Profile(g1.n, (frozenset(),) + rest))
+    return tuple(itertools.chain.from_iterable(job_deviation_rows(0, state, cfg).scan()))
 
 
 def _level2_scan(
@@ -358,8 +395,10 @@ def _level2_scan(
     that multiset.  A table holds the job's cost for each own candidate
     plus its minimum, which is the exact best-response cost; a profile is
     an equilibrium iff no job's cost exceeds its table minimum.  Tables
-    live for one scan, which costs C(2^n1 + n2 - 2, n2 - 1) * 2^n1 job-cost
-    evaluations in total instead of n2 * 2^(n1*n2) * 2^n1.
+    live for one scan.  Each is filled by one distance-row scan (n1 BFS +
+    2^n1 min-vectors, see model.DeviationRows), and a scan fills C(2^n1 + n2 - 2, n2 - 1)
+    of them: that many times 2^n1 job costs in total instead of
+    n2 * 2^(n1*n2) * 2^n1.
     """
     tables: dict[tuple[int, ...], tuple[tuple[float, ...], float]] = {}
     for indices in itertools.product(range(len(cands)), repeat=n2):
@@ -369,11 +408,7 @@ def _level2_scan(
             others = tuple(sorted(indices[:j] + indices[j + 1 :]))
             table = tables.get(others)
             if table is None:
-                rest = tuple(cands[i] for i in others)
-                row = tuple(
-                    job_player_cost(0, _fixed_state(g1, Level2Profile(g1.n, (c,) + rest)), cfg)
-                    for c in cands
-                )
+                row = _job_cost_table(g1, tuple(cands[i] for i in others), cfg)
                 table = tables[others] = (row, min(row))
             row, best = table
             costs.append(row[own])
@@ -395,7 +430,8 @@ def social_optimum_level2(
     "exhaustive_joint" reads all 2^(n1*n2) profiles from the one-pass
     cost-table scan (see _level2_scan), C(2^n1 + n2 - 2, n2 - 1) * 2^n1
     job-cost evaluations, and works under any transit policy; the first
-    profile with the strictly smallest cost wins.
+    profile with the strictly smallest cost wins.  It refuses when the
+    predicted work (profile visits plus job costs) exceeds joint_guard.
     "separable_per_job" optimizes one job and replicates the result; it
     requires FOG_ONLY transit, where job costs do not interact, and
     rejects other policies.
@@ -418,8 +454,6 @@ def social_optimum_level2(
                 "separable per-job optimization requires fog-only transit; "
                 "job costs interact under full combined routing"
             )
-        if g1.n > guard:
-            raise GuardExceeded("exact best-response enumeration", guard, g1.n)
         probe = _fixed_state(g1, Level2Profile(g1.n, (frozenset(),)))
         best_set, _ = best_response_job_exact(0, probe, cfg, guard)
         profile = Level2Profile(g1.n, (best_set,) * n2)
@@ -439,7 +473,8 @@ def enumerate_nash_level2(
     in its profile order, each with its social cost.  A profile is kept
     when every job's cost equals the minimum of its cost table, which
     matches is_nash under Scope.LEVEL2 exactly, at C(2^n1 + n2 - 2, n2 - 1)
-    * 2^n1 job-cost evaluations for the whole enumeration.
+    * 2^n1 job-cost evaluations for the whole enumeration.  Refuses when
+    that plus the 2^(n1*n2) profile visits exceeds joint_guard.
     """
     _check_joint_size(g1.n, n2, joint_guard)
     cands = _joint_candidates(g1.n, n2)
@@ -475,7 +510,8 @@ def empirical_poa(
     among equilibria) and the equilibrium count, with the same results as
     social_optimum_level2 and enumerate_nash_level2, for the
     C(2^n1 + n2 - 2, n2 - 1) * 2^n1 job-cost evaluations of a single scan.
-    Only the two reported profiles are built.
+    Only the two reported profiles are built.  Refuses when that plus the
+    2^(n1*n2) profile visits exceeds joint_guard.
 
     Raises NoEquilibriumError when no pure equilibrium exists and
     ValueError when the optimum social cost is not positive, which can

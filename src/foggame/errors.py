@@ -15,11 +15,12 @@ class FogGameError(Exception):
 class GuardExceeded(FogGameError):
     """An enumeration guard refused to run on an instance this large."""
 
-    def __init__(self, guard: str, limit: int, actual: int):
+    def __init__(self, guard: str, limit: int, actual: int, at_least: bool = False):
         self.guard = guard
         self.limit = limit
         self.actual = actual
-        super().__init__(f"{guard} guard exceeded: size {actual} > limit {limit}")
+        size = f"at least {actual}" if at_least else str(actual)
+        super().__init__(f"{guard} guard exceeded: size {size} > limit {limit}")
 
 
 class GenerationError(FogGameError):

@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import (
     INF,
+    Distance,
     Graph,
     VertexSet,
     all_pairs_distances,
@@ -259,7 +260,11 @@ def job_player_cost(j: int, state: GameState, cfg: GameConfig) -> float:
     if not 0 <= j < state.n2:
         raise ValueError(f"job {j} outside [0,{state.n2})")
     purchase = cfg.beta * len(state.level2.strategies[j])
-    d = _job_distance_sum(j, state, cfg)
+    return _job_cost(purchase, _job_distance_sum(j, state, cfg), cfg)
+
+
+def _job_cost(purchase: float, d: float, cfg: GameConfig) -> float:
+    """Job cost from its purchase term and distance sum d (see job_player_cost)."""
     if cfg.job_cost_type is JobCostType.TYPE_II:
         return purchase + d
     if d == INF:
@@ -267,6 +272,113 @@ def job_player_cost(j: int, state: GameState, cfg: GameConfig) -> float:
     if d == 0:
         return purchase
     return purchase - 1.0 / d
+
+
+class DeviationRows:
+    """Every strategy of one deviating player, priced from shared distance rows.
+
+    A shortest path out of the player never comes back through it, so its
+    distance to a target t under strategy S is 1 + min(base[t], min over s
+    in S of rows[s][t]): rows[v] holds the hop distances from v with every
+    link at the player removed, and base the distances through links that
+    other players bought to it (INF without any).  A distance sum is then
+    len(base) plus the sum of those minima, an integer hop count or INF,
+    so every cost equals job_player_cost or edge_fog_player_cost for the
+    same strategy exactly.  universe lists the vertices the player may link
+    to, and cost(k, d) prices k links with distance sum d.  Built by
+    job_deviation_rows and fog_deviation_rows for one oracle call.
+    """
+
+    __slots__ = ("universe", "rows", "base", "cost")
+
+    def __init__(
+        self,
+        universe: Iterable[int],
+        rows: Sequence[Sequence[Distance]],
+        base: tuple[Distance, ...],
+        cost: Callable[[int, Distance], float],
+    ):
+        self.universe = tuple(universe)
+        self.rows = rows
+        self.base = base
+        self.cost = cost
+
+    def evaluate(self, strategy: VertexSet) -> float:
+        vec: Sequence[Distance] = self.base
+        for s in strategy:
+            vec = list(map(min, vec, self.rows[s]))
+        return self.cost(len(strategy), len(self.base) + sum(vec))
+
+    def scan(self) -> Iterator[list[float]]:
+        """Costs of all subsets of universe: one list per size, from size 0.
+
+        Each list follows itertools.combinations(universe, k) order.  A
+        subset's min-vector extends that of its prefix (the subset minus its
+        largest member) by one element-wise minimum, and lexicographic order
+        keeps each prefix's extensions together, so every size is built from
+        the one before it: 2^|universe| minima in all.
+        """
+        cost, width, m = self.cost, len(self.base), len(self.universe)
+        rows = [self.rows[v] for v in self.universe]
+        # Position in universe of each subset's largest member, and its
+        # min-vector.  Vectors are lists: CPython keeps up to 2,000 freed
+        # tuples of each length for reuse, which would hold a scan's
+        # vectors in memory after it returns.
+        lasts, vecs = [-1], [self.base]
+        for k in range(m + 1):
+            if k:
+                vecs = [
+                    list(map(min, vec, rows[p]))
+                    for last, vec in zip(lasts, vecs)
+                    for p in range(last + 1, m)
+                ]
+                lasts = [p for last in lasts for p in range(last + 1, m)]
+            yield [cost(k, width + sum(vec)) for vec in vecs]
+
+
+def job_deviation_rows(j: int, state: GameState, cfg: GameConfig) -> DeviationRows:
+    """Rows of job j, whose targets are all fog vertices.
+
+    Under FOG_ONLY a job reaches the fog graph only through its own links,
+    so the rows are the fog graph's all-pairs distances; otherwise they
+    come from one BFS per fog vertex in the combined graph without j's
+    links.
+    """
+    if not 0 <= j < state.n2:
+        raise ValueError(f"job {j} outside [0,{state.n2})")
+    n1 = state.n1
+    if cfg.transit_policy is TransitPolicy.FOG_ONLY:
+        rows: Sequence[Sequence[Distance]] = all_pairs_distances(state.g1).rows
+    else:
+        combined = build_combined_graph(state.g1, state.level2.replace(j, ()))
+        rows = [single_source_distances(combined, v)[:n1] for v in range(n1)]
+    return DeviationRows(
+        range(n1), rows, (INF,) * n1, lambda k, d: _job_cost(cfg.beta * k, d, cfg)
+    )
+
+
+def fog_deviation_rows(i: int, state: GameState, cfg: GameConfig) -> DeviationRows:
+    """Rows of fog player i in profile mode, whose targets are all fog vertices but i.
+
+    The rows come from one BFS per vertex in the union graph without the
+    links at i; base is reached through the players that bought a link to i.
+    """
+    if not state.profile_mode:
+        raise ValueError("level-1 strategies cannot change in fixed-graph mode")
+    n1 = state.n1
+    if not 0 <= i < n1:
+        raise ValueError(f"fog player {i} outside [0,{n1})")
+    rest = Graph(n1, frozenset(e for e in state.g1.edges if i not in e))
+    rows = []
+    for v in range(n1):
+        dist = single_source_distances(rest, v)
+        rows.append(dist[:i] + dist[i + 1 :])
+    base: tuple[Distance, ...] = (INF,) * (n1 - 1)
+    for k, bought in enumerate(state.level1.strategies):
+        if i in bought:
+            base = tuple(map(min, base, rows[k]))
+    universe = (v for v in range(n1) if v != i)
+    return DeviationRows(universe, rows, base, lambda k, d: d + cfg.alpha * k)
 
 
 def interconnection_count(profile: Level2Profile) -> int:

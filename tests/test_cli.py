@@ -336,6 +336,17 @@ def test_main_guard_exit_code(tmp_path, capsys):
     assert "guard exceeded" in capsys.readouterr().err
 
 
+def test_main_guard_bounds_predicted_work(tmp_path, capsys):
+    # 2^14 profiles plus 84 tables of 4 job costs fit the 2^16-step
+    # budget; 2^16 profiles plus 816 tables of 16 do not.
+    small = _write(tmp_path, "p2.json", {"mode": "poa", "graph": {"kind": "path", "n": 2}})
+    assert cli.main(["poa", small, "--n2", "7"]) == cli.EXIT_OK
+    capsys.readouterr()
+    large = _write(tmp_path, "p4.json", {"mode": "poa", "graph": {"kind": "path", "n": 4}})
+    assert cli.main(["poa", large, "--n2", "4"]) == cli.EXIT_GUARD
+    assert "size 78592 > limit 65536" in capsys.readouterr().err
+
+
 # Each scenario holds one value of the wrong JSON type or range.  The run
 # must end in exit 1 with the field named, not a traceback, and not in a
 # result computed from a coerced value.

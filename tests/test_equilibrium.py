@@ -277,11 +277,15 @@ def test_dynamics_detects_revisited_states(monkeypatch):
     # no tiny instance cycles naturally, so force an oscillating oracle
     st = _fixed(generate("complete", 2), [{0}])
     flip = {frozenset({0}): frozenset({1}), frozenset({1}): frozenset({0})}
-    monkeypatch.setattr(eq, "job_player_cost", lambda j, state, cfg: 2.0)
     monkeypatch.setattr(
         eq,
-        "best_response_job_exact",
-        lambda j, state, cfg, guard: (flip[state.level2.strategies[j]], 1.0),
+        "_deviation",
+        lambda level, j, state, cfg, oracle, guard: (
+            state.level2.strategies[j],
+            2.0,
+            flip[state.level2.strategies[j]],
+            1.0,
+        ),
     )
     trace = eq.best_response_dynamics(st, GameConfig(), Scope.LEVEL2, max_rounds=50)
     assert trace.outcome is DynamicsOutcome.CYCLE_DETECTED

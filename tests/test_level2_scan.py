@@ -3,11 +3,15 @@
 The reference functions below are the two profile scans that
 social_optimum_level2 (exhaustive_joint), enumerate_nash_level2 and
 empirical_poa ran before the cost-table scan: one evaluates the social cost
-of every profile, the other runs is_nash on every profile.  Results must
-match exactly, including which exception is raised first.
+of every profile, the other solves every job's best response in every
+profile by calling job_player_cost on each candidate.  Both go through
+model.job_player_cost only, never through the equilibrium module's cost
+kernel.  Results must match exactly, including which exception is raised
+first.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -16,10 +20,8 @@ from foggame import equilibrium, model
 from foggame.equilibrium import (
     JOINT_ENUMERATION_GUARD,
     PoAReport,
-    Scope,
     empirical_poa,
     enumerate_nash_level2,
-    is_nash,
     social_optimum_level2,
 )
 from foggame.errors import GuardExceeded, NoEquilibriumError
@@ -36,21 +38,45 @@ from foggame.model import (
 # ------------------------------------------------------------------ reference
 
 
-def _reference_profiles(n1, n2):
-    per_job = [
+def _reference_candidates(n1):
+    return [
         frozenset(combo)
         for k in range(n1 + 1)
         for combo in itertools.combinations(range(n1), k)
     ]
+
+
+def _reference_profiles(n1, n2):
+    per_job = _reference_candidates(n1) if n2 else []
     for combo in itertools.product(per_job, repeat=n2):
         yield Level2Profile(n1, combo)
 
 
-def reference_social_optimum(g1, n2, cfg, joint_guard=JOINT_ENUMERATION_GUARD):
+def _reference_guard(n1, n2, joint_guard):
+    # Predicted work: 2^(n1*n2) profile visits plus C(2^n1 + n2 - 2, n2 - 1)
+    # cost tables of 2^n1 entries.  Past the budget's bit length the profile
+    # visits alone exceed it, and the refusal names that power of two.
     if n2 < 0:
         raise ValueError(f"n2 must be non-negative, got {n2}")
-    if g1.n * n2 > joint_guard:
-        raise GuardExceeded("joint profile enumeration", joint_guard, g1.n * n2)
+    bits = joint_guard.bit_length()
+    if n1 * n2 > bits:
+        raise GuardExceeded("joint profile enumeration", joint_guard, 2**bits, at_least=True)
+    work = 2 ** (n1 * n2)
+    if n2:
+        work += math.comb(2**n1 + n2 - 2, n2 - 1) * 2**n1
+    if work > joint_guard:
+        raise GuardExceeded("joint profile enumeration", joint_guard, work)
+
+
+def _reference_best_cost(j, state, cfg):
+    return min(
+        model.job_player_cost(j, state.with_level2_strategy(j, cand), cfg)
+        for cand in _reference_candidates(state.n1)
+    )
+
+
+def reference_social_optimum(g1, n2, cfg, joint_guard=JOINT_ENUMERATION_GUARD):
+    _reference_guard(g1.n, n2, joint_guard)
     best_cost = 0.0
     best_profile = None
     for profile in _reference_profiles(g1.n, n2):
@@ -61,12 +87,14 @@ def reference_social_optimum(g1, n2, cfg, joint_guard=JOINT_ENUMERATION_GUARD):
 
 
 def reference_enumerate_nash(g1, n2, cfg, joint_guard=JOINT_ENUMERATION_GUARD):
-    if g1.n * n2 > joint_guard:
-        raise GuardExceeded("joint profile enumeration", joint_guard, g1.n * n2)
+    _reference_guard(g1.n, n2, joint_guard)
     found = []
     for profile in _reference_profiles(g1.n, n2):
         state = GameState(g1, profile, allow_unequal=True)
-        stable, _ = is_nash(state, cfg, Scope.LEVEL2)
+        stable = not any(
+            _reference_best_cost(j, state, cfg) < model.job_player_cost(j, state, cfg)
+            for j in range(n2)
+        )
         if stable:
             found.append((profile, social_cost_level2(state, cfg)))
     return found
@@ -178,8 +206,29 @@ def test_scan_matches_reference_on_non_positive_optimum():
 
 
 def test_scan_matches_reference_on_guard():
-    _assert_same(generate("complete", 5), 3, GameConfig())
-    _assert_same(generate("path", 13), 1, GameConfig())
+    # 2^20 profiles alone pass the budget of 2^16 steps.
+    _assert_same(generate("complete", 5), 4, GameConfig())
+    # 2^16 profiles + 816 tables of 16 = 78,592 steps.
+    _assert_same(generate("path", 4), 4, GameConfig())
+    # 2^16 profiles + 1 table of 2^16 = 131,072 steps.
+    _assert_same(generate("path", 16), 1, GameConfig())
+    # Without jobs one empty profile is the whole scan, at any n1.
+    _assert_same(generate("path", 30), 0, GameConfig())
+    with pytest.raises(GuardExceeded, match=r"size at least 131072 > limit 65536"):
+        empirical_poa(generate("complete", 5), 4, GameConfig())
+    with pytest.raises(GuardExceeded, match=r"size 78592 > limit 65536"):
+        empirical_poa(generate("path", 4), 4, GameConfig())
+
+
+@pytest.mark.parametrize(
+    "n1, n2, work",
+    [(6, 2, 8192), (2, 7, 16720), (13, 1, 16384), (15, 1, 65536)],
+)
+def test_joint_guard_admits_predicted_work_within_budget(n1, n2, work):
+    # 6x2 is the largest shape the former n1*n2 <= 12 guard accepted.
+    assert equilibrium._joint_work(n1, n2) == work
+    report = empirical_poa(generate("path", n1), n2, GameConfig(beta=1.5))
+    assert report.ne_count >= 1
 
 
 # Rock-paper-scissors over the first three strategies of a one-fog,
@@ -201,9 +250,18 @@ def _rps_cost(j, state, cfg):
     return (-3.0, -4.0, -2.0)[(a - b) % 3]
 
 
+def _rps_table(g1, rest, cfg):
+    return tuple(
+        _rps_cost(0, GameState(g1, Level2Profile(g1.n, (c,) + rest), allow_unequal=True), cfg)
+        for c in _reference_candidates(g1.n)
+    )
+
+
 def test_scan_matches_reference_without_equilibrium(monkeypatch):
+    # The reference prices jobs through job_player_cost, the scan through
+    # the cost tables; both get the same substituted cost.
     monkeypatch.setattr(model, "job_player_cost", _rps_cost)
-    monkeypatch.setattr(equilibrium, "job_player_cost", _rps_cost)
+    monkeypatch.setattr(equilibrium, "_job_cost_table", _rps_table)
     g1 = generate("path", 2)
     with pytest.raises(NoEquilibriumError):
         empirical_poa(g1, 2, GameConfig())
@@ -212,21 +270,20 @@ def test_scan_matches_reference_without_equilibrium(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n1, n2, beta, evaluations",
-    [(4, 3, 3.5, 2176), (8, 1, 1.5, 256)],
+    "n1, n2, beta, fills",
+    [(4, 3, 3.5, 136), (8, 1, 1.5, 1)],
 )
-def test_empirical_poa_job_cost_evaluations(monkeypatch, n1, n2, beta, evaluations):
+def test_empirical_poa_cost_table_fills(monkeypatch, n1, n2, beta, fills):
     # One cost table of 2^n1 entries per multiset of the other n2 - 1
-    # jobs' strategies: C(2^n1 + n2 - 2, n2 - 1) * 2^n1 evaluations.
+    # jobs' strategies: C(2^n1 + n2 - 2, n2 - 1) table fills.
     calls = 0
-    original = model.job_player_cost
+    original = equilibrium._job_cost_table
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return original(*args)
 
-    monkeypatch.setattr(model, "job_player_cost", counted)
-    monkeypatch.setattr(equilibrium, "job_player_cost", counted)
+    monkeypatch.setattr(equilibrium, "_job_cost_table", counted)
     empirical_poa(generate("path", n1), n2, GameConfig(beta=beta))
-    assert calls == evaluations
+    assert calls == fills == math.comb(2**n1 + n2 - 2, n2 - 1)

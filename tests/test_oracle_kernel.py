@@ -1,0 +1,344 @@
+"""Distance-row oracles: differential test against candidate-by-candidate oracles.
+
+The reference oracles below price every candidate the way the package did
+before the distance-row kernel: build the deviated state with
+with_level*_strategy and call job_player_cost or edge_fog_player_cost on
+it.  The kernel must return the same set and a cost with the same repr
+(so 0 and 0.0 differ) on every state, raise the same exception first, and
+drive is_nash and best_response_dynamics to the same results when the
+reference is substituted at the seam they share.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from foggame import equilibrium as eq
+from foggame import model
+from foggame.equilibrium import (
+    EXACT_ENUMERATION_GUARD,
+    Level,
+    Scope,
+    _best_response_fog_greedy,
+    best_response_dynamics,
+    best_response_fog_exact,
+    best_response_job_exact,
+    best_response_job_greedy,
+    is_nash,
+)
+from foggame.errors import GuardExceeded, PolicyError
+from foggame.graph import INF, Graph, generate, is_connected
+from foggame.model import (
+    GameConfig,
+    GameState,
+    JobCostType,
+    Level1Profile,
+    Level2Profile,
+    TransitPolicy,
+    edge_fog_player_cost,
+    job_player_cost,
+)
+
+# ------------------------------------------------------------------ reference
+
+
+def _subsets(universe):
+    for k in range(len(universe) + 1):
+        for combo in itertools.combinations(universe, k):
+            yield frozenset(combo)
+
+
+def _first_minimum(candidates, evaluate):
+    best_set, best_cost = None, 0.0
+    for cand in candidates:
+        cost = evaluate(cand)
+        if best_set is None or cost < best_cost:
+            best_set, best_cost = cand, cost
+    return best_set, best_cost
+
+
+def reference_job_exact(j, state, cfg, guard=EXACT_ENUMERATION_GUARD):
+    if state.n1 > guard:
+        raise GuardExceeded("exact best-response enumeration", guard, state.n1)
+    return _first_minimum(
+        _subsets(range(state.n1)),
+        lambda cand: job_player_cost(j, state.with_level2_strategy(j, cand), cfg),
+    )
+
+
+def reference_fog_exact(i, state, cfg, guard=EXACT_ENUMERATION_GUARD):
+    if not state.profile_mode:
+        raise PolicyError("fog best response needs profile mode, not a fixed graph")
+    if state.n1 > guard:
+        raise GuardExceeded("exact best-response enumeration", guard, state.n1)
+    return _first_minimum(
+        _subsets([v for v in range(state.n1) if v != i]),
+        lambda cand: edge_fog_player_cost(i, state.with_level1_strategy(i, cand), cfg),
+    )
+
+
+def reference_job_greedy(j, state, cfg):
+    return eq._local_search(
+        state.level2.strategies[j],
+        range(state.n1),
+        lambda cand: job_player_cost(j, state.with_level2_strategy(j, cand), cfg),
+    )
+
+
+def reference_fog_greedy(i, state, cfg):
+    if not state.profile_mode:
+        raise PolicyError("fog best response needs profile mode, not a fixed graph")
+    return eq._local_search(
+        state.level1.strategies[i],
+        [v for v in range(state.n1) if v != i],
+        lambda cand: edge_fog_player_cost(i, state.with_level1_strategy(i, cand), cfg),
+    )
+
+
+def reference_deviation(level, player, state, cfg, oracle, guard):
+    """The current-cost and oracle calls that is_nash and dynamics made before."""
+    if level is Level.LEVEL1:
+        current = state.level1.strategies[player]
+        cost = edge_fog_player_cost(player, state, cfg)
+        if oracle == "exact":
+            return (current, cost, *reference_fog_exact(player, state, cfg, guard))
+        return (current, cost, *reference_fog_greedy(player, state, cfg))
+    current = state.level2.strategies[player]
+    cost = job_player_cost(player, state, cfg)
+    if oracle == "exact":
+        return (current, cost, *reference_job_exact(player, state, cfg, guard))
+    return (current, cost, *reference_job_greedy(player, state, cfg))
+
+
+# ------------------------------------------------------------------- harness
+
+
+def _outcome(fn, *args):
+    """(set, repr(cost)), or the exception type and message raised."""
+    try:
+        strategy, cost = fn(*args)
+    except (ValueError, GuardExceeded, PolicyError) as exc:
+        return type(exc), str(exc)
+    return strategy, repr(cost)
+
+
+def _with_reference(fn, *args, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eq, "_deviation", reference_deviation)
+        return fn(*args, **kwargs)
+
+
+def _random_subset(rng, universe, p):
+    return frozenset(v for v in universe if rng.random() < p)
+
+
+def _random_state(rng):
+    """A small state in profile or fixed-graph mode, often disconnected.
+
+    Purchase densities run from none to dense, so states include empty
+    strategies, duplicate purchases, isolated fog vertices (infinite
+    costs) and fog players whose only links were bought by others.
+    """
+    n1 = rng.randint(1, 6)
+    n2 = rng.randint(0, 4)
+    jobs = Level2Profile(
+        n1, tuple(_random_subset(rng, range(n1), rng.choice((0.0, 0.2, 0.5))) for _ in range(n2))
+    )
+    if rng.random() < 0.5:
+        p = rng.choice((0.0, 0.15, 0.3, 0.6))
+        buys = [_random_subset(rng, [v for v in range(n1) if v != i], p) for i in range(n1)]
+        if n1 > 1 and rng.random() < 0.5:
+            # player `quiet` buys nothing but is linked by everyone else
+            quiet = rng.randrange(n1)
+            buys = [set() if i == quiet else set(s) | {quiet} for i, s in enumerate(buys)]
+        level1 = Level1Profile(tuple(frozenset(s) for s in buys))
+    else:
+        kind = rng.choice(("path", "star", "complete", "erdos_renyi", "empty"))
+        if kind == "empty":
+            level1 = Graph(n1, frozenset())
+        elif kind == "erdos_renyi":
+            level1 = generate(kind, n1, p=rng.choice((0.2, 0.5)), seed=rng.randrange(10**6))
+        else:
+            level1 = generate(kind, n1)
+    cfg = GameConfig(
+        alpha=rng.choice((0.0, 0.5, 1.0, 2.0, 3.5, round(rng.uniform(0, 4), 3))),
+        beta=rng.choice((0.0, 0.5, 1.0, 1.5, 2.5, 3.5, round(rng.uniform(0, 4), 3))),
+        job_cost_type=rng.choice(tuple(JobCostType)),
+        transit_policy=rng.choice(tuple(TransitPolicy)),
+    )
+    return GameState(level1, jobs, allow_unequal=True), cfg
+
+
+def _states(seed, count):
+    rng = random.Random(seed)
+    return [_random_state(rng) for _ in range(count)]
+
+
+def _scopes(state):
+    return (Scope.LEVEL1, Scope.LEVEL2, Scope.BOTH) if state.profile_mode else (Scope.LEVEL2,)
+
+
+# ---------------------------------------------------------------------- tests
+
+
+def test_oracles_match_reference_on_random_states():
+    for state, cfg in _states(7, 320):
+        for j in range(state.n2):
+            for fast, reference in (
+                (best_response_job_exact, reference_job_exact),
+                (best_response_job_greedy, reference_job_greedy),
+            ):
+                assert _outcome(fast, j, state, cfg) == _outcome(reference, j, state, cfg), (
+                    fast.__name__,
+                    j,
+                    state,
+                    cfg,
+                )
+        for i in range(state.n1):
+            for fast, reference in (
+                (best_response_fog_exact, reference_fog_exact),
+                (_best_response_fog_greedy, reference_fog_greedy),
+            ):
+                assert _outcome(fast, i, state, cfg) == _outcome(reference, i, state, cfg), (
+                    fast.__name__,
+                    i,
+                    state,
+                    cfg,
+                )
+
+
+def test_oracles_cover_the_named_cases():
+    states = _states(7, 320)
+    profile = [s for s, _ in states if s.profile_mode]
+    assert len(profile) > 100 and len(states) - len(profile) > 100
+    assert any(s.n1 == 1 for s, _ in states)
+    assert any(frozenset() in s.level2.strategies for s, _ in states)
+    inbound_only = [
+        (s, i)
+        for s in profile
+        for i in range(s.n1)
+        if not s.level1.strategies[i] and any(i in b for b in s.level1.strategies)
+    ]
+    assert inbound_only
+    assert sum(not is_connected(s.g1) for s, _ in states) > 50
+    # greedy search stays put when no single step reaches every fog vertex
+    assert any(
+        best_response_job_greedy(j, s, c)[1] == INF for s, c in states for j in range(s.n2)
+    )
+    costs = {cfg.job_cost_type for _, cfg in states} | {cfg.transit_policy for _, cfg in states}
+    assert costs == set(JobCostType) | set(TransitPolicy)
+
+
+def test_oracles_match_reference_on_errors():
+    path = generate("path", 4)
+    fixed = GameState(path, Level2Profile(4, (frozenset({1}), frozenset())), allow_unequal=True)
+    live = GameState(
+        Level1Profile((frozenset({1}), frozenset(), frozenset({1}), frozenset({2}))),
+        Level2Profile(4, (frozenset({0}),)),
+        allow_unequal=True,
+    )
+    cfg = GameConfig()
+    cases = [
+        (best_response_job_exact, reference_job_exact, (-1, fixed, cfg)),
+        (best_response_job_exact, reference_job_exact, (-1, fixed, cfg, 3)),
+        (best_response_job_exact, reference_job_exact, (0, fixed, cfg, 3)),
+        (best_response_fog_exact, reference_fog_exact, (0, fixed, cfg)),
+        (best_response_fog_exact, reference_fog_exact, (-1, fixed, cfg, 3)),
+        (best_response_fog_exact, reference_fog_exact, (-1, live, cfg)),
+        (best_response_fog_exact, reference_fog_exact, (-1, live, cfg, 3)),
+        (_best_response_fog_greedy, reference_fog_greedy, (0, fixed, cfg)),
+        (best_response_job_greedy, reference_job_greedy, (-1, live, cfg)),
+    ]
+    for fast, reference, args in cases:
+        expected = _outcome(reference, *args)
+        assert isinstance(expected[0], type), (reference.__name__, args)
+        assert _outcome(fast, *args) == expected, (fast.__name__, args)
+
+
+def test_index_past_the_last_player_is_a_value_error():
+    # The candidate-by-candidate oracles failed here with an IndexError
+    # while building the first deviated profile.
+    state = GameState(generate("path", 3), Level2Profile(3, (frozenset(),)), allow_unequal=True)
+    with pytest.raises(ValueError, match=r"job 1 outside \[0,1\)"):
+        best_response_job_exact(1, state, GameConfig())
+    live = GameState(
+        Level1Profile((frozenset({1}), frozenset(), frozenset({1}))),
+        Level2Profile(3, ()),
+        allow_unequal=True,
+    )
+    with pytest.raises(ValueError, match=r"fog player 3 outside \[0,3\)"):
+        best_response_fog_exact(3, live, GameConfig())
+
+
+def test_is_nash_matches_reference():
+    for state, cfg in _states(11, 120):
+        for scope in _scopes(state):
+            fast = is_nash(state, cfg, scope)
+            assert repr(fast) == repr(_with_reference(is_nash, state, cfg, scope)), (
+                state,
+                cfg,
+                scope,
+            )
+    state = GameState(generate("path", 3), Level2Profile(3, ()), allow_unequal=True)
+    with pytest.raises(PolicyError):
+        is_nash(state, GameConfig(), Scope.BOTH)
+    jobs = GameState(generate("path", 4), Level2Profile(4, (frozenset(),)), allow_unequal=True)
+    for run in (is_nash, lambda *a, **k: _with_reference(is_nash, *a, **k)):
+        with pytest.raises(GuardExceeded, match=r"size 4 > limit 3"):
+            run(jobs, GameConfig(), Scope.LEVEL2, guard=3)
+
+
+@pytest.mark.parametrize("oracle", ["exact", "greedy"])
+def test_dynamics_match_reference(oracle):
+    for index, (state, cfg) in enumerate(_states(13, 60)):
+        for scope in _scopes(state):
+            kwargs = dict(
+                schedule=("round_robin", "random_permutation")[index % 2],
+                seed=index,
+                max_rounds=4,
+                oracle=oracle,
+            )
+            fast = best_response_dynamics(state, cfg, scope, **kwargs)
+            slow = _with_reference(best_response_dynamics, state, cfg, scope, **kwargs)
+            assert fast == slow, (state, cfg, scope)
+            assert repr(fast.moves) == repr(slow.moves)
+
+
+def test_exact_oracles_run_one_bfs_per_fog_vertex(monkeypatch):
+    # Fixed ten-vertex fog graph with ten jobs, and a live level 1 of ten
+    # fog players: each oracle call reads n1 = 10 BFS rows and rebuilds no
+    # graph or profile per candidate.
+    rng = random.Random(5)
+    g1 = generate("erdos_renyi", 10, p=0.3, seed=3, require_connected=True)
+    jobs = Level2Profile(10, tuple(_random_subset(rng, range(10), 0.3) for _ in range(10)))
+    fixed = GameState(g1, jobs)
+    level1 = Level1Profile(
+        tuple(frozenset(v for v in (i + 1, i + 3) if v < 10) for i in range(10))
+    )
+    live = GameState(level1, jobs)
+    counts = {"bfs": 0, "combined": 0, "level1": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        model, "single_source_distances", counted("bfs", model.single_source_distances)
+    )
+    monkeypatch.setattr(
+        model, "build_combined_graph", counted("combined", model.build_combined_graph)
+    )
+    monkeypatch.setattr(
+        Level1Profile, "__post_init__", counted("level1", Level1Profile.__post_init__)
+    )
+
+    best_response_job_exact(4, fixed, GameConfig(beta=1.5))
+    assert counts == {"bfs": 10, "combined": 1, "level1": 0}
+
+    counts.update(bfs=0, combined=0)
+    best_response_fog_exact(4, live, GameConfig(alpha=2.0))
+    assert counts == {"bfs": 10, "combined": 0, "level1": 0}
