@@ -32,7 +32,6 @@ from .equilibrium import (
     DominationDiagnostic,
     DynamicsOutcome,
     DynamicsTrace,
-    Level,
     Move,
     PoAReport,
     Scope,
@@ -59,7 +58,6 @@ from .errors import (
 )
 from .graph import (
     INF,
-    DistanceMatrix,
     Graph,
     VertexSet,
     all_pairs_distances,

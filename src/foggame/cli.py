@@ -12,13 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import Any
 
-from . import __version__
 from .errors import FogGameError, GuardExceeded, ScenarioError
 from .graph import GENERATOR_KINDS
-from .scenario import MODES, run_record, sweep_records
+from .scenario import MODES, run_record, sweep_record
 from .serialize import emit_csv, emit_json
 
 EXIT_OK = 0
@@ -131,20 +129,12 @@ def main(argv: list[str] | None = None) -> int:
                 raise ScenarioError("sweep: needs a template scenario file")
             template = _read_json(args.scenario)
             _apply_overrides(template, args)
-            values = _parse_values(args.values)
-            started = time.monotonic()
-            payload = sweep_records(template, args.parameter, values)
-            record = {
-                "spec": {"template": template, "parameter": args.parameter, "values": values},
-                "version": __version__,
-                "duration_seconds": time.monotonic() - started,
-                "payload": payload,
-            }
+            record = sweep_record(template, args.parameter, _parse_values(args.values))
         else:
             data = _load_scenario(args)
             _apply_overrides(data, args)
             record = run_record(data)
-            payload = record["payload"]
+        payload = record["payload"]
         if args.format == "csv":
             sys.stdout.write(emit_csv(args.command, payload))
         else:

@@ -14,7 +14,8 @@ its costs equal job_player_cost and edge_fog_player_cost exactly.
 
 The joint level-2 analyses (social optimum, equilibrium enumeration, price
 of anarchy) share one pass over all 2^(n1*n2) job profiles.  It evaluates
-job costs once per multiset of the other jobs' strategies and reads every
+job costs once per multiset of the other jobs' strategies, or once in all
+under FOG_ONLY transit, where job costs do not interact, and reads every
 profile's social cost and equilibrium status from those cost tables, so a
 profile never re-solves a best response (see _level2_scan).
 """
@@ -38,7 +39,6 @@ from .model import (
     TransitPolicy,
     fog_deviation_rows,
     job_deviation_rows,
-    social_cost_level2,
 )
 
 EXACT_ENUMERATION_GUARD = 20
@@ -46,13 +46,11 @@ EXACT_ENUMERATION_GUARD = 20
 JOINT_ENUMERATION_GUARD = 2**16
 
 
-class Level(Enum):
-    LEVEL1 = "level1"
-    LEVEL2 = "level2"
-
-
 class Scope(Enum):
-    """Which player levels an equilibrium notion quantifies over."""
+    """Which player levels an equilibrium notion quantifies over.
+
+    A single player's level is LEVEL1 or LEVEL2, never BOTH.
+    """
 
     LEVEL1 = "level1"
     LEVEL2 = "level2"
@@ -63,7 +61,7 @@ class Scope(Enum):
 class DeviationWitness:
     """A strictly profitable deviation found for one player."""
 
-    level: Level
+    level: Scope
     player: int
     current_cost: float
     better_strategy: VertexSet
@@ -169,19 +167,19 @@ def _best_response_fog_greedy(
     return _local_search(state.level1.strategies[i], rows.universe, rows.evaluate)
 
 
-def _scoped_players(state: GameState, scope: Scope) -> list[tuple[Level, int]]:
-    players: list[tuple[Level, int]] = []
+def _scoped_players(state: GameState, scope: Scope) -> list[tuple[Scope, int]]:
+    players: list[tuple[Scope, int]] = []
     if scope in (Scope.LEVEL1, Scope.BOTH):
         if not state.profile_mode:
             raise PolicyError("level-1 scope needs profile mode, not a fixed graph")
-        players.extend((Level.LEVEL1, i) for i in range(state.n1))
+        players.extend((Scope.LEVEL1, i) for i in range(state.n1))
     if scope in (Scope.LEVEL2, Scope.BOTH):
-        players.extend((Level.LEVEL2, j) for j in range(state.n2))
+        players.extend((Scope.LEVEL2, j) for j in range(state.n2))
     return players
 
 
 def _deviation(
-    level: Level, player: int, state: GameState, cfg: GameConfig, oracle: str, guard: int
+    level: Scope, player: int, state: GameState, cfg: GameConfig, oracle: str, guard: int
 ) -> tuple[VertexSet, float, VertexSet, float]:
     """Current strategy and cost of a player and the oracle's answer.
 
@@ -190,7 +188,7 @@ def _deviation(
     """
     if oracle == "exact":
         _check_exact_size(state.n1, guard)
-    if level is Level.LEVEL1:
+    if level is Scope.LEVEL1:
         rows = fog_deviation_rows(player, state, cfg)
         current = state.level1.strategies[player]
     else:
@@ -231,7 +229,7 @@ class DynamicsOutcome(Enum):
 class Move:
     """One strictly improving strategy change during dynamics."""
 
-    level: Level
+    level: Scope
     player: int
     old_strategy: VertexSet
     new_strategy: VertexSet
@@ -297,7 +295,7 @@ def best_response_dynamics(
         for level, player in order:
             old, current, cand, cand_cost = _deviation(level, player, state, cfg, oracle, guard)
             if cand_cost < current:
-                if level is Level.LEVEL1:
+                if level is Scope.LEVEL1:
                     state = state.with_level1_strategy(player, cand)
                 else:
                     state = state.with_level2_strategy(player, cand)
@@ -325,10 +323,6 @@ def best_response_dynamics(
         final_state=state,
         rounds_used=max_rounds,
     )
-
-
-def _fixed_state(g1: Graph, profile: Level2Profile) -> GameState:
-    return GameState(g1, profile, allow_unequal=True)
 
 
 def _joint_work(n1: int, n2: int) -> int:
@@ -378,7 +372,7 @@ def _profile(n1: int, cands: list[VertexSet], indices: tuple[int, ...]) -> Level
 
 def _job_cost_table(g1: Graph, rest: tuple[VertexSet, ...], cfg: GameConfig) -> tuple[float, ...]:
     """A job's cost for each candidate, in scan order, against rest."""
-    state = _fixed_state(g1, Level2Profile(g1.n, (frozenset(),) + rest))
+    state = GameState(g1, Level2Profile(g1.n, (frozenset(),) + rest), allow_unequal=True)
     return tuple(itertools.chain.from_iterable(job_deviation_rows(0, state, cfg).scan()))
 
 
@@ -388,29 +382,39 @@ def _level2_scan(
     """Every level-2 profile once, as (candidate indices, social cost, is NE).
 
     Profiles come in itertools.product order over indices into cands.  A
-    job's cost depends only on its own strategy and on the multiset of the
-    other jobs' strategies (distances are integer hop counts, so which job
-    holds which strategy cannot change a sum), so one cost table per
-    sorted tuple of the others' indices serves every job and profile with
-    that multiset.  A table holds the job's cost for each own candidate
-    plus its minimum, which is the exact best-response cost; a profile is
-    an equilibrium iff no job's cost exceeds its table minimum.  Tables
-    live for one scan.  Each is filled by one distance-row scan (n1 BFS +
-    2^n1 min-vectors, see model.DeviationRows), and a scan fills C(2^n1 + n2 - 2, n2 - 1)
+    job's cost depends only on its own strategy and on what the other jobs
+    contribute to its distances, so cost tables are keyed by the latter:
+    the sorted tuple of the others' indices (distances are integer hop
+    counts, so which job holds which strategy cannot change a sum), or ()
+    under FOG_ONLY, where a job reaches the fog graph only over its own
+    links and one table serves the whole scan.  A table holds the job's
+    cost for each own candidate plus its minimum, which is the exact
+    best-response cost; a profile is an equilibrium iff no job's cost
+    exceeds its table minimum.  Tables live for one scan.  Each is filled
+    by one distance-row scan (n1 BFS + 2^n1 min-vectors, see
+    model.DeviationRows), and a scan fills at most C(2^n1 + n2 - 2, n2 - 1)
     of them: that many times 2^n1 job costs in total instead of
-    n2 * 2^(n1*n2) * 2^n1.
+    n2 * 2^(n1*n2) * 2^n1.  A profile is sorted once, and each distinct
+    own index in it takes one key.
     """
+    separable = cfg.transit_policy is TransitPolicy.FOG_ONLY
     tables: dict[tuple[int, ...], tuple[tuple[float, ...], float]] = {}
     for indices in itertools.product(range(len(cands)), repeat=n2):
-        costs = []
-        stable = True
-        for j, own in enumerate(indices):
-            others = tuple(sorted(indices[:j] + indices[j + 1 :]))
+        ordered = indices if separable else sorted(indices)
+        by_own: dict[int, tuple[tuple[float, ...], float]] = {}
+        for p, own in enumerate(ordered):
+            if own in by_own:
+                continue
+            others = () if separable else tuple(ordered[:p] + ordered[p + 1 :])
             table = tables.get(others)
             if table is None:
                 row = _job_cost_table(g1, tuple(cands[i] for i in others), cfg)
                 table = tables[others] = (row, min(row))
-            row, best = table
+            by_own[own] = table
+        costs = []
+        stable = True
+        for own in indices:
+            row, best = by_own[own]
             costs.append(row[own])
             if best < row[own]:
                 stable = False
@@ -421,44 +425,25 @@ def social_optimum_level2(
     g1: Graph,
     n2: int,
     cfg: GameConfig,
-    method: str = "exhaustive_joint",
     joint_guard: int = JOINT_ENUMERATION_GUARD,
-    guard: int = EXACT_ENUMERATION_GUARD,
 ) -> tuple[float, Level2Profile]:
     """Minimum level-2 social cost over job profiles, with the minimizer.
 
-    "exhaustive_joint" reads all 2^(n1*n2) profiles from the one-pass
-    cost-table scan (see _level2_scan), C(2^n1 + n2 - 2, n2 - 1) * 2^n1
-    job-cost evaluations, and works under any transit policy; the first
-    profile with the strictly smallest cost wins.  It refuses when the
-    predicted work (profile visits plus job costs) exceeds joint_guard.
-    "separable_per_job" optimizes one job and replicates the result; it
-    requires FOG_ONLY transit, where job costs do not interact, and
-    rejects other policies.
+    Reads all 2^(n1*n2) profiles from the one-pass cost-table scan (see
+    _level2_scan), at most C(2^n1 + n2 - 2, n2 - 1) * 2^n1 job-cost
+    evaluations and 2^n1 under FOG_ONLY; the first profile with the
+    strictly smallest cost wins.  Refuses when the predicted work (profile
+    visits plus job costs) exceeds joint_guard.
     """
-    if n2 < 0:
-        raise ValueError(f"n2 must be non-negative, got {n2}")
-    if method == "exhaustive_joint":
-        _check_joint_size(g1.n, n2, joint_guard)
-        cands = _joint_candidates(g1.n, n2)
-        best_cost = 0.0
-        best: tuple[int, ...] | None = None
-        for indices, cost, _ in _level2_scan(g1, cands, n2, cfg):
-            if best is None or cost < best_cost:
-                best_cost, best = cost, indices
-        assert best is not None
-        return best_cost, _profile(g1.n, cands, best)
-    if method == "separable_per_job":
-        if cfg.transit_policy is not TransitPolicy.FOG_ONLY:
-            raise PolicyError(
-                "separable per-job optimization requires fog-only transit; "
-                "job costs interact under full combined routing"
-            )
-        probe = _fixed_state(g1, Level2Profile(g1.n, (frozenset(),)))
-        best_set, _ = best_response_job_exact(0, probe, cfg, guard)
-        profile = Level2Profile(g1.n, (best_set,) * n2)
-        return social_cost_level2(_fixed_state(g1, profile), cfg), profile
-    raise ValueError(f"unknown method {method!r}")
+    _check_joint_size(g1.n, n2, joint_guard)
+    cands = _joint_candidates(g1.n, n2)
+    best_cost = 0.0
+    best: tuple[int, ...] | None = None
+    for indices, cost, _ in _level2_scan(g1, cands, n2, cfg):
+        if best is None or cost < best_cost:
+            best_cost, best = cost, indices
+    assert best is not None
+    return best_cost, _profile(g1.n, cands, best)
 
 
 def enumerate_nash_level2(
@@ -472,9 +457,10 @@ def enumerate_nash_level2(
     Equilibria come from the one-pass cost-table scan (see _level2_scan),
     in its profile order, each with its social cost.  A profile is kept
     when every job's cost equals the minimum of its cost table, which
-    matches is_nash under Scope.LEVEL2 exactly, at C(2^n1 + n2 - 2, n2 - 1)
-    * 2^n1 job-cost evaluations for the whole enumeration.  Refuses when
-    that plus the 2^(n1*n2) profile visits exceeds joint_guard.
+    matches is_nash under Scope.LEVEL2 exactly, at no more than
+    C(2^n1 + n2 - 2, n2 - 1) * 2^n1 job-cost evaluations for the whole
+    enumeration.  Refuses when that plus the 2^(n1*n2) profile visits
+    exceeds joint_guard.
     """
     _check_joint_size(g1.n, n2, joint_guard)
     cands = _joint_candidates(g1.n, n2)
@@ -508,8 +494,8 @@ def empirical_poa(
     One pass of the cost-table scan (see _level2_scan) gives the optimum
     (first strict minimum), the worst equilibrium (first strict maximum
     among equilibria) and the equilibrium count, with the same results as
-    social_optimum_level2 and enumerate_nash_level2, for the
-    C(2^n1 + n2 - 2, n2 - 1) * 2^n1 job-cost evaluations of a single scan.
+    social_optimum_level2 and enumerate_nash_level2, for the job-cost
+    evaluations of a single scan.
     Only the two reported profiles are built.  Refuses when that plus the
     2^(n1*n2) profile visits exceeds joint_guard.
 

@@ -103,22 +103,13 @@ def single_source_distances(g: Graph, source: int) -> list[Distance]:
     return dist
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop distances; rows[u][v] is the distance from u to v."""
-
-    n: int
-    rows: tuple[tuple[Distance, ...], ...]
-
-    def dist(self, u: int, v: int) -> Distance:
-        return self.rows[u][v]
-
-
 @lru_cache(maxsize=256)
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every source; symmetric with a zero diagonal."""
-    rows = tuple(tuple(single_source_distances(g, s)) for s in range(g.n))
-    return DistanceMatrix(g.n, rows)
+def all_pairs_distances(g: Graph) -> tuple[tuple[Distance, ...], ...]:
+    """BFS from every source: [u][v] is the hop distance from u to v.
+
+    Symmetric with a zero diagonal.
+    """
+    return tuple(tuple(single_source_distances(g, s)) for s in range(g.n))
 
 
 def is_connected(g: Graph) -> bool:

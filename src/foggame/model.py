@@ -235,12 +235,12 @@ def _job_distance_sum(j: int, state: GameState, cfg: GameConfig) -> float:
         return 0
     strategy = state.level2.strategies[j]
     if cfg.transit_policy is TransitPolicy.FOG_ONLY:
-        dm = all_pairs_distances(state.g1)
+        rows = all_pairs_distances(state.g1)
         total: float = 0
         for w in range(n1):
             best = INF
             for s in strategy:
-                d = 1 + dm.rows[s][w]
+                d = 1 + rows[s][w]
                 if d < best:
                     best = d
             total += best
@@ -348,7 +348,7 @@ def job_deviation_rows(j: int, state: GameState, cfg: GameConfig) -> DeviationRo
         raise ValueError(f"job {j} outside [0,{state.n2})")
     n1 = state.n1
     if cfg.transit_policy is TransitPolicy.FOG_ONLY:
-        rows: Sequence[Sequence[Distance]] = all_pairs_distances(state.g1).rows
+        rows: Sequence[Sequence[Distance]] = all_pairs_distances(state.g1)
     else:
         combined = build_combined_graph(state.g1, state.level2.replace(j, ()))
         rows = [single_source_distances(combined, v)[:n1] for v in range(n1)]

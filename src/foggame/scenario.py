@@ -5,16 +5,16 @@ mode-specific options.  Parsing is strict: unknown keys anywhere are
 rejected with the offending key named, so misspelled fields never pass
 silently, and a value of the wrong JSON type (a string or boolean count, a
 fractional vertex, a three-element edge) is rejected with its field named.
-run_record wraps a run's payload with the echoed scenario, the tool
-version, and the wall-clock duration; everything inside the payload is
-deterministic for fixed seeds.
+run_record and sweep_record wrap a run's payload with the echoed scenario,
+the tool version, and the wall-clock duration; everything inside the
+payload is deterministic for fixed seeds.
 """
 
 from __future__ import annotations
 
 import copy
 import time
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
 from .bounds import check_bounds_on_instance
@@ -122,6 +122,10 @@ def _parse_graph(section: Any) -> Graph:
     _check_keys(section, _GENERATOR_KEYS, "graph")
     kind = _require(section, "kind", "graph")
     n = _integer(_require(section, "n", "graph"), "graph.n")
+    if kind != "erdos_renyi":
+        for key in ("p", "seed"):
+            if key in section:
+                raise ScenarioError(f"graph.{key}: only erdos_renyi reads it, not {kind!r}")
     p = section.get("p")
     seed = section.get("seed")
     return generate(
@@ -285,16 +289,21 @@ def run_spec(data: Any) -> dict:
     return to_jsonable(trace)
 
 
-def run_record(data: Any) -> dict:
-    """Run a scenario and wrap the payload with its echo and version."""
+def _record(spec: Any, run: Callable[[], dict]) -> dict:
+    """Wrap the payload of run() with the echoed spec, version and duration."""
     started = time.monotonic()
-    payload = run_spec(data)
+    payload = run()
     return {
-        "spec": to_jsonable(data),
+        "spec": to_jsonable(spec),
         "version": __version__,
         "duration_seconds": time.monotonic() - started,
         "payload": payload,
     }
+
+
+def run_record(data: Any) -> dict:
+    """Run a scenario and wrap the payload with its echo and version."""
+    return _record(data, lambda: run_spec(data))
 
 
 _SWEEP_PARAMETERS = ("beta", "alpha", "n", "p")
@@ -330,3 +339,9 @@ def sweep_records(template: Any, parameter: str, values: list) -> dict:
             graph[parameter] = value
         records.append(run_record(data))
     return {"parameter": parameter, "values": list(values), "records": records}
+
+
+def sweep_record(template: Any, parameter: str, values: list) -> dict:
+    """Run a sweep and wrap its records like run_record, echoing the sweep."""
+    spec = {"template": template, "parameter": parameter, "values": values}
+    return _record(spec, lambda: sweep_records(template, parameter, values))

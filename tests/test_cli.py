@@ -387,6 +387,9 @@ _BAD_SCENARIOS = {
         '{"graph": {"kind": "path", "n": 2}, "n2": 2, "config": {"rcs_constant": Infinity}}',
         "rcs_constant",
     ),
+    # Only erdos_renyi reads p and seed; other generators would ignore them.
+    "p-on-path": ("poa", '{"graph": {"kind": "path", "n": 3, "p": 0.5}}', "graph.p"),
+    "seed-on-star": ("gen", '{"graph": {"kind": "star", "n": 3, "seed": 7}}', "graph.seed"),
 }
 
 
@@ -431,6 +434,16 @@ def test_main_sweep_csv(tmp_path, capsys):
     assert code == cli.EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "beta,0.5,1.0,13.5,13.5,1"
+
+
+def test_main_sweep_of_p_needs_erdos_renyi(tmp_path, capsys):
+    # A path template would print one identical row per p value.
+    path = _write(tmp_path, "t.json", {"mode": "poa", "graph": {"kind": "path", "n": 2}})
+    code = cli.main(["sweep", path, "--parameter", "p", "--values", "0.1,0.5"])
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "graph.p" in captured.err
 
 
 def test_main_sweep_requires_template(capsys):

@@ -8,7 +8,6 @@ import pytest
 from foggame import equilibrium as eq
 from foggame.equilibrium import (
     DynamicsOutcome,
-    Level,
     Scope,
     best_response_fog_exact,
     best_response_job_exact,
@@ -179,7 +178,7 @@ def test_complete_bipartite_unravels_above_beta_one():
     st = GameState(g1, construct_complete_bipartite(2, 2), allow_unequal=True)
     stable, witness = is_nash(st, GameConfig(beta=1.5), Scope.LEVEL2)
     assert not stable
-    assert witness.level is Level.LEVEL2
+    assert witness.level is Scope.LEVEL2
     assert witness.player == 0
     assert witness.better_strategy == frozenset({0})
     assert witness.better_cost < witness.current_cost
@@ -213,7 +212,7 @@ def test_scope_both_checks_fog_players_first():
     l1 = Level1Profile((frozenset({1}), frozenset({0})))
     st = GameState(l1, _empty_jobs(2, 2))
     _, witness = is_nash(st, GameConfig(alpha=1.0), Scope.BOTH)
-    assert witness.level is Level.LEVEL1
+    assert witness.level is Scope.LEVEL1
 
 
 # ------------------------------------------------------------------- dynamics
@@ -302,19 +301,17 @@ def test_social_optimum_complete3():
     assert profile.strategies == (frozenset({0}),) * 3
 
 
-def test_social_optimum_separable_matches_exhaustive_under_fog_only():
+def test_social_optimum_under_fog_only_copies_a_lone_jobs_best_response():
+    # Job costs do not interact under FOG_ONLY, so the optimum gives every
+    # job the answer a job would choose alone.
     cfg = GameConfig(beta=1.5, transit_policy=TransitPolicy.FOG_ONLY)
     for i in range(10):
         g1 = generate("erdos_renyi", 3, p=0.6, seed=9100 + i, require_connected=True)
-        joint_cost, _ = social_optimum_level2(g1, 3, cfg, method="exhaustive_joint")
-        sep_cost, sep_profile = social_optimum_level2(g1, 3, cfg, method="separable_per_job")
-        assert sep_cost == joint_cost
-        assert len(set(sep_profile.strategies)) == 1  # every job copies one answer
-
-
-def test_social_optimum_separable_requires_fog_only():
-    with pytest.raises(PolicyError, match="fog-only"):
-        social_optimum_level2(generate("complete", 3), 3, GameConfig(), method="separable_per_job")
+        lone = _fixed(g1, [()])
+        best_set, best_cost = best_response_job_exact(0, lone, cfg)
+        cost, profile = social_optimum_level2(g1, 3, cfg)
+        assert profile.strategies == (best_set,) * 3
+        assert cost == 3 * best_cost
 
 
 def test_social_optimum_type1_single_vertex():
@@ -325,11 +322,9 @@ def test_social_optimum_type1_single_vertex():
     assert profile.strategies == (frozenset({0}),)
 
 
-def test_social_optimum_guard_and_method_validation():
+def test_social_optimum_guard_validation():
     with pytest.raises(GuardExceeded, match="joint profile enumeration"):
         social_optimum_level2(generate("complete", 5), 5, GameConfig())
-    with pytest.raises(ValueError, match="unknown method"):
-        social_optimum_level2(generate("complete", 2), 2, GameConfig(), method="annealing")
 
 
 def test_social_optimum_zero_jobs():

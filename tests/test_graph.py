@@ -91,7 +91,7 @@ def test_all_pairs_matches_single_source():
     g = generate("erdos_renyi", 7, p=0.4, seed=11)
     m = all_pairs_distances(g)
     for s in range(7):
-        assert list(m.rows[s]) == single_source_distances(g, s)
+        assert list(m[s]) == single_source_distances(g, s)
 
 
 def test_all_pairs_metric_properties():
@@ -100,12 +100,12 @@ def test_all_pairs_metric_properties():
         g = generate("erdos_renyi", 4 + i % 5, p=0.45, seed=900 + i)
         m = all_pairs_distances(g)
         for u in range(g.n):
-            assert m.dist(u, u) == 0
+            assert m[u][u] == 0
             for v in range(g.n):
-                assert m.dist(u, v) == m.dist(v, u)
+                assert m[u][v] == m[v][u]
                 for w in range(g.n):
-                    if m.dist(u, w) < INF and m.dist(w, v) < INF:
-                        assert m.dist(u, v) <= m.dist(u, w) + m.dist(w, v)
+                    if m[u][w] < INF and m[w][v] < INF:
+                        assert m[u][v] <= m[u][w] + m[w][v]
 
 
 def test_adding_an_edge_never_lengthens_distances():
@@ -127,7 +127,7 @@ def test_adding_an_edge_never_lengthens_distances():
         after = all_pairs_distances(denser)
         for a in range(n):
             for b in range(n):
-                assert after.dist(a, b) <= before.dist(a, b)
+                assert after[a][b] <= before[a][b]
 
 
 def test_is_connected():

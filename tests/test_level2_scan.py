@@ -270,12 +270,17 @@ def test_scan_matches_reference_without_equilibrium(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n1, n2, beta, fills",
-    [(4, 3, 3.5, 136), (8, 1, 1.5, 1)],
+    "n1, n2, beta, transit, fills",
+    [
+        (4, 3, 3.5, TransitPolicy.FULL_COMBINED, 136),
+        (8, 1, 1.5, TransitPolicy.FULL_COMBINED, 1),
+        (4, 3, 3.5, TransitPolicy.FOG_ONLY, 1),
+    ],
 )
-def test_empirical_poa_cost_table_fills(monkeypatch, n1, n2, beta, fills):
+def test_empirical_poa_cost_table_fills(monkeypatch, n1, n2, beta, transit, fills):
     # One cost table of 2^n1 entries per multiset of the other n2 - 1
-    # jobs' strategies: C(2^n1 + n2 - 2, n2 - 1) table fills.
+    # jobs' strategies, C(2^n1 + n2 - 2, n2 - 1) table fills; under
+    # FOG_ONLY a job's cost ignores the other jobs and one table serves all.
     calls = 0
     original = equilibrium._job_cost_table
 
@@ -285,5 +290,33 @@ def test_empirical_poa_cost_table_fills(monkeypatch, n1, n2, beta, fills):
         return original(*args)
 
     monkeypatch.setattr(equilibrium, "_job_cost_table", counted)
-    empirical_poa(generate("path", n1), n2, GameConfig(beta=beta))
-    assert calls == fills == math.comb(2**n1 + n2 - 2, n2 - 1)
+    empirical_poa(generate("path", n1), n2, GameConfig(beta=beta, transit_policy=transit))
+    assert calls == fills
+    if transit is TransitPolicy.FULL_COMBINED:
+        assert fills == math.comb(2**n1 + n2 - 2, n2 - 1)
+
+
+@pytest.mark.parametrize(
+    "transit, sorts", [(TransitPolicy.FULL_COMBINED, 64), (TransitPolicy.FOG_ONLY, 0)]
+)
+def test_scan_sorts_each_profile_at_most_once(monkeypatch, transit, sorts):
+    # Table keys come from one sort of the profile, not one per job: path 2
+    # with 3 jobs has 4^3 = 64 profiles.  Under FOG_ONLY every key is ().
+    calls = 0
+
+    def counted(values):
+        nonlocal calls
+        calls += 1
+        return sorted(values)
+
+    monkeypatch.setattr(equilibrium, "sorted", counted, raising=False)
+    enumerate_nash_level2(generate("path", 2), 3, GameConfig(transit_policy=transit))
+    assert calls == sorts
+
+
+def test_scan_of_many_jobs_without_fog_vertices():
+    # One profile of 9,000 empty strategies, predicted at 2 steps; its keys
+    # are built from one sort instead of one per job.
+    (profile, cost), = enumerate_nash_level2(Graph(0, frozenset()), 9000, GameConfig())
+    assert profile.strategies == (frozenset(),) * 9000
+    assert cost == 0

@@ -203,7 +203,7 @@ def test_fog_only_ignores_other_jobs_as_transit():
     # job 1 reaches vertex 4 through job 0 only under full combined routing
     assert job_player_cost(1, st, cfg_full) < job_player_cost(1, st, cfg_fog)
     m = all_pairs_distances(g1)
-    expected_fog = 1.0 + sum(1 + m.dist(0, w) for w in range(5))
+    expected_fog = 1.0 + sum(1 + m[0][w] for w in range(5))
     assert job_player_cost(1, st, cfg_fog) == expected_fog
 
 

@@ -18,7 +18,6 @@ from foggame import equilibrium as eq
 from foggame import model
 from foggame.equilibrium import (
     EXACT_ENUMERATION_GUARD,
-    Level,
     Scope,
     _best_response_fog_greedy,
     best_response_dynamics,
@@ -98,7 +97,7 @@ def reference_fog_greedy(i, state, cfg):
 
 def reference_deviation(level, player, state, cfg, oracle, guard):
     """The current-cost and oracle calls that is_nash and dynamics made before."""
-    if level is Level.LEVEL1:
+    if level is Scope.LEVEL1:
         current = state.level1.strategies[player]
         cost = edge_fog_player_cost(player, state, cfg)
         if oracle == "exact":
