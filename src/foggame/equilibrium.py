@@ -6,11 +6,12 @@ strict improvement replaces the incumbent, so ties always resolve to the
 smallest, lexicographically first set.
 
 Every best response, exact or greedy, prices its candidates on one set of
-distance rows (see model.DeviationRows): n1 BFS per oracle call, then one
-element-wise minimum per candidate, each extended from its prefix (the
-candidate minus its largest member).  An exact best response costs n1 BFS
-+ 2^n1 min-vectors instead of a graph build and a BFS per candidate, and
-its costs equal job_player_cost and edge_fog_player_cost exactly.
+distance rows (see model.DeviationRows): n1 BFS per oracle call, each row
+kept as one int of distance layers, then one integer OR and one bit count
+per candidate, its mask extended from that of the candidate minus its
+smallest member.  An exact best response costs n1 BFS + 2^n1 ORs instead
+of a graph build and a BFS per candidate, and its costs equal
+job_player_cost and edge_fog_player_cost exactly.
 
 The joint level-2 analyses (social optimum, equilibrium enumeration, price
 of anarchy) share one pass over all 2^(n1*n2) job profiles.  It evaluates
@@ -96,8 +97,8 @@ def best_response_job_exact(
     """Cost-minimal strategy for job j against the rest of the state.
 
     Scans all 2^n1 subsets over the job's distance rows (n1 BFS, or the
-    cached fog distances under FOG_ONLY, plus 2^n1 min-vectors); refuses
-    when n1 exceeds the guard.
+    cached fog distances under FOG_ONLY, plus 2^n1 mask ORs); refuses when
+    n1 exceeds the guard.
     """
     _check_exact_size(state.n1, guard)
     return _exact_best(job_deviation_rows(j, state, cfg))
@@ -109,7 +110,7 @@ def best_response_fog_exact(
     """Cost-minimal purchase set for fog player i; profile mode only.
 
     Scans all 2^(n1-1) purchase sets over the player's distance rows (n1
-    BFS plus 2^(n1-1) min-vectors); refuses when n1 exceeds the guard.
+    BFS plus 2^(n1-1) mask ORs); refuses when n1 exceeds the guard.
     """
     _require_profile_mode(state)
     _check_exact_size(state.n1, guard)
@@ -391,7 +392,7 @@ def _level2_scan(
     cost for each own candidate plus its minimum, which is the exact
     best-response cost; a profile is an equilibrium iff no job's cost
     exceeds its table minimum.  Tables live for one scan.  Each is filled
-    by one distance-row scan (n1 BFS + 2^n1 min-vectors, see
+    by one distance-row scan (n1 BFS + 2^n1 mask ORs, see
     model.DeviationRows), and a scan fills at most C(2^n1 + n2 - 2, n2 - 1)
     of them: that many times 2^n1 job costs in total instead of
     n2 * 2^(n1*n2) * 2^n1.  A profile is sorted once, and each distinct

@@ -86,11 +86,17 @@ def new_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     return Graph(n, frozenset(seen))
 
 
-def single_source_distances(g: Graph, source: int) -> list[Distance]:
-    """Hop distances from source to every vertex, INF where unreachable."""
+def single_source_distances(
+    g: Graph, source: int, adjacency: list[list[int]] | None = None
+) -> list[Distance]:
+    """Hop distances from source to every vertex, INF where unreachable.
+
+    A caller that runs several BFS on g passes g.adjacency() once as
+    adjacency instead of having each call rebuild it.
+    """
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} outside [0,{g.n})")
-    adj = g.adjacency()
+    adj = g.adjacency() if adjacency is None else adjacency
     dist: list[Distance] = [INF] * g.n
     dist[source] = 0
     queue: deque[int] = deque([source])
@@ -109,7 +115,8 @@ def all_pairs_distances(g: Graph) -> tuple[tuple[Distance, ...], ...]:
 
     Symmetric with a zero diagonal.
     """
-    return tuple(tuple(single_source_distances(g, s)) for s in range(g.n))
+    adjacency = g.adjacency()
+    return tuple(tuple(single_source_distances(g, s, adjacency)) for s in range(g.n))
 
 
 def is_connected(g: Graph) -> bool:

@@ -260,80 +260,99 @@ def job_player_cost(j: int, state: GameState, cfg: GameConfig) -> float:
     if not 0 <= j < state.n2:
         raise ValueError(f"job {j} outside [0,{state.n2})")
     purchase = cfg.beta * len(state.level2.strategies[j])
-    return _job_cost(purchase, _job_distance_sum(j, state, cfg), cfg)
+    return _job_costs(purchase, [_job_distance_sum(j, state, cfg)], cfg)[0]
 
 
-def _job_cost(purchase: float, d: float, cfg: GameConfig) -> float:
-    """Job cost from its purchase term and distance sum d (see job_player_cost)."""
+def _job_costs(purchase: float, sums: list[Distance], cfg: GameConfig) -> list[float]:
+    """Job costs from one purchase term and each distance sum (see job_player_cost)."""
     if cfg.job_cost_type is JobCostType.TYPE_II:
-        return purchase + d
-    if d == INF:
-        return INF
-    if d == 0:
-        return purchase
-    return purchase - 1.0 / d
+        return [purchase + d for d in sums]
+    return [INF if d == INF else purchase if d == 0 else purchase - 1.0 / d for d in sums]
 
 
 class DeviationRows:
     """Every strategy of one deviating player, priced from shared distance rows.
 
     A shortest path out of the player never comes back through it, so its
-    distance to a target t under strategy S is 1 + min(base[t], min over s
-    in S of rows[s][t]): rows[v] holds the hop distances from v with every
-    link at the player removed, and base the distances through links that
-    other players bought to it (INF without any).  A distance sum is then
-    len(base) plus the sum of those minima, an integer hop count or INF,
-    so every cost equals job_player_cost or edge_fog_player_cost for the
-    same strategy exactly.  universe lists the vertices the player may link
-    to, and cost(k, d) prices k links with distance sum d.  Built by
-    job_deviation_rows and fog_deviation_rows for one oracle call.
+    distance to a target t under strategy S is 1 + the least rows[s][t]
+    over s in S and in inbound: rows[v] holds the hop distances from v to
+    the width targets with every link at the player removed, and inbound
+    lists the vertices whose links to the player other players bought.
+
+    Each row of a universe member is kept as one int of distance layers:
+    bit r * width + t is set iff the row reaches t within r hops, for r
+    below depth, 1 plus the largest finite entry of those rows (at least
+    1).  A strategy's mask is the OR of its members' and inbound's masks,
+    in which target t lacks one bit per hop of its least row distance; when
+    the top layer is full (every target reached) the distance sum is thus
+    width * (depth + 1) minus the mask's set bits, INF otherwise.  That is
+    an integer hop count or INF, so every cost equals job_player_cost or
+    edge_fog_player_cost for the same strategy exactly.  universe lists the
+    vertices the player may link to, and cost(k, sums) prices k links with
+    each distance sum.  Built by job_deviation_rows and fog_deviation_rows
+    for one oracle call.
     """
 
-    __slots__ = ("universe", "rows", "base", "cost")
+    __slots__ = ("universe", "masks", "base", "full", "reached", "cost")
 
     def __init__(
         self,
         universe: Iterable[int],
         rows: Sequence[Sequence[Distance]],
-        base: tuple[Distance, ...],
-        cost: Callable[[int, Distance], float],
+        width: int,
+        cost: Callable[[int, list[Distance]], list[float]],
+        inbound: Iterable[int] = (),
     ):
         self.universe = tuple(universe)
-        self.rows = rows
-        self.base = base
+        finite = (d for v in self.universe for d in rows[v] if d != INF)
+        depth = 1 + max(finite, default=0)
+        # layers[d]: bits of the layers r >= d at target 0's offset
+        layers = [sum(1 << r * width for r in range(d, depth)) for d in range(depth)]
+        self.masks = {
+            v: sum(layers[d] << t for t, d in enumerate(rows[v]) if d != INF)
+            for v in self.universe
+        }
+        self.base = 0
+        for v in inbound:
+            self.base |= self.masks[v]
+        self.full = width * (depth + 1)
+        # a mask is at least this iff its top layer is full
+        self.reached = ((1 << width) - 1) << (depth - 1) * width
         self.cost = cost
 
+    def _sums(self, masks: list[int]) -> list[Distance]:
+        full, reached = self.full, self.reached
+        return [full - mask.bit_count() if mask >= reached else INF for mask in masks]
+
     def evaluate(self, strategy: VertexSet) -> float:
-        vec: Sequence[Distance] = self.base
+        mask = self.base
         for s in strategy:
-            vec = list(map(min, vec, self.rows[s]))
-        return self.cost(len(strategy), len(self.base) + sum(vec))
+            mask |= self.masks[s]
+        return self.cost(len(strategy), self._sums([mask]))[0]
 
     def scan(self) -> Iterator[list[float]]:
         """Costs of all subsets of universe: one list per size, from size 0.
 
         Each list follows itertools.combinations(universe, k) order.  A
-        subset's min-vector extends that of its prefix (the subset minus its
-        largest member) by one element-wise minimum, and lexicographic order
-        keeps each prefix's extensions together, so every size is built from
-        the one before it: 2^|universe| minima in all.
+        subset's mask is that of the subset without its smallest member,
+        ORed with that member's row.  In this order the (k - 1)-subsets
+        whose members all come after universe[p] are the last
+        C(m - p - 1, k - 1) of their list (m = |universe|), so size k is,
+        for each p in turn, row p ORed onto that tail of size k - 1: every
+        size is built from the one before it, 2^m ORs in all.
         """
-        cost, width, m = self.cost, len(self.base), len(self.universe)
-        rows = [self.rows[v] for v in self.universe]
-        # Position in universe of each subset's largest member, and its
-        # min-vector.  Vectors are lists: CPython keeps up to 2,000 freed
-        # tuples of each length for reuse, which would hold a scan's
-        # vectors in memory after it returns.
-        lasts, vecs = [-1], [self.base]
+        m = len(self.universe)
+        rows = [self.masks[v] for v in self.universe]
+        masks = [self.base]
         for k in range(m + 1):
             if k:
-                vecs = [
-                    list(map(min, vec, rows[p]))
-                    for last, vec in zip(lasts, vecs)
-                    for p in range(last + 1, m)
+                n = len(masks)
+                masks = [
+                    row | mask
+                    for p, row in enumerate(rows)
+                    for mask in masks[n - math.comb(m - p - 1, k - 1) :]
                 ]
-                lasts = [p for last in lasts for p in range(last + 1, m)]
-            yield [cost(k, width + sum(vec)) for vec in vecs]
+            yield self.cost(k, self._sums(masks))
 
 
 def job_deviation_rows(j: int, state: GameState, cfg: GameConfig) -> DeviationRows:
@@ -351,9 +370,10 @@ def job_deviation_rows(j: int, state: GameState, cfg: GameConfig) -> DeviationRo
         rows: Sequence[Sequence[Distance]] = all_pairs_distances(state.g1)
     else:
         combined = build_combined_graph(state.g1, state.level2.replace(j, ()))
-        rows = [single_source_distances(combined, v)[:n1] for v in range(n1)]
+        adjacency = combined.adjacency()
+        rows = [single_source_distances(combined, v, adjacency)[:n1] for v in range(n1)]
     return DeviationRows(
-        range(n1), rows, (INF,) * n1, lambda k, d: _job_cost(cfg.beta * k, d, cfg)
+        range(n1), rows, n1, lambda k, sums: _job_costs(cfg.beta * k, sums, cfg)
     )
 
 
@@ -361,7 +381,7 @@ def fog_deviation_rows(i: int, state: GameState, cfg: GameConfig) -> DeviationRo
     """Rows of fog player i in profile mode, whose targets are all fog vertices but i.
 
     The rows come from one BFS per vertex in the union graph without the
-    links at i; base is reached through the players that bought a link to i.
+    links at i; inbound are the players that bought a link to i.
     """
     if not state.profile_mode:
         raise ValueError("level-1 strategies cannot change in fixed-graph mode")
@@ -369,16 +389,19 @@ def fog_deviation_rows(i: int, state: GameState, cfg: GameConfig) -> DeviationRo
     if not 0 <= i < n1:
         raise ValueError(f"fog player {i} outside [0,{n1})")
     rest = Graph(n1, frozenset(e for e in state.g1.edges if i not in e))
+    adjacency = rest.adjacency()
     rows = []
     for v in range(n1):
-        dist = single_source_distances(rest, v)
+        dist = single_source_distances(rest, v, adjacency)
         rows.append(dist[:i] + dist[i + 1 :])
-    base: tuple[Distance, ...] = (INF,) * (n1 - 1)
-    for k, bought in enumerate(state.level1.strategies):
-        if i in bought:
-            base = tuple(map(min, base, rows[k]))
     universe = (v for v in range(n1) if v != i)
-    return DeviationRows(universe, rows, base, lambda k, d: d + cfg.alpha * k)
+    inbound = (k for k, bought in enumerate(state.level1.strategies) if i in bought)
+
+    def cost(k: int, sums: list[Distance]) -> list[float]:
+        purchase = cfg.alpha * k
+        return [d + purchase for d in sums]
+
+    return DeviationRows(universe, rows, n1 - 1, cost, inbound)
 
 
 def interconnection_count(profile: Level2Profile) -> int:

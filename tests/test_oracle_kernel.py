@@ -229,6 +229,102 @@ def test_oracles_cover_the_named_cases():
     assert costs == set(JobCostType) | set(TransitPolicy)
 
 
+def _chain(n1, links):
+    """Level-1 profile in which player i buys link (i, k) for each (i, k) in links."""
+    buys = [set() for _ in range(n1)]
+    for i, k in links:
+        buys[i].add(k)
+    return Level1Profile(tuple(frozenset(b) for b in buys))
+
+
+def _deep_shapes():
+    """Named live states whose distance layers run past 60 bits.
+
+    Each item is (state, fog player) for job 0.  Job 1 links both ends and
+    the middle of the fog graph, a shortcut under FULL_COMBINED transit.
+    """
+    shapes = [
+        (f"path-{n1}", _chain(n1, [(i, i + 1) for i in range(n1 - 1)]), 0) for n1 in (9, 12)
+    ]
+    shapes += [
+        (f"cycle-{n1}", _chain(n1, [(i, (i + 1) % n1) for i in range(n1)]), n1 // 2)
+        for n1 in (11, 14)
+    ]
+    # a chain of 11 and an isolated vertex 11: infinite until it is bought
+    shapes.append(("chain-and-isolated-12", _chain(12, [(i, i + 1) for i in range(10)]), 11))
+    # player 0 buys nothing; its only link, to 1, is bought by 1
+    shapes.append(("inbound-only-12", _chain(12, [(i + 1, i) for i in range(11)]), 0))
+    for name, level1, fog in shapes:
+        n1 = level1.n1
+        jobs = Level2Profile(n1, (frozenset({1}), frozenset({0, n1 // 2, n1 - 1})))
+        yield pytest.param(GameState(level1, jobs, allow_unequal=True), fog, id=name)
+
+
+DEEP_CONFIGS = [
+    GameConfig(alpha=alpha, beta=beta, job_cost_type=kind, transit_policy=transit)
+    for kind, alpha, beta in ((JobCostType.TYPE_II, 2.0, 1.5), (JobCostType.TYPE_I, 0.5, 0.005))
+    for transit in TransitPolicy
+]
+
+
+@pytest.mark.parametrize("state, fog", _deep_shapes())
+def test_oracles_match_reference_on_deep_masks(state, fog):
+    for cfg in DEEP_CONFIGS:
+        jobs = model.job_deviation_rows(0, state, cfg)
+        if cfg.transit_policy is TransitPolicy.FOG_ONLY:
+            assert max(m.bit_length() for m in jobs.masks.values()) > 60
+        for fast, reference in (
+            (best_response_job_exact, reference_job_exact),
+            (best_response_job_greedy, reference_job_greedy),
+        ):
+            assert _outcome(fast, 0, state, cfg) == _outcome(reference, 0, state, cfg), (
+                fast.__name__,
+                cfg,
+            )
+    fogs = model.fog_deviation_rows(fog, state, DEEP_CONFIGS[0])
+    assert max(m.bit_length() for m in fogs.masks.values()) > 60
+    # fog costs do not depend on the job cost type or transit policy
+    for cfg in DEEP_CONFIGS[::2]:
+        for fast, reference in (
+            (best_response_fog_exact, reference_fog_exact),
+            (_best_response_fog_greedy, reference_fog_greedy),
+        ):
+            assert _outcome(fast, fog, state, cfg) == _outcome(reference, fog, state, cfg), (
+                fast.__name__,
+                cfg,
+            )
+
+
+def test_oracles_match_reference_without_targets():
+    # A lone fog player and a job without fog vertices have no targets:
+    # zero-width masks, and a distance sum of 0.
+    lone = GameState(Level1Profile((frozenset(),)), Level2Profile(1, (frozenset(),)))
+    empty = GameState(Graph(0, frozenset()), Level2Profile(0, (frozenset(),)), allow_unequal=True)
+    for cfg in DEEP_CONFIGS:
+        for fast, reference in (
+            (best_response_fog_exact, reference_fog_exact),
+            (_best_response_fog_greedy, reference_fog_greedy),
+        ):
+            assert _outcome(fast, 0, lone, cfg) == _outcome(reference, 0, lone, cfg)
+        for fast, reference in (
+            (best_response_job_exact, reference_job_exact),
+            (best_response_job_greedy, reference_job_greedy),
+        ):
+            assert _outcome(fast, 0, empty, cfg) == _outcome(reference, 0, empty, cfg)
+            assert _outcome(fast, 0, lone, cfg) == _outcome(reference, 0, lone, cfg)
+
+
+def test_scan_matches_evaluate_on_random_states():
+    for state, cfg in _states(7, 320):
+        deviations = [model.job_deviation_rows(j, state, cfg) for j in range(state.n2)]
+        if state.profile_mode:
+            deviations += [model.fog_deviation_rows(i, state, cfg) for i in range(state.n1)]
+        for rows in deviations:
+            scanned = list(itertools.chain.from_iterable(rows.scan()))
+            evaluated = [rows.evaluate(c) for c in _subsets(rows.universe)]
+            assert repr(scanned) == repr(evaluated), (state, cfg)
+
+
 def test_oracles_match_reference_on_errors():
     path = generate("path", 4)
     fixed = GameState(path, Level2Profile(4, (frozenset({1}), frozenset())), allow_unequal=True)
