@@ -14,11 +14,14 @@ of a graph build and a BFS per candidate, and its costs equal
 job_player_cost and edge_fog_player_cost exactly.
 
 The joint level-2 analyses (social optimum, equilibrium enumeration, price
-of anarchy) share one pass over all 2^(n1*n2) job profiles.  It evaluates
-job costs once per multiset of the other jobs' strategies, or once in all
-under FOG_ONLY transit, where job costs do not interact, and reads every
-profile's social cost and equilibrium status from those cost tables, so a
-profile never re-solves a best response (see _level2_scan).
+of anarchy) share one pass over all 2^(n1*n2) job profiles.  Another job
+can shorten a job's distances only by the two-hop fog -> job -> fog paths
+between its members that are at least 3 hops apart in the fog graph, so
+the pass evaluates job costs once per set of such far pairs lent by the
+other jobs (one set in all under FOG_ONLY transit, with a single job, or
+on a fog graph of diameter <= 2), and reads every profile's social cost
+and equilibrium status from those cost tables, so a profile never
+re-solves a best response (see _level2_scan).
 """
 
 from __future__ import annotations
@@ -31,7 +34,14 @@ from enum import Enum
 from typing import Callable, Iterator, Sequence
 
 from .errors import GuardExceeded, NoEquilibriumError, PolicyError
-from .graph import Graph, VertexSet, is_connected, is_dominating_set, min_dominating_set
+from .graph import (
+    Graph,
+    VertexSet,
+    all_pairs_distances,
+    is_connected,
+    is_dominating_set,
+    min_dominating_set,
+)
 from .model import (
     DeviationRows,
     GameConfig,
@@ -330,7 +340,10 @@ def _joint_work(n1: int, n2: int) -> int:
     """Predicted steps of one level-2 scan (see _level2_scan).
 
     2^(n1*n2) profile visits plus C(2^n1 + n2 - 2, n2 - 1) cost tables of
-    2^n1 job costs each; a scan without jobs visits one empty profile.
+    2^n1 job costs each; a scan without jobs visits one empty profile.  The
+    table term is an upper bound: the scan fills one table per set of far
+    pairs the other jobs lend, never more than one per multiset of their
+    strategies.
     """
     if n2 == 0:
         return 1
@@ -377,45 +390,63 @@ def _job_cost_table(g1: Graph, rest: tuple[VertexSet, ...], cfg: GameConfig) -> 
     return tuple(itertools.chain.from_iterable(job_deviation_rows(0, state, cfg).scan()))
 
 
+def _lent_shortcuts(g1: Graph, cands: list[VertexSet], n2: int, cfg: GameConfig) -> list[int]:
+    """Far fog pairs each candidate lends the other jobs, one int per candidate.
+
+    Under FULL_COMBINED a job k with strategy S_k joins any two members a, b
+    of S_k by a two-hop path a -> k -> b, which shortens a fog distance only
+    when a and b are at least 3 hops apart in g1 (INF counts as far).  Bit
+    a * n1 + b stands for such a pair a < b.  A candidate lends nothing
+    under FOG_ONLY, where no path crosses a job, nor when n2 <= 1, where no
+    other job can read it.
+    """
+    if n2 <= 1 or cfg.transit_policy is TransitPolicy.FOG_ONLY:
+        return [0] * len(cands)
+    dist = all_pairs_distances(g1)
+    return [
+        sum(1 << a * g1.n + b for a, b in itertools.combinations(sorted(c), 2) if dist[a][b] >= 3)
+        for c in cands
+    ]
+
+
 def _level2_scan(
     g1: Graph, cands: list[VertexSet], n2: int, cfg: GameConfig
 ) -> Iterator[tuple[tuple[int, ...], float, bool]]:
     """Every level-2 profile once, as (candidate indices, social cost, is NE).
 
     Profiles come in itertools.product order over indices into cands.  A
-    job's cost depends only on its own strategy and on what the other jobs
-    contribute to its distances, so cost tables are keyed by the latter:
-    the sorted tuple of the others' indices (distances are integer hop
-    counts, so which job holds which strategy cannot change a sum), or ()
-    under FOG_ONLY, where a job reaches the fog graph only over its own
-    links and one table serves the whole scan.  A table holds the job's
-    cost for each own candidate plus its minimum, which is the exact
-    best-response cost; a profile is an equilibrium iff no job's cost
-    exceeds its table minimum.  Tables live for one scan.  Each is filled
-    by one distance-row scan (n1 BFS + 2^n1 mask ORs, see
-    model.DeviationRows), and a scan fills at most C(2^n1 + n2 - 2, n2 - 1)
-    of them: that many times 2^n1 job costs in total instead of
-    n2 * 2^(n1*n2) * 2^n1.  A profile is sorted once, and each distinct
-    own index in it takes one key.
+    job's cost depends only on its own strategy and on the far pairs the
+    other jobs lend (see _lent_shortcuts), so the OR of their bits keys
+    its cost table; FOG_ONLY scans, single-job scans and fog graphs of
+    diameter <= 2 have the one key 0.  Two ORs over a profile give the
+    bits lent `once` and `twice` or more, and a job's key is `once`
+    without the bits only its own candidate lends: O(n2) per profile.  A
+    table holds the job's cost for each own candidate plus its minimum,
+    the exact best-response cost; a profile is an equilibrium iff no job's
+    cost exceeds its table minimum.  The first profile of a key fills its
+    table against its other jobs by one distance-row scan (n1 BFS + 2^n1
+    mask ORs, see model.DeviationRows), at most one table per multiset of
+    the other n2 - 1 jobs' strategies, C(2^n1 + n2 - 2, n2 - 1) in all.
+    Tables live for one scan.
     """
-    separable = cfg.transit_policy is TransitPolicy.FOG_ONLY
-    tables: dict[tuple[int, ...], tuple[tuple[float, ...], float]] = {}
+    lends = _lent_shortcuts(g1, cands, n2, cfg)
+    tables: dict[int, tuple[tuple[float, ...], float]] = {}
     for indices in itertools.product(range(len(cands)), repeat=n2):
-        ordered = indices if separable else sorted(indices)
-        by_own: dict[int, tuple[tuple[float, ...], float]] = {}
-        for p, own in enumerate(ordered):
-            if own in by_own:
-                continue
-            others = () if separable else tuple(ordered[:p] + ordered[p + 1 :])
-            table = tables.get(others)
-            if table is None:
-                row = _job_cost_table(g1, tuple(cands[i] for i in others), cfg)
-                table = tables[others] = (row, min(row))
-            by_own[own] = table
+        once = twice = 0
+        for own in indices:
+            lent = lends[own]
+            twice |= once & lent
+            once |= lent
         costs = []
         stable = True
-        for own in indices:
-            row, best = by_own[own]
+        for p, own in enumerate(indices):
+            key = once & ~(lends[own] & ~twice)
+            table = tables.get(key)
+            if table is None:
+                rest = tuple(cands[i] for i in indices[:p] + indices[p + 1 :])
+                row = _job_cost_table(g1, rest, cfg)
+                table = tables[key] = (row, min(row))
+            row, best = table
             costs.append(row[own])
             if best < row[own]:
                 stable = False
@@ -431,10 +462,11 @@ def social_optimum_level2(
     """Minimum level-2 social cost over job profiles, with the minimizer.
 
     Reads all 2^(n1*n2) profiles from the one-pass cost-table scan (see
-    _level2_scan), at most C(2^n1 + n2 - 2, n2 - 1) * 2^n1 job-cost
-    evaluations and 2^n1 under FOG_ONLY; the first profile with the
-    strictly smallest cost wins.  Refuses when the predicted work (profile
-    visits plus job costs) exceeds joint_guard.
+    _level2_scan), 2^n1 job-cost evaluations per set of far pairs the
+    other jobs lend (2^n1 in all under FOG_ONLY), at most
+    C(2^n1 + n2 - 2, n2 - 1) * 2^n1; the first profile with the strictly
+    smallest cost wins.  Refuses when the predicted work (profile visits
+    plus that bound on job costs) exceeds joint_guard.
     """
     _check_joint_size(g1.n, n2, joint_guard)
     cands = _joint_candidates(g1.n, n2)
@@ -458,10 +490,10 @@ def enumerate_nash_level2(
     Equilibria come from the one-pass cost-table scan (see _level2_scan),
     in its profile order, each with its social cost.  A profile is kept
     when every job's cost equals the minimum of its cost table, which
-    matches is_nash under Scope.LEVEL2 exactly, at no more than
-    C(2^n1 + n2 - 2, n2 - 1) * 2^n1 job-cost evaluations for the whole
-    enumeration.  Refuses when that plus the 2^(n1*n2) profile visits
-    exceeds joint_guard.
+    matches is_nash under Scope.LEVEL2 exactly, at 2^n1 job-cost
+    evaluations per set of far pairs the other jobs lend, no more than
+    C(2^n1 + n2 - 2, n2 - 1) * 2^n1 for the whole enumeration.  Refuses
+    when that bound plus the 2^(n1*n2) profile visits exceeds joint_guard.
     """
     _check_joint_size(g1.n, n2, joint_guard)
     cands = _joint_candidates(g1.n, n2)
@@ -502,7 +534,8 @@ def empirical_poa(
 
     Raises NoEquilibriumError when no pure equilibrium exists and
     ValueError when the optimum social cost is not positive, which can
-    happen under TYPE_I where costs may reach zero or below.
+    happen under TYPE_I where costs may reach zero or below, or infinite,
+    which a float sum of huge job costs can reach (the ratio would be NaN).
     """
     _check_joint_size(g1.n, n2, joint_guard)
     cands = _joint_candidates(g1.n, n2)
@@ -524,6 +557,8 @@ def empirical_poa(
         raise ValueError(
             f"price of anarchy undefined for non-positive optimum cost {optimum_cost}"
         )
+    if optimum_cost == math.inf:
+        raise ValueError("price of anarchy undefined for infinite optimum cost")
     return PoAReport(
         optimum_cost=optimum_cost,
         optimum_profile=_profile(g1.n, cands, optimum),

@@ -380,8 +380,8 @@ def job_deviation_rows(j: int, state: GameState, cfg: GameConfig) -> DeviationRo
 def fog_deviation_rows(i: int, state: GameState, cfg: GameConfig) -> DeviationRows:
     """Rows of fog player i in profile mode, whose targets are all fog vertices but i.
 
-    The rows come from one BFS per vertex in the union graph without the
-    links at i; inbound are the players that bought a link to i.
+    The rows come from one BFS per vertex other than i in the union graph
+    without the links at i; inbound are the players that bought a link to i.
     """
     if not state.profile_mode:
         raise ValueError("level-1 strategies cannot change in fixed-graph mode")
@@ -390,8 +390,12 @@ def fog_deviation_rows(i: int, state: GameState, cfg: GameConfig) -> DeviationRo
         raise ValueError(f"fog player {i} outside [0,{n1})")
     rest = Graph(n1, frozenset(e for e in state.g1.edges if i not in e))
     adjacency = rest.adjacency()
-    rows = []
+    rows: list[Sequence[Distance]] = []
     for v in range(n1):
+        if v == i:
+            # i is neither in the universe nor inbound: its row is never read
+            rows.append(())
+            continue
         dist = single_source_distances(rest, v, adjacency)
         rows.append(dist[:i] + dist[i + 1 :])
     universe = (v for v in range(n1) if v != i)

@@ -347,6 +347,20 @@ def test_main_guard_bounds_predicted_work(tmp_path, capsys):
     assert "size 78592 > limit 65536" in capsys.readouterr().err
 
 
+def test_main_infinite_optimum_exits_one(tmp_path, capsys):
+    # Three job costs of at least 1e308 overflow every profile's sum: the
+    # run is refused instead of emitting a NaN price of anarchy.
+    path = _write(
+        tmp_path,
+        "huge.json",
+        {"mode": "poa", "graph": {"kind": "path", "n": 3}, "n2": 3, "config": {"beta": 1e308}},
+    )
+    assert cli.main(["poa", path]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "infinite optimum" in captured.err
+
+
 # Each scenario holds one value of the wrong JSON type or range.  The run
 # must end in exit 1 with the field named, not a traceback, and not in a
 # result computed from a coerced value.

@@ -8,6 +8,13 @@ profile by calling job_player_cost on each candidate.  Both go through
 model.job_player_cost only, never through the equilibrium module's cost
 kernel.  Results must match exactly, including which exception is raised
 first.
+
+Those references are too slow past a few thousand profiles, so a second
+one covers larger shapes: the cost-table scan as it was before its tables
+were keyed by the far pairs the other jobs lend, keyed instead by the
+sorted multiset of the other jobs' candidate indices, or () under FOG_ONLY
+(_multiset_scan).  It shares the cost-table fill with the scan under test,
+so it checks the keys: which profiles share a table.
 """
 
 import itertools
@@ -113,6 +120,8 @@ def reference_poa(g1, n2, cfg, joint_guard=JOINT_ENUMERATION_GUARD):
         raise ValueError(
             f"price of anarchy undefined for non-positive optimum cost {optimum_cost}"
         )
+    if optimum_cost == math.inf:
+        raise ValueError("price of anarchy undefined for infinite optimum cost")
     return PoAReport(
         optimum_cost=optimum_cost,
         optimum_profile=optimum_profile,
@@ -121,6 +130,32 @@ def reference_poa(g1, n2, cfg, joint_guard=JOINT_ENUMERATION_GUARD):
         poa=worst_cost / optimum_cost,
         ne_count=len(equilibria),
     )
+
+
+def _multiset_scan(g1, cands, n2, cfg):
+    # Keys: the sorted indices of the other jobs, or () under FOG_ONLY.
+    separable = cfg.transit_policy is TransitPolicy.FOG_ONLY
+    tables = {}
+    for indices in itertools.product(range(len(cands)), repeat=n2):
+        ordered = indices if separable else sorted(indices)
+        by_own = {}
+        for p, own in enumerate(ordered):
+            if own in by_own:
+                continue
+            others = () if separable else tuple(ordered[:p] + ordered[p + 1 :])
+            table = tables.get(others)
+            if table is None:
+                row = equilibrium._job_cost_table(g1, tuple(cands[i] for i in others), cfg)
+                table = tables[others] = (row, min(row))
+            by_own[own] = table
+        costs = []
+        stable = True
+        for own in indices:
+            row, best = by_own[own]
+            costs.append(row[own])
+            if best < row[own]:
+                stable = False
+        yield indices, sum(costs), stable
 
 
 # ------------------------------------------------------------------- harness
@@ -178,20 +213,41 @@ def test_scan_matches_reference_on_random_instances():
 @pytest.mark.parametrize("transit", tuple(TransitPolicy))
 @pytest.mark.parametrize("cost_type", tuple(JobCostType))
 @pytest.mark.parametrize(
-    "g1, n2",
+    "g1, n2, beta",
     [
-        (generate("path", 3), 3),
-        (generate("star", 4), 2),
-        (generate("complete", 2), 4),
-        (Graph(1, frozenset()), 9),
-        (generate("path", 6), 1),
-        (generate("cycle", 3), 0),
-        (Graph(3, frozenset()), 2),
+        (generate("path", 3), 3, 1.5),
+        (generate("star", 4), 2, 1.5),
+        (generate("complete", 2), 4, 1.5),
+        (Graph(1, frozenset()), 9, 1.5),
+        (generate("path", 6), 1, 1.5),
+        (generate("cycle", 3), 0, 1.5),
+        (Graph(3, frozenset()), 2, 1.5),
+        # Under TYPE_I the optimum is an unsorted member of its orbit (see
+        # test_scan_keeps_product_order_float_sums).
+        (Graph(3, frozenset()), 3, 0.501),
     ],
-    ids=["path3x3", "star4x2", "complete2x4", "single9", "path6x1", "cycle3x0", "empty3x2"],
+    ids=[
+        "path3x3", "star4x2", "complete2x4", "single9", "path6x1", "cycle3x0", "empty3x2",
+        "empty3x3",
+    ],
 )
-def test_scan_matches_reference_on_named_shapes(g1, n2, cost_type, transit):
-    _assert_same(g1, n2, GameConfig(beta=1.5, job_cost_type=cost_type, transit_policy=transit))
+def test_scan_matches_reference_on_named_shapes(g1, n2, beta, cost_type, transit):
+    _assert_same(g1, n2, GameConfig(beta=beta, job_cost_type=cost_type, transit_policy=transit))
+
+
+def test_scan_keeps_product_order_float_sums():
+    # Three isolated fog vertices: a job buying all of them lends the
+    # others two-hop paths between them.  The optimum is not the sorted
+    # member of its orbit, because the social cost is a float sum in job
+    # order and the orbit's orders sum to different floats.
+    g1 = Graph(3, frozenset())
+    cfg = GameConfig(beta=0.501, job_cost_type=JobCostType.TYPE_I)
+    cost, profile = social_optimum_level2(g1, 3, cfg)
+    assert profile.strategies == ({0}, {0, 1, 2}, {0})
+    state = GameState(g1, profile, allow_unequal=True)
+    costs = [model.job_player_cost(j, state, cfg) for j in range(3)]
+    assert cost == sum(costs)
+    assert len({sum(order) for order in itertools.permutations(costs)}) > 1
 
 
 def test_scan_matches_reference_on_non_positive_optimum():
@@ -203,6 +259,15 @@ def test_scan_matches_reference_on_non_positive_optimum():
     with pytest.raises(ValueError, match="non-positive optimum"):
         empirical_poa(generate("path", 3), 0, GameConfig())
     _assert_same(generate("path", 3), 0, GameConfig())
+
+
+def test_scan_matches_reference_on_infinite_optimum():
+    # Every job cost is at least beta = 1e308, and three of them overflow
+    # the float sum, so every profile costs inf and the ratio would be NaN.
+    cfg = GameConfig(beta=1e308)
+    with pytest.raises(ValueError, match="infinite optimum"):
+        empirical_poa(generate("path", 3), 3, cfg)
+    _assert_same(generate("path", 3), 3, cfg)
 
 
 def test_scan_matches_reference_on_guard():
@@ -259,9 +324,15 @@ def _rps_table(g1, rest, cfg):
 
 def test_scan_matches_reference_without_equilibrium(monkeypatch):
     # The reference prices jobs through job_player_cost, the scan through
-    # the cost tables; both get the same substituted cost.
+    # the cost tables; both get the same substituted cost.  Path 2 has no
+    # far pairs, so one table would serve the whole scan; one lent bit per
+    # candidate keys each table by the other job's strategy, which the
+    # substituted cost reads.
     monkeypatch.setattr(model, "job_player_cost", _rps_cost)
     monkeypatch.setattr(equilibrium, "_job_cost_table", _rps_table)
+    monkeypatch.setattr(
+        equilibrium, "_lent_shortcuts", lambda g1, cands, *_: [1 << i for i in range(len(cands))]
+    )
     g1 = generate("path", 2)
     with pytest.raises(NoEquilibriumError):
         empirical_poa(g1, 2, GameConfig())
@@ -269,54 +340,98 @@ def test_scan_matches_reference_without_equilibrium(monkeypatch):
     _assert_same(g1, 2, GameConfig())
 
 
-@pytest.mark.parametrize(
-    "n1, n2, beta, transit, fills",
-    [
-        (4, 3, 3.5, TransitPolicy.FULL_COMBINED, 136),
-        (8, 1, 1.5, TransitPolicy.FULL_COMBINED, 1),
-        (4, 3, 3.5, TransitPolicy.FOG_ONLY, 1),
-    ],
-)
-def test_empirical_poa_cost_table_fills(monkeypatch, n1, n2, beta, transit, fills):
-    # One cost table of 2^n1 entries per multiset of the other n2 - 1
-    # jobs' strategies, C(2^n1 + n2 - 2, n2 - 1) table fills; under
-    # FOG_ONLY a job's cost ignores the other jobs and one table serves all.
-    calls = 0
+def _count_fills(monkeypatch):
+    """Replace _job_cost_table by a wrapper; return the list that counts its calls."""
+    calls = []
     original = equilibrium._job_cost_table
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
+        calls.append(None)
         return original(*args)
 
     monkeypatch.setattr(equilibrium, "_job_cost_table", counted)
-    empirical_poa(generate("path", n1), n2, GameConfig(beta=beta, transit_policy=transit))
-    assert calls == fills
-    if transit is TransitPolicy.FULL_COMBINED:
-        assert fills == math.comb(2**n1 + n2 - 2, n2 - 1)
+    return calls
 
 
 @pytest.mark.parametrize(
-    "transit, sorts", [(TransitPolicy.FULL_COMBINED, 64), (TransitPolicy.FOG_ONLY, 0)]
+    "kind, n1, n2, beta, transit, fills",
+    [
+        ("path", 4, 3, 3.5, TransitPolicy.FULL_COMBINED, 2),
+        ("star", 4, 3, 3.5, TransitPolicy.FULL_COMBINED, 1),
+        ("complete", 4, 3, 3.5, TransitPolicy.FULL_COMBINED, 1),
+        ("path", 6, 2, 1.5, TransitPolicy.FULL_COMBINED, 28),
+        ("cycle", 6, 2, 1.5, TransitPolicy.FULL_COMBINED, 8),
+        ("path", 2, 7, 1.5, TransitPolicy.FULL_COMBINED, 1),
+        ("path", 8, 1, 1.5, TransitPolicy.FULL_COMBINED, 1),
+        ("path", 4, 3, 3.5, TransitPolicy.FOG_ONLY, 1),
+        ("path", 6, 2, 1.5, TransitPolicy.FOG_ONLY, 1),
+    ],
 )
-def test_scan_sorts_each_profile_at_most_once(monkeypatch, transit, sorts):
-    # Table keys come from one sort of the profile, not one per job: path 2
-    # with 3 jobs has 4^3 = 64 profiles.  Under FOG_ONLY every key is ().
-    calls = 0
+def test_empirical_poa_cost_table_fills(monkeypatch, kind, n1, n2, beta, transit, fills):
+    # One cost table of 2^n1 entries per set of far pairs (at least 3 hops
+    # apart in the fog graph) the other jobs lend.  Path 4 has the one far
+    # pair {0, 3}, path 6 six and cycle 6 three; star 4, complete 4 and
+    # path 2 have diameter <= 2, and under FOG_ONLY or with one job no
+    # pair is lent, so one table serves the scan.  The guard's count of
+    # one table per multiset of the other jobs' strategies bounds it.
+    calls = _count_fills(monkeypatch)
+    empirical_poa(generate(kind, n1), n2, GameConfig(beta=beta, transit_policy=transit))
+    assert len(calls) == fills
+    assert fills <= math.comb(2**n1 + n2 - 2, n2 - 1)
 
-    def counted(values):
-        nonlocal calls
-        calls += 1
-        return sorted(values)
 
-    monkeypatch.setattr(equilibrium, "sorted", counted, raising=False)
-    enumerate_nash_level2(generate("path", 2), 3, GameConfig(transit_policy=transit))
-    assert calls == sorts
+_P2_P3 = Graph(5, frozenset({(0, 1), (2, 3), (3, 4)}))
+
+
+@pytest.mark.parametrize("transit", tuple(TransitPolicy))
+@pytest.mark.parametrize("cost_type", tuple(JobCostType))
+@pytest.mark.parametrize(
+    "g1, n2",
+    [
+        (generate("path", 5), 2),
+        (generate("path", 6), 2),
+        (generate("cycle", 7), 2),
+        (generate("path", 4), 4),
+        (generate("path", 3), 5),
+        (_P2_P3, 2),
+        (_P2_P3, 3),
+        (generate("erdos_renyi", 5, p=0.4, seed=1), 3),
+        (generate("erdos_renyi", 6, p=0.5, seed=2), 2),
+        (generate("erdos_renyi", 6, p=0.4, seed=1), 2),
+    ],
+    ids=[
+        "path5x2", "path6x2", "cycle7x2", "path4x4", "path3x5", "p2p3x2", "p2p3x3",
+        "er5diam3x3", "er6diam4x2", "er6diam5x2",
+    ],
+)
+def test_scan_matches_multiset_scan(monkeypatch, g1, n2, cost_type, transit):
+    # The guard is lifted: path 4x4 and path 3x5 pass its 2^16 steps.  The
+    # Erdos-Renyi seeds give connected graphs of diameter 3, 4 and 5.  Each
+    # scan runs once, and its profiles are compared and replayed to the
+    # three analyses.
+    cfg = GameConfig(beta=1.5, job_cost_type=cost_type, transit_policy=transit)
+    calls = _count_fills(monkeypatch)
+    streams, outcomes, fills = [], [], []
+    for scan in (equilibrium._level2_scan, _multiset_scan):
+        calls.clear()
+        profiles = list(scan(g1, equilibrium._joint_candidates(g1.n, n2), n2, cfg))
+        fills.append(len(calls))
+        streams.append(profiles)
+        monkeypatch.setattr(equilibrium, "_level2_scan", lambda *args: iter(profiles))
+        outcomes.append(
+            [
+                _outcome(fn, g1, n2, cfg, 2**40)
+                for fn in (social_optimum_level2, enumerate_nash_level2, empirical_poa)
+            ]
+        )
+    assert streams[0] == streams[1]
+    assert outcomes[0] == outcomes[1]
+    assert fills[0] <= fills[1]
 
 
 def test_scan_of_many_jobs_without_fog_vertices():
     # One profile of 9,000 empty strategies, predicted at 2 steps; its keys
-    # are built from one sort instead of one per job.
+    # come from a constant number of ORs per job, not one sort per job.
     (profile, cost), = enumerate_nash_level2(Graph(0, frozenset()), 9000, GameConfig())
     assert profile.strategies == (frozenset(),) * 9000
     assert cost == 0

@@ -402,8 +402,9 @@ def test_dynamics_match_reference(oracle):
 
 def test_exact_oracles_run_one_bfs_per_fog_vertex(monkeypatch):
     # Fixed ten-vertex fog graph with ten jobs, and a live level 1 of ten
-    # fog players: each oracle call reads n1 = 10 BFS rows and rebuilds no
-    # graph or profile per candidate.
+    # fog players: a job oracle call reads n1 = 10 BFS rows, a fog oracle
+    # call the n1 - 1 = 9 rows of the other fog players, and neither
+    # rebuilds a graph or profile per candidate.
     rng = random.Random(5)
     g1 = generate("erdos_renyi", 10, p=0.3, seed=3, require_connected=True)
     jobs = Level2Profile(10, tuple(_random_subset(rng, range(10), 0.3) for _ in range(10)))
@@ -436,4 +437,4 @@ def test_exact_oracles_run_one_bfs_per_fog_vertex(monkeypatch):
 
     counts.update(bfs=0, combined=0)
     best_response_fog_exact(4, live, GameConfig(alpha=2.0))
-    assert counts == {"bfs": 10, "combined": 0, "level1": 0}
+    assert counts == {"bfs": 9, "combined": 0, "level1": 0}
