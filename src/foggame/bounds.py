@@ -8,8 +8,7 @@ accepted within 1e-9, inequalities within a 1e-12 slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .equilibrium import JOINT_ENUMERATION_GUARD, empirical_poa, joint_enumeration_fits
 from .graph import INF, Graph, min_dominating_set
@@ -26,8 +25,7 @@ EQUALITY_TOLERANCE = 1e-9
 INEQUALITY_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """One comparison between a measured value and a closed-form bound."""
 
     name: str
@@ -194,8 +192,7 @@ def type2_lower_bound(n: int, interconnections: float, beta: float) -> float:
     return 2 * n * n + (beta - 1) * interconnections
 
 
-@dataclass(frozen=True)
-class Type2PoAVerdict:
+class Type2PoAVerdict(NamedTuple):
     """Price-of-anarchy statement available at a given beta.
 
     kind is "exact" (the ratio equals value), "upper" (the ratio is at most
@@ -310,8 +307,7 @@ def check_bounds_on_instance(
     return checks
 
 
-@dataclass(frozen=True)
-class MidBetaCostReport:
+class MidBetaCostReport(NamedTuple):
     """Closed-form and measured optimum for TYPE_II with 1 < beta <= 2.
 
     closed_form_flat adds one domination term for the whole instance;

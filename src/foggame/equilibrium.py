@@ -29,9 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import GuardExceeded, NoEquilibriumError, PolicyError
 from .graph import (
@@ -68,8 +67,7 @@ class Scope(Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
-class DeviationWitness:
+class DeviationWitness(NamedTuple):
     """A strictly profitable deviation found for one player."""
 
     level: Scope
@@ -236,8 +234,7 @@ class DynamicsOutcome(Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One strictly improving strategy change during dynamics."""
 
     level: Scope
@@ -252,8 +249,7 @@ class Move:
         return self.cost_after - self.cost_before
 
 
-@dataclass(frozen=True)
-class DynamicsTrace:
+class DynamicsTrace(NamedTuple):
     """Move log and stopping condition of one dynamics run.
 
     With the exact oracle a CONVERGED trace ends in a state that passes
@@ -504,8 +500,7 @@ def enumerate_nash_level2(
     ]
 
 
-@dataclass(frozen=True)
-class PoAReport:
+class PoAReport(NamedTuple):
     """Worst equilibrium cost relative to the social optimum."""
 
     optimum_cost: float
@@ -582,8 +577,7 @@ def construct_mds_profile(g1: Graph, n2: int) -> Level2Profile:
     return Level2Profile(g1.n, (mds,) * n2)
 
 
-@dataclass(frozen=True)
-class DominationDiagnostic:
+class DominationDiagnostic(NamedTuple):
     """Whether a lone job's exact best response is a minimum dominating set.
 
     That structure is guaranteed for TYPE_II costs with 1 < beta < 2 only;

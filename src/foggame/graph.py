@@ -11,9 +11,8 @@ import itertools
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GenerationError, GuardExceeded
 
@@ -28,27 +27,45 @@ GENERATION_RETRY_BUDGET = 1000
 GENERATOR_KINDS = ("path", "cycle", "star", "complete", "erdos_renyi")
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Validated:
+    """Base of the records that check their fields in __new__.
+
+    A named tuple's _make, and so its _replace, builds the tuple directly;
+    here they go through the class, so no copy skips the checks.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _GraphFields(NamedTuple):
+    n: int
+    edges: frozenset[tuple[int, int]]
+
+
+class Graph(_Validated, _GraphFields):
     """Simple undirected graph on vertices 0..n-1.
 
     Edges are stored normalized as (u, v) with u < v.  Instances are
     immutable and hashable, which lets distance computations be cached.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {self.n}")
-        for u, v in self.edges:
+    def __new__(cls, n: int, edges: frozenset[tuple[int, int]]):
+        if n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop ({u},{v}) is not allowed")
             if u > v:
                 raise ValueError(f"edge ({u},{v}) is not normalized, expected u < v")
-            if not 0 <= u < self.n or not 0 <= v < self.n:
-                raise ValueError(f"edge ({u},{v}) has an endpoint outside [0,{self.n})")
+            if not 0 <= u < n or not 0 <= v < n:
+                raise ValueError(f"edge ({u},{v}) has an endpoint outside [0,{n})")
+        return super().__new__(cls, n, edges)
 
     @property
     def edge_count(self) -> int:
@@ -194,6 +211,23 @@ def min_dominating_set(g: Graph, guard: int = DOMSET_ENUMERATION_GUARD) -> Verte
     raise AssertionError("unreachable: the greedy set bounds the search")
 
 
+def check_generator(kind: str, n: int, p: float | None = None, seed: int | None = None) -> None:
+    """Raise the ValueError generate would raise for these arguments.
+
+    Builds nothing, so a caller can refuse an instance by its size before
+    paying for its edges.
+    """
+    if n < 1:
+        raise ValueError(f"generator needs n >= 1, got {n}")
+    if kind not in GENERATOR_KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}, expected one of {GENERATOR_KINDS}")
+    if kind == "erdos_renyi":
+        if p is None or not 0.0 <= p <= 1.0:
+            raise ValueError(f"erdos_renyi needs edge probability p in [0,1], got {p}")
+        if seed is None:
+            raise ValueError("erdos_renyi needs an explicit seed")
+
+
 def generate(
     kind: str,
     n: int,
@@ -208,8 +242,7 @@ def generate(
     Erdos-Renyi kind needs p and seed; with require_connected it redraws
     up to max_retries times and then raises GenerationError.
     """
-    if n < 1:
-        raise ValueError(f"generator needs n >= 1, got {n}")
+    check_generator(kind, n, p, seed)
     if kind == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
     elif kind == "cycle":
@@ -220,11 +253,7 @@ def generate(
         edges = [(0, i) for i in range(1, n)]
     elif kind == "complete":
         edges = list(itertools.combinations(range(n), 2))
-    elif kind == "erdos_renyi":
-        if p is None or not 0.0 <= p <= 1.0:
-            raise ValueError(f"erdos_renyi needs edge probability p in [0,1], got {p}")
-        if seed is None:
-            raise ValueError("erdos_renyi needs an explicit seed")
+    else:  # erdos_renyi
         rng = random.Random(seed)
         for _ in range(max_retries):
             drawn = [(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < p]
@@ -234,8 +263,6 @@ def generate(
         raise GenerationError(
             f"no connected graph in {max_retries} draws (n={n}, p={p}, seed={seed})"
         )
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}, expected one of {GENERATOR_KINDS}")
     g = Graph(n, frozenset(edges))
     if require_connected and not is_connected(g):
         raise GenerationError(f"{kind} instance with n={n} is not connected")

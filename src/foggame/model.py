@@ -9,16 +9,16 @@ graph (price beta each) and pays a distance term over all fog vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import (
     INF,
     Distance,
     Graph,
     VertexSet,
+    _Validated,
     all_pairs_distances,
     single_source_distances,
 )
@@ -48,8 +48,15 @@ class TransitPolicy(Enum):
     FULL_COMBINED = "full_combined"
 
 
-@dataclass(frozen=True)
-class GameConfig:
+class _GameConfigFields(NamedTuple):
+    alpha: float = 1.0
+    beta: float = 1.0
+    job_cost_type: JobCostType = JobCostType.TYPE_II
+    rcs_constant: float = 1.0
+    transit_policy: TransitPolicy = TransitPolicy.FULL_COMBINED
+
+
+class GameConfig(_Validated, _GameConfigFields):
     """Cost parameters for both levels.
 
     A job whose distance sum is infinite has infinite cost under both cost
@@ -57,13 +64,10 @@ class GameConfig:
     the multiplier used by the sum-of-reciprocals bound helpers.
     """
 
-    alpha: float = 1.0
-    beta: float = 1.0
-    job_cost_type: JobCostType = JobCostType.TYPE_II
-    rcs_constant: float = 1.0
-    transit_policy: TransitPolicy = TransitPolicy.FULL_COMBINED
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("alpha", "beta", "rcs_constant"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -73,27 +77,32 @@ class GameConfig:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
         if self.rcs_constant <= 0:
             raise ValueError(f"rcs_constant must be positive, got {self.rcs_constant}")
+        return self
 
 
 def _normalize_strategies(raw: Iterable[Iterable[int]]) -> tuple[VertexSet, ...]:
     return tuple(frozenset(s) for s in raw)
 
 
-@dataclass(frozen=True)
-class Level1Profile:
-    """One purchase set per fog player; player i may not buy a link to itself."""
-
+class _Level1Fields(NamedTuple):
     strategies: tuple[VertexSet, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "strategies", _normalize_strategies(self.strategies))
-        n1 = len(self.strategies)
-        for i, s in enumerate(self.strategies):
+
+class Level1Profile(_Validated, _Level1Fields):
+    """One purchase set per fog player; player i may not buy a link to itself."""
+
+    __slots__ = ()
+
+    def __new__(cls, strategies: Iterable[Iterable[int]]):
+        strategies = _normalize_strategies(strategies)
+        n1 = len(strategies)
+        for i, s in enumerate(strategies):
             if i in s:
                 raise ValueError(f"fog player {i} cannot buy a link to itself")
             for v in s:
                 if not 0 <= v < n1:
                     raise ValueError(f"fog player {i} strategy member {v} outside [0,{n1})")
+        return super().__new__(cls, strategies)
 
     @property
     def n1(self) -> int:
@@ -105,21 +114,25 @@ class Level1Profile:
         return Level1Profile(tuple(parts))
 
 
-@dataclass(frozen=True)
-class Level2Profile:
-    """One fog-vertex subset per job; n1 fixes the purchasable range."""
-
+class _Level2Fields(NamedTuple):
     n1: int
     strategies: tuple[VertexSet, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "strategies", _normalize_strategies(self.strategies))
-        if self.n1 < 0:
-            raise ValueError(f"n1 must be non-negative, got {self.n1}")
-        for j, s in enumerate(self.strategies):
+
+class Level2Profile(_Validated, _Level2Fields):
+    """One fog-vertex subset per job; n1 fixes the purchasable range."""
+
+    __slots__ = ()
+
+    def __new__(cls, n1: int, strategies: Iterable[Iterable[int]]):
+        strategies = _normalize_strategies(strategies)
+        if n1 < 0:
+            raise ValueError(f"n1 must be non-negative, got {n1}")
+        for j, s in enumerate(strategies):
             for v in s:
-                if not 0 <= v < self.n1:
-                    raise ValueError(f"job {j} strategy member {v} outside [0,{self.n1})")
+                if not 0 <= v < n1:
+                    raise ValueError(f"job {j} strategy member {v} outside [0,{n1})")
+        return super().__new__(cls, n1, strategies)
 
     @property
     def n2(self) -> int:
@@ -131,8 +144,13 @@ class Level2Profile:
         return Level2Profile(self.n1, tuple(parts))
 
 
-@dataclass(frozen=True)
-class GameState:
+class _GameStateFields(NamedTuple):
+    level1: Level1Profile | Graph
+    level2: Level2Profile
+    allow_unequal: bool = False
+
+
+class GameState(_Validated, _GameStateFields):
     """Immutable snapshot of both levels.
 
     level1 is either a Level1Profile (profile mode, purchases are charged)
@@ -141,12 +159,11 @@ class GameState:
     closed-form bound evaluators refuse unequal counts either way.
     """
 
-    level1: Level1Profile | Graph
-    level2: Level2Profile
-    allow_unequal: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        n1 = self.level1.n if isinstance(self.level1, Graph) else self.level1.n1
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        n1 = self.n1
         if self.level2.n1 != n1:
             raise ValueError(
                 f"level-2 profile addresses {self.level2.n1} fog vertices, level 1 has {n1}"
@@ -156,6 +173,7 @@ class GameState:
                 f"player counts differ (n1={n1}, n2={self.level2.n2}); "
                 "pass allow_unequal=True to permit this"
             )
+        return self
 
     @property
     def profile_mode(self) -> bool:
@@ -427,8 +445,7 @@ def social_cost_level2(state: GameState, cfg: GameConfig) -> float:
     return sum(job_player_cost(j, state, cfg) for j in range(state.n2))
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     """Per-player costs plus the social totals of one state."""
 
     level1_costs: tuple[float, ...]

@@ -12,20 +12,20 @@ payload is deterministic for fixed seeds.
 
 from __future__ import annotations
 
-import copy
 import time
 from typing import Any, Callable
 
 from . import __version__
-from .bounds import check_bounds_on_instance
 from .equilibrium import (
+    JOINT_ENUMERATION_GUARD,
     Scope,
+    _check_joint_size,
     best_response_dynamics,
     empirical_poa,
     is_nash,
 )
 from .errors import ScenarioError
-from .graph import Graph, generate, new_graph
+from .graph import Graph, check_generator, generate, new_graph
 from .model import (
     GameConfig,
     GameState,
@@ -36,7 +36,6 @@ from .model import (
     cost_report,
 )
 from .serialize import to_jsonable
-from .verify import run_all
 
 MODES = ("gen", "cost", "dynamics", "nash", "poa", "bounds", "verify", "sweep")
 
@@ -109,7 +108,13 @@ def _parse_edge(raw: Any) -> tuple[int, int]:
     return _integer(raw[0], "graph.edges"), _integer(raw[1], "graph.edges")
 
 
-def _parse_graph(section: Any) -> Graph:
+def _graph_builder(section: Any) -> tuple[int, Callable[[], Graph]]:
+    """Validate a graph section; return its vertex count and its builder.
+
+    An inline graph is built here, at the cost of reading its edge list; a
+    generator graph is built only when the builder is called, so a guard
+    can refuse its size first.
+    """
     if not isinstance(section, dict):
         raise ScenarioError("graph: expected an object")
     if "edges" in section:
@@ -118,7 +123,8 @@ def _parse_graph(section: Any) -> Graph:
         edges = section["edges"]
         if not isinstance(edges, list):
             raise ScenarioError("graph: edges must be a list of pairs")
-        return new_graph(n, [_parse_edge(e) for e in edges])
+        g = new_graph(n, [_parse_edge(e) for e in edges])
+        return n, lambda: g
     _check_keys(section, _GENERATOR_KEYS, "graph")
     kind = _require(section, "kind", "graph")
     n = _integer(_require(section, "n", "graph"), "graph.n")
@@ -127,16 +133,18 @@ def _parse_graph(section: Any) -> Graph:
             if key in section:
                 raise ScenarioError(f"graph.{key}: only erdos_renyi reads it, not {kind!r}")
     p = section.get("p")
+    p = None if p is None else _number(p, "graph.p")
     seed = section.get("seed")
-    return generate(
-        kind,
-        n,
-        p=None if p is None else _number(p, "graph.p"),
-        seed=None if seed is None else _integer(seed, "graph.seed"),
-        require_connected=_boolean(
-            section.get("require_connected", False), "graph.require_connected"
-        ),
+    seed = None if seed is None else _integer(seed, "graph.seed")
+    require_connected = _boolean(
+        section.get("require_connected", False), "graph.require_connected"
     )
+    check_generator(kind, n, p, seed)
+    return n, lambda: generate(kind, n, p=p, seed=seed, require_connected=require_connected)
+
+
+def _parse_graph(section: Any) -> Graph:
+    return _graph_builder(section)[1]()
 
 
 def _parse_config(section: Any) -> GameConfig:
@@ -240,6 +248,8 @@ def run_spec(data: Any) -> dict:
         return {"graph": to_jsonable(g)}
 
     if mode == "verify":
+        from .verify import run_all  # loaded for its mode only, as bounds is
+
         results = run_all()
         return {
             "checks": [to_jsonable(r) for r in results],
@@ -252,9 +262,10 @@ def run_spec(data: Any) -> dict:
         raise ScenarioError("options: expected an object")
 
     if mode == "poa":
-        g = _parse_graph(_require(data, "graph", "scenario"))
-        n2 = _integer(data["n2"], "n2", minimum=0) if "n2" in data else g.n
-        report = empirical_poa(g, n2, cfg)
+        n1, build = _graph_builder(_require(data, "graph", "scenario"))
+        n2 = _integer(data["n2"], "n2", minimum=0) if "n2" in data else n1
+        _check_joint_size(n1, n2, JOINT_ENUMERATION_GUARD)  # before building the graph
+        report = empirical_poa(build(), n2, cfg)
         return to_jsonable(report)
 
     _check_keys(options, _OPTION_KEYS[mode], "options")
@@ -269,6 +280,8 @@ def run_spec(data: Any) -> dict:
         return {"is_nash": stable, "witness": to_jsonable(witness)}
 
     if mode == "bounds":
+        from .bounds import check_bounds_on_instance
+
         checks = check_bounds_on_instance(state, cfg)
         return {
             "checks": [to_jsonable(c) for c in checks],
@@ -323,6 +336,8 @@ def sweep_records(template: Any, parameter: str, values: list) -> dict:
         raise ScenarioError("sweep: template must be a JSON object")
     if not values:
         raise ScenarioError("sweep: needs at least one value")
+    import copy
+
     records = []
     for value in values:
         data = copy.deepcopy(template)

@@ -7,8 +7,6 @@ byte-identical text for equal payloads.
 
 from __future__ import annotations
 
-import csv
-import dataclasses
 import io
 import json
 import math
@@ -30,12 +28,13 @@ def to_jsonable(obj: Any) -> Any:
         return obj.value
     if isinstance(obj, (frozenset, set)):
         return sorted(to_jsonable(x) for x in obj)
+    fields = getattr(obj, "_fields", None)
+    if fields is not None:  # a record: a named tuple
+        return {name: to_jsonable(value) for name, value in zip(fields, obj)}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if dataclasses.is_dataclass(obj):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     raise FormatError(f"cannot serialize value of type {type(obj).__name__}")
 
 
@@ -67,6 +66,8 @@ def parse_record(text: str) -> Any:
 
 
 def _csv_text(header: list[str], rows: list[list[Any]]) -> str:
+    import csv  # only the tabular modes write csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import (
     level1_lower_bound,
@@ -51,8 +51,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: str

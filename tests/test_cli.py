@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from foggame import cli, scenario
+from foggame import cli, scenario, verify
 from foggame.errors import FormatError, ScenarioError
 from foggame.scenario import run_record, run_spec, sweep_records
 from foggame.serialize import emit_csv, emit_json, parse_record, to_jsonable
@@ -347,6 +347,26 @@ def test_main_guard_bounds_predicted_work(tmp_path, capsys):
     assert "size 78592 > limit 65536" in capsys.readouterr().err
 
 
+def test_main_guard_refuses_before_generating_the_graph(tmp_path, monkeypatch, capsys):
+    # K_1000 has 499,500 edges; the shape alone clears the budget, so the
+    # refusal must not pay for them.
+    def no_generate(*args, **kwargs):
+        raise AssertionError("the graph was generated before the guard refused it")
+
+    monkeypatch.setattr(scenario, "generate", no_generate)
+    path = _write(tmp_path, "k1000.json", {"mode": "poa", "graph": {"kind": "complete", "n": 1000}})
+    assert cli.main(["poa", path]) == cli.EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "foggame: joint profile enumeration guard exceeded: size at least 131072 > limit 65536\n"
+    )
+    # An invalid generator section is still reported as such, guard or not.
+    bogus = _write(tmp_path, "bogus.json", {"mode": "poa", "graph": {"kind": "bogus", "n": 1000}})
+    assert cli.main(["poa", bogus]) == cli.EXIT_USAGE
+    assert "unknown generator kind 'bogus'" in capsys.readouterr().err
+
+
 def test_main_infinite_optimum_exits_one(tmp_path, capsys):
     # Three job costs of at least 1e308 overflow every profile's sum: the
     # run is refused instead of emitting a NaN price of anarchy.
@@ -485,7 +505,7 @@ def test_main_verify_failure_exit_code(monkeypatch, capsys):
         CheckResult(name="demo-pass", passed=True, details="ok"),
         CheckResult(name="demo-fail", passed=False, details="broken"),
     ]
-    monkeypatch.setattr(scenario, "run_all", lambda: failing)
+    monkeypatch.setattr(verify, "run_all", lambda: failing)
     assert cli.main(["verify"]) == cli.EXIT_VERIFICATION
     captured = capsys.readouterr()
     assert "demo-fail" in captured.err

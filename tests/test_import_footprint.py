@@ -1,0 +1,57 @@
+"""What `import foggame.cli` loads: only what a poa, dynamics or cost run executes.
+
+A CLI run starts in a fresh interpreter, so module imports are a large
+share of a small scenario's wall time.  The bounds and verify modes load
+their modules on first use, records are named tuples rather than
+dataclasses, and csv and copy are imported by the code paths that need
+them.  Each probe runs in a fresh interpreter without bytecode caching,
+and what it adds is measured against a bare interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import foggame
+
+PACKAGE_ROOT = str(Path(foggame.__file__).resolve().parents[1])
+
+NOT_AT_CLI_IMPORT = ("foggame.bounds", "foggame.verify", "dataclasses", "inspect", "csv", "copy")
+
+
+def _modules_after(statement: str) -> set[str]:
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=PACKAGE_ROOT if not inherited else PACKAGE_ROOT + os.pathsep + inherited,
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{statement}\nimport json, sys\nprint(json.dumps(list(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_cli_import_skips_mode_only_modules():
+    baseline = _modules_after("pass")
+    added = _modules_after("import foggame.cli") - baseline
+    assert "foggame.cli" in added and "foggame.scenario" in added
+    assert sorted(set(NOT_AT_CLI_IMPORT) & added) == []
+
+
+def test_package_import_loads_no_submodule():
+    loaded = _modules_after("import foggame")
+    assert sorted(m for m in loaded if m.startswith("foggame.")) == []
+
+
+def test_exported_name_loads_its_module_on_first_use():
+    loaded = _modules_after("import foggame\nfoggame.type2_poa_bound")
+    assert "foggame.bounds" in loaded
+    assert "foggame.verify" not in loaded

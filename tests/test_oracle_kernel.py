@@ -428,9 +428,7 @@ def test_exact_oracles_run_one_bfs_per_fog_vertex(monkeypatch):
     monkeypatch.setattr(
         model, "build_combined_graph", counted("combined", model.build_combined_graph)
     )
-    monkeypatch.setattr(
-        Level1Profile, "__post_init__", counted("level1", Level1Profile.__post_init__)
-    )
+    monkeypatch.setattr(Level1Profile, "__new__", counted("level1", Level1Profile.__new__))
 
     best_response_job_exact(4, fixed, GameConfig(beta=1.5))
     assert counts == {"bfs": 10, "combined": 1, "level1": 0}
