@@ -162,7 +162,8 @@ def is_dominating_set(g: Graph, members: Iterable[int]) -> bool:
     return True
 
 
-def _closed_neighborhood_masks(g: Graph) -> list[int]:
+def closed_neighborhood_masks(g: Graph) -> list[int]:
+    """Bit u of masks[v] is set iff u == v or u is adjacent to v."""
     masks = [1 << v for v in range(g.n)]
     for u, v in g.edges:
         masks[u] |= 1 << v
@@ -198,7 +199,7 @@ def min_dominating_set(g: Graph, guard: int = DOMSET_ENUMERATION_GUARD) -> Verte
     """
     if g.n > guard:
         raise GuardExceeded("dominating-set enumeration", guard, g.n)
-    masks = _closed_neighborhood_masks(g)
+    masks = closed_neighborhood_masks(g)
     full = (1 << g.n) - 1
     upper = len(greedy_dominating_set(g))
     for k in range(upper + 1):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import (
     INF,
@@ -20,6 +20,7 @@ from .graph import (
     VertexSet,
     _Validated,
     all_pairs_distances,
+    closed_neighborhood_masks,
     single_source_distances,
 )
 
@@ -289,26 +290,29 @@ def _job_costs(purchase: float, sums: list[Distance], cfg: GameConfig) -> list[f
 
 
 class DeviationRows:
-    """Every strategy of one deviating player, priced from shared distance rows.
+    """Every strategy of one deviating player, priced from shared distance layers.
 
     A shortest path out of the player never comes back through it, so its
-    distance to a target t under strategy S is 1 + the least rows[s][t]
-    over s in S and in inbound: rows[v] holds the hop distances from v to
-    the width targets with every link at the player removed, and inbound
-    lists the vertices whose links to the player other players bought.
+    distance to a target t under strategy S is 1 + the least hop distance
+    to t from S or inbound in the graph without the player's links.
+    adjacency holds that graph as closed-neighbourhood bitmasks; vertex
+    t < width = |universe| is target t, standing for universe[t], a vertex
+    the player may link to, and later vertices (other jobs) only carry
+    paths.  inbound lists the vertices whose links to the player other
+    players bought.
 
-    Each row of a universe member is kept as one int of distance layers:
-    bit r * width + t is set iff the row reaches t within r hops, for r
-    below depth, 1 plus the largest finite entry of those rows (at least
-    1).  A strategy's mask is the OR of its members' and inbound's masks,
-    in which target t lacks one bit per hop of its least row distance; when
-    the top layer is full (every target reached) the distance sum is thus
-    width * (depth + 1) minus the mask's set bits, INF otherwise.  That is
-    an integer hop count or INF, so every cost equals job_player_cost or
-    edge_fog_player_cost for the same strategy exactly.  universe lists the
-    vertices the player may link to, and cost(k, sums) prices k links with
-    each distance sum.  Built by job_deviation_rows and fog_deviation_rows
-    for one oracle call.
+    A bit-parallel BFS from each target keeps its distances as one int of
+    layers: layer r, at bit offset r * width, is reach_r & targets, where
+    reach_r (the vertices within r hops) grows by the neighbourhoods of the
+    vertices first reached at r - 1 until it stops growing, even across
+    radii that reach no target.  Layers run below depth, 1 plus the largest
+    finite distance between targets (at least 1).  A strategy's mask is the
+    OR of its members' and inbound's masks, in which target t lacks one bit
+    per hop of its least distance; when the top layer is full (every target
+    reached) the distance sum is thus width * (depth + 1) minus the mask's
+    set bits, INF otherwise.  That is an integer hop count or INF, so every
+    cost equals job_player_cost or edge_fog_player_cost for the same
+    strategy exactly.  cost(k, sums) prices k links with each distance sum.
     """
 
     __slots__ = ("universe", "masks", "base", "full", "reached", "cost")
@@ -316,26 +320,44 @@ class DeviationRows:
     def __init__(
         self,
         universe: Iterable[int],
-        rows: Sequence[Sequence[Distance]],
-        width: int,
+        adjacency: list[int],
         cost: Callable[[int, list[Distance]], list[float]],
         inbound: Iterable[int] = (),
     ):
         self.universe = tuple(universe)
-        finite = (d for v in self.universe for d in rows[v] if d != INF)
-        depth = 1 + max(finite, default=0)
-        # layers[d]: bits of the layers r >= d at target 0's offset
-        layers = [sum(1 << r * width for r in range(d, depth)) for d in range(depth)]
-        self.masks = {
-            v: sum(layers[d] << t for t, d in enumerate(rows[v]) if d != INF)
-            for v in self.universe
-        }
+        width = len(self.universe)
+        targets = (1 << width) - 1
+        # A target first reached at hop r sets its bit in layers r..depth-1,
+        # bit * (ones(depth) - ones(r)) with ones(d) = sum of 1 << r * width
+        # over r < d.  depth is known only after every BFS, so each keeps
+        # the targets it reached and the sum of bit * ones(r) as below.
+        spans = []
+        depth = 1
+        for t in range(width):
+            reach = frontier = 1 << t
+            ones = below = r = 0
+            while frontier:
+                grown = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grown |= adjacency[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = grown & ~reach
+                reach |= frontier
+                r += 1
+                ones = ones << width | 1
+                if frontier & targets:
+                    below += (frontier & targets) * ones
+                    depth = max(depth, r + 1)
+            spans.append((reach & targets, below))
+        ones = sum(1 << r * width for r in range(depth))
+        self.masks = {v: reach * ones - below for v, (reach, below) in zip(self.universe, spans)}
         self.base = 0
         for v in inbound:
             self.base |= self.masks[v]
         self.full = width * (depth + 1)
         # a mask is at least this iff its top layer is full
-        self.reached = ((1 << width) - 1) << (depth - 1) * width
+        self.reached = targets << (depth - 1) * width
         self.cost = cost
 
     def _sums(self, masks: list[int]) -> list[Distance]:
@@ -348,16 +370,28 @@ class DeviationRows:
             mask |= self.masks[s]
         return self.cost(len(strategy), self._sums([mask]))[0]
 
+    def floors(self) -> list[float]:
+        """For each size from 0, a cost no strategy of that size goes below.
+
+        Only members and inbound (base's hit0 layer-0 bits) are 1 hop away,
+        the rest at least 2, so a size-k distance sum is at least
+        2 * width - min(width, hit0 + k); cost rounds monotonically in it.
+        """
+        width = len(self.universe)
+        hit0 = (self.base & (1 << width) - 1).bit_count()
+        return [self.cost(k, [2 * width - min(width, hit0 + k)])[0] for k in range(width + 1)]
+
     def scan(self) -> Iterator[list[float]]:
         """Costs of all subsets of universe: one list per size, from size 0.
 
-        Each list follows itertools.combinations(universe, k) order.  A
-        subset's mask is that of the subset without its smallest member,
-        ORed with that member's row.  In this order the (k - 1)-subsets
-        whose members all come after universe[p] are the last
-        C(m - p - 1, k - 1) of their list (m = |universe|), so size k is,
-        for each p in turn, row p ORed onto that tail of size k - 1: every
-        size is built from the one before it, 2^m ORs in all.
+        Each list follows itertools.combinations(universe, k) order and is
+        built only when the caller asks for it.  A subset's mask is that
+        of the subset without its smallest member, ORed with that member's
+        row.  In this order the (k - 1)-subsets whose members all come after
+        universe[p] are the last C(m - p - 1, k - 1) of their list
+        (m = |universe|), so size k is, for each p in turn, row p ORed onto
+        that tail of size k - 1: every size is built from the one before
+        it, 2^m ORs for the whole scan.
         """
         m = len(self.universe)
         rows = [self.masks[v] for v in self.universe]
@@ -374,48 +408,46 @@ class DeviationRows:
 
 
 def job_deviation_rows(j: int, state: GameState, cfg: GameConfig) -> DeviationRows:
-    """Rows of job j, whose targets are all fog vertices.
+    """Distance layers of job j, whose targets are all fog vertices.
 
     Under FOG_ONLY a job reaches the fog graph only through its own links,
-    so the rows are the fog graph's all-pairs distances; otherwise they
-    come from one BFS per fog vertex in the combined graph without j's
-    links.
+    so the layers come from the fog graph alone; otherwise every other job
+    is one more vertex linked to its strategy's members, the combined
+    graph without j's links.
     """
     if not 0 <= j < state.n2:
         raise ValueError(f"job {j} outside [0,{state.n2})")
-    n1 = state.n1
-    if cfg.transit_policy is TransitPolicy.FOG_ONLY:
-        rows: Sequence[Sequence[Distance]] = all_pairs_distances(state.g1)
-    else:
-        combined = build_combined_graph(state.g1, state.level2.replace(j, ()))
-        adjacency = combined.adjacency()
-        rows = [single_source_distances(combined, v, adjacency)[:n1] for v in range(n1)]
+    adjacency = closed_neighborhood_masks(state.g1)
+    if cfg.transit_policy is TransitPolicy.FULL_COMBINED:
+        for k, strategy in enumerate(state.level2.strategies):
+            if k != j:
+                bit = 1 << len(adjacency)
+                for v in strategy:
+                    adjacency[v] |= bit
+                adjacency.append(bit + sum(1 << v for v in strategy))
     return DeviationRows(
-        range(n1), rows, n1, lambda k, sums: _job_costs(cfg.beta * k, sums, cfg)
+        range(state.n1), adjacency, lambda k, sums: _job_costs(cfg.beta * k, sums, cfg)
     )
 
 
 def fog_deviation_rows(i: int, state: GameState, cfg: GameConfig) -> DeviationRows:
-    """Rows of fog player i in profile mode, whose targets are all fog vertices but i.
+    """Distance layers of fog player i in profile mode, whose targets are all fog vertices but i.
 
-    The rows come from one BFS per vertex other than i in the union graph
-    without the links at i; inbound are the players that bought a link to i.
+    The layers come from the union graph without the links at i, with i
+    left out and the vertices after it moved down by one; inbound are the
+    players that bought a link to i.
     """
     if not state.profile_mode:
         raise ValueError("level-1 strategies cannot change in fixed-graph mode")
     n1 = state.n1
     if not 0 <= i < n1:
         raise ValueError(f"fog player {i} outside [0,{n1})")
-    rest = Graph(n1, frozenset(e for e in state.g1.edges if i not in e))
-    adjacency = rest.adjacency()
-    rows: list[Sequence[Distance]] = []
-    for v in range(n1):
-        if v == i:
-            # i is neither in the universe nor inbound: its row is never read
-            rows.append(())
-            continue
-        dist = single_source_distances(rest, v, adjacency)
-        rows.append(dist[:i] + dist[i + 1 :])
+    low = (1 << i) - 1
+    adjacency = [
+        mask & low | mask >> 1 & ~low
+        for v, mask in enumerate(closed_neighborhood_masks(state.g1))
+        if v != i
+    ]
     universe = (v for v in range(n1) if v != i)
     inbound = (k for k, bought in enumerate(state.level1.strategies) if i in bought)
 
@@ -423,7 +455,7 @@ def fog_deviation_rows(i: int, state: GameState, cfg: GameConfig) -> DeviationRo
         purchase = cfg.alpha * k
         return [d + purchase for d in sums]
 
-    return DeviationRows(universe, rows, n1 - 1, cost, inbound)
+    return DeviationRows(universe, adjacency, cost, inbound)
 
 
 def interconnection_count(profile: Level2Profile) -> int:

@@ -17,8 +17,11 @@ from typing import Any, Callable
 
 from . import __version__
 from .equilibrium import (
+    EXACT_ENUMERATION_GUARD,
     JOINT_ENUMERATION_GUARD,
+    SCHEDULES,
     Scope,
+    _check_exact_size,
     _check_joint_size,
     best_response_dynamics,
     empirical_poa,
@@ -197,7 +200,15 @@ def _parse_scope(raw: Any) -> Scope:
         ) from None
 
 
-def _build_state(data: dict, options: dict, mode: str) -> GameState:
+def _state_builder(
+    data: dict, options: dict, mode: str
+) -> tuple[GameState, Callable[[], GameState]]:
+    """Validate a state section; return its shape and the builder of the state.
+
+    The shape is the state on an edgeless fog graph of the same size, so a
+    guard can read n1 and n2, after every field is checked, before a
+    generator graph is built; in profile mode it is the state itself.
+    """
     has_graph = "graph" in data
     has_profile = "level1_strategies" in options
     if has_graph and has_profile:
@@ -213,8 +224,8 @@ def _build_state(data: dict, options: dict, mode: str) -> GameState:
         )
         n1 = level1.n1
     else:
-        level1 = _parse_graph(data["graph"])
-        n1 = level1.n
+        n1, build_graph = _graph_builder(data["graph"])
+        level1 = Graph(n1, frozenset())
 
     n2 = _integer(data["n2"], "n2", minimum=0) if "n2" in data else None
     if "level2_strategies" in options:
@@ -229,7 +240,21 @@ def _build_state(data: dict, options: dict, mode: str) -> GameState:
         )
     level2 = Level2Profile(n1, strategies)
     allow_unequal = _boolean(data.get("allow_unequal", False), "allow_unequal")
-    return GameState(level1, level2, allow_unequal=allow_unequal)
+    shape = GameState(level1, level2, allow_unequal=allow_unequal)
+    if has_profile:
+        return shape, lambda: shape
+    return shape, lambda: GameState(build_graph(), level2, allow_unequal=allow_unequal)
+
+
+def _check_exact_first(shape: GameState, scope: Scope) -> None:
+    """Refuse before building the fog graph what the exact oracles' guard would.
+
+    That guard reads only n1.  is_nash and exact dynamics reach it first
+    on a fixed graph at level-2 scope with jobs; a level-1 scope on a fixed
+    graph raises PolicyError instead, and no jobs means no oracle call.
+    """
+    if not shape.profile_mode and scope is Scope.LEVEL2 and shape.n2:
+        _check_exact_size(shape.n1, EXACT_ENUMERATION_GUARD)
 
 
 def run_spec(data: Any) -> dict:
@@ -269,20 +294,21 @@ def run_spec(data: Any) -> dict:
         return to_jsonable(report)
 
     _check_keys(options, _OPTION_KEYS[mode], "options")
-    state = _build_state(data, options, mode)
+    shape, build_state = _state_builder(data, options, mode)
 
     if mode == "cost":
-        return to_jsonable(cost_report(state, cfg))
+        return to_jsonable(cost_report(build_state(), cfg))
 
     if mode == "nash":
         scope = _parse_scope(options.get("scope", Scope.LEVEL2.value))
-        stable, witness = is_nash(state, cfg, scope)
+        _check_exact_first(shape, scope)
+        stable, witness = is_nash(build_state(), cfg, scope)
         return {"is_nash": stable, "witness": to_jsonable(witness)}
 
     if mode == "bounds":
         from .bounds import check_bounds_on_instance
 
-        checks = check_bounds_on_instance(state, cfg)
+        checks = check_bounds_on_instance(build_state(), cfg)
         return {
             "checks": [to_jsonable(c) for c in checks],
             "all_hold": all(c.holds for c in checks),
@@ -290,14 +316,20 @@ def run_spec(data: Any) -> dict:
 
     # dynamics
     scope = _parse_scope(options.get("scope", Scope.LEVEL2.value))
+    seed = _integer(options.get("seed", 0), "options.seed")
+    max_rounds = _integer(options.get("max_rounds", 100), "options.max_rounds", minimum=0)
+    schedule = options.get("schedule", "round_robin")
+    oracle = options.get("oracle", "exact")
+    if oracle == "exact" and max_rounds and schedule in SCHEDULES:
+        _check_exact_first(shape, scope)
     trace = best_response_dynamics(
-        state,
+        build_state(),
         cfg,
         scope,
-        schedule=options.get("schedule", "round_robin"),
-        seed=_integer(options.get("seed", 0), "options.seed"),
-        max_rounds=_integer(options.get("max_rounds", 100), "options.max_rounds", minimum=0),
-        oracle=options.get("oracle", "exact"),
+        schedule=schedule,
+        seed=seed,
+        max_rounds=max_rounds,
+        oracle=oracle,
     )
     return to_jsonable(trace)
 

@@ -367,6 +367,90 @@ def test_main_guard_refuses_before_generating_the_graph(tmp_path, monkeypatch, c
     assert "unknown generator kind 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mode, options",
+    [
+        ("nash", {}),
+        ("nash", {"scope": "level2"}),
+        ("dynamics", {}),
+        ("dynamics", {"schedule": "random_permutation", "max_rounds": 1}),
+    ],
+)
+def test_main_exact_guard_refuses_before_generating_the_graph(
+    tmp_path, monkeypatch, capsys, mode, options
+):
+    # K_400 has 79,800 edges; the first exact oracle call refuses n1 = 400,
+    # so the refusal must not pay for them.
+    def no_generate(*args, **kwargs):
+        raise AssertionError("the graph was generated before the guard refused it")
+
+    monkeypatch.setattr(scenario, "generate", no_generate)
+    body = {"mode": mode, "graph": {"kind": "complete", "n": 400}, "n2": 400, "options": options}
+    path = _write(tmp_path, "k400.json", body)
+    assert cli.main([mode, path]) == cli.EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "foggame: exact best-response enumeration guard exceeded: size 400 > limit 20\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, extra, options, code, message",
+    [
+        # no jobs: no oracle call, so nothing to refuse
+        ("nash", {"n2": 0, "allow_unequal": True}, {}, cli.EXIT_OK, None),
+        # a level-1 scope on a fixed graph is a policy error, not a guard refusal
+        (
+            "nash",
+            {"n2": 25},
+            {"scope": "both"},
+            cli.EXIT_USAGE,
+            "foggame: level-1 scope needs profile mode, not a fixed graph\n",
+        ),
+        (
+            "dynamics",
+            {"n2": 25},
+            {"scope": "level1"},
+            cli.EXIT_USAGE,
+            "foggame: level-1 scope needs profile mode, not a fixed graph\n",
+        ),
+        # the greedy oracle and a zero round budget never reach the guard
+        ("dynamics", {"n2": 1, "allow_unequal": True}, {"oracle": "greedy"}, cli.EXIT_OK, None),
+        ("dynamics", {"n2": 25}, {"max_rounds": 0}, cli.EXIT_OK, None),
+        # fields checked before the oracle runs are still reported as such
+        (
+            "dynamics",
+            {"n2": 25},
+            {"schedule": "bogus"},
+            cli.EXIT_USAGE,
+            "foggame: unknown schedule 'bogus'\n",
+        ),
+        (
+            "nash",
+            {"n2": 24},
+            {},
+            cli.EXIT_USAGE,
+            "foggame: player counts differ (n1=25, n2=24); "
+            "pass allow_unequal=True to permit this\n",
+        ),
+    ],
+)
+def test_main_runs_past_the_exact_guard_keep_their_outcome(
+    tmp_path, capsys, mode, extra, options, code, message
+):
+    body = {"mode": mode, "graph": {"kind": "path", "n": 25}, "options": options, **extra}
+    path = _write(tmp_path, "p25.json", body)
+    assert cli.main([mode, path]) == code
+    captured = capsys.readouterr()
+    if message is None:
+        assert json.loads(captured.out)["payload"]
+        assert captured.err == ""
+    else:
+        assert captured.out == ""
+        assert captured.err == message
+
+
 def test_main_infinite_optimum_exits_one(tmp_path, capsys):
     # Three job costs of at least 1e308 overflow every profile's sum: the
     # run is refused instead of emitting a NaN price of anarchy.

@@ -7,15 +7,21 @@ it.  The kernel must return the same set and a cost with the same repr
 (so 0 and 0.0 differ) on every state, raise the same exception first, and
 drive is_nash and best_response_dynamics to the same results when the
 reference is substituted at the seam they share.
+
+Two more references cover the kernel's own steps: reference_exact_best is
+the argmin over the whole scan, before the exact oracles stopped at the
+size floors, and reference_layers builds the distance layers from BFS
+distance rows, before the bit-parallel BFS over adjacency bitmasks.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
 from foggame import equilibrium as eq
-from foggame import model
+from foggame import graph, model
 from foggame.equilibrium import (
     EXACT_ENUMERATION_GUARD,
     Scope,
@@ -27,7 +33,14 @@ from foggame.equilibrium import (
     is_nash,
 )
 from foggame.errors import GuardExceeded, PolicyError
-from foggame.graph import INF, Graph, generate, is_connected
+from foggame.graph import (
+    INF,
+    Graph,
+    all_pairs_distances,
+    generate,
+    is_connected,
+    single_source_distances,
+)
 from foggame.model import (
     GameConfig,
     GameState,
@@ -400,11 +413,11 @@ def test_dynamics_match_reference(oracle):
             assert repr(fast.moves) == repr(slow.moves)
 
 
-def test_exact_oracles_run_one_bfs_per_fog_vertex(monkeypatch):
+def test_exact_oracles_run_no_bfs_and_build_no_graph(monkeypatch):
     # Fixed ten-vertex fog graph with ten jobs, and a live level 1 of ten
-    # fog players: a job oracle call reads n1 = 10 BFS rows, a fog oracle
-    # call the n1 - 1 = 9 rows of the other fog players, and neither
-    # rebuilds a graph or profile per candidate.
+    # fog players: an oracle call reads its distance layers from adjacency
+    # bitmasks, so it runs no single_source_distances, builds no Graph
+    # (combined or otherwise) and builds no profile per candidate.
     rng = random.Random(5)
     g1 = generate("erdos_renyi", 10, p=0.3, seed=3, require_connected=True)
     jobs = Level2Profile(10, tuple(_random_subset(rng, range(10), 0.3) for _ in range(10)))
@@ -413,7 +426,8 @@ def test_exact_oracles_run_one_bfs_per_fog_vertex(monkeypatch):
         tuple(frozenset(v for v in (i + 1, i + 3) if v < 10) for i in range(10))
     )
     live = GameState(level1, jobs)
-    counts = {"bfs": 0, "combined": 0, "level1": 0}
+    live.g1  # build_level1_graph caches the union graph of the profile
+    counts = {"bfs": 0, "graph": 0, "level1": 0, "level2": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -422,17 +436,199 @@ def test_exact_oracles_run_one_bfs_per_fog_vertex(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(
-        model, "single_source_distances", counted("bfs", model.single_source_distances)
-    )
-    monkeypatch.setattr(
-        model, "build_combined_graph", counted("combined", model.build_combined_graph)
-    )
+    for module in (graph, model):
+        monkeypatch.setattr(
+            module, "single_source_distances", counted("bfs", graph.single_source_distances)
+        )
+    monkeypatch.setattr(Graph, "__new__", counted("graph", Graph.__new__))
     monkeypatch.setattr(Level1Profile, "__new__", counted("level1", Level1Profile.__new__))
+    monkeypatch.setattr(Level2Profile, "__new__", counted("level2", Level2Profile.__new__))
 
-    best_response_job_exact(4, fixed, GameConfig(beta=1.5))
-    assert counts == {"bfs": 10, "combined": 1, "level1": 0}
-
-    counts.update(bfs=0, combined=0)
+    for transit in TransitPolicy:
+        best_response_job_exact(4, fixed, GameConfig(beta=1.5, transit_policy=transit))
     best_response_fog_exact(4, live, GameConfig(alpha=2.0))
-    assert counts == {"bfs": 9, "combined": 0, "level1": 0}
+    assert counts == {"bfs": 0, "graph": 0, "level1": 0, "level2": 0}
+
+
+def _priced(oracle, *args):
+    """The oracle's answer and the number of candidates each scanned size priced."""
+    priced = []
+    scan = model.DeviationRows.scan
+
+    def counted(self):
+        for costs in scan(self):
+            priced.append(len(costs))
+            yield costs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model.DeviationRows, "scan", counted)
+        return oracle(*args), priced
+
+
+def test_exact_job_best_response_on_path_20_prices_sizes_0_to_7():
+    # At beta = 1.5 a size-k strategy costs at least 1.5k + 40 - k; the
+    # dominating set of size 7 costs 43.5, and every size from 8 on has a
+    # floor of at least 44, so the scan stops after size 7.
+    state = GameState(generate("path", 20), Level2Profile(20, (frozenset(),)), allow_unequal=True)
+    best, priced = _priced(best_response_job_exact, 0, state, GameConfig(beta=1.5))
+    assert best == (frozenset({0, 3, 6, 9, 12, 15, 18}), 43.5)
+    assert priced == [math.comb(20, k) for k in range(8)]
+    assert sum(priced) == 137_980
+
+
+# ------------------------------------------------------------ size pruning
+
+
+def reference_exact_best(rows):
+    """First strict minimum over the whole scan, as _exact_best was before size pruning."""
+    best_k = best_i = -1
+    best_cost = 0.0
+    for k, costs in enumerate(rows.scan()):
+        cost = min(costs)
+        if best_k < 0 or cost < best_cost:
+            best_k, best_i, best_cost = k, costs.index(cost), cost
+    members = itertools.combinations(rows.universe, best_k)
+    return frozenset(next(itertools.islice(members, best_i, None))), best_cost
+
+
+# 0.0 and the least positive float are the smallest prices GameConfig accepts
+PRICES = (0.0, 5e-324, 0.25, 0.999, 1.0, 1.001, 1.5, 2.0, 3.5)
+
+
+def _pruning_states(seed, count):
+    """Seeded states for the size-pruned oracles, with the named cases added.
+
+    The random states include disconnected fog graphs and n1 = 1; the
+    named ones add n1 = 0, a lone fog player and a fog player that every
+    other player links to.
+    """
+    states = [state for state, _ in _states(seed, count)]
+    no_fog = Level2Profile(0, (frozenset(),))
+    states.append(GameState(Graph(0, frozenset()), no_fog, allow_unequal=True))
+    states.append(GameState(Level1Profile((frozenset(),)), Level2Profile(1, (frozenset(),))))
+    for n1 in (5, 7):
+        # everyone buys a link to 0, and 1 to 2 as well: player 0 has n1 - 1 inbound links
+        buys = [frozenset()] + [frozenset({0, 2} if i == 1 else {0}) for i in range(1, n1)]
+        jobs = Level2Profile(n1, (frozenset({1, n1 - 1}), frozenset()))
+        states.append(GameState(Level1Profile(buys), jobs, allow_unequal=True))
+    return states
+
+
+def _pruning_configs(rng):
+    for kind in JobCostType:
+        for transit in TransitPolicy:
+            alpha, beta = rng.choice(PRICES), rng.choice(PRICES)
+            yield GameConfig(alpha=alpha, beta=beta, job_cost_type=kind, transit_policy=transit)
+
+
+def _sizes_read(rows):
+    return len(_priced(eq._exact_best, rows)[1])
+
+
+def test_size_pruning_matches_the_full_scan():
+    rng = random.Random(17)
+    pruned = compared = 0
+    for state in _pruning_states(19, 160):
+        for cfg in _pruning_configs(rng):
+            deviations = [
+                (model.job_deviation_rows(j, state, cfg), best_response_job_exact, j)
+                for j in range(state.n2)
+            ]
+            if state.profile_mode:
+                deviations += [
+                    (model.fog_deviation_rows(i, state, cfg), best_response_fog_exact, i)
+                    for i in range(state.n1)
+                ]
+            for rows, oracle, player in deviations:
+                expected = repr(reference_exact_best(rows))
+                assert repr(eq._exact_best(rows)) == expected, (state, cfg, player)
+                assert repr(oracle(player, state, cfg)) == expected, (state, cfg, player)
+                sizes = list(rows.scan())
+                floors = rows.floors()
+                assert len(floors) == len(sizes)
+                for floor, costs in zip(floors, sizes):
+                    assert floor <= min(costs), (state, cfg, player)
+                compared += 1
+                pruned += _sizes_read(rows) < len(sizes)
+    # both outcomes are common, so the comparison exercises the stop
+    assert compared > 1000
+    assert 0.2 * compared < pruned < 0.9 * compared
+
+
+# ------------------------------------------------------------ distance layers
+
+
+def reference_layers(universe, rows, width, inbound=()):
+    """(masks, base, full, reached) from BFS distance rows.
+
+    This is how DeviationRows built its layers before its bit-parallel
+    BFS: bit r * width + t of a member's mask is set iff its row reaches t
+    within r hops, for r below depth = 1 + the largest finite entry.
+    """
+    universe = tuple(universe)
+    finite = (d for v in universe for d in rows[v] if d != INF)
+    depth = 1 + max(finite, default=0)
+    # layers[d]: bits of the layers r >= d at target 0's offset
+    layers = [sum(1 << r * width for r in range(d, depth)) for d in range(depth)]
+    masks = {
+        v: sum(layers[d] << t for t, d in enumerate(rows[v]) if d != INF) for v in universe
+    }
+    base = 0
+    for v in inbound:
+        base |= masks[v]
+    return masks, base, width * (depth + 1), ((1 << width) - 1) << (depth - 1) * width
+
+
+def reference_job_layers(j, state, cfg):
+    """Rows of job j from the fog graph's all-pairs distances or one BFS per fog vertex."""
+    n1 = state.n1
+    if cfg.transit_policy is TransitPolicy.FOG_ONLY:
+        rows = all_pairs_distances(state.g1)
+    else:
+        combined = model.build_combined_graph(state.g1, state.level2.replace(j, ()))
+        adjacency = combined.adjacency()
+        rows = [single_source_distances(combined, v, adjacency)[:n1] for v in range(n1)]
+    return reference_layers(range(n1), rows, n1)
+
+
+def reference_fog_layers(i, state):
+    """Rows of fog player i from one BFS per vertex in the union graph without i's links."""
+    n1 = state.n1
+    rest = Graph(n1, frozenset(e for e in state.g1.edges if i not in e))
+    rows = [(dist[:i] + dist[i + 1 :]) for dist in all_pairs_distances(rest)]
+    universe = [v for v in range(n1) if v != i]
+    inbound = [k for k, bought in enumerate(state.level1.strategies) if i in bought]
+    return reference_layers(universe, rows, n1 - 1, inbound)
+
+
+def _layers(rows):
+    return rows.masks, rows.base, rows.full, rows.reached
+
+
+def test_layers_match_distance_rows():
+    shapes = [param.values for param in _deep_shapes()]
+    cases = [(state, cfg) for state in _pruning_states(23, 200) for cfg in DEEP_CONFIGS]
+    cases += [(state, cfg) for state, _ in shapes for cfg in DEEP_CONFIGS]
+    for state, cfg in cases:
+        for j in range(state.n2):
+            rows = model.job_deviation_rows(j, state, cfg)
+            assert _layers(rows) == reference_job_layers(j, state, cfg), (state, cfg, j)
+        if state.profile_mode and cfg is DEEP_CONFIGS[0]:
+            for i in range(state.n1):
+                rows = model.fog_deviation_rows(i, state, cfg)
+                assert _layers(rows) == reference_fog_layers(i, state), (state, i)
+
+
+def test_layers_follow_radii_that_reach_only_jobs():
+    # Fog 1 reaches only job 0 in one hop, and the fog targets 0 and 3 two
+    # hops out through it: a BFS that stopped, or skipped a layer, once the
+    # fog part stopped growing would lose them.
+    jobs = Level2Profile(4, (frozenset({0, 1, 3}), frozenset()))
+    state = GameState(Graph(4, frozenset({(0, 3)})), jobs, allow_unequal=True)
+    cfg = GameConfig()
+    rows = model.job_deviation_rows(1, state, cfg)
+    # the largest finite distance is 2, so three layers of four targets
+    assert (rows.full, rows.reached) == (16, 0b1111 << 8)
+    assert rows.masks[1] == 0b1011_0010_0010
+    assert _layers(rows) == reference_job_layers(1, state, cfg)
+    assert best_response_job_exact(1, state, cfg) == reference_job_exact(1, state, cfg)
