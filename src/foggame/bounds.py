@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .equilibrium import JOINT_ENUMERATION_GUARD, empirical_poa, joint_enumeration_fits
+from .equilibrium import empirical_poa, joint_enumeration_fits
 from .graph import INF, Graph, min_dominating_set
 from .model import (
     GameConfig,
@@ -220,9 +220,7 @@ def type2_poa_bound(beta: float) -> Type2PoAVerdict:
     return Type2PoAVerdict(kind="upper", value=s / 2 + 1, threshold=s)
 
 
-def check_bounds_on_instance(
-    state: GameState, cfg: GameConfig, joint_guard: int = JOINT_ENUMERATION_GUARD
-) -> list[BoundCheck]:
+def check_bounds_on_instance(state: GameState, cfg: GameConfig) -> list[BoundCheck]:
     """Evaluate every applicable bound against one concrete state.
 
     Always checks the level-2 social lower bound for the configured cost
@@ -288,12 +286,10 @@ def check_bounds_on_instance(
             )
         )
 
-    if cfg.job_cost_type is JobCostType.TYPE_II and joint_enumeration_fits(
-        state.n1, state.n2, joint_guard
-    ):
+    if cfg.job_cost_type is JobCostType.TYPE_II and joint_enumeration_fits(state.n1, state.n2):
         verdict = type2_poa_bound(cfg.beta)
         if verdict.kind != "uncovered":
-            report = empirical_poa(state.g1, state.n2, cfg, joint_guard)
+            report = empirical_poa(state.g1, state.n2, cfg)
             relation = "==" if verdict.kind == "exact" else "<="
             checks.append(
                 make_check(
@@ -324,9 +320,7 @@ class MidBetaCostReport(NamedTuple):
     measured_worst_ne: float
 
 
-def type2_mid_beta_report(
-    g1: Graph, n2: int, cfg: GameConfig, joint_guard: int = JOINT_ENUMERATION_GUARD
-) -> MidBetaCostReport:
+def type2_mid_beta_report(g1: Graph, n2: int, cfg: GameConfig) -> MidBetaCostReport:
     """Compare 2n^2 + gamma(beta-1) and 2n^2 + n*gamma(beta-1) to measurement."""
     if cfg.job_cost_type is not JobCostType.TYPE_II:
         raise ValueError("this report is specific to TYPE_II costs")
@@ -336,7 +330,7 @@ def type2_mid_beta_report(
         raise ValueError(f"formulas assume n1 == n2, got n1={g1.n}, n2={n2}")
     n = g1.n
     gamma = len(min_dominating_set(g1))
-    report = empirical_poa(g1, n2, cfg, joint_guard)
+    report = empirical_poa(g1, n2, cfg)
     return MidBetaCostReport(
         gamma=gamma,
         closed_form_flat=2 * n * n + gamma * (cfg.beta - 1),

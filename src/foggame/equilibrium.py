@@ -52,10 +52,11 @@ from .model import (
     job_deviation_rows,
 )
 
-EXACT_ENUMERATION_GUARD = 20
+# Enumeration limits, read at call time: setting one on this module (for
+# instance with setattr) moves it for every later call.
+EXACT_ENUMERATION_GUARD = 20  # fog vertices of an exact best response
+JOINT_ENUMERATION_GUARD = 2**16  # predicted steps of one level-2 scan (see _joint_work)
 SCHEDULES = ("round_robin", "random_permutation")
-# Predicted steps of one level-2 scan (see _joint_work).
-JOINT_ENUMERATION_GUARD = 2**16
 
 
 class Scope(Enum):
@@ -99,44 +100,33 @@ def _exact_best(rows: DeviationRows) -> tuple[VertexSet, float]:
     return frozenset(next(itertools.islice(members, best_i, None))), best_cost
 
 
-def _check_exact_size(n1: int, guard: int) -> None:
+def _check_exact_size(n1: int) -> None:
+    guard = EXACT_ENUMERATION_GUARD
     if n1 > guard:
         raise GuardExceeded("exact best-response enumeration", guard, n1)
 
 
-def _require_profile_mode(state: GameState) -> None:
-    if not state.profile_mode:
-        raise PolicyError("fog best response needs profile mode, not a fixed graph")
-
-
-def best_response_job_exact(
-    j: int, state: GameState, cfg: GameConfig, guard: int = EXACT_ENUMERATION_GUARD
-) -> tuple[VertexSet, float]:
+def best_response_job_exact(j: int, state: GameState, cfg: GameConfig) -> tuple[VertexSet, float]:
     """Cost-minimal strategy for job j against the rest of the state.
 
     Scans the subsets by size over the job's distance layers (n1 bitmask
     BFS, then one mask OR per subset) and stops once no larger size can
     strictly beat the best so far: at most 2^n1 ORs, and at beta = 1.5 on
     a path of 20 fog vertices only sizes 0..7, 137,980 of 1,048,576.
-    Refuses when n1 exceeds the guard.
+    Refuses when n1 exceeds EXACT_ENUMERATION_GUARD.
     """
-    _check_exact_size(state.n1, guard)
-    return _exact_best(job_deviation_rows(j, state, cfg))
+    return _deviation(Scope.LEVEL2, j, state, cfg, "exact")[2:]
 
 
-def best_response_fog_exact(
-    i: int, state: GameState, cfg: GameConfig, guard: int = EXACT_ENUMERATION_GUARD
-) -> tuple[VertexSet, float]:
+def best_response_fog_exact(i: int, state: GameState, cfg: GameConfig) -> tuple[VertexSet, float]:
     """Cost-minimal purchase set for fog player i; profile mode only.
 
     Scans the purchase sets by size over the player's distance layers
     (n1 - 1 bitmask BFS, then one mask OR per set) and stops once no
     larger size can strictly beat the best so far: at most 2^(n1-1) ORs.
-    Refuses when n1 exceeds the guard.
+    Refuses when n1 exceeds EXACT_ENUMERATION_GUARD.
     """
-    _require_profile_mode(state)
-    _check_exact_size(state.n1, guard)
-    return _exact_best(fog_deviation_rows(i, state, cfg))
+    return _deviation(Scope.LEVEL1, i, state, cfg, "exact")[2:]
 
 
 def _local_step_candidates(current: VertexSet, universe: Sequence[int]) -> Iterator[VertexSet]:
@@ -178,16 +168,7 @@ def best_response_job_greedy(
     exists, pricing candidates on the job's distance rows.  May stop at a
     local optimum above the exact best response.
     """
-    rows = job_deviation_rows(j, state, cfg)
-    return _local_search(state.level2.strategies[j], rows.universe, rows.evaluate)
-
-
-def _best_response_fog_greedy(
-    i: int, state: GameState, cfg: GameConfig
-) -> tuple[VertexSet, float]:
-    _require_profile_mode(state)
-    rows = fog_deviation_rows(i, state, cfg)
-    return _local_search(state.level1.strategies[i], rows.universe, rows.evaluate)
+    return _deviation(Scope.LEVEL2, j, state, cfg, "greedy")[2:]
 
 
 def _scoped_players(state: GameState, scope: Scope) -> list[tuple[Scope, int]]:
@@ -202,15 +183,20 @@ def _scoped_players(state: GameState, scope: Scope) -> list[tuple[Scope, int]]:
 
 
 def _deviation(
-    level: Scope, player: int, state: GameState, cfg: GameConfig, oracle: str, guard: int
+    level: Scope, player: int, state: GameState, cfg: GameConfig, oracle: str
 ) -> tuple[VertexSet, float, VertexSet, float]:
     """Current strategy and cost of a player and the oracle's answer.
 
     Both costs come from one set of distance rows.  oracle is "exact"
-    (guarded) or "greedy".
+    (guarded) or "greedy".  Every best response, equilibrium check and
+    dynamics step asks here.  A fog player needs profile mode
+    (PolicyError), checked before the guard, which comes before the
+    player index (ValueError).
     """
+    if level is Scope.LEVEL1 and not state.profile_mode:
+        raise PolicyError("fog best response needs profile mode, not a fixed graph")
     if oracle == "exact":
-        _check_exact_size(state.n1, guard)
+        _check_exact_size(state.n1)
     if level is Scope.LEVEL1:
         rows = fog_deviation_rows(player, state, cfg)
         current = state.level1.strategies[player]
@@ -225,10 +211,7 @@ def _deviation(
 
 
 def is_nash(
-    state: GameState,
-    cfg: GameConfig,
-    scope: Scope,
-    guard: int = EXACT_ENUMERATION_GUARD,
+    state: GameState, cfg: GameConfig, scope: Scope
 ) -> tuple[bool, DeviationWitness | None]:
     """Exact equilibrium check over the scoped players.
 
@@ -236,7 +219,7 @@ def is_nash(
     order (level-1 players before level-2 players under Scope.BOTH).
     """
     for level, player in _scoped_players(state, scope):
-        _, current, better_set, better_cost = _deviation(level, player, state, cfg, "exact", guard)
+        _, current, better_set, better_cost = _deviation(level, player, state, cfg, "exact")
         if better_cost < current:
             return False, DeviationWitness(level, player, current, better_set, better_cost)
     return True, None
@@ -286,7 +269,6 @@ def best_response_dynamics(
     seed: int = 0,
     max_rounds: int = 100,
     oracle: str = "exact",
-    guard: int = EXACT_ENUMERATION_GUARD,
 ) -> DynamicsTrace:
     """Iterated strict-improvement best responses.
 
@@ -314,7 +296,7 @@ def best_response_dynamics(
             order = rng.sample(players, len(players))
         moved = False
         for level, player in order:
-            old, current, cand, cand_cost = _deviation(level, player, state, cfg, oracle, guard)
+            old, current, cand, cand_cost = _deviation(level, player, state, cfg, oracle)
             if cand_cost < current:
                 if level is Scope.LEVEL1:
                     state = state.with_level1_strategy(player, cand)
@@ -360,24 +342,25 @@ def _joint_work(n1: int, n2: int) -> int:
     return 2 ** (n1 * n2) + math.comb(2**n1 + n2 - 2, n2 - 1) * 2**n1
 
 
-def _check_joint_size(n1: int, n2: int, joint_guard: int) -> None:
-    """Refuse a level-2 scan whose predicted work exceeds joint_guard."""
+def _check_joint_size(n1: int, n2: int) -> None:
+    """Refuse a level-2 scan whose predicted work exceeds JOINT_ENUMERATION_GUARD."""
     if n2 < 0:
         raise ValueError(f"n2 must be non-negative, got {n2}")
-    bits = joint_guard.bit_length()
+    guard = JOINT_ENUMERATION_GUARD
+    bits = guard.bit_length()
     if n1 * n2 > bits:
         # The profile visits alone pass the budget; the exact count would
         # take n1*n2 binary digits, so report the power of two it clears.
-        raise GuardExceeded("joint profile enumeration", joint_guard, 2**bits, at_least=True)
+        raise GuardExceeded("joint profile enumeration", guard, 2**bits, at_least=True)
     work = _joint_work(n1, n2)
-    if work > joint_guard:
-        raise GuardExceeded("joint profile enumeration", joint_guard, work)
+    if work > guard:
+        raise GuardExceeded("joint profile enumeration", guard, work)
 
 
-def joint_enumeration_fits(n1: int, n2: int, joint_guard: int = JOINT_ENUMERATION_GUARD) -> bool:
+def joint_enumeration_fits(n1: int, n2: int) -> bool:
     """Whether the joint level-2 analyses accept n1 fog vertices and n2 jobs."""
     try:
-        _check_joint_size(n1, n2, joint_guard)
+        _check_joint_size(n1, n2)
     except GuardExceeded:
         return False
     return True
@@ -464,12 +447,7 @@ def _level2_scan(
         yield indices, sum(costs), stable
 
 
-def social_optimum_level2(
-    g1: Graph,
-    n2: int,
-    cfg: GameConfig,
-    joint_guard: int = JOINT_ENUMERATION_GUARD,
-) -> tuple[float, Level2Profile]:
+def social_optimum_level2(g1: Graph, n2: int, cfg: GameConfig) -> tuple[float, Level2Profile]:
     """Minimum level-2 social cost over job profiles, with the minimizer.
 
     Reads all 2^(n1*n2) profiles from the one-pass cost-table scan (see
@@ -477,9 +455,9 @@ def social_optimum_level2(
     other jobs lend (2^n1 in all under FOG_ONLY), at most
     C(2^n1 + n2 - 2, n2 - 1) * 2^n1; the first profile with the strictly
     smallest cost wins.  Refuses when the predicted work (profile visits
-    plus that bound on job costs) exceeds joint_guard.
+    plus that bound on job costs) exceeds JOINT_ENUMERATION_GUARD.
     """
-    _check_joint_size(g1.n, n2, joint_guard)
+    _check_joint_size(g1.n, n2)
     cands = _joint_candidates(g1.n, n2)
     best_cost = 0.0
     best: tuple[int, ...] | None = None
@@ -491,10 +469,7 @@ def social_optimum_level2(
 
 
 def enumerate_nash_level2(
-    g1: Graph,
-    n2: int,
-    cfg: GameConfig,
-    joint_guard: int = JOINT_ENUMERATION_GUARD,
+    g1: Graph, n2: int, cfg: GameConfig
 ) -> list[tuple[Level2Profile, float]]:
     """All pure level-2 equilibria with the fog graph held fixed.
 
@@ -504,9 +479,10 @@ def enumerate_nash_level2(
     matches is_nash under Scope.LEVEL2 exactly, at 2^n1 job-cost
     evaluations per set of far pairs the other jobs lend, no more than
     C(2^n1 + n2 - 2, n2 - 1) * 2^n1 for the whole enumeration.  Refuses
-    when that bound plus the 2^(n1*n2) profile visits exceeds joint_guard.
+    when that bound plus the 2^(n1*n2) profile visits exceeds
+    JOINT_ENUMERATION_GUARD.
     """
-    _check_joint_size(g1.n, n2, joint_guard)
+    _check_joint_size(g1.n, n2)
     cands = _joint_candidates(g1.n, n2)
     return [
         (_profile(g1.n, cands, indices), cost)
@@ -526,12 +502,7 @@ class PoAReport(NamedTuple):
     ne_count: int
 
 
-def empirical_poa(
-    g1: Graph,
-    n2: int,
-    cfg: GameConfig,
-    joint_guard: int = JOINT_ENUMERATION_GUARD,
-) -> PoAReport:
+def empirical_poa(g1: Graph, n2: int, cfg: GameConfig) -> PoAReport:
     """Price of anarchy by full enumeration of level-2 profiles.
 
     One pass of the cost-table scan (see _level2_scan) gives the optimum
@@ -540,14 +511,14 @@ def empirical_poa(
     social_optimum_level2 and enumerate_nash_level2, for the job-cost
     evaluations of a single scan.
     Only the two reported profiles are built.  Refuses when that plus the
-    2^(n1*n2) profile visits exceeds joint_guard.
+    2^(n1*n2) profile visits exceeds JOINT_ENUMERATION_GUARD.
 
     Raises NoEquilibriumError when no pure equilibrium exists and
     ValueError when the optimum social cost is not positive, which can
     happen under TYPE_I where costs may reach zero or below, or infinite,
     which a float sum of huge job costs can reach (the ratio would be NaN).
     """
-    _check_joint_size(g1.n, n2, joint_guard)
+    _check_joint_size(g1.n, n2)
     cands = _joint_candidates(g1.n, n2)
     optimum_cost = worst_cost = 0.0
     optimum: tuple[int, ...] | None = None
@@ -611,13 +582,11 @@ class DominationDiagnostic(NamedTuple):
     note: str
 
 
-def domination_diagnostic(
-    g1: Graph, cfg: GameConfig, guard: int = EXACT_ENUMERATION_GUARD
-) -> DominationDiagnostic:
+def domination_diagnostic(g1: Graph, cfg: GameConfig) -> DominationDiagnostic:
     """Exact best response of a single job against empty co-players."""
     empty = Level2Profile(g1.n, (frozenset(),) * g1.n)
     state = GameState(g1, empty)
-    strategy, cost = best_response_job_exact(0, state, cfg, guard)
+    strategy, cost = best_response_job_exact(0, state, cfg)
     gamma = len(min_dominating_set(g1))
     dominating = is_dominating_set(g1, strategy)
     in_range = 1 < cfg.beta < 2

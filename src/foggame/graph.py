@@ -21,8 +21,10 @@ INF = math.inf
 Distance = float | int
 VertexSet = frozenset[int]
 
-DOMSET_ENUMERATION_GUARD = 24
-GENERATION_RETRY_BUDGET = 1000
+# Enumeration limits, read at call time: setting one on this module (for
+# instance with setattr) moves it for every later call.
+DOMSET_ENUMERATION_GUARD = 24  # vertices of an exact minimum dominating set
+GENERATION_RETRY_BUDGET = 1000  # draws of a connected erdos_renyi graph
 
 GENERATOR_KINDS = ("path", "cycle", "star", "complete", "erdos_renyi")
 
@@ -189,27 +191,27 @@ def greedy_dominating_set(g: Graph) -> VertexSet:
     return frozenset(chosen)
 
 
-def min_dominating_set(g: Graph, guard: int = DOMSET_ENUMERATION_GUARD) -> VertexSet:
+def min_dominating_set(g: Graph) -> VertexSet:
     """Exact minimum dominating set by subset enumeration.
 
     Scans subsets in increasing cardinality and, within a cardinality, in
     lexicographic member order, so the first hit is the lexicographically
-    smallest minimum set.  The greedy solution caps the search depth.
-    Refuses graphs larger than the guard.
+    smallest minimum set; at the latest the whole vertex set dominates.
+    Refuses graphs larger than DOMSET_ENUMERATION_GUARD.
     """
+    guard = DOMSET_ENUMERATION_GUARD
     if g.n > guard:
         raise GuardExceeded("dominating-set enumeration", guard, g.n)
     masks = closed_neighborhood_masks(g)
     full = (1 << g.n) - 1
-    upper = len(greedy_dominating_set(g))
-    for k in range(upper + 1):
+    for k in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), k):
             cover = 0
             for v in combo:
                 cover |= masks[v]
             if cover == full:
                 return frozenset(combo)
-    raise AssertionError("unreachable: the greedy set bounds the search")
+    raise AssertionError("unreachable: the whole vertex set dominates")
 
 
 def check_generator(kind: str, n: int, p: float | None = None, seed: int | None = None) -> None:
@@ -235,13 +237,12 @@ def generate(
     p: float | None = None,
     seed: int | None = None,
     require_connected: bool = False,
-    max_retries: int = GENERATION_RETRY_BUDGET,
 ) -> Graph:
     """Build a named instance; deterministic for fixed arguments.
 
     Kinds: path, cycle, star (center 0), complete, erdos_renyi.  The
     Erdos-Renyi kind needs p and seed; with require_connected it redraws
-    up to max_retries times and then raises GenerationError.
+    up to GENERATION_RETRY_BUDGET times and then raises GenerationError.
     """
     check_generator(kind, n, p, seed)
     if kind == "path":
@@ -256,13 +257,14 @@ def generate(
         edges = list(itertools.combinations(range(n), 2))
     else:  # erdos_renyi
         rng = random.Random(seed)
-        for _ in range(max_retries):
+        budget = GENERATION_RETRY_BUDGET
+        for _ in range(budget):
             drawn = [(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < p]
             g = Graph(n, frozenset(drawn))
             if not require_connected or is_connected(g):
                 return g
         raise GenerationError(
-            f"no connected graph in {max_retries} draws (n={n}, p={p}, seed={seed})"
+            f"no connected graph in {budget} draws (n={n}, p={p}, seed={seed})"
         )
     g = Graph(n, frozenset(edges))
     if require_connected and not is_connected(g):

@@ -19,7 +19,6 @@ from .graph import (
     Graph,
     VertexSet,
     _Validated,
-    all_pairs_distances,
     closed_neighborhood_masks,
     single_source_distances,
 )
@@ -249,22 +248,16 @@ def edge_fog_player_cost(i: int, state: GameState, cfg: GameConfig) -> float:
 
 
 def _job_distance_sum(j: int, state: GameState, cfg: GameConfig) -> float:
+    """BFS from job j in the combined graph; under FOG_ONLY the other jobs keep no links."""
     n1 = state.n1
     if n1 == 0:
         return 0
-    strategy = state.level2.strategies[j]
+    level2 = state.level2
     if cfg.transit_policy is TransitPolicy.FOG_ONLY:
-        rows = all_pairs_distances(state.g1)
-        total: float = 0
-        for w in range(n1):
-            best = INF
-            for s in strategy:
-                d = 1 + rows[s][w]
-                if d < best:
-                    best = d
-            total += best
-        return total
-    combined = build_combined_graph(state.g1, state.level2)
+        level2 = Level2Profile(
+            n1, (s if k == j else frozenset() for k, s in enumerate(level2.strategies))
+        )
+    combined = build_combined_graph(state.g1, level2)
     dist = single_source_distances(combined, n1 + j)
     return sum(dist[:n1])
 

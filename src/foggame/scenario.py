@@ -17,8 +17,6 @@ from typing import Any, Callable
 
 from . import __version__
 from .equilibrium import (
-    EXACT_ENUMERATION_GUARD,
-    JOINT_ENUMERATION_GUARD,
     SCHEDULES,
     Scope,
     _check_exact_size,
@@ -254,7 +252,7 @@ def _check_exact_first(shape: GameState, scope: Scope) -> None:
     graph raises PolicyError instead, and no jobs means no oracle call.
     """
     if not shape.profile_mode and scope is Scope.LEVEL2 and shape.n2:
-        _check_exact_size(shape.n1, EXACT_ENUMERATION_GUARD)
+        _check_exact_size(shape.n1)
 
 
 def run_spec(data: Any) -> dict:
@@ -289,7 +287,7 @@ def run_spec(data: Any) -> dict:
     if mode == "poa":
         n1, build = _graph_builder(_require(data, "graph", "scenario"))
         n2 = _integer(data["n2"], "n2", minimum=0) if "n2" in data else n1
-        _check_joint_size(n1, n2, JOINT_ENUMERATION_GUARD)  # before building the graph
+        _check_joint_size(n1, n2)  # before building the graph
         report = empirical_poa(build(), n2, cfg)
         return to_jsonable(report)
 

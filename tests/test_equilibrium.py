@@ -106,11 +106,31 @@ def test_job_best_response_matches_direct_enumeration():
         assert got_set == best[0]  # first minimizer in (size, lex) order
 
 
-def test_job_best_response_guard():
-    big = Graph(21, frozenset())
-    st = _fixed(big, [set()])
-    with pytest.raises(GuardExceeded, match="best-response enumeration"):
-        best_response_job_exact(0, st, GameConfig())
+def test_job_best_response_guard(monkeypatch):
+    # The guard is read at call time: lowering it refuses an accepted
+    # instance in every caller, raising it admits a refused one.
+    small = _fixed(generate("path", 4), [set()])
+    large = _fixed(generate("complete", 21), [set()])
+    cfg = GameConfig(beta=1.5)
+    assert best_response_job_exact(0, small, cfg) == (frozenset({0, 2}), 9.0)
+    with pytest.raises(GuardExceeded) as refused:
+        best_response_job_exact(0, large, cfg)
+    assert str(refused.value) == (
+        "exact best-response enumeration guard exceeded: size 21 > limit 20"
+    )
+    monkeypatch.setattr(eq, "EXACT_ENUMERATION_GUARD", 3)
+    for call in (
+        lambda: best_response_job_exact(0, small, cfg),
+        lambda: is_nash(small, cfg, Scope.LEVEL2),
+        lambda: best_response_dynamics(small, cfg, Scope.LEVEL2),
+    ):
+        with pytest.raises(GuardExceeded) as refused:
+            call()
+        assert str(refused.value) == (
+            "exact best-response enumeration guard exceeded: size 4 > limit 3"
+        )
+    monkeypatch.setattr(eq, "EXACT_ENUMERATION_GUARD", 21)
+    assert best_response_job_exact(0, large, cfg) == (frozenset({0}), 42.5)
 
 
 def test_fog_best_response_profile_mode():
@@ -279,7 +299,7 @@ def test_dynamics_detects_revisited_states(monkeypatch):
     monkeypatch.setattr(
         eq,
         "_deviation",
-        lambda level, j, state, cfg, oracle, guard: (
+        lambda level, j, state, cfg, oracle: (
             state.level2.strategies[j],
             2.0,
             flip[state.level2.strategies[j]],
@@ -368,9 +388,32 @@ def test_empirical_poa_rejects_non_positive_optimum():
         empirical_poa(Graph(1, frozenset()), 1, cfg)
 
 
-def test_empirical_poa_guard():
+def test_empirical_poa_guard(monkeypatch):
     with pytest.raises(GuardExceeded):
         empirical_poa(generate("complete", 5), 5, GameConfig())
+    # The guard is read at call time.  Path 3x2 takes 2^6 profiles + 8
+    # tables of 8 job costs = 128 steps; complete 4x4 takes 2^16 profiles
+    # + 816 tables of 16 = 78,592.
+    path3, k4 = generate("path", 3), generate("complete", 4)
+    cfg = GameConfig(beta=1.5)
+    accepted = empirical_poa(path3, 2, cfg)
+    with pytest.raises(GuardExceeded) as refused:
+        empirical_poa(k4, 4, cfg)
+    assert str(refused.value) == (
+        "joint profile enumeration guard exceeded: size 78592 > limit 65536"
+    )
+    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 127)
+    assert not eq.joint_enumeration_fits(3, 2)
+    for analysis in (social_optimum_level2, enumerate_nash_level2, empirical_poa):
+        with pytest.raises(GuardExceeded) as refused:
+            analysis(path3, 2, cfg)
+        assert str(refused.value) == (
+            "joint profile enumeration guard exceeded: size 128 > limit 127"
+        )
+    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 128)
+    assert empirical_poa(path3, 2, cfg) == accepted
+    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 78592)
+    assert empirical_poa(k4, 4, cfg).poa == 1.0
 
 
 # --------------------------------------------------------------- constructors

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from foggame import graph
 from foggame.errors import GenerationError, GuardExceeded
 from foggame.graph import (
     INF,
@@ -181,11 +182,21 @@ def test_min_dominating_set_handles_isolated_vertices():
     assert len(got) == _brute_minimum_dominating(g) == 3
 
 
-def test_min_dominating_set_guard():
-    with pytest.raises(GuardExceeded, match="dominating-set enumeration"):
-        min_dominating_set(generate("path", 30))
-    # an explicit larger guard lets the call through
-    assert len(min_dominating_set(generate("star", 26), guard=26)) == 1
+def test_min_dominating_set_guard(monkeypatch):
+    # The guard is read at call time: lowering it refuses an accepted
+    # graph, raising it admits a refused one.
+    path4, star25 = generate("path", 4), generate("star", 25)
+    assert min_dominating_set(path4) == frozenset({0, 2})
+    with pytest.raises(GuardExceeded) as refused:
+        min_dominating_set(star25)
+    assert str(refused.value) == "dominating-set enumeration guard exceeded: size 25 > limit 24"
+    monkeypatch.setattr(graph, "DOMSET_ENUMERATION_GUARD", 3)
+    with pytest.raises(GuardExceeded) as refused:
+        min_dominating_set(path4)
+    assert str(refused.value) == "dominating-set enumeration guard exceeded: size 4 > limit 3"
+    monkeypatch.setattr(graph, "DOMSET_ENUMERATION_GUARD", 26)
+    assert min_dominating_set(star25) == frozenset({0})
+    assert len(min_dominating_set(generate("star", 26))) == 1
 
 
 def test_greedy_dominating_set_is_dominating_and_never_smaller():
@@ -231,9 +242,27 @@ def test_erdos_renyi_requires_p_and_seed():
         generate("erdos_renyi", 4, p=0.5)
 
 
-def test_generate_connected_retry_exhaustion():
-    with pytest.raises(GenerationError, match="connected"):
-        generate("erdos_renyi", 5, p=0.0, seed=1, require_connected=True, max_retries=10)
+def test_generate_connected_retry_exhaustion(monkeypatch):
+    # The budget is read at call time.  Seed 0 first draws a connected
+    # 4-vertex graph at draw 52, and seed 77 a connected 2-vertex graph at
+    # draw 1,002.
+    sparse = dict(p=0.1, seed=0, require_connected=True)
+    rare = dict(p=0.001, seed=77, require_connected=True)
+    accepted = generate("erdos_renyi", 4, **sparse)
+    with pytest.raises(GenerationError) as refused:
+        generate("erdos_renyi", 2, **rare)
+    assert str(refused.value) == "no connected graph in 1000 draws (n=2, p=0.001, seed=77)"
+    monkeypatch.setattr(graph, "GENERATION_RETRY_BUDGET", 51)
+    with pytest.raises(GenerationError) as refused:
+        generate("erdos_renyi", 4, **sparse)
+    assert str(refused.value) == "no connected graph in 51 draws (n=4, p=0.1, seed=0)"
+    monkeypatch.setattr(graph, "GENERATION_RETRY_BUDGET", 10)
+    with pytest.raises(GenerationError, match="no connected graph in 10 draws"):
+        generate("erdos_renyi", 5, p=0.0, seed=1, require_connected=True)
+    monkeypatch.setattr(graph, "GENERATION_RETRY_BUDGET", 52)
+    assert generate("erdos_renyi", 4, **sparse) == accepted
+    monkeypatch.setattr(graph, "GENERATION_RETRY_BUDGET", 1002)
+    assert generate("erdos_renyi", 2, **rare).edges == frozenset({(0, 1)})
 
 
 def test_generate_rejects_unknown_kind_and_bad_n():

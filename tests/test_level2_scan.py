@@ -25,7 +25,6 @@ import pytest
 
 from foggame import equilibrium, model
 from foggame.equilibrium import (
-    JOINT_ENUMERATION_GUARD,
     PoAReport,
     empirical_poa,
     enumerate_nash_level2,
@@ -59,12 +58,13 @@ def _reference_profiles(n1, n2):
         yield Level2Profile(n1, combo)
 
 
-def _reference_guard(n1, n2, joint_guard):
+def _reference_guard(n1, n2):
     # Predicted work: 2^(n1*n2) profile visits plus C(2^n1 + n2 - 2, n2 - 1)
     # cost tables of 2^n1 entries.  Past the budget's bit length the profile
     # visits alone exceed it, and the refusal names that power of two.
     if n2 < 0:
         raise ValueError(f"n2 must be non-negative, got {n2}")
+    joint_guard = equilibrium.JOINT_ENUMERATION_GUARD
     bits = joint_guard.bit_length()
     if n1 * n2 > bits:
         raise GuardExceeded("joint profile enumeration", joint_guard, 2**bits, at_least=True)
@@ -82,8 +82,8 @@ def _reference_best_cost(j, state, cfg):
     )
 
 
-def reference_social_optimum(g1, n2, cfg, joint_guard=JOINT_ENUMERATION_GUARD):
-    _reference_guard(g1.n, n2, joint_guard)
+def reference_social_optimum(g1, n2, cfg):
+    _reference_guard(g1.n, n2)
     best_cost = 0.0
     best_profile = None
     for profile in _reference_profiles(g1.n, n2):
@@ -93,8 +93,8 @@ def reference_social_optimum(g1, n2, cfg, joint_guard=JOINT_ENUMERATION_GUARD):
     return best_cost, best_profile
 
 
-def reference_enumerate_nash(g1, n2, cfg, joint_guard=JOINT_ENUMERATION_GUARD):
-    _reference_guard(g1.n, n2, joint_guard)
+def reference_enumerate_nash(g1, n2, cfg):
+    _reference_guard(g1.n, n2)
     found = []
     for profile in _reference_profiles(g1.n, n2):
         state = GameState(g1, profile, allow_unequal=True)
@@ -107,9 +107,9 @@ def reference_enumerate_nash(g1, n2, cfg, joint_guard=JOINT_ENUMERATION_GUARD):
     return found
 
 
-def reference_poa(g1, n2, cfg, joint_guard=JOINT_ENUMERATION_GUARD):
-    optimum_cost, optimum_profile = reference_social_optimum(g1, n2, cfg, joint_guard)
-    equilibria = reference_enumerate_nash(g1, n2, cfg, joint_guard)
+def reference_poa(g1, n2, cfg):
+    optimum_cost, optimum_profile = reference_social_optimum(g1, n2, cfg)
+    equilibria = reference_enumerate_nash(g1, n2, cfg)
     if not equilibria:
         raise NoEquilibriumError(f"no pure level-2 equilibrium (n1={g1.n}, n2={n2})")
     worst_profile, worst_cost = equilibria[0]
@@ -410,6 +410,7 @@ def test_scan_matches_multiset_scan(monkeypatch, g1, n2, cost_type, transit):
     # scan runs once, and its profiles are compared and replayed to the
     # three analyses.
     cfg = GameConfig(beta=1.5, job_cost_type=cost_type, transit_policy=transit)
+    monkeypatch.setattr(equilibrium, "JOINT_ENUMERATION_GUARD", 2**40)
     calls = _count_fills(monkeypatch)
     streams, outcomes, fills = [], [], []
     for scan in (equilibrium._level2_scan, _multiset_scan):
@@ -420,7 +421,7 @@ def test_scan_matches_multiset_scan(monkeypatch, g1, n2, cost_type, transit):
         monkeypatch.setattr(equilibrium, "_level2_scan", lambda *args: iter(profiles))
         outcomes.append(
             [
-                _outcome(fn, g1, n2, cfg, 2**40)
+                _outcome(fn, g1, n2, cfg)
                 for fn in (social_optimum_level2, enumerate_nash_level2, empirical_poa)
             ]
         )

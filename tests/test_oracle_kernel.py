@@ -23,9 +23,7 @@ import pytest
 from foggame import equilibrium as eq
 from foggame import graph, model
 from foggame.equilibrium import (
-    EXACT_ENUMERATION_GUARD,
     Scope,
-    _best_response_fog_greedy,
     best_response_dynamics,
     best_response_fog_exact,
     best_response_job_exact,
@@ -70,20 +68,24 @@ def _first_minimum(candidates, evaluate):
     return best_set, best_cost
 
 
-def reference_job_exact(j, state, cfg, guard=EXACT_ENUMERATION_GUARD):
-    if state.n1 > guard:
-        raise GuardExceeded("exact best-response enumeration", guard, state.n1)
+def _reference_guard(n1):
+    guard = eq.EXACT_ENUMERATION_GUARD
+    if n1 > guard:
+        raise GuardExceeded("exact best-response enumeration", guard, n1)
+
+
+def reference_job_exact(j, state, cfg):
+    _reference_guard(state.n1)
     return _first_minimum(
         _subsets(range(state.n1)),
         lambda cand: job_player_cost(j, state.with_level2_strategy(j, cand), cfg),
     )
 
 
-def reference_fog_exact(i, state, cfg, guard=EXACT_ENUMERATION_GUARD):
+def reference_fog_exact(i, state, cfg):
     if not state.profile_mode:
         raise PolicyError("fog best response needs profile mode, not a fixed graph")
-    if state.n1 > guard:
-        raise GuardExceeded("exact best-response enumeration", guard, state.n1)
+    _reference_guard(state.n1)
     return _first_minimum(
         _subsets([v for v in range(state.n1) if v != i]),
         lambda cand: edge_fog_player_cost(i, state.with_level1_strategy(i, cand), cfg),
@@ -108,22 +110,27 @@ def reference_fog_greedy(i, state, cfg):
     )
 
 
-def reference_deviation(level, player, state, cfg, oracle, guard):
+def reference_deviation(level, player, state, cfg, oracle):
     """The current-cost and oracle calls that is_nash and dynamics made before."""
     if level is Scope.LEVEL1:
         current = state.level1.strategies[player]
         cost = edge_fog_player_cost(player, state, cfg)
         if oracle == "exact":
-            return (current, cost, *reference_fog_exact(player, state, cfg, guard))
+            return (current, cost, *reference_fog_exact(player, state, cfg))
         return (current, cost, *reference_fog_greedy(player, state, cfg))
     current = state.level2.strategies[player]
     cost = job_player_cost(player, state, cfg)
     if oracle == "exact":
-        return (current, cost, *reference_job_exact(player, state, cfg, guard))
+        return (current, cost, *reference_job_exact(player, state, cfg))
     return (current, cost, *reference_job_greedy(player, state, cfg))
 
 
 # ------------------------------------------------------------------- harness
+
+
+def dynamics_fog_greedy(i, state, cfg):
+    """The greedy fog answer on the path that is_nash and dynamics take."""
+    return eq._deviation(Scope.LEVEL1, i, state, cfg, "greedy")[2:]
 
 
 def _outcome(fn, *args):
@@ -210,7 +217,7 @@ def test_oracles_match_reference_on_random_states():
         for i in range(state.n1):
             for fast, reference in (
                 (best_response_fog_exact, reference_fog_exact),
-                (_best_response_fog_greedy, reference_fog_greedy),
+                (dynamics_fog_greedy, reference_fog_greedy),
             ):
                 assert _outcome(fast, i, state, cfg) == _outcome(reference, i, state, cfg), (
                     fast.__name__,
@@ -300,7 +307,7 @@ def test_oracles_match_reference_on_deep_masks(state, fog):
     for cfg in DEEP_CONFIGS[::2]:
         for fast, reference in (
             (best_response_fog_exact, reference_fog_exact),
-            (_best_response_fog_greedy, reference_fog_greedy),
+            (dynamics_fog_greedy, reference_fog_greedy),
         ):
             assert _outcome(fast, fog, state, cfg) == _outcome(reference, fog, state, cfg), (
                 fast.__name__,
@@ -316,7 +323,7 @@ def test_oracles_match_reference_without_targets():
     for cfg in DEEP_CONFIGS:
         for fast, reference in (
             (best_response_fog_exact, reference_fog_exact),
-            (_best_response_fog_greedy, reference_fog_greedy),
+            (dynamics_fog_greedy, reference_fog_greedy),
         ):
             assert _outcome(fast, 0, lone, cfg) == _outcome(reference, 0, lone, cfg)
         for fast, reference in (
@@ -338,7 +345,7 @@ def test_scan_matches_evaluate_on_random_states():
             assert repr(scanned) == repr(evaluated), (state, cfg)
 
 
-def test_oracles_match_reference_on_errors():
+def test_oracles_match_reference_on_errors(monkeypatch):
     path = generate("path", 4)
     fixed = GameState(path, Level2Profile(4, (frozenset({1}), frozenset())), allow_unequal=True)
     live = GameState(
@@ -347,18 +354,21 @@ def test_oracles_match_reference_on_errors():
         allow_unequal=True,
     )
     cfg = GameConfig()
+    default = eq.EXACT_ENUMERATION_GUARD
+    # (oracle, reference, arguments, exact guard)
     cases = [
-        (best_response_job_exact, reference_job_exact, (-1, fixed, cfg)),
-        (best_response_job_exact, reference_job_exact, (-1, fixed, cfg, 3)),
-        (best_response_job_exact, reference_job_exact, (0, fixed, cfg, 3)),
-        (best_response_fog_exact, reference_fog_exact, (0, fixed, cfg)),
-        (best_response_fog_exact, reference_fog_exact, (-1, fixed, cfg, 3)),
-        (best_response_fog_exact, reference_fog_exact, (-1, live, cfg)),
-        (best_response_fog_exact, reference_fog_exact, (-1, live, cfg, 3)),
-        (_best_response_fog_greedy, reference_fog_greedy, (0, fixed, cfg)),
-        (best_response_job_greedy, reference_job_greedy, (-1, live, cfg)),
+        (best_response_job_exact, reference_job_exact, (-1, fixed, cfg), default),
+        (best_response_job_exact, reference_job_exact, (-1, fixed, cfg), 3),
+        (best_response_job_exact, reference_job_exact, (0, fixed, cfg), 3),
+        (best_response_fog_exact, reference_fog_exact, (0, fixed, cfg), default),
+        (best_response_fog_exact, reference_fog_exact, (-1, fixed, cfg), 3),
+        (best_response_fog_exact, reference_fog_exact, (-1, live, cfg), default),
+        (best_response_fog_exact, reference_fog_exact, (-1, live, cfg), 3),
+        (dynamics_fog_greedy, reference_fog_greedy, (0, fixed, cfg), default),
+        (best_response_job_greedy, reference_job_greedy, (-1, live, cfg), default),
     ]
-    for fast, reference, args in cases:
+    for fast, reference, args, guard in cases:
+        monkeypatch.setattr(eq, "EXACT_ENUMERATION_GUARD", guard)
         expected = _outcome(reference, *args)
         assert isinstance(expected[0], type), (reference.__name__, args)
         assert _outcome(fast, *args) == expected, (fast.__name__, args)
@@ -379,7 +389,7 @@ def test_index_past_the_last_player_is_a_value_error():
         best_response_fog_exact(3, live, GameConfig())
 
 
-def test_is_nash_matches_reference():
+def test_is_nash_matches_reference(monkeypatch):
     for state, cfg in _states(11, 120):
         for scope in _scopes(state):
             fast = is_nash(state, cfg, scope)
@@ -392,9 +402,10 @@ def test_is_nash_matches_reference():
     with pytest.raises(PolicyError):
         is_nash(state, GameConfig(), Scope.BOTH)
     jobs = GameState(generate("path", 4), Level2Profile(4, (frozenset(),)), allow_unequal=True)
-    for run in (is_nash, lambda *a, **k: _with_reference(is_nash, *a, **k)):
+    monkeypatch.setattr(eq, "EXACT_ENUMERATION_GUARD", 3)
+    for run in (is_nash, lambda *a: _with_reference(is_nash, *a)):
         with pytest.raises(GuardExceeded, match=r"size 4 > limit 3"):
-            run(jobs, GameConfig(), Scope.LEVEL2, guard=3)
+            run(jobs, GameConfig(), Scope.LEVEL2)
 
 
 @pytest.mark.parametrize("oracle", ["exact", "greedy"])
