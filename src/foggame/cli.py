@@ -10,6 +10,7 @@ guard exceeded, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Any
@@ -18,6 +19,9 @@ from .errors import FogGameError, GuardExceeded, ScenarioError
 from .graph import GENERATOR_KINDS
 from .scenario import MODES, run_record, sweep_record
 from .serialize import emit_csv, emit_json
+
+# Import-time objects live until exit; frozen, the GC and teardown skip them.
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,6 +74,8 @@ def _read_json(path: str) -> dict:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError("scenario file is nested too deeply to parse") from exc
     if not isinstance(data, dict):
         raise ScenarioError("scenario: expected a JSON object")
     return data

@@ -1,9 +1,10 @@
-"""The benchmark's tracer still finds every function its per-layer metrics read.
+"""The benchmark still runs, and its tracer finds every function its metrics read.
 
 perfbench/layers.py names foggame functions by `<module>.<function>` and
 perfbench/tracer.py wraps them from outside the package; a metric whose
 function no longer exists, or is no longer traced, silently reads 0.  The
-tracer patches the loaded package, so it runs in a subprocess.
+tracer patches the loaded package, so it runs in a subprocess.  The
+benchmark's own self-test runs here too.
 """
 
 import json
@@ -72,3 +73,18 @@ def test_every_layer_metric_names_a_traced_foggame_function(probe):
 def test_cached_functions_expose_cache_info(probe):
     assert probe["cached"] == ["graph.all_pairs_distances", "model.build_level1_graph"]
     assert probe["cache_info"] == probe["cached"]
+
+
+def test_benchmark_selftest_passes():
+    # Every workload at the tiny size, traced and untraced: a broken gate,
+    # a missing perfbench-enter or peak-RSS marker, or a tracer that no
+    # longer patches the package fails here, not only in the benchmark.
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

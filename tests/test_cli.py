@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -326,6 +327,15 @@ def test_main_bad_scenario_files(tmp_path, capsys):
     assert cli.main(["poa", unknown]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "unknown key 'bogus'" in err
+    # json.load recurses once per nesting level; a sweep template is read
+    # the same way.
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (["poa", str(nested)], ["sweep", str(nested), "--parameter", "beta", "--values", "1"]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "foggame: scenario file is nested too deeply to parse\n"
 
 
 def test_main_guard_exit_code(tmp_path, capsys):
@@ -598,19 +608,108 @@ def test_main_verify_failure_exit_code(monkeypatch, capsys):
     assert record["payload"]["all_passed"] is False
 
 
-def test_module_entry_point_runs():
+def _child_env() -> dict:
     # The child imports the same package as this process, installed or not.
     package_root = str(Path(cli.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(
+    return dict(
         os.environ,
         PYTHONPATH=package_root if not inherited else package_root + os.pathsep + inherited,
     )
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "foggame.cli", "gen", "--kind", "star", "--n", "3"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["graph"]["n"] == 3
+
+
+# A CLI process freezes its import-time heap (see cli.py), so it exits
+# without collecting it.  Each case runs once as a process whose stdout
+# goes to a file, flushed only at exit, and once through cli.main here.
+_PROCESS_CASES = {
+    "poa": (["poa", "{poa}"], cli.EXIT_OK),
+    "dynamics-both": (["dynamics", "{dynamics}"], cli.EXIT_OK),
+    "cost-csv": (["cost", "{cost}", "--format", "csv"], cli.EXIT_OK),
+    "verify": (["verify"], cli.EXIT_OK),
+    "guard": (["poa", "{poa}", "--n2", "9"], cli.EXIT_GUARD),
+    "parse-error": (["gen", "--kind", "moebius", "--n", "3"], cli.EXIT_USAGE),
+}
+_PROCESS_SCENARIOS = {
+    "poa": POA_K3,
+    "dynamics": {
+        "mode": "dynamics",
+        "config": {"alpha": 2.0, "beta": 1.5},
+        "options": {
+            "level1_strategies": [[1], [2], [3], []],
+            "level2_strategies": [[0], [], [1, 2], [3]],
+            "scope": "both",
+            "schedule": "random_permutation",
+            "seed": 3,
+            "max_rounds": 3,
+        },
+    },
+    "cost": {"mode": "cost", "graph": {"kind": "star", "n": 3}, "n2": 3, "config": {"beta": 1.5}},
+}
+
+
+def _without_duration(out: str) -> str:
+    return re.sub(r'"duration_seconds": [^,\n]*', '"duration_seconds": _', out)
+
+
+@pytest.mark.parametrize("case", sorted(_PROCESS_CASES))
+def test_cli_process_matches_in_process_main(tmp_path, capsys, case):
+    files = {name: _write(tmp_path, f"{name}.json", body) for name, body in _PROCESS_SCENARIOS.items()}
+    template, code = _PROCESS_CASES[case]
+    argv = [arg.format(**files) for arg in template]
+    out_path = tmp_path / "stdout.txt"
+    with open(out_path, "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "foggame.cli", *argv],
+            stdout=out,
+            stderr=subprocess.PIPE,
+            env=_child_env(),
+            timeout=60,
+        )
+    try:
+        in_process = cli.main(argv)
+    except SystemExit as exc:
+        in_process = exc.code
+    captured = capsys.readouterr()
+    assert (proc.returncode, in_process) == (code, code)
+    assert proc.stderr.decode() == captured.err
+    assert _without_duration(out_path.read_text(encoding="utf-8")) == _without_duration(captured.out)
+    assert (captured.out != "") == (code == cli.EXIT_OK)
+
+
+def _freeze_counts(*statements: str) -> list[int]:
+    """gc.get_freeze_count() after each statement, all run in one fresh interpreter."""
+    code = "import gc\n" + "".join(f"{s}\nprint(gc.get_freeze_count())\n" for s in statements)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [int(line) for line in proc.stdout.split()]
+
+
+def test_only_the_cli_module_freezes_the_heap():
+    # A library import must not pin its caller's objects; calling main
+    # again and again, as a test or a sweep script does, must not either.
+    assert _freeze_counts("import foggame\nfoggame.empirical_poa") == [0]
+    frozen, after_main = _freeze_counts(
+        "import foggame.cli",
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    foggame.cli.main(['gen', '--kind', 'path', '--n', '3'])",
+    )
+    assert frozen > 0
+    assert after_main <= frozen
