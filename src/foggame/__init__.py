@@ -65,7 +65,6 @@ _SUBMODULE_NAMES = {
         "VertexSet",
         "all_pairs_distances",
         "generate",
-        "greedy_dominating_set",
         "is_connected",
         "is_dominating_set",
         "min_dominating_set",

@@ -1,7 +1,7 @@
 """Undirected simple graphs at desk scale.
 
 Provides validated construction, BFS hop distances with a first-class
-infinite value, exact and greedy dominating sets with deterministic
+infinite value, exact minimum dominating sets with deterministic
 tie-breaking, and seeded instance generators.
 """
 
@@ -25,6 +25,7 @@ VertexSet = frozenset[int]
 # instance with setattr) moves it for every later call.
 DOMSET_ENUMERATION_GUARD = 24  # vertices of an exact minimum dominating set
 GENERATION_RETRY_BUDGET = 1000  # draws of a connected erdos_renyi graph
+GENERATION_PAIR_GUARD = 2**20  # vertex pairs one generator draw visits
 
 GENERATOR_KINDS = ("path", "cycle", "star", "complete", "erdos_renyi")
 
@@ -173,24 +174,6 @@ def closed_neighborhood_masks(g: Graph) -> list[int]:
     return masks
 
 
-def greedy_dominating_set(g: Graph) -> VertexSet:
-    """Max-coverage greedy dominating set; ties go to the lowest index."""
-    adj = g.adjacency()
-    closed = [set(adj[v]) | {v} for v in range(g.n)]
-    uncovered = set(range(g.n))
-    chosen: list[int] = []
-    while uncovered:
-        best_v = -1
-        best_gain = 0
-        for v in range(g.n):
-            gain = len(closed[v] & uncovered)
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        chosen.append(best_v)
-        uncovered -= closed[best_v]
-    return frozenset(chosen)
-
-
 def min_dominating_set(g: Graph) -> VertexSet:
     """Exact minimum dominating set by subset enumeration.
 
@@ -243,8 +226,14 @@ def generate(
     Kinds: path, cycle, star (center 0), complete, erdos_renyi.  The
     Erdos-Renyi kind needs p and seed; with require_connected it redraws
     up to GENERATION_RETRY_BUDGET times and then raises GenerationError.
+    Refuses a draw that would visit more than GENERATION_PAIR_GUARD vertex
+    pairs (n - 1 for path and star, n for cycle, C(n, 2) otherwise) before
+    building any edge.
     """
     check_generator(kind, n, p, seed)
+    pairs = {"path": n - 1, "star": n - 1, "cycle": n}.get(kind, n * (n - 1) // 2)
+    if pairs > GENERATION_PAIR_GUARD:
+        raise GuardExceeded("graph generation", GENERATION_PAIR_GUARD, pairs)
     if kind == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
     elif kind == "cycle":

@@ -148,6 +148,20 @@ def _parse_graph(section: Any) -> Graph:
     return _graph_builder(section)[1]()
 
 
+def writable_section(data: dict, name: str) -> dict:
+    """data[name] for a flag or a sweep value to write into, made if absent.
+
+    A null config reads as the defaults, so it is replaced as well; any
+    other value that is not an object is refused as run_spec refuses it.
+    """
+    section = data.setdefault(name, {})
+    if section is None and name == "config":
+        section = data[name] = {}
+    if not isinstance(section, dict):
+        raise ScenarioError(f"{name}: expected an object")
+    return section
+
+
 def _parse_config(section: Any) -> GameConfig:
     if section is None:
         return GameConfig()
@@ -372,7 +386,7 @@ def sweep_records(template: Any, parameter: str, values: list) -> dict:
     for value in values:
         data = copy.deepcopy(template)
         if parameter in ("beta", "alpha"):
-            data.setdefault("config", {})[parameter] = value
+            writable_section(data, "config")[parameter] = value
         else:
             graph = data.get("graph")
             if not isinstance(graph, dict) or "kind" not in graph:

@@ -1,5 +1,6 @@
 """Scenario execution, JSON/CSV emission, and the command line front end."""
 
+import argparse
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import pytest
 
 from foggame import cli, scenario, verify
 from foggame.errors import FormatError, ScenarioError
-from foggame.scenario import run_record, run_spec, sweep_records
+from foggame.graph import GENERATOR_KINDS
+from foggame.scenario import MODES, run_record, run_spec, sweep_records
 from foggame.serialize import emit_csv, emit_json, parse_record, to_jsonable
 from foggame.verify import CheckResult
 
@@ -592,6 +594,213 @@ def test_main_usage_errors_exit_one(capsys):
         cli.main(["gen", "--kind", "moebius", "--n", "3"])
     assert excinfo.value.code == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+# ----------------------------------------------------------- argument parsing
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits with 2 on usage errors; remap to the parse exit code."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(cli.EXIT_USAGE)
+
+
+def _build_parser() -> _Parser:
+    """The argparse front end that cli._parse_args replaced, kept as its reference."""
+    parser = _Parser(prog="foggame", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for mode in MODES:
+        p = sub.add_parser(mode, help=f"run a {mode} scenario")
+        if mode != "verify":
+            p.add_argument("scenario", nargs="?", help="scenario JSON file")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if mode == "gen":
+            p.add_argument("--kind", choices=GENERATOR_KINDS)
+            p.add_argument("--n", type=int)
+            p.add_argument("--p", type=float)
+            p.add_argument("--graph-seed", type=int, dest="graph_seed")
+            p.add_argument("--require-connected", action="store_true", default=None)
+        if mode in ("cost", "dynamics", "nash", "poa", "bounds", "sweep"):
+            p.add_argument("--alpha", type=float, help="override config.alpha")
+            p.add_argument("--beta", type=float, help="override config.beta")
+        if mode == "poa":
+            p.add_argument("--n2", type=int, help="override the job count")
+        if mode == "dynamics":
+            p.add_argument("--seed", type=int, help="override the schedule seed")
+            p.add_argument("--max-rounds", type=int, dest="max_rounds")
+        if mode == "sweep":
+            p.add_argument("--parameter", required=True, choices=("beta", "alpha", "n", "p"))
+            p.add_argument("--values", required=True, help="comma-separated values")
+    return parser
+
+
+_PARSE_CASES = [
+    # the README examples
+    ["gen", "--kind", "erdos_renyi", "--n", "8", "--p", "0.4", "--graph-seed", "7"],
+    ["poa", "scenario.json", "--beta", "1.5"],
+    ["dynamics", "scenario.json", "--seed", "3", "--max-rounds", "50"],
+    ["sweep", "template.json", "--parameter", "beta", "--values", "0.5,1.5,3.5", "--format", "csv"],
+    ["verify"],
+    # every flag of every mode, options before and after the file, = forms
+    ["gen", "f.json", "--format", "csv", "--kind", "path", "--n", "3", "--p", "1e-3",
+     "--graph-seed", "2", "--require-connected"],
+    ["gen", "--kind=star", "--n=5", "--p=1", "--graph-seed=-4", "f.json"],
+    ["cost", "--alpha", "2", "--beta", "1.5", "f.json", "--format", "csv"],
+    ["nash", "--alpha=0.5", "--beta=2", "f.json"],
+    ["bounds", "f.json", "--format=json", "--alpha", "1", "--beta", "inf"],
+    ["poa", "--n2", "4", "f.json", "--alpha", "1"],
+    ["dynamics", "--seed=5", "--max-rounds=0", "--alpha", "1", "--beta", " 2 "],
+    ["sweep", "t.json", "--parameter", "alpha", "--values", "1,2", "--alpha", "1", "--beta", "2"],
+    ["verify", "--format", "csv"],
+    ["poa", "--beta", "1", "--beta", "2.5", "--format", "csv", "--format", "json"],
+    ["poa", "--beta", "nan", "--alpha", "1_000"],
+    ["poa", "--n2", "0x1"],
+    # unique prefixes abbreviate a flag
+    ["poa", "--n", "3", "--b", "2"],
+    ["gen", "--re", "--gr", "4", "--k", "star"],
+    ["dynamics", "--max", "9", "--se=1", "--fo", "csv"],
+    ["sweep", "t.json", "--par", "n", "--val", "2,3"],
+    # negative numbers are values; "--" ends the options
+    ["poa", "--beta", "-1.5", "--n2", "-3", "--alpha", "-.5"],
+    ["poa", "-1"],
+    ["poa", "--", "--beta"],
+    ["poa", "--beta", "1", "--", "f.json"],
+    ["poa", "f.json", "--"],
+    ["poa", "-x y"],
+    # missing and invalid commands
+    [],
+    ["simulate"],
+    ["--format", "json", "poa"],
+    ["--", "poa"],
+    # invalid choices and values
+    ["gen", "--kind", "moebius", "--n", "3"],
+    ["poa", "--format", "xml"],
+    ["sweep", "t.json", "--parameter", "gamma", "--values", "1"],
+    ["gen", "--n", "3.5"],
+    ["poa", "--beta", "high"],
+    ["dynamics", "--seed", "-.5"],
+    ["poa", "--beta="],
+    # a flag without its value
+    ["poa", "--beta"],
+    ["poa", "--beta", "--alpha", "1"],
+    ["poa", "--beta", "-1e5"],
+    ["poa", "--beta", "--"],
+    # required flags missing
+    ["sweep", "t.json"],
+    ["sweep", "t.json", "--values", "1"],
+    # unrecognized arguments, before or after the mode
+    ["poa", "f.json", "g.json"],
+    ["verify", "f.json"],
+    ["poa", "--bogus", "f.json"],
+    ["cost", "--n2", "3"],
+    ["--format=json", "poa"],
+    ["-x", "poa", "--bogus=1"],
+    ["poa", "f.json", "--beta", "1", "--"],
+    # ambiguous prefixes, and switches given a value
+    ["poa", "--="],
+    ["gen", "--=3", "--n", "x"],
+    ["gen", "--require-connected=yes"],
+    ["poa", "--help=1"],
+    ["poa", "-hx"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """Parsed values, or the exit code, the usage and the error line."""
+    try:
+        values = vars(parse(list(argv)))
+    except SystemExit as exc:
+        *usage, error = capsys.readouterr().err.splitlines()
+        # argparse wraps the usage at the terminal width; cli prints one line
+        return exc.code, " ".join(" ".join(usage).split()), error
+    # repr, so that a NaN matches a NaN and 2 does not match 2.0
+    return repr(sorted(values.items()))
+
+
+def test_parser_cases_cover_every_flag_and_error():
+    assert len(_PARSE_CASES) >= 40
+    used = {arg.partition("=")[0] for argv in _PARSE_CASES for arg in argv}
+    assert set(cli._FLAGS) <= used
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=" ".join)
+def test_parser_matches_the_argparse_reference(capsys, argv):
+    expected = _parse_outcome(_build_parser().parse_args, argv, capsys)
+    assert _parse_outcome(cli._parse_args, argv, capsys) == expected
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he", "poa"], ["-x", "-h"]])
+def test_top_level_help_lists_the_modes(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("usage: foggame [-h] {gen,cost,")
+    assert all(mode in out for mode in MODES)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_mode_help_lists_its_flags(capsys, mode):
+    # -h acts where it stands: after a valid flag, and before sweep's
+    # required flags are found missing
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([mode, "--beta", "1", "-h"] if mode in ("poa", "sweep") else [mode, "--help"])
+    assert excinfo.value.code == cli.EXIT_OK
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage.startswith(f"usage: foggame {mode} [-h]")
+    flags = {flag for flag, spec in cli._FLAGS.items() if mode in spec[0]}
+    assert {word.strip("[]") for word in usage.split() if word.startswith(("--", "[--"))} == flags
+    assert ("[scenario]" in usage) == (mode != "verify")
+
+
+# A flag or a sweep value written into a section that is not an object is
+# refused with the message the run gives without it, not a traceback.
+_NOT_OBJECT_SECTIONS = {
+    "config-list": ("poa", {"graph": {"kind": "path", "n": 2}, "config": [1]}, ["--beta", "1.5"]),
+    "config-string": ("poa", {"graph": {"kind": "path", "n": 2}, "config": "abc"}, ["--alpha", "1"]),
+    "graph-list": ("gen", {"graph": [1]}, ["--kind", "path"]),
+    "graph-null": ("gen", {"graph": None}, ["--require-connected"]),
+    "options-string": (
+        "dynamics",
+        {"graph": {"kind": "path", "n": 2}, "n2": 2, "options": "x"},
+        ["--seed", "2"],
+    ),
+    "config-list-in-a-sweep": (
+        "sweep",
+        {"graph": {"kind": "path", "n": 2}, "config": [1]},
+        ["--parameter", "beta", "--values", "1,2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_OBJECT_SECTIONS))
+def test_main_refuses_flags_into_a_section_that_is_not_an_object(tmp_path, capsys, case):
+    mode, body, flags = _NOT_OBJECT_SECTIONS[case]
+    path = _write(tmp_path, "s.json", body)
+    # a sweep template runs as a poa scenario
+    plain = cli.main(["poa" if mode == "sweep" else mode, path]), *capsys.readouterr()
+    flagged = cli.main([mode, path, *flags]), *capsys.readouterr()
+    section = case.split("-")[0]
+    assert plain == flagged == (cli.EXIT_USAGE, "", f"foggame: {section}: expected an object\n")
+
+
+def test_main_flag_replaces_a_null_config(tmp_path, capsys):
+    path = _write(tmp_path, "poa.json", {"graph": {"kind": "complete", "n": 3}, "config": None})
+    assert cli.main(["poa", path, "--beta", "3.5"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["spec"]["config"] == {"beta": 3.5}
+
+
+def test_main_gen_refuses_an_oversized_generator(tmp_path, capsys):
+    path = _write(tmp_path, "huge.json", {"graph": {"kind": "path", "n": 10**12}})
+    assert cli.main(["gen", path]) == cli.EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "foggame: graph generation guard exceeded: size 999999999999 > limit 1048576\n"
+    )
 
 
 def test_main_verify_failure_exit_code(monkeypatch, capsys):

@@ -12,7 +12,6 @@ from foggame.graph import (
     Graph,
     all_pairs_distances,
     generate,
-    greedy_dominating_set,
     is_connected,
     is_dominating_set,
     min_dominating_set,
@@ -199,16 +198,6 @@ def test_min_dominating_set_guard(monkeypatch):
     assert len(min_dominating_set(generate("star", 26))) == 1
 
 
-def test_greedy_dominating_set_is_dominating_and_never_smaller():
-    assert greedy_dominating_set(generate("star", 6)) == frozenset({0})
-    assert greedy_dominating_set(generate("path", 5)) == frozenset({1, 3})
-    for i in range(30):
-        g = generate("erdos_renyi", 3 + i % 8, p=0.4, seed=5600 + i)
-        greedy = greedy_dominating_set(g)
-        assert is_dominating_set(g, greedy)
-        assert len(greedy) >= len(min_dominating_set(g))
-
-
 # ------------------------------------------------------------------ generators
 
 
@@ -263,6 +252,26 @@ def test_generate_connected_retry_exhaustion(monkeypatch):
     assert generate("erdos_renyi", 4, **sparse) == accepted
     monkeypatch.setattr(graph, "GENERATION_RETRY_BUDGET", 1002)
     assert generate("erdos_renyi", 2, **rare).edges == frozenset({(0, 1)})
+
+
+def test_generate_pair_guard(monkeypatch):
+    # The guard is read at call time and refuses before any edge exists:
+    # lowering it refuses an accepted shape, raising it admits a refused one.
+    for kind, n, pairs in (("path", 10**12, 10**12 - 1), ("complete", 1449, 1_049_076)):
+        with pytest.raises(GuardExceeded) as refused:
+            generate(kind, n)
+        assert str(refused.value) == f"graph generation guard exceeded: size {pairs} > limit 1048576"
+    shapes = (("path", 7), ("star", 7), ("cycle", 6), ("complete", 4))
+    monkeypatch.setattr(graph, "GENERATION_PAIR_GUARD", 5)
+    assert generate("cycle", 5).edge_count == 5
+    for kind, n in shapes:
+        with pytest.raises(GuardExceeded, match="size 6 > limit 5"):
+            generate(kind, n)
+    with pytest.raises(GuardExceeded, match="size 6 > limit 5"):
+        generate("erdos_renyi", 4, p=0.5, seed=1)
+    monkeypatch.setattr(graph, "GENERATION_PAIR_GUARD", 6)
+    assert [generate(kind, n).edge_count for kind, n in shapes] == [6, 6, 6, 6]
+    assert generate("erdos_renyi", 4, p=1.0, seed=1).edge_count == 6
 
 
 def test_generate_rejects_unknown_kind_and_bad_n():

@@ -18,7 +18,16 @@ import foggame
 
 PACKAGE_ROOT = str(Path(foggame.__file__).resolve().parents[1])
 
-NOT_AT_CLI_IMPORT = ("foggame.bounds", "foggame.verify", "dataclasses", "inspect", "csv", "copy")
+NOT_AT_CLI_IMPORT = (
+    "foggame.bounds",
+    "foggame.verify",
+    "dataclasses",
+    "inspect",
+    "csv",
+    "copy",
+    "argparse",
+    "gettext",
+)
 
 
 def _modules_after(statement: str) -> set[str]:
@@ -44,6 +53,25 @@ def test_cli_import_skips_mode_only_modules():
     added = _modules_after("import foggame.cli") - baseline
     assert "foggame.cli" in added and "foggame.scenario" in added
     assert sorted(set(NOT_AT_CLI_IMPORT) & added) == []
+
+
+def test_cli_runs_load_no_argument_parser_library(tmp_path):
+    # The CLI parses its flags from its own table, so neither argparse nor
+    # the gettext it imports loads, before or during a run.
+    poa = tmp_path / "poa.json"
+    poa.write_text(json.dumps({"graph": {"kind": "complete", "n": 3}, "config": {"beta": 0.5}}))
+    dynamics = tmp_path / "dynamics.json"
+    dynamics.write_text(json.dumps({"graph": {"kind": "star", "n": 4}, "n2": 4, "config": {"beta": 1.5}}))
+    runs = "".join(
+        f"    assert foggame.cli.main({argv!r}) == 0\n"
+        for argv in (["poa", str(poa), "--beta", "1.5"], ["dynamics", str(dynamics), "--seed", "2"])
+    )
+    loaded = _modules_after(
+        "import contextlib, io\nimport foggame.cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n{runs}"
+    )
+    assert "foggame.equilibrium" in loaded
+    assert sorted({"argparse", "gettext"} & loaded) == []
 
 
 def test_package_import_loads_no_submodule():
