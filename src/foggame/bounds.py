@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .equilibrium import empirical_poa, joint_enumeration_fits
-from .graph import INF, Graph, min_dominating_set
+from .equilibrium import empirical_poa
+from .errors import GuardExceeded
+from .graph import Graph, min_dominating_set
 from .model import (
     GameConfig,
     GameState,
@@ -224,8 +225,9 @@ def check_bounds_on_instance(state: GameState, cfg: GameConfig) -> list[BoundChe
     """Evaluate every applicable bound against one concrete state.
 
     Always checks the level-2 social lower bound for the configured cost
-    type; in profile mode also the level-1 bound; for TYPE_II within the
-    joint enumeration guard also the price-of-anarchy statement.  An
+    type; in profile mode also the level-1 bound; for TYPE_II with
+    beta > 0, in a regime the paper covers, also the price-of-anarchy
+    statement, skipped when the joint enumeration guard refuses.  An
     infinite measured cost satisfies any lower bound.  Requires matching
     player counts, since the formulas assume a single n.
     """
@@ -286,10 +288,13 @@ def check_bounds_on_instance(state: GameState, cfg: GameConfig) -> list[BoundChe
             )
         )
 
-    if cfg.job_cost_type is JobCostType.TYPE_II and joint_enumeration_fits(state.n1, state.n2):
+    if cfg.job_cost_type is JobCostType.TYPE_II and cfg.beta > 0:
         verdict = type2_poa_bound(cfg.beta)
         if verdict.kind != "uncovered":
-            report = empirical_poa(state.g1, state.n2, cfg)
+            try:
+                report = empirical_poa(state.g1, state.n2, cfg)
+            except GuardExceeded:
+                return checks
             relation = "==" if verdict.kind == "exact" else "<="
             checks.append(
                 make_check(
@@ -338,8 +343,3 @@ def type2_mid_beta_report(g1: Graph, n2: int, cfg: GameConfig) -> MidBetaCostRep
         measured_optimum=report.optimum_cost,
         measured_worst_ne=report.worst_ne_cost,
     )
-
-
-def bound_satisfied_by(actual: float, bound: float) -> bool:
-    """Convenience: does a measured cost satisfy a lower bound, INF included."""
-    return actual == INF or actual >= bound - INEQUALITY_SLACK

@@ -18,7 +18,7 @@ from typing import Any
 
 from .errors import FogGameError, GuardExceeded, ScenarioError
 from .graph import GENERATOR_KINDS
-from .scenario import MODES, run_record, sweep_record, writable_section
+from .scenario import MODES, _SWEEP_PARAMETERS, run_record, sweep_record, writable_section
 from .serialize import emit_csv, emit_json
 
 # Import-time objects live until exit; frozen, the GC and teardown skip them.
@@ -46,7 +46,7 @@ _FLAGS = {
     "--n2": (("poa",), int, None, False, "n2"),
     "--seed": (("dynamics",), int, None, False, "options.seed"),
     "--max-rounds": (("dynamics",), int, None, False, "options.max_rounds"),
-    "--parameter": (("sweep",), str, ("beta", "alpha", "n", "p"), True, None),
+    "--parameter": (("sweep",), str, _SWEEP_PARAMETERS, True, None),
     "--values": (("sweep",), str, None, True, None),
 }
 _HELP = ("-h", "--help")

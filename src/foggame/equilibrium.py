@@ -55,7 +55,7 @@ from .model import (
 # Enumeration limits, read at call time: setting one on this module (for
 # instance with setattr) moves it for every later call.
 EXACT_ENUMERATION_GUARD = 20  # fog vertices of an exact best response
-JOINT_ENUMERATION_GUARD = 2**16  # predicted steps of one level-2 scan (see _joint_work)
+JOINT_ENUMERATION_GUARD = 15  # n1 * n2 of a level-2 scan, 2^(n1*n2) profiles
 SCHEDULES = ("round_robin", "random_permutation")
 
 
@@ -328,42 +328,18 @@ def best_response_dynamics(
     )
 
 
-def _joint_work(n1: int, n2: int) -> int:
-    """Predicted steps of one level-2 scan (see _level2_scan).
-
-    2^(n1*n2) profile visits plus C(2^n1 + n2 - 2, n2 - 1) cost tables of
-    2^n1 job costs each; a scan without jobs visits one empty profile.  The
-    table term is an upper bound: the scan fills one table per set of far
-    pairs the other jobs lend, never more than one per multiset of their
-    strategies.
-    """
-    if n2 == 0:
-        return 1
-    return 2 ** (n1 * n2) + math.comb(2**n1 + n2 - 2, n2 - 1) * 2**n1
-
-
 def _check_joint_size(n1: int, n2: int) -> None:
-    """Refuse a level-2 scan whose predicted work exceeds JOINT_ENUMERATION_GUARD."""
+    """Refuse a level-2 scan whose n1 * n2 exceeds JOINT_ENUMERATION_GUARD.
+
+    The scan visits 2^(n1*n2) profiles and fills at most
+    C(2^n1 + n2 - 2, n2 - 1) tables of 2^n1 job costs, which is no more
+    than 2^(n1*n2) job costs, so n1 * n2 bounds both.
+    """
     if n2 < 0:
         raise ValueError(f"n2 must be non-negative, got {n2}")
     guard = JOINT_ENUMERATION_GUARD
-    bits = guard.bit_length()
-    if n1 * n2 > bits:
-        # The profile visits alone pass the budget; the exact count would
-        # take n1*n2 binary digits, so report the power of two it clears.
-        raise GuardExceeded("joint profile enumeration", guard, 2**bits, at_least=True)
-    work = _joint_work(n1, n2)
-    if work > guard:
-        raise GuardExceeded("joint profile enumeration", guard, work)
-
-
-def joint_enumeration_fits(n1: int, n2: int) -> bool:
-    """Whether the joint level-2 analyses accept n1 fog vertices and n2 jobs."""
-    try:
-        _check_joint_size(n1, n2)
-    except GuardExceeded:
-        return False
-    return True
+    if n1 * n2 > guard:
+        raise GuardExceeded("joint profile enumeration", guard, n1 * n2)
 
 
 def _joint_candidates(n1: int, n2: int) -> list[VertexSet]:
@@ -454,8 +430,8 @@ def social_optimum_level2(g1: Graph, n2: int, cfg: GameConfig) -> tuple[float, L
     _level2_scan), 2^n1 job-cost evaluations per set of far pairs the
     other jobs lend (2^n1 in all under FOG_ONLY), at most
     C(2^n1 + n2 - 2, n2 - 1) * 2^n1; the first profile with the strictly
-    smallest cost wins.  Refuses when the predicted work (profile visits
-    plus that bound on job costs) exceeds JOINT_ENUMERATION_GUARD.
+    smallest cost wins.  Refuses when n1 * n2 exceeds
+    JOINT_ENUMERATION_GUARD.
     """
     _check_joint_size(g1.n, n2)
     cands = _joint_candidates(g1.n, n2)
@@ -479,8 +455,7 @@ def enumerate_nash_level2(
     matches is_nash under Scope.LEVEL2 exactly, at 2^n1 job-cost
     evaluations per set of far pairs the other jobs lend, no more than
     C(2^n1 + n2 - 2, n2 - 1) * 2^n1 for the whole enumeration.  Refuses
-    when that bound plus the 2^(n1*n2) profile visits exceeds
-    JOINT_ENUMERATION_GUARD.
+    when n1 * n2 exceeds JOINT_ENUMERATION_GUARD.
     """
     _check_joint_size(g1.n, n2)
     cands = _joint_candidates(g1.n, n2)
@@ -510,8 +485,8 @@ def empirical_poa(g1: Graph, n2: int, cfg: GameConfig) -> PoAReport:
     among equilibria) and the equilibrium count, with the same results as
     social_optimum_level2 and enumerate_nash_level2, for the job-cost
     evaluations of a single scan.
-    Only the two reported profiles are built.  Refuses when that plus the
-    2^(n1*n2) profile visits exceeds JOINT_ENUMERATION_GUARD.
+    Only the two reported profiles are built.  Refuses when n1 * n2
+    exceeds JOINT_ENUMERATION_GUARD.
 
     Raises NoEquilibriumError when no pure equilibrium exists and
     ValueError when the optimum social cost is not positive, which can

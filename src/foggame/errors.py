@@ -15,12 +15,11 @@ class FogGameError(Exception):
 class GuardExceeded(FogGameError):
     """An enumeration guard refused to run on an instance this large."""
 
-    def __init__(self, guard: str, limit: int, actual: int, at_least: bool = False):
+    def __init__(self, guard: str, limit: int, actual: int):
         self.guard = guard
         self.limit = limit
         self.actual = actual
-        size = f"at least {actual}" if at_least else str(actual)
-        super().__init__(f"{guard} guard exceeded: size {size} > limit {limit}")
+        super().__init__(f"{guard} guard exceeded: size {actual} > limit {limit}")
 
 
 class GenerationError(FogGameError):

@@ -25,7 +25,7 @@ VertexSet = frozenset[int]
 # instance with setattr) moves it for every later call.
 DOMSET_ENUMERATION_GUARD = 24  # vertices of an exact minimum dominating set
 GENERATION_RETRY_BUDGET = 1000  # draws of a connected erdos_renyi graph
-GENERATION_PAIR_GUARD = 2**20  # vertex pairs one generator draw visits
+GENERATION_PAIR_GUARD = 2**20  # vertex pairs one generator call visits, all draws
 
 GENERATOR_KINDS = ("path", "cycle", "star", "complete", "erdos_renyi")
 
@@ -225,10 +225,11 @@ def generate(
 
     Kinds: path, cycle, star (center 0), complete, erdos_renyi.  The
     Erdos-Renyi kind needs p and seed; with require_connected it redraws
-    up to GENERATION_RETRY_BUDGET times and then raises GenerationError.
-    Refuses a draw that would visit more than GENERATION_PAIR_GUARD vertex
-    pairs (n - 1 for path and star, n for cycle, C(n, 2) otherwise) before
-    building any edge.
+    up to GENERATION_RETRY_BUDGET times, and no more than
+    GENERATION_PAIR_GUARD vertex pairs over all its draws, then raises
+    GenerationError.  Refuses a draw that would visit more than
+    GENERATION_PAIR_GUARD vertex pairs (n - 1 for path and star, n for
+    cycle, C(n, 2) otherwise) before building any edge.
     """
     check_generator(kind, n, p, seed)
     pairs = {"path": n - 1, "star": n - 1, "cycle": n}.get(kind, n * (n - 1) // 2)
@@ -246,7 +247,7 @@ def generate(
         edges = list(itertools.combinations(range(n), 2))
     else:  # erdos_renyi
         rng = random.Random(seed)
-        budget = GENERATION_RETRY_BUDGET
+        budget = min(GENERATION_RETRY_BUDGET, GENERATION_PAIR_GUARD // max(pairs, 1))
         for _ in range(budget):
             drawn = [(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < p]
             g = Graph(n, frozenset(drawn))

@@ -13,7 +13,8 @@ payload is deterministic for fixed seeds.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable
+from enum import Enum
+from typing import Any, Callable, TypeVar
 
 from . import __version__
 from .equilibrium import (
@@ -97,6 +98,17 @@ def _number(value: Any, where: str) -> float:
     return float(value)
 
 
+_E = TypeVar("_E", bound=Enum)
+
+
+def _member(kind: type[_E], value: Any, where: str) -> _E:
+    try:
+        return kind(value)
+    except ValueError:
+        choices = [member.value for member in kind]
+        raise ScenarioError(f"{where} must be one of {choices}, got {value!r}") from None
+
+
 def _boolean(value: Any, where: str) -> bool:
     if not isinstance(value, bool):
         raise ScenarioError(f"{where}: expected true or false, got {value!r}")
@@ -174,21 +186,11 @@ def _parse_config(section: Any) -> GameConfig:
         if name in section
     }
     if "job_cost_type" in section:
-        try:
-            kwargs["job_cost_type"] = JobCostType(section["job_cost_type"])
-        except ValueError:
-            raise ScenarioError(
-                f"config: job_cost_type must be one of "
-                f"{[t.value for t in JobCostType]}, got {section['job_cost_type']!r}"
-            ) from None
+        kwargs["job_cost_type"] = _member(
+            JobCostType, section["job_cost_type"], "config: job_cost_type"
+        )
     if "transit" in section:
-        try:
-            kwargs["transit_policy"] = TransitPolicy(section["transit"])
-        except ValueError:
-            raise ScenarioError(
-                f"config: transit must be one of "
-                f"{[t.value for t in TransitPolicy]}, got {section['transit']!r}"
-            ) from None
+        kwargs["transit_policy"] = _member(TransitPolicy, section["transit"], "config: transit")
     return GameConfig(**kwargs)
 
 
@@ -201,15 +203,6 @@ def _parse_strategies(raw: Any, where: str) -> tuple[frozenset[int], ...]:
             raise ScenarioError(f"{where}: each strategy must be a list of vertices")
         out.append(frozenset(_integer(v, where) for v in entry))
     return tuple(out)
-
-
-def _parse_scope(raw: Any) -> Scope:
-    try:
-        return Scope(raw)
-    except ValueError:
-        raise ScenarioError(
-            f"options: scope must be one of {[s.value for s in Scope]}, got {raw!r}"
-        ) from None
 
 
 def _state_builder(
@@ -312,7 +305,7 @@ def run_spec(data: Any) -> dict:
         return to_jsonable(cost_report(build_state(), cfg))
 
     if mode == "nash":
-        scope = _parse_scope(options.get("scope", Scope.LEVEL2.value))
+        scope = _member(Scope, options.get("scope", Scope.LEVEL2.value), "options: scope")
         _check_exact_first(shape, scope)
         stable, witness = is_nash(build_state(), cfg, scope)
         return {"is_nash": stable, "witness": to_jsonable(witness)}
@@ -327,7 +320,7 @@ def run_spec(data: Any) -> dict:
         }
 
     # dynamics
-    scope = _parse_scope(options.get("scope", Scope.LEVEL2.value))
+    scope = _member(Scope, options.get("scope", Scope.LEVEL2.value), "options: scope")
     seed = _integer(options.get("seed", 0), "options.seed")
     max_rounds = _integer(options.get("max_rounds", 100), "options.max_rounds", minimum=0)
     schedule = options.get("schedule", "round_robin")

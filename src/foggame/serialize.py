@@ -76,46 +76,24 @@ def _csv_text(header: list[str], rows: list[list[Any]]) -> str:
     return buffer.getvalue()
 
 
-def _cell(value: Any) -> Any:
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
 def cost_report_csv(payload: dict) -> str:
-    rows: list[list[Any]] = []
-    for i, cost in enumerate(payload["level1_costs"]):
-        rows.append([i, 1, _cell(cost)])
-    for j, cost in enumerate(payload["level2_costs"]):
-        rows.append([j, 2, _cell(cost)])
+    rows = [[i, 1, cost] for i, cost in enumerate(payload["level1_costs"])]
+    rows += [[j, 2, cost] for j, cost in enumerate(payload["level2_costs"])]
     return _csv_text(["player", "level", "cost"], rows)
 
 
 def bound_checks_csv(payload: dict) -> str:
-    rows = [
-        [c["name"], _cell(c["lhs"]), _cell(c["rhs"]), c["relation"], c["holds"], c["context"]]
-        for c in payload["checks"]
-    ]
-    return _csv_text(["name", "lhs", "rhs", "relation", "holds", "context"], rows)
+    header = ["name", "lhs", "rhs", "relation", "holds", "context"]
+    return _csv_text(header, [[check[key] for key in header] for check in payload["checks"]])
 
 
 def poa_sweep_csv(payload: dict) -> str:
-    rows = []
-    for value, record in zip(payload["values"], payload["records"]):
-        inner = record["payload"]
-        rows.append(
-            [
-                payload["parameter"],
-                value,
-                _cell(inner["poa"]),
-                _cell(inner["optimum_cost"]),
-                _cell(inner["worst_ne_cost"]),
-                inner["ne_count"],
-            ]
-        )
-    return _csv_text(
-        ["parameter", "value", "poa", "optimum_cost", "worst_ne_cost", "ne_count"], rows
-    )
+    keys = ["poa", "optimum_cost", "worst_ne_cost", "ne_count"]
+    rows = [
+        [payload["parameter"], value, *(record["payload"][key] for key in keys)]
+        for value, record in zip(payload["values"], payload["records"])
+    ]
+    return _csv_text(["parameter", "value", *keys], rows)
 
 
 def emit_csv(mode: str, payload: dict) -> str:

@@ -4,10 +4,10 @@ import math
 
 import pytest
 
+from foggame import equilibrium
 from foggame.bounds import (
     BoundCheck,
     EQUALITY_TOLERANCE,
-    bound_satisfied_by,
     check_bounds_on_instance,
     level1_lower_bound,
     make_check,
@@ -260,12 +260,6 @@ def test_make_check_relations():
         make_check("a", 1.0, 2.0, "<")
 
 
-def test_bound_satisfied_by():
-    assert bound_satisfied_by(INF, 100.0)
-    assert bound_satisfied_by(5.0, 5.0)
-    assert not bound_satisfied_by(4.9, 5.0)
-
-
 # -------------------------------------------------------- instance-level runs
 
 
@@ -304,6 +298,18 @@ def test_check_bounds_profile_mode_adds_level1():
     assert poa.relation == "<="
     assert poa.rhs == 2.5
     assert all(c.holds for c in checks)
+
+
+def test_check_bounds_skips_the_poa_check_past_the_joint_guard(monkeypatch):
+    # Complete 4x4 takes 2^16 profiles, one past n1 * n2 <= 15: the other
+    # checks still run.  With the guard lifted the PoA check runs too.
+    st = GameState(generate("complete", 4), Level2Profile(4, (frozenset(range(4)),) * 4))
+    cfg = GameConfig(beta=0.5)
+    names = [c.name for c in check_bounds_on_instance(st, cfg)]
+    assert names == ["type2-social-lower-bound"]
+    monkeypatch.setattr(equilibrium, "JOINT_ENUMERATION_GUARD", 16)
+    names = [c.name for c in check_bounds_on_instance(st, cfg)]
+    assert names == ["type2-social-lower-bound", "type2-poa-regime"]
 
 
 def test_check_bounds_rejects_unequal_populations():

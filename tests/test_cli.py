@@ -161,10 +161,23 @@ def test_run_spec_checks_n2_consistency():
 
 
 def test_run_spec_config_enum_errors():
-    with pytest.raises(ScenarioError, match="job_cost_type"):
-        run_spec({"mode": "poa", "graph": {"kind": "path", "n": 2}, "config": {"job_cost_type": "type3"}})
-    with pytest.raises(ScenarioError, match="transit"):
-        run_spec({"mode": "poa", "graph": {"kind": "path", "n": 2}, "config": {"transit": "teleport"}})
+    path2 = {"kind": "path", "n": 2}
+    with pytest.raises(ScenarioError) as refused:
+        run_spec({"mode": "poa", "graph": path2, "config": {"job_cost_type": "type3"}})
+    assert str(refused.value) == (
+        "config: job_cost_type must be one of ['type1', 'type2'], got 'type3'"
+    )
+    with pytest.raises(ScenarioError) as refused:
+        run_spec({"mode": "poa", "graph": path2, "config": {"transit": "teleport"}})
+    assert str(refused.value) == (
+        "config: transit must be one of ['fog_only', 'full_combined'], got 'teleport'"
+    )
+    for mode, scope in (("nash", "all"), ("dynamics", ["x"])):
+        with pytest.raises(ScenarioError) as refused:
+            run_spec({"mode": mode, "graph": path2, "n2": 2, "options": {"scope": scope}})
+        assert str(refused.value) == (
+            f"options: scope must be one of ['level1', 'level2', 'both'], got {scope!r}"
+        )
 
 
 def test_run_record_wraps_payload():
@@ -349,14 +362,26 @@ def test_main_guard_exit_code(tmp_path, capsys):
 
 
 def test_main_guard_bounds_predicted_work(tmp_path, capsys):
-    # 2^14 profiles plus 84 tables of 4 job costs fit the 2^16-step
-    # budget; 2^16 profiles plus 816 tables of 16 do not.
+    # Path 2 with 7 jobs takes 2^14 profiles, within n1 * n2 <= 15; path 4
+    # with 4 jobs takes 2^16.
     small = _write(tmp_path, "p2.json", {"mode": "poa", "graph": {"kind": "path", "n": 2}})
     assert cli.main(["poa", small, "--n2", "7"]) == cli.EXIT_OK
     capsys.readouterr()
     large = _write(tmp_path, "p4.json", {"mode": "poa", "graph": {"kind": "path", "n": 4}})
     assert cli.main(["poa", large, "--n2", "4"]) == cli.EXIT_GUARD
-    assert "size 78592 > limit 65536" in capsys.readouterr().err
+    assert "size 16 > limit 15" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_main_bounds_at_zero_beta_skips_the_poa_check(tmp_path, capsys, n):
+    # The paper states no TYPE_II price of anarchy for beta = 0, so the
+    # check is skipped whether or not the joint guard admits the shape.
+    scenario_file = {"graph": {"kind": "path", "n": n}, "n2": n, "config": {"beta": 0}}
+    path = _write(tmp_path, "beta0.json", scenario_file)
+    assert cli.main(["bounds", path]) == cli.EXIT_OK
+    payload = parse_record(capsys.readouterr().out)["payload"]
+    assert [c["name"] for c in payload["checks"]] == ["type2-social-lower-bound"]
+    assert payload["all_hold"] is True
 
 
 def test_main_guard_refuses_before_generating_the_graph(tmp_path, monkeypatch, capsys):
@@ -371,7 +396,7 @@ def test_main_guard_refuses_before_generating_the_graph(tmp_path, monkeypatch, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "foggame: joint profile enumeration guard exceeded: size at least 131072 > limit 65536\n"
+        "foggame: joint profile enumeration guard exceeded: size 1000000 > limit 15\n"
     )
     # An invalid generator section is still reported as such, guard or not.
     bogus = _write(tmp_path, "bogus.json", {"mode": "poa", "graph": {"kind": "bogus", "n": 1000}})

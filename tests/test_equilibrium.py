@@ -391,28 +391,26 @@ def test_empirical_poa_rejects_non_positive_optimum():
 def test_empirical_poa_guard(monkeypatch):
     with pytest.raises(GuardExceeded):
         empirical_poa(generate("complete", 5), 5, GameConfig())
-    # The guard is read at call time.  Path 3x2 takes 2^6 profiles + 8
-    # tables of 8 job costs = 128 steps; complete 4x4 takes 2^16 profiles
-    # + 816 tables of 16 = 78,592.
+    # The guard is read at call time and bounds n1 * n2: path 3x2 takes
+    # 2^6 profiles, complete 4x4 takes 2^16.
     path3, k4 = generate("path", 3), generate("complete", 4)
     cfg = GameConfig(beta=1.5)
     accepted = empirical_poa(path3, 2, cfg)
     with pytest.raises(GuardExceeded) as refused:
         empirical_poa(k4, 4, cfg)
     assert str(refused.value) == (
-        "joint profile enumeration guard exceeded: size 78592 > limit 65536"
+        "joint profile enumeration guard exceeded: size 16 > limit 15"
     )
-    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 127)
-    assert not eq.joint_enumeration_fits(3, 2)
+    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 5)
     for analysis in (social_optimum_level2, enumerate_nash_level2, empirical_poa):
         with pytest.raises(GuardExceeded) as refused:
             analysis(path3, 2, cfg)
         assert str(refused.value) == (
-            "joint profile enumeration guard exceeded: size 128 > limit 127"
+            "joint profile enumeration guard exceeded: size 6 > limit 5"
         )
-    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 128)
+    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 6)
     assert empirical_poa(path3, 2, cfg) == accepted
-    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 78592)
+    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 16)
     assert empirical_poa(k4, 4, cfg).poa == 1.0
 
 

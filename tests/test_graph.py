@@ -274,6 +274,20 @@ def test_generate_pair_guard(monkeypatch):
     assert generate("erdos_renyi", 4, p=1.0, seed=1).edge_count == 6
 
 
+def test_generate_pair_guard_covers_every_redraw(monkeypatch):
+    # The default guard leaves all 1000 draws up to 46 vertices (1,035
+    # pairs a draw) and 970 at 47 (1,081 pairs).  The guard is read at
+    # call time: at 30 pairs a 5-vertex graph gets three draws of 10.
+    disconnected = dict(p=0.0, seed=1, require_connected=True)
+    for n, draws in ((46, 1000), (47, 970)):
+        with pytest.raises(GenerationError, match=f"no connected graph in {draws} draws"):
+            generate("erdos_renyi", n, **disconnected)
+    monkeypatch.setattr(graph, "GENERATION_PAIR_GUARD", 30)
+    with pytest.raises(GenerationError) as refused:
+        generate("erdos_renyi", 5, **disconnected)
+    assert str(refused.value) == "no connected graph in 3 draws (n=5, p=0.0, seed=1)"
+
+
 def test_generate_rejects_unknown_kind_and_bad_n():
     with pytest.raises(ValueError, match="unknown generator kind"):
         generate("wheel", 4)

@@ -59,20 +59,12 @@ def _reference_profiles(n1, n2):
 
 
 def _reference_guard(n1, n2):
-    # Predicted work: 2^(n1*n2) profile visits plus C(2^n1 + n2 - 2, n2 - 1)
-    # cost tables of 2^n1 entries.  Past the budget's bit length the profile
-    # visits alone exceed it, and the refusal names that power of two.
+    # The scan visits 2^(n1*n2) profiles; the guard bounds n1 * n2.
     if n2 < 0:
         raise ValueError(f"n2 must be non-negative, got {n2}")
     joint_guard = equilibrium.JOINT_ENUMERATION_GUARD
-    bits = joint_guard.bit_length()
-    if n1 * n2 > bits:
-        raise GuardExceeded("joint profile enumeration", joint_guard, 2**bits, at_least=True)
-    work = 2 ** (n1 * n2)
-    if n2:
-        work += math.comb(2**n1 + n2 - 2, n2 - 1) * 2**n1
-    if work > joint_guard:
-        raise GuardExceeded("joint profile enumeration", joint_guard, work)
+    if n1 * n2 > joint_guard:
+        raise GuardExceeded("joint profile enumeration", joint_guard, n1 * n2)
 
 
 def _reference_best_cost(j, state, cfg):
@@ -271,18 +263,38 @@ def test_scan_matches_reference_on_infinite_optimum():
 
 
 def test_scan_matches_reference_on_guard():
-    # 2^20 profiles alone pass the budget of 2^16 steps.
+    # 2^20 profiles.
     _assert_same(generate("complete", 5), 4, GameConfig())
-    # 2^16 profiles + 816 tables of 16 = 78,592 steps.
+    # 2^16 profiles, one past the guard's n1 * n2 <= 15.
     _assert_same(generate("path", 4), 4, GameConfig())
-    # 2^16 profiles + 1 table of 2^16 = 131,072 steps.
     _assert_same(generate("path", 16), 1, GameConfig())
     # Without jobs one empty profile is the whole scan, at any n1.
     _assert_same(generate("path", 30), 0, GameConfig())
-    with pytest.raises(GuardExceeded, match=r"size at least 131072 > limit 65536"):
+    with pytest.raises(GuardExceeded, match=r"size 20 > limit 15"):
         empirical_poa(generate("complete", 5), 4, GameConfig())
-    with pytest.raises(GuardExceeded, match=r"size 78592 > limit 65536"):
+    with pytest.raises(GuardExceeded, match=r"size 16 > limit 15"):
         empirical_poa(generate("path", 4), 4, GameConfig())
+
+
+def _predicted_work(n1, n2):
+    # The guard's former unit: 2^(n1*n2) profile visits plus
+    # C(2^n1 + n2 - 2, n2 - 1) cost tables of 2^n1 job costs.
+    if n2 == 0:
+        return 1
+    return 2 ** (n1 * n2) + math.comb(2**n1 + n2 - 2, n2 - 1) * 2**n1
+
+
+def _formula_accepts(n1, n2, budget):
+    # Past the budget's bit length the profile visits alone exceed it.
+    return n1 * n2 <= budget.bit_length() and _predicted_work(n1, n2) <= budget
+
+
+def _guard_accepts(n1, n2):
+    try:
+        equilibrium._check_joint_size(n1, n2)
+    except GuardExceeded:
+        return False
+    return True
 
 
 @pytest.mark.parametrize(
@@ -290,10 +302,26 @@ def test_scan_matches_reference_on_guard():
     [(6, 2, 8192), (2, 7, 16720), (13, 1, 16384), (15, 1, 65536)],
 )
 def test_joint_guard_admits_predicted_work_within_budget(n1, n2, work):
-    # 6x2 is the largest shape the former n1*n2 <= 12 guard accepted.
-    assert equilibrium._joint_work(n1, n2) == work
+    # Shapes whose predicted work fit the former 2^16-step budget still
+    # run; 6x2 is the largest shape the guard of n1*n2 <= 12 before that
+    # accepted.
+    assert _predicted_work(n1, n2) == work
     report = empirical_poa(generate("path", n1), n2, GameConfig(beta=1.5))
     assert report.ne_count >= 1
+
+
+def test_joint_guard_accepts_what_the_predicted_work_formula_accepted():
+    # The table term never exceeds the profile count, so a budget of 2^b
+    # steps admitted exactly n1 * n2 <= b - 1, and 2^16 is n1 * n2 <= 15.
+    shapes = [(n1, n2) for n1 in range(70) for n2 in range(70)]
+    for n1, n2 in shapes:
+        assert _guard_accepts(n1, n2) == _formula_accepts(n1, n2, 2**16), (n1, n2)
+    for b in (10, 12, 16, 20, 24):
+        for n1, n2 in shapes:
+            assert _formula_accepts(n1, n2, 2**b) == (n1 * n2 <= b - 1), (b, n1, n2)
+    refused = [shape for shape in shapes if shape[0] * shape[1] == 16]
+    assert refused == [(1, 16), (2, 8), (4, 4), (8, 2), (16, 1)]
+    assert not any(_guard_accepts(n1, n2) for n1, n2 in refused)
 
 
 # Rock-paper-scissors over the first three strategies of a one-fog,
