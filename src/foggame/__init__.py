@@ -30,9 +30,16 @@ _SUBMODULE_NAMES = {
         "type2_mid_beta_report",
         "type2_poa_bound",
     ),
+    "domination": (
+        "DominationDiagnostic",
+        "construct_complete_bipartite",
+        "construct_mds_profile",
+        "domination_diagnostic",
+        "is_dominating_set",
+        "min_dominating_set",
+    ),
     "equilibrium": (
         "DeviationWitness",
-        "DominationDiagnostic",
         "DynamicsOutcome",
         "DynamicsTrace",
         "Move",
@@ -42,9 +49,6 @@ _SUBMODULE_NAMES = {
         "best_response_fog_exact",
         "best_response_job_exact",
         "best_response_job_greedy",
-        "construct_complete_bipartite",
-        "construct_mds_profile",
-        "domination_diagnostic",
         "empirical_poa",
         "enumerate_nash_level2",
         "is_nash",
@@ -59,15 +63,13 @@ _SUBMODULE_NAMES = {
         "PolicyError",
         "ScenarioError",
     ),
+    "generators": ("generate",),
     "graph": (
         "INF",
         "Graph",
         "VertexSet",
         "all_pairs_distances",
-        "generate",
         "is_connected",
-        "is_dominating_set",
-        "min_dominating_set",
         "new_graph",
         "single_source_distances",
     ),

@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
+from .domination import min_dominating_set
 from .equilibrium import empirical_poa
 from .errors import GuardExceeded
-from .graph import Graph, min_dominating_set
+from .graph import Graph
 from .model import (
     GameConfig,
     GameState,

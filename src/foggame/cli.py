@@ -18,8 +18,8 @@ from typing import Any
 
 from .errors import FogGameError, GuardExceeded, ScenarioError
 from .graph import GENERATOR_KINDS
-from .scenario import MODES, _SWEEP_PARAMETERS, run_record, sweep_record, writable_section
-from .serialize import emit_csv, emit_json
+from .scenario import MODES, _SWEEP_PARAMETERS, run_record, writable_section
+from .serialize import emit_json
 
 # Import-time objects live until exit; frozen, the GC and teardown skip them.
 gc.freeze()
@@ -218,6 +218,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             if args.scenario is None:
                 raise ScenarioError("sweep: needs a template scenario file")
+            from .sweep import sweep_record  # loaded for its command only
+
             template = _read_json(args.scenario)
             _apply_overrides(template, args)
             record = sweep_record(template, args.parameter, _parse_values(args.values))
@@ -227,6 +229,8 @@ def main(argv: list[str] | None = None) -> int:
             record = run_record(data)
         payload = record["payload"]
         if args.format == "csv":
+            from .tabular import emit_csv  # loaded for its format only
+
             sys.stdout.write(emit_csv(args.command, payload))
         else:
             sys.stdout.write(emit_json(record))

@@ -15,14 +15,15 @@ incumbent, at most 2^n1 ORs, and its costs equal job_player_cost and
 edge_fog_player_cost exactly.
 
 The joint level-2 analyses (social optimum, equilibrium enumeration, price
-of anarchy) share one pass over all 2^(n1*n2) job profiles.  Another job
-can shorten a job's distances only by the two-hop fog -> job -> fog paths
-between its members that are at least 3 hops apart in the fog graph, so
-the pass evaluates job costs once per set of such far pairs lent by the
-other jobs (one set in all under FOG_ONLY transit, with a single job, or
-on a fog graph of diameter <= 2), and reads every profile's social cost
-and equilibrium status from those cost tables, so a profile never
-re-solves a best response (see _level2_scan).
+of anarchy) walk lend classes instead of the 2^(n1*n2) job profiles.
+Another job can shorten a job's distances only by the two-hop fog -> job ->
+fog paths between its members that are at least 3 hops apart in the fog
+graph, so candidates lending the same such far pairs form one class, and a
+job's costs depend only on its own candidate and the other jobs' classes.
+One cost table per set of lent pairs (one in all under FOG_ONLY transit,
+with a single job, or on a fog graph of diameter <= 2) prices every class,
+and each vector of classes, one per job, is read in O(n2) from those
+tables (see _class_walk).
 """
 
 from __future__ import annotations
@@ -34,14 +35,7 @@ from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import GuardExceeded, NoEquilibriumError, PolicyError
-from .graph import (
-    Graph,
-    VertexSet,
-    all_pairs_distances,
-    is_connected,
-    is_dominating_set,
-    min_dominating_set,
-)
+from .graph import Graph, VertexSet, all_pairs_distances
 from .model import (
     DeviationRows,
     GameConfig,
@@ -55,7 +49,7 @@ from .model import (
 # Enumeration limits, read at call time: setting one on this module (for
 # instance with setattr) moves it for every later call.
 EXACT_ENUMERATION_GUARD = 20  # fog vertices of an exact best response
-JOINT_ENUMERATION_GUARD = 15  # n1 * n2 of a level-2 scan, 2^(n1*n2) profiles
+JOINT_ENUMERATION_GUARD = 15  # n1 * n2 of the joint level-2 analyses
 SCHEDULES = ("round_robin", "random_permutation")
 
 
@@ -329,11 +323,14 @@ def best_response_dynamics(
 
 
 def _check_joint_size(n1: int, n2: int) -> None:
-    """Refuse a level-2 scan whose n1 * n2 exceeds JOINT_ENUMERATION_GUARD.
+    """Refuse a joint level-2 analysis whose n1 * n2 exceeds JOINT_ENUMERATION_GUARD.
 
-    The scan visits 2^(n1*n2) profiles and fills at most
-    C(2^n1 + n2 - 2, n2 - 1) tables of 2^n1 job costs, which is no more
-    than 2^(n1*n2) job costs, so n1 * n2 bounds both.
+    The analyses walk at most 2^(n1*n2) class vectors (one per profile
+    when every candidate is its own class) and fill at most
+    C(2^n1 + n2 - 2, n2 - 1) tables of 2^n1 job costs, one per multiset of
+    the other jobs' candidates, which is no more than 2^(n1*n2) job costs,
+    so n1 * n2 bounds both; enumerate_nash_level2 also lists up to
+    2^(n1*n2) equilibria.
     """
     if n2 < 0:
         raise ValueError(f"n2 must be non-negative, got {n2}")
@@ -378,70 +375,106 @@ def _lent_shortcuts(g1: Graph, cands: list[VertexSet], n2: int, cfg: GameConfig)
     ]
 
 
-def _level2_scan(
-    g1: Graph, cands: list[VertexSet], n2: int, cfg: GameConfig
-) -> Iterator[tuple[tuple[int, ...], float, bool]]:
-    """Every level-2 profile once, as (candidate indices, social cost, is NE).
+def _class_walk(g1: Graph, cands: list[VertexSet], n2: int, cfg: GameConfig) -> Iterator[list]:
+    """Every vector of lend classes once, one entry per job.
 
-    Profiles come in itertools.product order over indices into cands.  A
-    job's cost depends only on its own strategy and on the far pairs the
-    other jobs lend (see _lent_shortcuts), so the OR of their bits keys
-    its cost table; FOG_ONLY scans, single-job scans and fog graphs of
-    diameter <= 2 have the one key 0.  Two ORs over a profile give the
-    bits lent `once` and `twice` or more, and a job's key is `once`
-    without the bits only its own candidate lends: O(n2) per profile.  A
-    table holds the job's cost for each own candidate plus its minimum,
-    the exact best-response cost; a profile is an equilibrium iff no job's
-    cost exceeds its table minimum.  The first profile of a key fills its
-    table against its other jobs by one whole distance-layer scan (n1
-    bitmask BFS + 2^n1 mask ORs, see model.DeviationRows), at most one
-    table per multiset of the other n2 - 1 jobs' strategies,
-    C(2^n1 + n2 - 2, n2 - 1) in all.
-    Tables live for one scan.
+    Candidates that lend the same far pairs (see _lent_shortcuts) form a
+    class, and are the same to every other job.  So with one class fixed
+    per job, each job's key, the OR of the pairs the others lend, is fixed
+    too, and the job picks inside its class alone.  Vectors come in
+    itertools.product order over the L classes, L^n2 <= 2^(n1*n2) of them.
+    A job's entry is (least cost in its class, the class members whose
+    cost equals the table minimum, that minimum, the cost table, the class
+    members), all candidate indices ascending.  The first vector of a key
+    fills its table against the first member of every other job's class
+    by one whole distance-layer scan (see model.DeviationRows) and prices
+    every class on it: one table per key, as many as a profile-by-profile
+    pass would fill.
     """
-    lends = _lent_shortcuts(g1, cands, n2, cfg)
-    tables: dict[int, tuple[tuple[float, ...], float]] = {}
-    for indices in itertools.product(range(len(cands)), repeat=n2):
+    classes: dict[int, list[int]] = {}
+    for i, lent in enumerate(_lent_shortcuts(g1, cands, n2, cfg)):
+        classes.setdefault(lent, []).append(i)
+    lends, members = list(classes), list(classes.values())
+    tables: dict[int, list[tuple]] = {}
+    for vector in itertools.product(range(len(lends)), repeat=n2):
         once = twice = 0
-        for own in indices:
-            lent = lends[own]
-            twice |= once & lent
-            once |= lent
-        costs = []
-        stable = True
-        for p, own in enumerate(indices):
-            key = once & ~(lends[own] & ~twice)
+        for c in vector:
+            twice |= once & lends[c]
+            once |= lends[c]
+        jobs = []
+        for p, c in enumerate(vector):
+            key = once & ~(lends[c] & ~twice)
             table = tables.get(key)
             if table is None:
-                rest = tuple(cands[i] for i in indices[:p] + indices[p + 1 :])
+                rest = tuple(cands[members[d][0]] for d in vector[:p] + vector[p + 1 :])
                 row = _job_cost_table(g1, rest, cfg)
-                table = tables[key] = (row, min(row))
-            row, best = table
-            costs.append(row[own])
-            if best < row[own]:
-                stable = False
-        yield indices, sum(costs), stable
+                best = min(row)
+                table = tables[key] = [
+                    (min(row[i] for i in ms), tuple(i for i in ms if row[i] == best), best, row, ms)
+                    for ms in members
+                ]
+            jobs.append(table[c])
+        yield jobs
+
+
+def _first_least(jobs: list, least: float) -> tuple[int, ...]:
+    """First profile of a class vector, in product order, whose social cost is least.
+
+    The social cost is a float sum in job order, and rounding is monotone,
+    so the least sum a job's member allows is the sum with the later jobs'
+    class minima, and a member of least cost always allows least.
+    """
+    lows = [job[0] for job in jobs]
+    costs: list[float] = []
+    picks = []
+    for p, (low, _, _, row, ms) in enumerate(jobs):
+        m = next(m for m in ms if row[m] == low or sum(costs + [row[m]] + lows[p + 1 :]) == least)
+        costs.append(row[m])
+        picks.append(m)
+    return tuple(picks)
+
+
+def _joint_extremes(g1: Graph, n2: int, cfg: GameConfig) -> tuple:
+    """The optimum, the worst equilibrium and the equilibrium count, from one walk.
+
+    Returns (candidates, least social cost, its first profile, greatest
+    equilibrium cost, its first profile, equilibrium count), the two
+    equilibrium entries None when there is none.  A class vector's least
+    cost is the job-order sum of its class minima (see _class_walk), and
+    its equilibria, the products of its jobs' equilibrium members, all
+    cost the sum of the table minima.  Ties between vectors go to the
+    first profile in product order, as a profile-by-profile scan keeping
+    strict improvements reports it; only the current extremes are kept.
+    """
+    _check_joint_size(g1.n, n2)
+    cands = _joint_candidates(g1.n, n2)
+    least = worst = optimum = first = None
+    count = 0
+    for jobs in _class_walk(g1, cands, n2, cfg):
+        cost = sum([job[0] for job in jobs])
+        if least is None or cost <= least:
+            picks = _first_least(jobs, cost)
+            if least is None or cost < least or picks < optimum:
+                least, optimum = cost, picks
+        stable = math.prod(len(job[1]) for job in jobs)
+        if stable:
+            count += stable
+            cost = sum([job[2] for job in jobs])
+            picks = tuple(job[1][0] for job in jobs)
+            if worst is None or cost > worst or cost == worst and picks < first:
+                worst, first = cost, picks
+    return cands, least, optimum, worst, first, count
 
 
 def social_optimum_level2(g1: Graph, n2: int, cfg: GameConfig) -> tuple[float, Level2Profile]:
     """Minimum level-2 social cost over job profiles, with the minimizer.
 
-    Reads all 2^(n1*n2) profiles from the one-pass cost-table scan (see
-    _level2_scan), 2^n1 job-cost evaluations per set of far pairs the
-    other jobs lend (2^n1 in all under FOG_ONLY), at most
-    C(2^n1 + n2 - 2, n2 - 1) * 2^n1; the first profile with the strictly
-    smallest cost wins.  Refuses when n1 * n2 exceeds
-    JOINT_ENUMERATION_GUARD.
+    Reads the lend-class vectors (see _joint_extremes), not all 2^(n1*n2)
+    profiles; the first profile with the strictly smallest cost wins.
+    Refuses when n1 * n2 exceeds JOINT_ENUMERATION_GUARD.
     """
-    _check_joint_size(g1.n, n2)
-    cands = _joint_candidates(g1.n, n2)
-    best_cost = 0.0
-    best: tuple[int, ...] | None = None
-    for indices, cost, _ in _level2_scan(g1, cands, n2, cfg):
-        if best is None or cost < best_cost:
-            best_cost, best = cost, indices
-    assert best is not None
-    return best_cost, _profile(g1.n, cands, best)
+    cands, least, optimum, *_ = _joint_extremes(g1, n2, cfg)
+    return least, _profile(g1.n, cands, optimum)
 
 
 def enumerate_nash_level2(
@@ -449,21 +482,20 @@ def enumerate_nash_level2(
 ) -> list[tuple[Level2Profile, float]]:
     """All pure level-2 equilibria with the fog graph held fixed.
 
-    Equilibria come from the one-pass cost-table scan (see _level2_scan),
-    in its profile order, each with its social cost.  A profile is kept
-    when every job's cost equals the minimum of its cost table, which
-    matches is_nash under Scope.LEVEL2 exactly, at 2^n1 job-cost
-    evaluations per set of far pairs the other jobs lend, no more than
-    C(2^n1 + n2 - 2, n2 - 1) * 2^n1 for the whole enumeration.  Refuses
-    when n1 * n2 exceeds JOINT_ENUMERATION_GUARD.
+    Each lend-class vector (see _class_walk) contributes the product of
+    its jobs' equilibrium members, every job at its table minimum, which
+    matches is_nash under Scope.LEVEL2 exactly; the equilibria come in
+    profile order, each with its social cost.  Refuses when n1 * n2
+    exceeds JOINT_ENUMERATION_GUARD.
     """
     _check_joint_size(g1.n, n2)
     cands = _joint_candidates(g1.n, n2)
-    return [
-        (_profile(g1.n, cands, indices), cost)
-        for indices, cost, stable in _level2_scan(g1, cands, n2, cfg)
-        if stable
-    ]
+    found = []
+    for jobs in _class_walk(g1, cands, n2, cfg):
+        cost = sum([job[2] for job in jobs])
+        found.extend((picks, cost) for picks in itertools.product(*(job[1] for job in jobs)))
+    found.sort()
+    return [(_profile(g1.n, cands, picks), cost) for picks, cost in found]
 
 
 class PoAReport(NamedTuple):
@@ -478,35 +510,21 @@ class PoAReport(NamedTuple):
 
 
 def empirical_poa(g1: Graph, n2: int, cfg: GameConfig) -> PoAReport:
-    """Price of anarchy by full enumeration of level-2 profiles.
+    """Price of anarchy over all level-2 profiles.
 
-    One pass of the cost-table scan (see _level2_scan) gives the optimum
-    (first strict minimum), the worst equilibrium (first strict maximum
-    among equilibria) and the equilibrium count, with the same results as
-    social_optimum_level2 and enumerate_nash_level2, for the job-cost
-    evaluations of a single scan.
-    Only the two reported profiles are built.  Refuses when n1 * n2
-    exceeds JOINT_ENUMERATION_GUARD.
+    One walk over the lend-class vectors (see _joint_extremes) gives the
+    optimum (first strict minimum), the worst equilibrium (first strict
+    maximum among equilibria) and the equilibrium count, with the same
+    results as social_optimum_level2 and enumerate_nash_level2.  Only the
+    two reported profiles are built.  Refuses when n1 * n2 exceeds
+    JOINT_ENUMERATION_GUARD.
 
     Raises NoEquilibriumError when no pure equilibrium exists and
     ValueError when the optimum social cost is not positive, which can
     happen under TYPE_I where costs may reach zero or below, or infinite,
     which a float sum of huge job costs can reach (the ratio would be NaN).
     """
-    _check_joint_size(g1.n, n2)
-    cands = _joint_candidates(g1.n, n2)
-    optimum_cost = worst_cost = 0.0
-    optimum: tuple[int, ...] | None = None
-    worst: tuple[int, ...] | None = None
-    ne_count = 0
-    for indices, cost, stable in _level2_scan(g1, cands, n2, cfg):
-        if optimum is None or cost < optimum_cost:
-            optimum_cost, optimum = cost, indices
-        if stable:
-            ne_count += 1
-            if worst is None or cost > worst_cost:
-                worst_cost, worst = cost, indices
-    assert optimum is not None
+    cands, optimum_cost, optimum, worst_cost, worst, ne_count = _joint_extremes(g1, n2, cfg)
     if worst is None:
         raise NoEquilibriumError(f"no pure level-2 equilibrium (n1={g1.n}, n2={n2})")
     if optimum_cost <= 0:
@@ -522,69 +540,4 @@ def empirical_poa(g1: Graph, n2: int, cfg: GameConfig) -> PoAReport:
         worst_ne_profile=_profile(g1.n, cands, worst),
         poa=worst_cost / optimum_cost,
         ne_count=ne_count,
-    )
-
-
-def construct_complete_bipartite(n1: int, n2: int) -> Level2Profile:
-    """Every job buys a link to every fog vertex."""
-    return Level2Profile(n1, (frozenset(range(n1)),) * n2)
-
-
-def construct_mds_profile(g1: Graph, n2: int) -> Level2Profile:
-    """Every job buys links to one minimum dominating set of g1."""
-    if not is_connected(g1):
-        raise ValueError("dominating-set profile needs a connected fog graph")
-    mds = min_dominating_set(g1)
-    return Level2Profile(g1.n, (mds,) * n2)
-
-
-class DominationDiagnostic(NamedTuple):
-    """Whether a lone job's exact best response is a minimum dominating set.
-
-    That structure is guaranteed for TYPE_II costs with 1 < beta < 2 only;
-    outside that range the report flags any departure instead of treating
-    it as an error.
-    """
-
-    strategy: VertexSet
-    cost: float
-    is_dominating: bool
-    strategy_size: int
-    min_dominating_size: int
-    beta: float
-    beta_in_supported_range: bool
-    consistent: bool
-    note: str
-
-
-def domination_diagnostic(g1: Graph, cfg: GameConfig) -> DominationDiagnostic:
-    """Exact best response of a single job against empty co-players."""
-    empty = Level2Profile(g1.n, (frozenset(),) * g1.n)
-    state = GameState(g1, empty)
-    strategy, cost = best_response_job_exact(0, state, cfg)
-    gamma = len(min_dominating_set(g1))
-    dominating = is_dominating_set(g1, strategy)
-    in_range = 1 < cfg.beta < 2
-    consistent = dominating and len(strategy) == gamma
-    if consistent:
-        note = "best response matches minimum-dominating-set structure"
-        if not in_range:
-            note += " although beta is outside the supported range (1, 2)"
-    elif in_range:
-        note = "unexpected: best response departs from dominating-set structure inside (1, 2)"
-    else:
-        note = (
-            "best response departs from dominating-set structure; that structure "
-            "is only guaranteed for beta strictly between 1 and 2"
-        )
-    return DominationDiagnostic(
-        strategy=strategy,
-        cost=cost,
-        is_dominating=dominating,
-        strategy_size=len(strategy),
-        min_dominating_size=gamma,
-        beta=cfg.beta,
-        beta_in_supported_range=in_range,
-        consistent=consistent,
-        note=note,
     )

@@ -480,14 +480,32 @@ class CostReport(NamedTuple):
     interconnection_count: int
 
 
+def _bfs_sums(g: Graph, sources: Iterable[int], n1: int) -> list[Distance]:
+    """Each source's distance sum to vertices 0..n1-1 of g, on one adjacency build."""
+    adjacency = g.adjacency()
+    return [sum(single_source_distances(g, s, adjacency)[:n1]) for s in sources]
+
+
 def cost_report(state: GameState, cfg: GameConfig) -> CostReport:
-    """Evaluate every player once; the social totals are exact sums."""
-    level1 = tuple(edge_fog_player_cost(i, state, cfg) for i in range(state.n1))
-    level2 = tuple(job_player_cost(j, state, cfg) for j in range(state.n2))
+    """Evaluate every player once; the social totals are exact sums.
+
+    The costs equal edge_fog_player_cost and job_player_cost exactly, from
+    shared builds: one adjacency of the fog graph serves every fog BFS,
+    and under FULL_COMBINED one combined graph serves every job BFS.
+    """
+    g1, n1, jobs = state.g1, state.n1, state.level2
+    level1 = _bfs_sums(g1, range(n1), n1)
+    if state.profile_mode:
+        level1 = [d + cfg.alpha * len(s) for d, s in zip(level1, state.level1.strategies)]
+    if cfg.transit_policy is TransitPolicy.FULL_COMBINED:
+        sums = _bfs_sums(build_combined_graph(g1, jobs), range(n1, n1 + jobs.n2), n1)
+    else:
+        sums = [_job_distance_sum(j, state, cfg) for j in range(jobs.n2)]
+    level2 = [_job_costs(cfg.beta * len(s), [d], cfg)[0] for s, d in zip(jobs.strategies, sums)]
     return CostReport(
-        level1_costs=level1,
-        level2_costs=level2,
+        level1_costs=tuple(level1),
+        level2_costs=tuple(level2),
         social_level1=sum(level1),
         social_level2=sum(level2),
-        interconnection_count=interconnection_count(state.level2),
+        interconnection_count=interconnection_count(jobs),
     )

@@ -5,9 +5,9 @@ mode-specific options.  Parsing is strict: unknown keys anywhere are
 rejected with the offending key named, so misspelled fields never pass
 silently, and a value of the wrong JSON type (a string or boolean count, a
 fractional vertex, a three-element edge) is rejected with its field named.
-run_record and sweep_record wrap a run's payload with the echoed scenario,
-the tool version, and the wall-clock duration; everything inside the
-payload is deterministic for fixed seeds.
+run_record (and foggame.sweep's sweep_record) wrap a run's payload with the
+echoed scenario, the tool version, and the wall-clock duration; everything
+inside the payload is deterministic for fixed seeds.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .equilibrium import (
     is_nash,
 )
 from .errors import ScenarioError
-from .graph import Graph, check_generator, generate, new_graph
+from .graph import Graph, new_graph
 from .model import (
     GameConfig,
     GameState,
@@ -152,8 +152,12 @@ def _graph_builder(section: Any) -> tuple[int, Callable[[], Graph]]:
     require_connected = _boolean(
         section.get("require_connected", False), "graph.require_connected"
     )
-    check_generator(kind, n, p, seed)
-    return n, lambda: generate(kind, n, p=p, seed=seed, require_connected=require_connected)
+    from . import generators  # loaded for a generator section only
+
+    generators.check_generator(kind, n, p, seed)
+    return n, lambda: generators.generate(
+        kind, n, p=p, seed=seed, require_connected=require_connected
+    )
 
 
 def _parse_graph(section: Any) -> Graph:
@@ -356,44 +360,5 @@ def run_record(data: Any) -> dict:
     return _record(data, lambda: run_spec(data))
 
 
+# What foggame.sweep may patch; the CLI's --parameter flag reads it here.
 _SWEEP_PARAMETERS = ("beta", "alpha", "n", "p")
-
-
-def sweep_records(template: Any, parameter: str, values: list) -> dict:
-    """Run a template scenario once per parameter value.
-
-    beta and alpha patch the config section; n and p patch the graph
-    section and therefore need a generator graph.
-    """
-    if parameter not in _SWEEP_PARAMETERS:
-        raise ScenarioError(
-            f"sweep: parameter must be one of {_SWEEP_PARAMETERS}, got {parameter!r}"
-        )
-    if not isinstance(template, dict):
-        raise ScenarioError("sweep: template must be a JSON object")
-    if not values:
-        raise ScenarioError("sweep: needs at least one value")
-    import copy
-
-    records = []
-    for value in values:
-        data = copy.deepcopy(template)
-        if parameter in ("beta", "alpha"):
-            writable_section(data, "config")[parameter] = value
-        else:
-            graph = data.get("graph")
-            if not isinstance(graph, dict) or "kind" not in graph:
-                raise ScenarioError(f"sweep: sweeping {parameter!r} needs a generator graph")
-            if parameter == "n":
-                if not float(value).is_integer():
-                    raise ScenarioError(f"sweep: n values must be whole numbers, got {value}")
-                value = int(value)
-            graph[parameter] = value
-        records.append(run_record(data))
-    return {"parameter": parameter, "values": list(values), "records": records}
-
-
-def sweep_record(template: Any, parameter: str, values: list) -> dict:
-    """Run a sweep and wrap its records like run_record, echoing the sweep."""
-    spec = {"template": template, "parameter": parameter, "values": values}
-    return _record(spec, lambda: sweep_records(template, parameter, values))

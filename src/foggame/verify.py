@@ -21,23 +21,22 @@ from .bounds import (
     type2_lower_bound,
     type2_poa_bound,
 )
+from .domination import (
+    construct_complete_bipartite,
+    domination_diagnostic,
+    is_dominating_set,
+    min_dominating_set,
+)
 from .equilibrium import (
     DynamicsOutcome,
     Scope,
     best_response_dynamics,
     best_response_job_exact,
-    construct_complete_bipartite,
-    domination_diagnostic,
     empirical_poa,
     is_nash,
 )
-from .graph import (
-    Graph,
-    generate,
-    is_connected,
-    is_dominating_set,
-    min_dominating_set,
-)
+from .generators import generate
+from .graph import Graph, is_connected
 from .model import (
     GameConfig,
     GameState,

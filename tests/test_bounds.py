@@ -22,7 +22,8 @@ from foggame.bounds import (
     type2_mid_beta_report,
     type2_poa_bound,
 )
-from foggame.graph import INF, generate
+from foggame.generators import generate
+from foggame.graph import INF
 from foggame.model import (
     GameConfig,
     GameState,

@@ -12,12 +12,32 @@ from pathlib import Path
 
 import pytest
 
-from foggame import cli, scenario, verify
+from foggame import cli, generators, scenario, verify
 from foggame.errors import FormatError, ScenarioError
 from foggame.graph import GENERATOR_KINDS
-from foggame.scenario import MODES, run_record, run_spec, sweep_records
-from foggame.serialize import emit_csv, emit_json, parse_record, to_jsonable
+from foggame.scenario import MODES, run_record, run_spec
+from foggame.serialize import emit_json, to_jsonable
+from foggame.sweep import sweep_records
+from foggame.tabular import emit_csv
 from foggame.verify import CheckResult
+
+
+def revive_infinities(obj):
+    """Inverse of the "inf" encoding applied by to_jsonable."""
+    if obj == "inf":
+        return math.inf
+    if obj == "-inf":
+        return -math.inf
+    if isinstance(obj, list):
+        return [revive_infinities(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: revive_infinities(v) for k, v in obj.items()}
+    return obj
+
+
+def parse_record(text):
+    """Parse emitted JSON, restoring infinite values."""
+    return revive_infinities(json.loads(text))
 
 
 def _write(tmp_path, name, data):
@@ -390,7 +410,7 @@ def test_main_guard_refuses_before_generating_the_graph(tmp_path, monkeypatch, c
     def no_generate(*args, **kwargs):
         raise AssertionError("the graph was generated before the guard refused it")
 
-    monkeypatch.setattr(scenario, "generate", no_generate)
+    monkeypatch.setattr(generators, "generate", no_generate)
     path = _write(tmp_path, "k1000.json", {"mode": "poa", "graph": {"kind": "complete", "n": 1000}})
     assert cli.main(["poa", path]) == cli.EXIT_GUARD
     captured = capsys.readouterr()
@@ -421,7 +441,7 @@ def test_main_exact_guard_refuses_before_generating_the_graph(
     def no_generate(*args, **kwargs):
         raise AssertionError("the graph was generated before the guard refused it")
 
-    monkeypatch.setattr(scenario, "generate", no_generate)
+    monkeypatch.setattr(generators, "generate", no_generate)
     body = {"mode": mode, "graph": {"kind": "complete", "n": 400}, "n2": 400, "options": options}
     path = _write(tmp_path, "k400.json", body)
     assert cli.main([mode, path]) == cli.EXIT_GUARD

@@ -13,16 +13,20 @@ from foggame.equilibrium import (
     best_response_job_exact,
     best_response_job_greedy,
     best_response_dynamics,
-    construct_complete_bipartite,
-    construct_mds_profile,
-    domination_diagnostic,
     empirical_poa,
     enumerate_nash_level2,
     is_nash,
     social_optimum_level2,
 )
+from foggame.domination import (
+    construct_complete_bipartite,
+    construct_mds_profile,
+    domination_diagnostic,
+    is_dominating_set,
+)
 from foggame.errors import GuardExceeded, PolicyError
-from foggame.graph import INF, Graph, generate, is_dominating_set
+from foggame.generators import generate
+from foggame.graph import INF, Graph
 from foggame.model import (
     GameConfig,
     GameState,

@@ -1,20 +1,19 @@
-"""Graph container, BFS distances, and the dominating-set solvers."""
+"""Graph container, BFS distances, generators, and the dominating-set solvers."""
 
 import itertools
 import random
 
 import pytest
 
-from foggame import graph
+from foggame import domination, generators
+from foggame.domination import is_dominating_set, min_dominating_set
 from foggame.errors import GenerationError, GuardExceeded
+from foggame.generators import generate
 from foggame.graph import (
     INF,
     Graph,
     all_pairs_distances,
-    generate,
     is_connected,
-    is_dominating_set,
-    min_dominating_set,
     new_graph,
     single_source_distances,
 )
@@ -189,11 +188,11 @@ def test_min_dominating_set_guard(monkeypatch):
     with pytest.raises(GuardExceeded) as refused:
         min_dominating_set(star25)
     assert str(refused.value) == "dominating-set enumeration guard exceeded: size 25 > limit 24"
-    monkeypatch.setattr(graph, "DOMSET_ENUMERATION_GUARD", 3)
+    monkeypatch.setattr(domination, "DOMSET_ENUMERATION_GUARD", 3)
     with pytest.raises(GuardExceeded) as refused:
         min_dominating_set(path4)
     assert str(refused.value) == "dominating-set enumeration guard exceeded: size 4 > limit 3"
-    monkeypatch.setattr(graph, "DOMSET_ENUMERATION_GUARD", 26)
+    monkeypatch.setattr(domination, "DOMSET_ENUMERATION_GUARD", 26)
     assert min_dominating_set(star25) == frozenset({0})
     assert len(min_dominating_set(generate("star", 26))) == 1
 
@@ -241,16 +240,16 @@ def test_generate_connected_retry_exhaustion(monkeypatch):
     with pytest.raises(GenerationError) as refused:
         generate("erdos_renyi", 2, **rare)
     assert str(refused.value) == "no connected graph in 1000 draws (n=2, p=0.001, seed=77)"
-    monkeypatch.setattr(graph, "GENERATION_RETRY_BUDGET", 51)
+    monkeypatch.setattr(generators, "GENERATION_RETRY_BUDGET", 51)
     with pytest.raises(GenerationError) as refused:
         generate("erdos_renyi", 4, **sparse)
     assert str(refused.value) == "no connected graph in 51 draws (n=4, p=0.1, seed=0)"
-    monkeypatch.setattr(graph, "GENERATION_RETRY_BUDGET", 10)
+    monkeypatch.setattr(generators, "GENERATION_RETRY_BUDGET", 10)
     with pytest.raises(GenerationError, match="no connected graph in 10 draws"):
         generate("erdos_renyi", 5, p=0.0, seed=1, require_connected=True)
-    monkeypatch.setattr(graph, "GENERATION_RETRY_BUDGET", 52)
+    monkeypatch.setattr(generators, "GENERATION_RETRY_BUDGET", 52)
     assert generate("erdos_renyi", 4, **sparse) == accepted
-    monkeypatch.setattr(graph, "GENERATION_RETRY_BUDGET", 1002)
+    monkeypatch.setattr(generators, "GENERATION_RETRY_BUDGET", 1002)
     assert generate("erdos_renyi", 2, **rare).edges == frozenset({(0, 1)})
 
 
@@ -262,14 +261,14 @@ def test_generate_pair_guard(monkeypatch):
             generate(kind, n)
         assert str(refused.value) == f"graph generation guard exceeded: size {pairs} > limit 1048576"
     shapes = (("path", 7), ("star", 7), ("cycle", 6), ("complete", 4))
-    monkeypatch.setattr(graph, "GENERATION_PAIR_GUARD", 5)
+    monkeypatch.setattr(generators, "GENERATION_PAIR_GUARD", 5)
     assert generate("cycle", 5).edge_count == 5
     for kind, n in shapes:
         with pytest.raises(GuardExceeded, match="size 6 > limit 5"):
             generate(kind, n)
     with pytest.raises(GuardExceeded, match="size 6 > limit 5"):
         generate("erdos_renyi", 4, p=0.5, seed=1)
-    monkeypatch.setattr(graph, "GENERATION_PAIR_GUARD", 6)
+    monkeypatch.setattr(generators, "GENERATION_PAIR_GUARD", 6)
     assert [generate(kind, n).edge_count for kind, n in shapes] == [6, 6, 6, 6]
     assert generate("erdos_renyi", 4, p=1.0, seed=1).edge_count == 6
 
@@ -282,7 +281,7 @@ def test_generate_pair_guard_covers_every_redraw(monkeypatch):
     for n, draws in ((46, 1000), (47, 970)):
         with pytest.raises(GenerationError, match=f"no connected graph in {draws} draws"):
             generate("erdos_renyi", n, **disconnected)
-    monkeypatch.setattr(graph, "GENERATION_PAIR_GUARD", 30)
+    monkeypatch.setattr(generators, "GENERATION_PAIR_GUARD", 30)
     with pytest.raises(GenerationError) as refused:
         generate("erdos_renyi", 5, **disconnected)
     assert str(refused.value) == "no connected graph in 3 draws (n=5, p=0.0, seed=1)"

@@ -1,10 +1,12 @@
 """What `import foggame.cli` loads: only what a poa, dynamics or cost run executes.
 
-A CLI run starts in a fresh interpreter, so module imports are a large
-share of a small scenario's wall time.  The bounds and verify modes load
-their modules on first use, records are named tuples rather than
-dataclasses, and csv and copy are imported by the code paths that need
-them.  Each probe runs in a fresh interpreter without bytecode caching,
+A CLI run starts in a fresh interpreter, so module imports, and without a
+bytecode cache their compilation, are a large share of a small scenario's
+wall time.  The bounds and verify modes load their modules on first use,
+as do generator graph sections (generators), the bounds and verify
+modes' dominating sets (domination), --format csv (tabular, csv) and the
+sweep command (sweep, copy); records are named tuples rather than
+dataclasses.  Each probe runs in a fresh interpreter without bytecode caching,
 and what it adds is measured against a bare interpreter.
 """
 
@@ -21,6 +23,10 @@ PACKAGE_ROOT = str(Path(foggame.__file__).resolve().parents[1])
 NOT_AT_CLI_IMPORT = (
     "foggame.bounds",
     "foggame.verify",
+    "foggame.domination",
+    "foggame.generators",
+    "foggame.sweep",
+    "foggame.tabular",
     "dataclasses",
     "inspect",
     "csv",
@@ -72,6 +78,26 @@ def test_cli_runs_load_no_argument_parser_library(tmp_path):
     )
     assert "foggame.equilibrium" in loaded
     assert sorted({"argparse", "gettext"} & loaded) == []
+
+
+def test_inline_graph_runs_load_no_mode_only_module(tmp_path):
+    # poa and dynamics runs on inline graphs, as the benchmark workloads
+    # give them, compile no module that only other modes or sections read.
+    edges = [[0, 1], [1, 2], [2, 3]]
+    poa = tmp_path / "poa.json"
+    poa.write_text(json.dumps({"graph": {"n": 4, "edges": edges}, "n2": 2, "config": {"beta": 3.5}}))
+    dynamics = tmp_path / "dynamics.json"
+    dynamics.write_text(json.dumps({"graph": {"n": 4, "edges": edges}, "n2": 4, "config": {"beta": 1.5}}))
+    runs = "".join(
+        f"    assert foggame.cli.main({argv!r}) == 0\n"
+        for argv in (["poa", str(poa)], ["dynamics", str(dynamics), "--seed", "2"])
+    )
+    loaded = _modules_after(
+        "import contextlib, io\nimport foggame.cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n{runs}"
+    )
+    assert "foggame.equilibrium" in loaded
+    assert sorted(set(NOT_AT_CLI_IMPORT) & loaded) == []
 
 
 def test_package_import_loads_no_submodule():

@@ -1,4 +1,4 @@
-"""One-pass level-2 scan: differential test against the nested scans it replaced.
+"""Lend-class engine: differential tests against the profile scans it replaced.
 
 The reference functions below are the two profile scans that
 social_optimum_level2 (exhaustive_joint), enumerate_nash_level2 and
@@ -9,12 +9,15 @@ model.job_player_cost only, never through the equilibrium module's cost
 kernel.  Results must match exactly, including which exception is raised
 first.
 
-Those references are too slow past a few thousand profiles, so a second
-one covers larger shapes: the cost-table scan as it was before its tables
-were keyed by the far pairs the other jobs lend, keyed instead by the
-sorted multiset of the other jobs' candidate indices, or () under FOG_ONLY
-(_multiset_scan).  It shares the cost-table fill with the scan under test,
-so it checks the keys: which profiles share a table.
+Those references are too slow past a few thousand profiles, so two more
+cover larger shapes.  _level2_scan is the one-pass profile scan the
+analyses read before the class walk: cost tables keyed by the far pairs
+the other jobs lend, every profile visited in product order.  _multiset_scan
+is that scan as it was before its tables were keyed by lent pairs, keyed
+instead by the sorted multiset of the other jobs' candidate indices, or ()
+under FOG_ONLY.  Both share the cost-table fill with the engine under test,
+so they check its keys, its per-class reading of the tables and the
+product order of its reported profiles.
 """
 
 import itertools
@@ -31,7 +34,8 @@ from foggame.equilibrium import (
     social_optimum_level2,
 )
 from foggame.errors import GuardExceeded, NoEquilibriumError
-from foggame.graph import Graph, generate
+from foggame.generators import generate
+from foggame.graph import Graph, is_connected
 from foggame.model import (
     GameConfig,
     GameState,
@@ -121,6 +125,96 @@ def reference_poa(g1, n2, cfg):
         worst_ne_profile=worst_profile,
         poa=worst_cost / optimum_cost,
         ne_count=len(equilibria),
+    )
+
+
+def _level2_scan(g1, cands, n2, cfg):
+    """Every level-2 profile once, as (candidate indices, social cost, is NE).
+
+    Profiles come in itertools.product order over indices into cands.  A
+    job's cost table is keyed by the OR of the far pairs the other jobs
+    lend (see equilibrium._lent_shortcuts).  Two ORs over a profile give
+    the bits lent `once` and `twice` or more, and a job's key is `once`
+    without the bits only its own candidate lends.  A profile is an
+    equilibrium iff no job's cost exceeds its table minimum.
+    """
+    lends = equilibrium._lent_shortcuts(g1, cands, n2, cfg)
+    tables = {}
+    for indices in itertools.product(range(len(cands)), repeat=n2):
+        once = twice = 0
+        for own in indices:
+            lent = lends[own]
+            twice |= once & lent
+            once |= lent
+        costs = []
+        stable = True
+        for p, own in enumerate(indices):
+            key = once & ~(lends[own] & ~twice)
+            table = tables.get(key)
+            if table is None:
+                rest = tuple(cands[i] for i in indices[:p] + indices[p + 1 :])
+                row = equilibrium._job_cost_table(g1, rest, cfg)
+                table = tables[key] = (row, min(row))
+            row, best = table
+            costs.append(row[own])
+            if best < row[own]:
+                stable = False
+        yield indices, sum(costs), stable
+
+
+def _scan_setup(g1, n2):
+    equilibrium._check_joint_size(g1.n, n2)
+    return equilibrium._joint_candidates(g1.n, n2)
+
+
+def scan_social_optimum(g1, n2, cfg, scan=_level2_scan):
+    # The first profile with the strictly smallest cost wins.
+    cands = _scan_setup(g1, n2)
+    best_cost = 0.0
+    best = None
+    for indices, cost, _ in scan(g1, cands, n2, cfg):
+        if best is None or cost < best_cost:
+            best_cost, best = cost, indices
+    return best_cost, equilibrium._profile(g1.n, cands, best)
+
+
+def scan_enumerate_nash(g1, n2, cfg, scan=_level2_scan):
+    cands = _scan_setup(g1, n2)
+    return [
+        (equilibrium._profile(g1.n, cands, indices), cost)
+        for indices, cost, stable in scan(g1, cands, n2, cfg)
+        if stable
+    ]
+
+
+def scan_poa(g1, n2, cfg, scan=_level2_scan):
+    # The first strict minimum, and the first strict maximum among equilibria.
+    cands = _scan_setup(g1, n2)
+    optimum_cost = worst_cost = 0.0
+    optimum = worst = None
+    ne_count = 0
+    for indices, cost, stable in scan(g1, cands, n2, cfg):
+        if optimum is None or cost < optimum_cost:
+            optimum_cost, optimum = cost, indices
+        if stable:
+            ne_count += 1
+            if worst is None or cost > worst_cost:
+                worst_cost, worst = cost, indices
+    if worst is None:
+        raise NoEquilibriumError(f"no pure level-2 equilibrium (n1={g1.n}, n2={n2})")
+    if optimum_cost <= 0:
+        raise ValueError(
+            f"price of anarchy undefined for non-positive optimum cost {optimum_cost}"
+        )
+    if optimum_cost == math.inf:
+        raise ValueError("price of anarchy undefined for infinite optimum cost")
+    return PoAReport(
+        optimum_cost=optimum_cost,
+        optimum_profile=equilibrium._profile(g1.n, cands, optimum),
+        worst_ne_cost=worst_cost,
+        worst_ne_profile=equilibrium._profile(g1.n, cands, worst),
+        poa=worst_cost / optimum_cost,
+        ne_count=ne_count,
     )
 
 
@@ -436,26 +530,89 @@ def test_scan_matches_multiset_scan(monkeypatch, g1, n2, cost_type, transit):
     # The guard is lifted: path 4x4 and path 3x5 pass its 2^16 steps.  The
     # Erdos-Renyi seeds give connected graphs of diameter 3, 4 and 5.  Each
     # scan runs once, and its profiles are compared and replayed to the
-    # three analyses.
+    # three analyses, which the engine must match; each engine analysis
+    # fills as many tables as the lent-pair-keyed scan.
     cfg = GameConfig(beta=1.5, job_cost_type=cost_type, transit_policy=transit)
     monkeypatch.setattr(equilibrium, "JOINT_ENUMERATION_GUARD", 2**40)
     calls = _count_fills(monkeypatch)
     streams, outcomes, fills = [], [], []
-    for scan in (equilibrium._level2_scan, _multiset_scan):
+    for scan in (_level2_scan, _multiset_scan):
         calls.clear()
         profiles = list(scan(g1, equilibrium._joint_candidates(g1.n, n2), n2, cfg))
         fills.append(len(calls))
         streams.append(profiles)
-        monkeypatch.setattr(equilibrium, "_level2_scan", lambda *args: iter(profiles))
-        outcomes.append(
-            [
-                _outcome(fn, g1, n2, cfg)
-                for fn in (social_optimum_level2, enumerate_nash_level2, empirical_poa)
-            ]
-        )
+        outcomes.append(_replayed(g1, n2, cfg, profiles))
+    calls.clear()
+    engine = [_outcome(fn, g1, n2, cfg) for fn in _ENGINE]
     assert streams[0] == streams[1]
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == engine
     assert fills[0] <= fills[1]
+    assert len(calls) == len(_ENGINE) * fills[0]
+
+
+_ENGINE = (social_optimum_level2, enumerate_nash_level2, empirical_poa)
+_CONFIGS = [
+    GameConfig(beta=beta, job_cost_type=cost_type, transit_policy=transit)
+    for cost_type, betas in ((JobCostType.TYPE_I, (0.5, 0.501)), (JobCostType.TYPE_II, (1.5, 3.5)))
+    for beta in betas
+    for transit in TransitPolicy
+]
+_CONFIG_IDS = [f"{c.job_cost_type.value}-{c.beta}-{c.transit_policy.value}" for c in _CONFIGS]
+
+
+def _replayed(g1, n2, cfg, profiles):
+    """The three analyses' outcomes as the profile scan gave them, from its stream."""
+    return [
+        _outcome(fn, g1, n2, cfg, lambda *args: iter(profiles))
+        for fn in (scan_social_optimum, scan_enumerate_nash, scan_poa)
+    ]
+
+
+def _assert_engine_matches_scan(g1, n2, cfg):
+    # Costs and counts by repr, the reported profiles, the equilibrium
+    # list in order, and which exception is raised.
+    profiles = list(_level2_scan(g1, _scan_setup(g1, n2), n2, cfg))
+    engine = [_outcome(fn, g1, n2, cfg) for fn in _ENGINE]
+    assert engine == _replayed(g1, n2, cfg, profiles), (g1, n2, cfg)
+
+
+def _connected_graphs(n):
+    """Every labelled connected graph on n vertices."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for k in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, k):
+            g = Graph(n, frozenset(edges))
+            if is_connected(g):
+                yield g
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS, ids=_CONFIG_IDS)
+def test_engine_matches_profile_scan_on_small_connected_graphs(cfg):
+    graphs = [g for n1 in (1, 2, 3) for g in _connected_graphs(n1)]
+    assert len(graphs) == 6
+    for g1 in graphs:
+        for n2 in range(4):
+            _assert_engine_matches_scan(g1, n2, cfg)
+
+
+# The six connected graphs on four vertices, up to isomorphism.
+_FOUR_VERTEX = {
+    "path": [(0, 1), (1, 2), (2, 3)],
+    "star": [(0, 1), (0, 2), (0, 3)],
+    "cycle": [(0, 1), (1, 2), (2, 3), (0, 3)],
+    "paw": [(0, 1), (0, 2), (1, 2), (2, 3)],
+    "diamond": [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)],
+    "complete": list(itertools.combinations(range(4), 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(_FOUR_VERTEX))
+def test_engine_matches_profile_scan_on_four_vertex_graphs_with_four_jobs(monkeypatch, name):
+    # 2^16 profiles, one past the guard, which is lifted.
+    monkeypatch.setattr(equilibrium, "JOINT_ENUMERATION_GUARD", 16)
+    g1 = Graph(4, frozenset(_FOUR_VERTEX[name]))
+    for cfg in _CONFIGS:
+        _assert_engine_matches_scan(g1, 4, cfg)
 
 
 def test_scan_of_many_jobs_without_fog_vertices():

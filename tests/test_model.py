@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from foggame.graph import INF, all_pairs_distances, generate, min_dominating_set, new_graph
+from foggame.domination import min_dominating_set
+from foggame.generators import generate
+from foggame.graph import INF, all_pairs_distances, new_graph
 from foggame.model import (
     GameConfig,
     GameState,
@@ -289,3 +291,42 @@ def test_cost_report_totals_match_components():
     assert report.level2_costs[1] == INF
     assert report.interconnection_count == 3
     assert report.social_level1 == social_cost_level1(st, cfg)
+
+
+@pytest.mark.parametrize("transit", tuple(TransitPolicy))
+@pytest.mark.parametrize("profile_mode", [False, True], ids=["fixed", "profile"])
+def test_cost_report_matches_the_per_player_references(transit, profile_mode):
+    # cost_report shares one fog adjacency and, under FULL_COMBINED, one
+    # combined graph; edge_fog_player_cost and job_player_cost each build
+    # their own.  Compared by repr, so an int sum (fixed-graph fog costs)
+    # and a float one differ; disconnected draws give INF costs, and
+    # n1 = 0 the zero distance term.
+    rng = random.Random(6100 + profile_mode)
+    for _ in range(40):
+        n1, n2 = rng.randint(0, 7), rng.randint(0, 6)
+        cfg = GameConfig(
+            alpha=rng.choice((0.5, 2.0)),
+            beta=rng.choice((0.5, 1.5, 3.5)),
+            job_cost_type=rng.choice(tuple(JobCostType)),
+            transit_policy=transit,
+        )
+        jobs = Level2Profile(
+            n1, (frozenset(rng.sample(range(n1), rng.randint(0, n1))) for _ in range(n2))
+        )
+        if profile_mode:
+            level1 = Level1Profile(
+                frozenset(v for v in range(n1) if v != i and rng.random() < 0.3) for i in range(n1)
+            )
+        else:
+            level1 = new_graph(0, [])
+            if n1:
+                level1 = generate("erdos_renyi", n1, p=0.4, seed=rng.randrange(10**6))
+        state = GameState(level1, jobs, allow_unequal=True)
+        report = cost_report(state, cfg)
+        assert repr(report.level1_costs) == repr(
+            tuple(edge_fog_player_cost(i, state, cfg) for i in range(n1))
+        )
+        assert repr(report.level2_costs) == repr(
+            tuple(job_player_cost(j, state, cfg) for j in range(n2))
+        )
+        assert repr(report.social_level2) == repr(social_cost_level2(state, cfg))

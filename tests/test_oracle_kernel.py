@@ -31,11 +31,11 @@ from foggame.equilibrium import (
     is_nash,
 )
 from foggame.errors import GuardExceeded, PolicyError
+from foggame.generators import generate
 from foggame.graph import (
     INF,
     Graph,
     all_pairs_distances,
-    generate,
     is_connected,
     single_source_distances,
 )

@@ -14,9 +14,9 @@ import pytest
 
 import foggame
 from foggame.bounds import BoundCheck, MidBetaCostReport, type2_poa_bound
+from foggame.domination import DominationDiagnostic
 from foggame.equilibrium import (
     DeviationWitness,
-    DominationDiagnostic,
     DynamicsOutcome,
     DynamicsTrace,
     Move,
