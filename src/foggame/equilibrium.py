@@ -14,16 +14,17 @@ increasing order and stops once no larger size's cost floor lies below its
 incumbent, at most 2^n1 ORs, and its costs equal job_player_cost and
 edge_fog_player_cost exactly.
 
-The joint level-2 analyses (social optimum, equilibrium enumeration, price
-of anarchy) walk lend classes instead of the 2^(n1*n2) job profiles.
-Another job can shorten a job's distances only by the two-hop fog -> job ->
-fog paths between its members that are at least 3 hops apart in the fog
-graph, so candidates lending the same such far pairs form one class, and a
-job's costs depend only on its own candidate and the other jobs' classes.
-One cost table per set of lent pairs (one in all under FOG_ONLY transit,
-with a single job, or on a fog graph of diameter <= 2) prices every class,
-and each vector of classes, one per job, is read in O(n2) from those
-tables (see _class_walk).
+Another job can shorten a job's distances only by a two-hop fog -> job ->
+fog path between two of its members at least 3 hops apart in the fog graph
+(see model.lent_pairs), so a job is priced on the fog graph plus one vertex
+per far pair the others lend (model.job_rows).  The joint level-2 analyses
+(social optimum, equilibrium enumeration, price of anarchy) walk lend
+classes instead of the 2^(n1*n2) job profiles: candidates lending the same
+far pairs form one class, and a job's costs depend only on its own
+candidate and the other jobs' classes.  One cost table per set of lent
+pairs (one in all under FOG_ONLY transit, with a single job, or on a fog
+graph of diameter <= 2) prices every class, and each vector of classes,
+one per job, is read in O(n2) from those tables (see _class_walk).
 """
 
 from __future__ import annotations
@@ -35,15 +36,16 @@ from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import GuardExceeded, NoEquilibriumError, PolicyError
-from .graph import Graph, VertexSet, all_pairs_distances
+from .graph import Graph, VertexSet
 from .model import (
     DeviationRows,
     GameConfig,
     GameState,
     Level2Profile,
-    TransitPolicy,
     fog_deviation_rows,
     job_deviation_rows,
+    job_rows,
+    lent_pairs,
 )
 
 # Enumeration limits, read at call time: setting one on this module (for
@@ -326,11 +328,10 @@ def _check_joint_size(n1: int, n2: int) -> None:
     """Refuse a joint level-2 analysis whose n1 * n2 exceeds JOINT_ENUMERATION_GUARD.
 
     The analyses walk at most 2^(n1*n2) class vectors (one per profile
-    when every candidate is its own class) and fill at most
-    C(2^n1 + n2 - 2, n2 - 1) tables of 2^n1 job costs, one per multiset of
-    the other jobs' candidates, which is no more than 2^(n1*n2) job costs,
-    so n1 * n2 bounds both; enumerate_nash_level2 also lists up to
-    2^(n1*n2) equilibria.
+    when every candidate is its own class) and fill one table of 2^n1 job
+    costs per lend key, the far pairs the other jobs lend, at most one
+    per vector, so n1 * n2 bounds both; enumerate_nash_level2 also lists
+    up to 2^(n1*n2) equilibria.
     """
     if n2 < 0:
         raise ValueError(f"n2 must be non-negative, got {n2}")
@@ -350,49 +351,23 @@ def _profile(n1: int, cands: list[VertexSet], indices: tuple[int, ...]) -> Level
     return Level2Profile(n1, tuple(cands[i] for i in indices))
 
 
-def _job_cost_table(g1: Graph, rest: tuple[VertexSet, ...], cfg: GameConfig) -> tuple[float, ...]:
-    """A job's cost for each candidate, in scan order, against rest."""
-    state = GameState(g1, Level2Profile(g1.n, (frozenset(),) + rest), allow_unequal=True)
-    return tuple(itertools.chain.from_iterable(job_deviation_rows(0, state, cfg).scan()))
-
-
-def _lent_shortcuts(g1: Graph, cands: list[VertexSet], n2: int, cfg: GameConfig) -> list[int]:
-    """Far fog pairs each candidate lends the other jobs, one int per candidate.
-
-    Under FULL_COMBINED a job k with strategy S_k joins any two members a, b
-    of S_k by a two-hop path a -> k -> b, which shortens a fog distance only
-    when a and b are at least 3 hops apart in g1 (INF counts as far).  Bit
-    a * n1 + b stands for such a pair a < b.  A candidate lends nothing
-    under FOG_ONLY, where no path crosses a job, nor when n2 <= 1, where no
-    other job can read it.
-    """
-    if n2 <= 1 or cfg.transit_policy is TransitPolicy.FOG_ONLY:
-        return [0] * len(cands)
-    dist = all_pairs_distances(g1)
-    return [
-        sum(1 << a * g1.n + b for a, b in itertools.combinations(sorted(c), 2) if dist[a][b] >= 3)
-        for c in cands
-    ]
-
-
 def _class_walk(g1: Graph, cands: list[VertexSet], n2: int, cfg: GameConfig) -> Iterator[list]:
     """Every vector of lend classes once, one entry per job.
 
-    Candidates that lend the same far pairs (see _lent_shortcuts) form a
-    class, and are the same to every other job.  So with one class fixed
-    per job, each job's key, the OR of the pairs the others lend, is fixed
-    too, and the job picks inside its class alone.  Vectors come in
-    itertools.product order over the L classes, L^n2 <= 2^(n1*n2) of them.
-    A job's entry is (least cost in its class, the class members whose
-    cost equals the table minimum, that minimum, the cost table, the class
-    members), all candidate indices ascending.  The first vector of a key
-    fills its table against the first member of every other job's class
-    by one whole distance-layer scan (see model.DeviationRows) and prices
-    every class on it: one table per key, as many as a profile-by-profile
-    pass would fill.
+    Candidates that lend the same far pairs (see model.lent_pairs; none
+    with one job) form a class, the same to every other job.  So with one
+    class fixed per job, each job's key, the OR of the pairs the others
+    lend, is fixed too, and the job picks inside its class alone.  Vectors
+    come in itertools.product order over the L classes, L^n2 <= 2^(n1*n2)
+    of them.  A job's entry is (least cost in its class, the class members
+    whose cost equals the table minimum, that minimum, the cost table, the
+    class members), all candidate indices ascending.  The first vector of
+    a key fills its table by one whole distance-layer scan of the key's
+    pairs (see model.job_rows) and prices every class on it: one table per
+    key, as many as a profile-by-profile pass would fill.
     """
     classes: dict[int, list[int]] = {}
-    for i, lent in enumerate(_lent_shortcuts(g1, cands, n2, cfg)):
+    for i, lent in enumerate(lent_pairs(g1, cands, cfg) if n2 > 1 else [0] * len(cands)):
         classes.setdefault(lent, []).append(i)
     lends, members = list(classes), list(classes.values())
     tables: dict[int, list[tuple]] = {}
@@ -402,12 +377,11 @@ def _class_walk(g1: Graph, cands: list[VertexSet], n2: int, cfg: GameConfig) -> 
             twice |= once & lends[c]
             once |= lends[c]
         jobs = []
-        for p, c in enumerate(vector):
+        for c in vector:
             key = once & ~(lends[c] & ~twice)
             table = tables.get(key)
             if table is None:
-                rest = tuple(cands[members[d][0]] for d in vector[:p] + vector[p + 1 :])
-                row = _job_cost_table(g1, rest, cfg)
+                row = tuple(itertools.chain.from_iterable(job_rows(g1, key, cfg).scan()))
                 best = min(row)
                 table = tables[key] = [
                     (min(row[i] for i in ms), tuple(i for i in ms if row[i] == best), best, row, ms)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple
+from functools import lru_cache, reduce
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import (
     INF,
@@ -248,17 +248,14 @@ def edge_fog_player_cost(i: int, state: GameState, cfg: GameConfig) -> float:
 
 
 def _job_distance_sum(j: int, state: GameState, cfg: GameConfig) -> float:
-    """BFS from job j in the combined graph; under FOG_ONLY the other jobs keep no links."""
+    """BFS from job j in the combined graph; under FOG_ONLY the other jobs are left out."""
     n1 = state.n1
     if n1 == 0:
         return 0
     level2 = state.level2
     if cfg.transit_policy is TransitPolicy.FOG_ONLY:
-        level2 = Level2Profile(
-            n1, (s if k == j else frozenset() for k, s in enumerate(level2.strategies))
-        )
-    combined = build_combined_graph(state.g1, level2)
-    dist = single_source_distances(combined, n1 + j)
+        level2, j = Level2Profile(n1, level2.strategies[j : j + 1]), 0
+    dist = single_source_distances(build_combined_graph(state.g1, level2), n1 + j)
     return sum(dist[:n1])
 
 
@@ -290,9 +287,9 @@ class DeviationRows:
     to t from S or inbound in the graph without the player's links.
     adjacency holds that graph as closed-neighbourhood bitmasks; vertex
     t < width = |universe| is target t, standing for universe[t], a vertex
-    the player may link to, and later vertices (other jobs) only carry
-    paths.  inbound lists the vertices whose links to the player other
-    players bought.
+    the player may link to, and later vertices (for a job, one per far
+    fog pair the other jobs lend, see job_rows) only carry paths.  inbound
+    lists the vertices whose links to the player other players bought.
 
     A bit-parallel BFS from each target keeps its distances as one int of
     layers: layer r, at bit offset r * width, is reach_r & targets, where
@@ -400,27 +397,53 @@ class DeviationRows:
             yield self.cost(k, self._sums(masks))
 
 
-def job_deviation_rows(j: int, state: GameState, cfg: GameConfig) -> DeviationRows:
-    """Distance layers of job j, whose targets are all fog vertices.
+def lent_pairs(g1: Graph, strategies: Sequence[VertexSet], cfg: GameConfig) -> list[int]:
+    """Far fog pairs each job strategy lends the other jobs, one int per strategy.
 
-    Under FOG_ONLY a job reaches the fog graph only through its own links,
-    so the layers come from the fog graph alone; otherwise every other job
-    is one more vertex linked to its strategy's members, the combined
-    graph without j's links.
+    Under FULL_COMBINED a job joins two members a < b of its strategy by a
+    two-hop path, which shortens a fog distance only when b lies outside
+    N[N[a]] in g1, 3 or more hops from a (INF counts): bit a * n1 + b.
+    Under FOG_ONLY no path crosses a job, so every strategy gets 0.
     """
+    if cfg.transit_policy is TransitPolicy.FOG_ONLY:
+        return [0] * len(strategies)
+    n1 = g1.n
+    adjacency = closed_neighborhood_masks(g1)
+    two = list(adjacency)
+    for u, v in g1.edges:
+        two[u] |= adjacency[v]
+        two[v] |= adjacency[u]
+    far = [(1 << n1) - (2 << a) & ~near for a, near in enumerate(two)]
+    members = [sum(1 << v for v in s) for s in strategies]
+    return [sum((far[a] & m) << a * n1 for a in s) for s, m in zip(strategies, members)]
+
+
+def job_rows(g1: Graph, lent: int, cfg: GameConfig) -> DeviationRows:
+    """Distance layers of a job, whose targets are all fog vertices.
+
+    The graph is g1 plus, per far pair in lent (see lent_pairs), one vertex
+    linked to both members: the two-hop path another job lends.
+    """
+    n1 = g1.n
+    adjacency = closed_neighborhood_masks(g1)
+    while lent:
+        low = lent & -lent
+        lent ^= low
+        a, b = divmod(low.bit_length() - 1, n1)
+        bit = 1 << len(adjacency)
+        adjacency[a] |= bit
+        adjacency[b] |= bit
+        adjacency.append(bit | 1 << a | 1 << b)
+    return DeviationRows(range(n1), adjacency, lambda k, sums: _job_costs(cfg.beta * k, sums, cfg))
+
+
+def job_deviation_rows(j: int, state: GameState, cfg: GameConfig) -> DeviationRows:
+    """Distance layers of job j against the far pairs the other jobs lend (see job_rows)."""
     if not 0 <= j < state.n2:
         raise ValueError(f"job {j} outside [0,{state.n2})")
-    adjacency = closed_neighborhood_masks(state.g1)
-    if cfg.transit_policy is TransitPolicy.FULL_COMBINED:
-        for k, strategy in enumerate(state.level2.strategies):
-            if k != j:
-                bit = 1 << len(adjacency)
-                for v in strategy:
-                    adjacency[v] |= bit
-                adjacency.append(bit + sum(1 << v for v in strategy))
-    return DeviationRows(
-        range(state.n1), adjacency, lambda k, sums: _job_costs(cfg.beta * k, sums, cfg)
-    )
+    g1, jobs = state.g1, state.level2.strategies
+    lent = lent_pairs(g1, jobs[:j] + jobs[j + 1 :], cfg)
+    return job_rows(g1, reduce(int.__or__, lent, 0), cfg)
 
 
 def fog_deviation_rows(i: int, state: GameState, cfg: GameConfig) -> DeviationRows:

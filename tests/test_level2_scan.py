@@ -15,14 +15,17 @@ analyses read before the class walk: cost tables keyed by the far pairs
 the other jobs lend, every profile visited in product order.  _multiset_scan
 is that scan as it was before its tables were keyed by lent pairs, keyed
 instead by the sorted multiset of the other jobs' candidate indices, or ()
-under FOG_ONLY.  Both share the cost-table fill with the engine under test,
-so they check its keys, its per-class reading of the tables and the
-product order of its reported profiles.
+under FOG_ONLY, each table priced against the OR of those candidates' far
+pairs.  Both share the cost-table fill with the engine under test
+(equilibrium.job_rows, scanned whole), so they check its keys, its
+per-class reading of the tables and the product order of its reported
+profiles.
 """
 
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -128,17 +131,22 @@ def reference_poa(g1, n2, cfg):
     )
 
 
+def _table(g1, lent, cfg):
+    """A job's cost for each candidate, in scan order, against the far pairs in lent."""
+    return tuple(itertools.chain.from_iterable(equilibrium.job_rows(g1, lent, cfg).scan()))
+
+
 def _level2_scan(g1, cands, n2, cfg):
     """Every level-2 profile once, as (candidate indices, social cost, is NE).
 
     Profiles come in itertools.product order over indices into cands.  A
     job's cost table is keyed by the OR of the far pairs the other jobs
-    lend (see equilibrium._lent_shortcuts).  Two ORs over a profile give
-    the bits lent `once` and `twice` or more, and a job's key is `once`
-    without the bits only its own candidate lends.  A profile is an
+    lend (see model.lent_pairs).  Two ORs over a profile give the bits
+    lent `once` and `twice` or more, and a job's key is `once` without the
+    bits only its own candidate lends.  A profile is an
     equilibrium iff no job's cost exceeds its table minimum.
     """
-    lends = equilibrium._lent_shortcuts(g1, cands, n2, cfg)
+    lends = model.lent_pairs(g1, cands, cfg)
     tables = {}
     for indices in itertools.product(range(len(cands)), repeat=n2):
         once = twice = 0
@@ -148,12 +156,11 @@ def _level2_scan(g1, cands, n2, cfg):
             once |= lent
         costs = []
         stable = True
-        for p, own in enumerate(indices):
+        for own in indices:
             key = once & ~(lends[own] & ~twice)
             table = tables.get(key)
             if table is None:
-                rest = tuple(cands[i] for i in indices[:p] + indices[p + 1 :])
-                row = equilibrium._job_cost_table(g1, rest, cfg)
+                row = _table(g1, key, cfg)
                 table = tables[key] = (row, min(row))
             row, best = table
             costs.append(row[own])
@@ -231,7 +238,10 @@ def _multiset_scan(g1, cands, n2, cfg):
             others = () if separable else tuple(ordered[:p] + ordered[p + 1 :])
             table = tables.get(others)
             if table is None:
-                row = equilibrium._job_cost_table(g1, tuple(cands[i] for i in others), cfg)
+                lent = 0
+                for pairs in model.lent_pairs(g1, [cands[i] for i in others], cfg):
+                    lent |= pairs
+                row = _table(g1, lent, cfg)
                 table = tables[others] = (row, min(row))
             by_own[own] = table
         costs = []
@@ -437,11 +447,16 @@ def _rps_cost(j, state, cfg):
     return (-3.0, -4.0, -2.0)[(a - b) % 3]
 
 
-def _rps_table(g1, rest, cfg):
-    return tuple(
-        _rps_cost(0, GameState(g1, Level2Profile(g1.n, (c,) + rest), allow_unequal=True), cfg)
-        for c in _reference_candidates(g1.n)
-    )
+def _rps_rows(g1, key, cfg):
+    # Every candidate lends its own bit (see the test below), so a job's
+    # key is the other job's bit.
+    cands = _reference_candidates(g1.n)
+    other = cands[key.bit_length() - 1]
+    costs = [
+        _rps_cost(0, GameState(g1, Level2Profile(g1.n, (c, other)), allow_unequal=True), cfg)
+        for c in cands
+    ]
+    return SimpleNamespace(scan=lambda: iter([costs]))
 
 
 def test_scan_matches_reference_without_equilibrium(monkeypatch):
@@ -451,9 +466,9 @@ def test_scan_matches_reference_without_equilibrium(monkeypatch):
     # candidate keys each table by the other job's strategy, which the
     # substituted cost reads.
     monkeypatch.setattr(model, "job_player_cost", _rps_cost)
-    monkeypatch.setattr(equilibrium, "_job_cost_table", _rps_table)
+    monkeypatch.setattr(equilibrium, "job_rows", _rps_rows)
     monkeypatch.setattr(
-        equilibrium, "_lent_shortcuts", lambda g1, cands, *_: [1 << i for i in range(len(cands))]
+        equilibrium, "lent_pairs", lambda g1, cands, cfg: [1 << i for i in range(len(cands))]
     )
     g1 = generate("path", 2)
     with pytest.raises(NoEquilibriumError):
@@ -463,15 +478,15 @@ def test_scan_matches_reference_without_equilibrium(monkeypatch):
 
 
 def _count_fills(monkeypatch):
-    """Replace _job_cost_table by a wrapper; return the list that counts its calls."""
+    """Replace equilibrium.job_rows by a wrapper; return the list that counts its calls."""
     calls = []
-    original = equilibrium._job_cost_table
+    original = equilibrium.job_rows
 
     def counted(*args):
         calls.append(None)
         return original(*args)
 
-    monkeypatch.setattr(equilibrium, "_job_cost_table", counted)
+    monkeypatch.setattr(equilibrium, "job_rows", counted)
     return calls
 
 

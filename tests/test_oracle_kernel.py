@@ -12,6 +12,8 @@ Two more references cover the kernel's own steps: reference_exact_best is
 the argmin over the whole scan, before the exact oracles stopped at the
 size floors, and reference_layers builds the distance layers from BFS
 distance rows, before the bit-parallel BFS over adjacency bitmasks.
+reference_job_deviation_rows adds one vertex per other job, as job rows
+did before they were built on the far fog pairs the other jobs lend.
 """
 
 import itertools
@@ -438,6 +440,9 @@ def test_exact_oracles_run_no_bfs_and_build_no_graph(monkeypatch):
     )
     live = GameState(level1, jobs)
     live.g1  # build_level1_graph caches the union graph of the profile
+    # path 5, relabelled so that no earlier call cached its distances, with
+    # far pairs such as {0, 3}
+    path5 = Graph(5, frozenset({(0, 2), (2, 4), (1, 4), (1, 3)}))
     counts = {"bfs": 0, "graph": 0, "level1": 0, "level2": 0}
 
     def counted(name, fn):
@@ -459,6 +464,10 @@ def test_exact_oracles_run_no_bfs_and_build_no_graph(monkeypatch):
         best_response_job_exact(4, fixed, GameConfig(beta=1.5, transit_policy=transit))
     best_response_fog_exact(4, live, GameConfig(alpha=2.0))
     assert counts == {"bfs": 0, "graph": 0, "level1": 0, "level2": 0}
+
+    # The joint analyses read the far pairs off the same bitmasks.
+    eq.empirical_poa(path5, 2, GameConfig(beta=1.5))
+    assert counts["bfs"] == 0 and counts["graph"] == 0
 
 
 def _priced(oracle, *args):
@@ -643,3 +652,108 @@ def test_layers_follow_radii_that_reach_only_jobs():
     assert rows.masks[1] == 0b1011_0010_0010
     assert _layers(rows) == reference_job_layers(1, state, cfg)
     assert best_response_job_exact(1, state, cfg) == reference_job_exact(1, state, cfg)
+
+
+# ------------------------------------------------------------ lent far pairs
+
+
+def reference_job_deviation_rows(j, state, cfg):
+    """Rows of job j with one vertex per other job, linked to its strategy's members."""
+    adjacency = graph.closed_neighborhood_masks(state.g1)
+    if cfg.transit_policy is TransitPolicy.FULL_COMBINED:
+        for k, strategy in enumerate(state.level2.strategies):
+            if k != j:
+                bit = 1 << len(adjacency)
+                for v in strategy:
+                    adjacency[v] |= bit
+                adjacency.append(bit + sum(1 << v for v in strategy))
+    return model.DeviationRows(
+        range(state.n1), adjacency, lambda k, sums: model._job_costs(cfg.beta * k, sums, cfg)
+    )
+
+
+def _lending_state(rng):
+    """A fixed fog graph, often disconnected, with empty, singleton and duplicate jobs."""
+    n1 = rng.randint(0, 7)
+    p = rng.choice((0.0, 0.2, 0.4, 0.7))
+    g1 = Graph(n1, frozenset(e for e in itertools.combinations(range(n1), 2) if rng.random() < p))
+    jobs = []
+    for _ in range(rng.randint(0, 6)):
+        shape = rng.choice(("empty", "singleton", "random", "all", "duplicate"))
+        if shape == "empty" or not n1:
+            jobs.append(frozenset())
+        elif shape == "singleton":
+            jobs.append(frozenset({rng.randrange(n1)}))
+        elif shape == "all":
+            jobs.append(frozenset(range(n1)))
+        elif shape == "duplicate" and jobs:
+            jobs.append(rng.choice(jobs))
+        else:
+            jobs.append(_random_subset(rng, range(n1), rng.choice((0.3, 0.6))))
+    cfg = GameConfig(
+        beta=rng.choice((0.0, 0.5, 1.5, 3.5, round(rng.uniform(0, 4), 3))),
+        job_cost_type=rng.choice(tuple(JobCostType)),
+        transit_policy=rng.choice(tuple(TransitPolicy)),
+    )
+    return GameState(g1, Level2Profile(n1, jobs), allow_unequal=True), cfg
+
+
+def test_job_rows_match_one_vertex_per_job_reference():
+    # A job vertex shortens a fog distance only between its members at
+    # least 3 hops apart, and a lent pair's vertex gives exactly that
+    # two-hop path, so the layers and every scanned cost are the same.
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(600):
+        state, cfg = _lending_state(rng)
+        jobs = state.level2.strategies
+        for j in range(state.n2):
+            rows = model.job_deviation_rows(j, state, cfg)
+            reference = reference_job_deviation_rows(j, state, cfg)
+            assert _layers(rows) == _layers(reference), (state, cfg, j)
+            assert repr(list(rows.scan())) == repr(list(reference.scan())), (state, cfg, j)
+            costs = list(itertools.chain.from_iterable(rows.scan()))
+            seen.update(
+                {
+                    ("n1", state.n1),
+                    ("n2", state.n2),
+                    ("inf", INF in costs),
+                    ("cfg", cfg.job_cost_type, cfg.transit_policy),
+                    ("empty", frozenset() in jobs),
+                    ("singleton", any(len(s) == 1 for s in jobs)),
+                    ("duplicate", len(set(jobs)) < len(jobs)),
+                }
+            )
+    assert {("n1", n) for n in range(8)} | {("n2", n) for n in range(1, 7)} <= seen
+    assert {("inf", True), ("empty", True), ("singleton", True), ("duplicate", True)} <= seen
+    assert {("cfg", c, t) for c in JobCostType for t in TransitPolicy} <= seen
+
+
+def test_lent_pairs_are_the_pairs_at_least_3_hops_apart():
+    g1 = Graph(6, frozenset({(0, 1), (1, 2), (2, 3)}))  # path 0..3, isolated 4 and 5
+    far = model.lent_pairs(g1, [frozenset(range(6))], GameConfig())[0]
+    dist = all_pairs_distances(g1)
+    expected = sum(1 << a * 6 + b for a, b in itertools.combinations(range(6), 2) if dist[a][b] >= 3)
+    assert far == expected and far.bit_count() == 10
+    assert model.lent_pairs(g1, [frozenset({0, 1, 2}), frozenset()], GameConfig()) == [0, 0]
+    fog_only = GameConfig(transit_policy=TransitPolicy.FOG_ONLY)
+    assert model.lent_pairs(g1, [frozenset(range(6))], fog_only) == [0]
+
+
+def test_job_rows_grow_with_the_fog_pairs_not_the_jobs(monkeypatch):
+    # Forty jobs each lend all six pairs of four isolated fog vertices: a
+    # job is priced on at most n1 + C(n1, 2) = 10 vertices, not one per
+    # other job.
+    built = []
+    original = model.DeviationRows
+
+    def spy(universe, adjacency, *args):
+        built.append(len(adjacency))
+        return original(universe, adjacency, *args)
+
+    monkeypatch.setattr(model, "DeviationRows", spy)
+    state = GameState(Graph(4, frozenset()), Level2Profile(4, [range(4)] * 40), allow_unequal=True)
+    rows = model.job_deviation_rows(0, state, GameConfig())
+    assert built == [4 + math.comb(4, 2)]
+    # beta 1 and one hop to 0, three to each other vertex over a lent pair
+    assert rows.evaluate(frozenset({0})) == 1 + 1 + 3 * 3
