@@ -15,16 +15,16 @@ incumbent, at most 2^n1 ORs, and its costs equal job_player_cost and
 edge_fog_player_cost exactly.
 
 Another job can shorten a job's distances only by a two-hop fog -> job ->
-fog path between two of its members at least 3 hops apart in the fog graph
-(see model.lent_pairs), so a job is priced on the fog graph plus one vertex
-per far pair the others lend (model.job_rows).  The joint level-2 analyses
-(social optimum, equilibrium enumeration, price of anarchy) walk lend
-classes instead of the 2^(n1*n2) job profiles: candidates lending the same
-far pairs form one class, and a job's costs depend only on its own
-candidate and the other jobs' classes.  One cost table per set of lent
-pairs (one in all under FOG_ONLY transit, with a single job, or on a fog
-graph of diameter <= 2) prices every class, and each vector of classes,
-one per job, is read in O(n2) from those tables (see _class_walk).
+fog path between two of its members at least 3 hops apart in the fog
+graph, a far pair it lends (model.lent_pairs); a job is priced on the fog
+graph plus one hub vertex per such pair or per lending strategy
+(model.job_rows).  The joint level-2 analyses (social optimum, equilibrium
+enumeration, price of anarchy) walk lend classes, candidates lending the
+same far pairs, instead of the 2^(n1*n2) job profiles.  One cost table
+per set of lent pairs (one in all under FOG_ONLY transit, with a single
+job, or on a fog graph of diameter <= 2) prices every class, and each
+vector of classes, one per job, is read in O(n2) from those tables (see
+_class_walk).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .model import (
     job_deviation_rows,
     job_rows,
     lent_pairs,
+    pair_hubs,
 )
 
 # Enumeration limits, read at call time: setting one on this module (for
@@ -362,9 +363,9 @@ def _class_walk(g1: Graph, cands: list[VertexSet], n2: int, cfg: GameConfig) -> 
     of them.  A job's entry is (least cost in its class, the class members
     whose cost equals the table minimum, that minimum, the cost table, the
     class members), all candidate indices ascending.  The first vector of
-    a key fills its table by one whole distance-layer scan of the key's
-    pairs (see model.job_rows) and prices every class on it: one table per
-    key, as many as a profile-by-profile pass would fill.
+    a key fills its table by one whole distance-layer scan with one hub
+    per pair in the key (see model.job_rows) and prices every class on
+    it: one table per key, as many as a profile-by-profile pass would fill.
     """
     classes: dict[int, list[int]] = {}
     for i, lent in enumerate(lent_pairs(g1, cands, cfg) if n2 > 1 else [0] * len(cands)):
@@ -381,7 +382,7 @@ def _class_walk(g1: Graph, cands: list[VertexSet], n2: int, cfg: GameConfig) -> 
             key = once & ~(lends[c] & ~twice)
             table = tables.get(key)
             if table is None:
-                row = tuple(itertools.chain.from_iterable(job_rows(g1, key, cfg).scan()))
+                row = tuple(itertools.chain(*job_rows(g1, pair_hubs(key, g1.n), cfg).scan()))
                 best = min(row)
                 table = tables[key] = [
                     (min(row[i] for i in ms), tuple(i for i in ms if row[i] == best), best, row, ms)

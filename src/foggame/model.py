@@ -248,14 +248,17 @@ def edge_fog_player_cost(i: int, state: GameState, cfg: GameConfig) -> float:
 
 
 def _job_distance_sum(j: int, state: GameState, cfg: GameConfig) -> float:
-    """BFS from job j in the combined graph; under FOG_ONLY the other jobs are left out."""
+    """BFS from job j in the combined graph; under FOG_ONLY the other jobs keep no links."""
     n1 = state.n1
     if n1 == 0:
         return 0
     level2 = state.level2
     if cfg.transit_policy is TransitPolicy.FOG_ONLY:
-        level2, j = Level2Profile(n1, level2.strategies[j : j + 1]), 0
-    dist = single_source_distances(build_combined_graph(state.g1, level2), n1 + j)
+        level2 = Level2Profile(
+            n1, (s if k == j else frozenset() for k, s in enumerate(level2.strategies))
+        )
+    combined = build_combined_graph(state.g1, level2)
+    dist = single_source_distances(combined, n1 + j)
     return sum(dist[:n1])
 
 
@@ -287,9 +290,9 @@ class DeviationRows:
     to t from S or inbound in the graph without the player's links.
     adjacency holds that graph as closed-neighbourhood bitmasks; vertex
     t < width = |universe| is target t, standing for universe[t], a vertex
-    the player may link to, and later vertices (for a job, one per far
-    fog pair the other jobs lend, see job_rows) only carry paths.  inbound
-    lists the vertices whose links to the player other players bought.
+    the player may link to, and later vertices (a job's hubs, see
+    job_rows) only carry paths.  inbound lists the vertices whose links to
+    the player other players bought.
 
     A bit-parallel BFS from each target keeps its distances as one int of
     layers: layer r, at bit offset r * width, is reach_r & targets, where
@@ -418,32 +421,41 @@ def lent_pairs(g1: Graph, strategies: Sequence[VertexSet], cfg: GameConfig) -> l
     return [sum((far[a] & m) << a * n1 for a in s) for s, m in zip(strategies, members)]
 
 
-def job_rows(g1: Graph, lent: int, cfg: GameConfig) -> DeviationRows:
+def pair_hubs(lent: int, n1: int) -> list[tuple[int, int]]:
+    """The far pairs in lent (see lent_pairs) as two-member hubs for job_rows."""
+    return [divmod(i, n1) for i, bit in enumerate(reversed(bin(lent))) if bit == "1"]
+
+
+def job_rows(g1: Graph, hubs: Iterable[Iterable[int]], cfg: GameConfig) -> DeviationRows:
     """Distance layers of a job, whose targets are all fog vertices.
 
-    The graph is g1 plus, per far pair in lent (see lent_pairs), one vertex
-    linked to both members: the two-hop path another job lends.
+    The graph is g1 plus one vertex per hub, linked to the hub's fog
+    vertices: another job's strategy, or a far pair it lends (pair_hubs).
     """
-    n1 = g1.n
     adjacency = closed_neighborhood_masks(g1)
-    while lent:
-        low = lent & -lent
-        lent ^= low
-        a, b = divmod(low.bit_length() - 1, n1)
+    for hub in hubs:
         bit = 1 << len(adjacency)
-        adjacency[a] |= bit
-        adjacency[b] |= bit
-        adjacency.append(bit | 1 << a | 1 << b)
-    return DeviationRows(range(n1), adjacency, lambda k, sums: _job_costs(cfg.beta * k, sums, cfg))
+        adjacency.append(bit + sum(1 << v for v in hub))
+        for v in hub:
+            adjacency[v] |= bit
+    return DeviationRows(range(g1.n), adjacency, lambda k, d: _job_costs(cfg.beta * k, d, cfg))
 
 
 def job_deviation_rows(j: int, state: GameState, cfg: GameConfig) -> DeviationRows:
-    """Distance layers of job j against the far pairs the other jobs lend (see job_rows)."""
+    """Distance layers of job j against the far pairs the other jobs lend (see lent_pairs).
+
+    One hub per distinct lending strategy, or per lent pair where those are
+    fewer: at most n1 + min(n2 - 1, C(n1, 2)) vertices.
+    """
     if not 0 <= j < state.n2:
         raise ValueError(f"job {j} outside [0,{state.n2})")
     g1, jobs = state.g1, state.level2.strategies
-    lent = lent_pairs(g1, jobs[:j] + jobs[j + 1 :], cfg)
-    return job_rows(g1, reduce(int.__or__, lent, 0), cfg)
+    others = jobs[:j] + jobs[j + 1 :]
+    lent = lent_pairs(g1, others, cfg)
+    lenders = {s for s, pairs in zip(others, lent) if pairs}
+    pairs = reduce(int.__or__, lent, 0)
+    hubs = pair_hubs(pairs, g1.n) if pairs.bit_count() < len(lenders) else lenders
+    return job_rows(g1, hubs, cfg)
 
 
 def fog_deviation_rows(i: int, state: GameState, cfg: GameConfig) -> DeviationRows:

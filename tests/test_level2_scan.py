@@ -133,7 +133,8 @@ def reference_poa(g1, n2, cfg):
 
 def _table(g1, lent, cfg):
     """A job's cost for each candidate, in scan order, against the far pairs in lent."""
-    return tuple(itertools.chain.from_iterable(equilibrium.job_rows(g1, lent, cfg).scan()))
+    rows = equilibrium.job_rows(g1, model.pair_hubs(lent, g1.n), cfg)
+    return tuple(itertools.chain.from_iterable(rows.scan()))
 
 
 def _level2_scan(g1, cands, n2, cfg):
@@ -448,8 +449,8 @@ def _rps_cost(j, state, cfg):
 
 
 def _rps_rows(g1, key, cfg):
-    # Every candidate lends its own bit (see the test below), so a job's
-    # key is the other job's bit.
+    # Every candidate lends its own bit and the key reaches here as it is
+    # (see the test below), so a job's key is the other job's bit.
     cands = _reference_candidates(g1.n)
     other = cands[key.bit_length() - 1]
     costs = [
@@ -467,6 +468,7 @@ def test_scan_matches_reference_without_equilibrium(monkeypatch):
     # substituted cost reads.
     monkeypatch.setattr(model, "job_player_cost", _rps_cost)
     monkeypatch.setattr(equilibrium, "job_rows", _rps_rows)
+    monkeypatch.setattr(equilibrium, "pair_hubs", lambda key, n1: key)
     monkeypatch.setattr(
         equilibrium, "lent_pairs", lambda g1, cands, cfg: [1 << i for i in range(len(cands))]
     )

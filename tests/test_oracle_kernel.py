@@ -13,7 +13,7 @@ the argmin over the whole scan, before the exact oracles stopped at the
 size floors, and reference_layers builds the distance layers from BFS
 distance rows, before the bit-parallel BFS over adjacency bitmasks.
 reference_job_deviation_rows adds one vertex per other job, as job rows
-did before they were built on the far fog pairs the other jobs lend.
+did before they kept only hubs for the far fog pairs the other jobs lend.
 """
 
 import itertools
@@ -698,10 +698,20 @@ def _lending_state(rng):
     return GameState(g1, Level2Profile(n1, jobs), allow_unequal=True), cfg
 
 
+def _hub_kind(j, state, cfg):
+    """Which hubs job j's rows hold: none, the lending jobs' strategies or the lent pairs."""
+    others = state.level2.strategies[:j] + state.level2.strategies[j + 1 :]
+    lent = model.lent_pairs(state.g1, others, cfg)
+    lenders = {s for s, pairs in zip(others, lent) if pairs}
+    pairs = len({p for pairs in lent for p in model.pair_hubs(pairs, state.n1)})
+    return "none" if not lenders else "pairs" if pairs < len(lenders) else "jobs"
+
+
 def test_job_rows_match_one_vertex_per_job_reference():
     # A job vertex shortens a fog distance only between its members at
-    # least 3 hops apart, and a lent pair's vertex gives exactly that
-    # two-hop path, so the layers and every scanned cost are the same.
+    # least 3 hops apart, so leaving out the jobs that lend no such pair,
+    # merging equal strategies, or giving each lent pair its own two-hop
+    # vertex keeps the layers and every scanned cost the same.
     rng = random.Random(16)
     seen = set()
     for _ in range(600):
@@ -722,11 +732,13 @@ def test_job_rows_match_one_vertex_per_job_reference():
                     ("empty", frozenset() in jobs),
                     ("singleton", any(len(s) == 1 for s in jobs)),
                     ("duplicate", len(set(jobs)) < len(jobs)),
+                    ("hubs", _hub_kind(j, state, cfg)),
                 }
             )
     assert {("n1", n) for n in range(8)} | {("n2", n) for n in range(1, 7)} <= seen
     assert {("inf", True), ("empty", True), ("singleton", True), ("duplicate", True)} <= seen
     assert {("cfg", c, t) for c in JobCostType for t in TransitPolicy} <= seen
+    assert {("hubs", "none"), ("hubs", "jobs"), ("hubs", "pairs")} <= seen
 
 
 def test_lent_pairs_are_the_pairs_at_least_3_hops_apart():
@@ -741,9 +753,10 @@ def test_lent_pairs_are_the_pairs_at_least_3_hops_apart():
 
 
 def test_job_rows_grow_with_the_fog_pairs_not_the_jobs(monkeypatch):
-    # Forty jobs each lend all six pairs of four isolated fog vertices: a
-    # job is priced on at most n1 + C(n1, 2) = 10 vertices, not one per
-    # other job.
+    # Four isolated fog vertices, so every pair is far, and forty jobs: a
+    # job is priced on one hub per distinct lending strategy or one per
+    # lent pair, whichever is fewer, at most n1 + C(n1, 2) = 10 vertices,
+    # not one per other job.
     built = []
     original = model.DeviationRows
 
@@ -752,8 +765,21 @@ def test_job_rows_grow_with_the_fog_pairs_not_the_jobs(monkeypatch):
         return original(universe, adjacency, *args)
 
     monkeypatch.setattr(model, "DeviationRows", spy)
-    state = GameState(Graph(4, frozenset()), Level2Profile(4, [range(4)] * 40), allow_unequal=True)
-    rows = model.job_deviation_rows(0, state, GameConfig())
-    assert built == [4 + math.comb(4, 2)]
-    # beta 1 and one hop to 0, three to each other vertex over a lent pair
-    assert rows.evaluate(frozenset({0})) == 1 + 1 + 3 * 3
+    g1 = Graph(4, frozenset())
+    subsets = [frozenset(c) for k in range(5) for c in itertools.combinations(range(4), k)]
+    shapes = {
+        "one strategy": [frozenset(range(4))] * 40,
+        "every subset": [subsets[i % 16] for i in range(40)],
+        "singletons": [frozenset(range(4))] + [frozenset({1})] * 39,
+    }
+    sizes = {}
+    for name, jobs in shapes.items():
+        state = GameState(g1, Level2Profile(4, jobs), allow_unequal=True)
+        built.clear()
+        rows = [model.job_deviation_rows(j, state, GameConfig()) for j in (0, 1)]
+        sizes[name] = built[:]
+        # beta 1 and one hop to 0, three to each other vertex over a lent pair
+        assert rows[1].evaluate(frozenset({0})) == 1 + 1 + 3 * 3
+    # 1 lending strategy; 6 pairs against 11 lending strategies; job 0
+    # against singletons, which lend nothing, and job 1 against one lender
+    assert sizes == {"one strategy": [5, 5], "every subset": [10, 10], "singletons": [4, 5]}
