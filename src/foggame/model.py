@@ -8,6 +8,7 @@ graph (price beta each) and pays a distance term over all fog vertices.
 
 from __future__ import annotations
 
+import itertools
 import math
 from enum import Enum
 from functools import lru_cache, reduce
@@ -171,7 +172,7 @@ class GameState(_Validated, _GameStateFields):
         if not self.allow_unequal and n1 != self.level2.n2:
             raise ValueError(
                 f"player counts differ (n1={n1}, n2={self.level2.n2}); "
-                "pass allow_unequal=True to permit this"
+                'pass allow_unequal=True (scenario key "allow_unequal": true) to permit this'
             )
         return self
 
@@ -288,24 +289,25 @@ class DeviationRows:
     A shortest path out of the player never comes back through it, so its
     distance to a target t under strategy S is 1 + the least hop distance
     to t from S or inbound in the graph without the player's links.
-    adjacency holds that graph as closed-neighbourhood bitmasks; vertex
-    t < width = |universe| is target t, standing for universe[t], a vertex
-    the player may link to, and later vertices (a job's hubs, see
-    job_rows) only carry paths.  inbound lists the vertices whose links to
-    the player other players bought.
+    adjacency holds that graph as closed out-neighbourhood bitmasks, which
+    a job's hubs make directed (see job_rows); vertex t < width =
+    |universe| is target t, standing for universe[t], a vertex the player
+    may link to, and later vertices only carry paths.  inbound lists the
+    vertices whose links to the player other players bought.
 
-    A bit-parallel BFS from each target keeps its distances as one int of
-    layers: layer r, at bit offset r * width, is reach_r & targets, where
-    reach_r (the vertices within r hops) grows by the neighbourhoods of the
-    vertices first reached at r - 1 until it stops growing, even across
-    radii that reach no target.  Layers run below depth, 1 plus the largest
-    finite distance between targets (at least 1).  A strategy's mask is the
-    OR of its members' and inbound's masks, in which target t lacks one bit
-    per hop of its least distance; when the top layer is full (every target
-    reached) the distance sum is thus width * (depth + 1) minus the mask's
-    set bits, INF otherwise.  That is an integer hop count or INF, so every
-    cost equals job_player_cost or edge_fog_player_cost for the same
-    strategy exactly.  cost(k, sums) prices k links with each distance sum.
+    A bit-parallel BFS from each target keeps its distances to the targets
+    as one int of layers: layer r, at bit offset r * width, is reach_r &
+    targets, where reach_r (the vertices within r hops) grows by the
+    out-neighbourhoods of the vertices first reached at r - 1 until it
+    stops growing, even across radii that reach no target.  Layers run
+    below depth, 1 plus the largest finite distance between targets (at
+    least 1).  A strategy's mask is the OR of its members' and inbound's
+    masks, in which target t lacks one bit per hop of its least distance;
+    when the top layer is full (every target reached) the distance sum is
+    thus width * (depth + 1) minus the mask's set bits, INF otherwise.
+    That is an integer hop count or INF, so every cost equals
+    job_player_cost or edge_fog_player_cost for the same strategy exactly.
+    cost(k, sums) prices k links with each distance sum.
     """
 
     __slots__ = ("universe", "masks", "base", "full", "reached", "cost")
@@ -400,62 +402,57 @@ class DeviationRows:
             yield self.cost(k, self._sums(masks))
 
 
-def lent_pairs(g1: Graph, strategies: Sequence[VertexSet], cfg: GameConfig) -> list[int]:
-    """Far fog pairs each job strategy lends the other jobs, one int per strategy.
+def lent_pairs(g1: Graph, strategies: Sequence[VertexSet], cfg: GameConfig) -> Iterator[int]:
+    """Far fog pairs each job strategy lends the other jobs, one int per strategy, lazily.
 
-    Under FULL_COMBINED a job joins two members a < b of its strategy by a
+    Under FULL_COMBINED a job joins two members a, b of its strategy by a
     two-hop path, which shortens a fog distance only when b lies outside
-    N[N[a]] in g1, 3 or more hops from a (INF counts): bit a * n1 + b.
-    Under FOG_ONLY no path crosses a job, so every strategy gets 0.
+    N[N[a]] in g1, 3 or more hops from a (INF counts): bits a * n1 + b
+    and b * n1 + a.  So bits a * n1 .. a * n1 + n1 - 1 of an OR of these
+    ints are a's partners.  Under FOG_ONLY no path crosses a job, so every
+    strategy gets 0.
     """
     if cfg.transit_policy is TransitPolicy.FOG_ONLY:
-        return [0] * len(strategies)
+        return itertools.repeat(0, len(strategies))
     n1 = g1.n
     adjacency = closed_neighborhood_masks(g1)
     two = list(adjacency)
     for u, v in g1.edges:
         two[u] |= adjacency[v]
         two[v] |= adjacency[u]
-    far = [(1 << n1) - (2 << a) & ~near for a, near in enumerate(two)]
-    members = [sum(1 << v for v in s) for s in strategies]
-    return [sum((far[a] & m) << a * n1 for a in s) for s, m in zip(strategies, members)]
+    far = [(1 << n1) - 1 & ~near for near in two]
+    members = (sum(1 << v for v in s) for s in strategies)
+    return (sum((far[a] & m) << a * n1 for a in s) for s, m in zip(strategies, members))
 
 
-def pair_hubs(lent: int, n1: int) -> list[tuple[int, int]]:
-    """The far pairs in lent (see lent_pairs) as two-member hubs for job_rows."""
-    return [divmod(i, n1) for i, bit in enumerate(reversed(bin(lent))) if bit == "1"]
+def job_rows(g1: Graph, lent: int, cfg: GameConfig) -> DeviationRows:
+    """Distance layers of a job against the far pairs in lent (see lent_pairs).
 
-
-def job_rows(g1: Graph, hubs: Iterable[Iterable[int]], cfg: GameConfig) -> DeviationRows:
-    """Distance layers of a job, whose targets are all fog vertices.
-
-    The graph is g1 plus one vertex per hub, linked to the hub's fog
-    vertices: another job's strategy, or a far pair it lends (pair_hubs).
+    The graph is g1 plus one hub per fog vertex a with partners: a links
+    to the hub and the hub on to a's partners.  Nothing else links to a
+    hub, so a path enters it only from a, and the hubs add exactly the
+    lent two-hop paths: at most 2 * n1 vertices.  Partners are symmetric,
+    so fog distances stay symmetric.
     """
+    n1 = g1.n
+    low = (1 << n1) - 1
     adjacency = closed_neighborhood_masks(g1)
-    for hub in hubs:
-        bit = 1 << len(adjacency)
-        adjacency.append(bit + sum(1 << v for v in hub))
-        for v in hub:
-            adjacency[v] |= bit
-    return DeviationRows(range(g1.n), adjacency, lambda k, d: _job_costs(cfg.beta * k, d, cfg))
+    for a in range(n1):
+        partners = lent >> a * n1 & low
+        if partners:
+            bit = 1 << len(adjacency)
+            adjacency.append(bit | partners)
+            adjacency[a] |= bit
+    return DeviationRows(range(n1), adjacency, lambda k, d: _job_costs(cfg.beta * k, d, cfg))
 
 
 def job_deviation_rows(j: int, state: GameState, cfg: GameConfig) -> DeviationRows:
-    """Distance layers of job j against the far pairs the other jobs lend (see lent_pairs).
-
-    One hub per distinct lending strategy, or per lent pair where those are
-    fewer: at most n1 + min(n2 - 1, C(n1, 2)) vertices.
-    """
+    """Distance layers of job j against the far pairs the other jobs lend (see job_rows)."""
     if not 0 <= j < state.n2:
         raise ValueError(f"job {j} outside [0,{state.n2})")
     g1, jobs = state.g1, state.level2.strategies
-    others = jobs[:j] + jobs[j + 1 :]
-    lent = lent_pairs(g1, others, cfg)
-    lenders = {s for s, pairs in zip(others, lent) if pairs}
-    pairs = reduce(int.__or__, lent, 0)
-    hubs = pair_hubs(pairs, g1.n) if pairs.bit_count() < len(lenders) else lenders
-    return job_rows(g1, hubs, cfg)
+    lent = reduce(int.__or__, lent_pairs(g1, jobs[:j] + jobs[j + 1 :], cfg), 0)
+    return job_rows(g1, lent, cfg)
 
 
 def fog_deviation_rows(i: int, state: GameState, cfg: GameConfig) -> DeviationRows:

@@ -489,7 +489,7 @@ def test_main_exact_guard_refuses_before_generating_the_graph(
             {},
             cli.EXIT_USAGE,
             "foggame: player counts differ (n1=25, n2=24); "
-            "pass allow_unequal=True to permit this\n",
+            'pass allow_unequal=True (scenario key "allow_unequal": true) to permit this\n',
         ),
     ],
 )

@@ -133,7 +133,7 @@ def reference_poa(g1, n2, cfg):
 
 def _table(g1, lent, cfg):
     """A job's cost for each candidate, in scan order, against the far pairs in lent."""
-    rows = equilibrium.job_rows(g1, model.pair_hubs(lent, g1.n), cfg)
+    rows = equilibrium.job_rows(g1, lent, cfg)
     return tuple(itertools.chain.from_iterable(rows.scan()))
 
 
@@ -147,7 +147,7 @@ def _level2_scan(g1, cands, n2, cfg):
     bits only its own candidate lends.  A profile is an
     equilibrium iff no job's cost exceeds its table minimum.
     """
-    lends = model.lent_pairs(g1, cands, cfg)
+    lends = list(model.lent_pairs(g1, cands, cfg))
     tables = {}
     for indices in itertools.product(range(len(cands)), repeat=n2):
         once = twice = 0
@@ -468,7 +468,6 @@ def test_scan_matches_reference_without_equilibrium(monkeypatch):
     # substituted cost reads.
     monkeypatch.setattr(model, "job_player_cost", _rps_cost)
     monkeypatch.setattr(equilibrium, "job_rows", _rps_rows)
-    monkeypatch.setattr(equilibrium, "pair_hubs", lambda key, n1: key)
     monkeypatch.setattr(
         equilibrium, "lent_pairs", lambda g1, cands, cfg: [1 << i for i in range(len(cands))]
     )

@@ -19,6 +19,7 @@ did before they kept only hubs for the far fog pairs the other jobs lend.
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -699,12 +700,9 @@ def _lending_state(rng):
 
 
 def _hub_kind(j, state, cfg):
-    """Which hubs job j's rows hold: none, the lending jobs' strategies or the lent pairs."""
+    """Whether job j's rows hold hubs: none, or some for the far pairs the other jobs lend."""
     others = state.level2.strategies[:j] + state.level2.strategies[j + 1 :]
-    lent = model.lent_pairs(state.g1, others, cfg)
-    lenders = {s for s, pairs in zip(others, lent) if pairs}
-    pairs = len({p for pairs in lent for p in model.pair_hubs(pairs, state.n1)})
-    return "none" if not lenders else "pairs" if pairs < len(lenders) else "jobs"
+    return "hubs" if any(model.lent_pairs(state.g1, others, cfg)) else "none"
 
 
 def test_job_rows_match_one_vertex_per_job_reference():
@@ -738,25 +736,23 @@ def test_job_rows_match_one_vertex_per_job_reference():
     assert {("n1", n) for n in range(8)} | {("n2", n) for n in range(1, 7)} <= seen
     assert {("inf", True), ("empty", True), ("singleton", True), ("duplicate", True)} <= seen
     assert {("cfg", c, t) for c in JobCostType for t in TransitPolicy} <= seen
-    assert {("hubs", "none"), ("hubs", "jobs"), ("hubs", "pairs")} <= seen
+    assert {("hubs", "none"), ("hubs", "hubs")} <= seen
 
 
 def test_lent_pairs_are_the_pairs_at_least_3_hops_apart():
     g1 = Graph(6, frozenset({(0, 1), (1, 2), (2, 3)}))  # path 0..3, isolated 4 and 5
-    far = model.lent_pairs(g1, [frozenset(range(6))], GameConfig())[0]
+    [far] = model.lent_pairs(g1, [frozenset(range(6))], GameConfig())
     dist = all_pairs_distances(g1)
-    expected = sum(1 << a * 6 + b for a, b in itertools.combinations(range(6), 2) if dist[a][b] >= 3)
-    assert far == expected and far.bit_count() == 10
-    assert model.lent_pairs(g1, [frozenset({0, 1, 2}), frozenset()], GameConfig()) == [0, 0]
+    pairs = itertools.permutations(range(6), 2)
+    expected = sum(1 << a * 6 + b for a, b in pairs if dist[a][b] >= 3)
+    assert far == expected and far.bit_count() == 20
+    assert list(model.lent_pairs(g1, [frozenset({0, 1, 2}), frozenset()], GameConfig())) == [0, 0]
     fog_only = GameConfig(transit_policy=TransitPolicy.FOG_ONLY)
-    assert model.lent_pairs(g1, [frozenset(range(6))], fog_only) == [0]
+    assert list(model.lent_pairs(g1, [frozenset(range(6))], fog_only)) == [0]
 
 
-def test_job_rows_grow_with_the_fog_pairs_not_the_jobs(monkeypatch):
-    # Four isolated fog vertices, so every pair is far, and forty jobs: a
-    # job is priced on one hub per distinct lending strategy or one per
-    # lent pair, whichever is fewer, at most n1 + C(n1, 2) = 10 vertices,
-    # not one per other job.
+def _row_vertices(monkeypatch):
+    """Spy on model.DeviationRows; return the list of each build's vertex count."""
     built = []
     original = model.DeviationRows
 
@@ -765,6 +761,14 @@ def test_job_rows_grow_with_the_fog_pairs_not_the_jobs(monkeypatch):
         return original(universe, adjacency, *args)
 
     monkeypatch.setattr(model, "DeviationRows", spy)
+    return built
+
+
+def test_job_rows_grow_with_the_fog_pairs_not_the_jobs(monkeypatch):
+    # Four isolated fog vertices, so every pair is far, and forty jobs: a
+    # job is priced on one hub per fog vertex in a lent pair, at most
+    # 2 * n1 = 8 vertices, not one per other job.
+    built = _row_vertices(monkeypatch)
     g1 = Graph(4, frozenset())
     subsets = [frozenset(c) for k in range(5) for c in itertools.combinations(range(4), k)]
     shapes = {
@@ -780,6 +784,33 @@ def test_job_rows_grow_with_the_fog_pairs_not_the_jobs(monkeypatch):
         sizes[name] = built[:]
         # beta 1 and one hop to 0, three to each other vertex over a lent pair
         assert rows[1].evaluate(frozenset({0})) == 1 + 1 + 3 * 3
-    # 1 lending strategy; 6 pairs against 11 lending strategies; job 0
-    # against singletons, which lend nothing, and job 1 against one lender
-    assert sizes == {"one strategy": [5, 5], "every subset": [10, 10], "singletons": [4, 5]}
+    # every vertex is in a lent pair, except for job 0 against
+    # singletons, which lend nothing
+    assert sizes == {"one strategy": [8, 8], "every subset": [8, 8], "singletons": [4, 8]}
+
+
+def test_job_rows_have_at_most_one_hub_per_fog_vertex(monkeypatch):
+    # Six isolated fog vertices and one job on every subset: the 57
+    # lending strategies lend all 15 pairs, and still each fog vertex
+    # gets one hub, 2 * n1 vertices in all.
+    built = _row_vertices(monkeypatch)
+    jobs = [frozenset(c) for k in range(7) for c in itertools.combinations(range(6), k)]
+    state = GameState(Graph(6, frozenset()), Level2Profile(6, jobs), allow_unequal=True)
+    model.job_deviation_rows(0, state, GameConfig())
+    assert built == [12]
+
+
+def test_job_rows_hold_one_lent_int_at_a_time():
+    # A lent int spans up to n1 * n1 bits, 2.7 KiB here: one per other
+    # job would take about 4 MiB, one at a time well under 1 MiB.
+    g1 = generate("erdos_renyi", 150, p=0.02, seed=3)
+    rng = random.Random(3)
+    jobs = [frozenset(rng.sample(range(150), 5)) for _ in range(2000)]
+    state = GameState(g1, Level2Profile(150, jobs), allow_unequal=True)
+    tracemalloc.start()
+    try:
+        model.job_deviation_rows(0, state, GameConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

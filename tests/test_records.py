@@ -162,7 +162,8 @@ def test_profiles_normalize_their_strategies():
         ),
         (
             lambda: GameState(Graph(2, frozenset()), Level2Profile(2, [[]])),
-            "player counts differ (n1=2, n2=1); pass allow_unequal=True to permit this",
+            "player counts differ (n1=2, n2=1); "
+            'pass allow_unequal=True (scenario key "allow_unequal": true) to permit this',
         ),
     ],
 )
