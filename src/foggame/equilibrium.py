@@ -16,9 +16,9 @@ edge_fog_player_cost exactly.
 
 Another job can shorten a job's distances only by a two-hop fog -> job ->
 fog path between two of its members at least 3 hops apart in the fog
-graph, a far pair it lends (model.lent_pairs); a job is priced on the fog
-graph plus one hub vertex per fog vertex in a lent pair, at most 2 * n1
-vertices (model.job_rows).  The joint level-2 analyses (social optimum,
+graph, a far pair it lends (model.lent_partners); a job is priced on the
+n1 fog vertices alone, each BFS reaching a vertex's lent partners two
+hops after it (model.job_rows).  The joint level-2 analyses (social optimum,
 equilibrium enumeration, price of anarchy) walk lend classes, candidates
 lending the same far pairs, instead of the 2^(n1*n2) job profiles.  One
 cost table per set of lent pairs (one in all under FOG_ONLY transit, with
@@ -301,27 +301,12 @@ def best_response_dynamics(
                 moves.append(Move(level, player, old, cand, current, cand_cost))
                 moved = True
                 if state in seen:
-                    return DynamicsTrace(
-                        moves=tuple(moves),
-                        outcome=DynamicsOutcome.CYCLE_DETECTED,
-                        final_state=state,
-                        rounds_used=round_index + 1,
-                        cycle_period=len(moves) - seen[state],
-                    )
+                    outcome, period = DynamicsOutcome.CYCLE_DETECTED, len(moves) - seen[state]
+                    return DynamicsTrace(tuple(moves), outcome, state, round_index + 1, period)
                 seen[state] = len(moves)
         if not moved:
-            return DynamicsTrace(
-                moves=tuple(moves),
-                outcome=DynamicsOutcome.CONVERGED,
-                final_state=state,
-                rounds_used=round_index + 1,
-            )
-    return DynamicsTrace(
-        moves=tuple(moves),
-        outcome=DynamicsOutcome.BUDGET_EXHAUSTED,
-        final_state=state,
-        rounds_used=max_rounds,
-    )
+            return DynamicsTrace(tuple(moves), DynamicsOutcome.CONVERGED, state, round_index + 1)
+    return DynamicsTrace(tuple(moves), DynamicsOutcome.BUDGET_EXHAUSTED, state, max_rounds)
 
 
 def _check_joint_size(n1: int, n2: int) -> None:

@@ -8,7 +8,6 @@ graph (price beta each) and pays a distance term over all fog vertices.
 
 from __future__ import annotations
 
-import itertools
 import math
 from enum import Enum
 from functools import lru_cache, reduce
@@ -287,27 +286,28 @@ class DeviationRows:
     """Every strategy of one deviating player, priced from shared distance layers.
 
     A shortest path out of the player never comes back through it, so its
-    distance to a target t under strategy S is 1 + the least hop distance
-    to t from S or inbound in the graph without the player's links.
-    adjacency holds that graph as closed out-neighbourhood bitmasks, which
-    a job's hubs make directed (see job_rows); vertex t < width =
+    distance to a target t under strategy S is 1 + the least hop distance to
+    t from S or inbound in the graph without the player's links.  adjacency
+    holds that graph as closed neighbourhood bitmasks; vertex t < width =
     |universe| is target t, standing for universe[t], a vertex the player
-    may link to, and later vertices only carry paths.  inbound lists the
-    vertices whose links to the player other players bought.
+    may link to, and later vertices only carry paths.  partners, if given,
+    has per vertex the bitmask of those two hops away through a job (see
+    lent_partners).  inbound lists the vertices whose links to the player
+    other players bought.
 
     A bit-parallel BFS from each target keeps its distances to the targets
     as one int of layers: layer r, at bit offset r * width, is reach_r &
     targets, where reach_r (the vertices within r hops) grows by the
-    out-neighbourhoods of the vertices first reached at r - 1 until it
-    stops growing, even across radii that reach no target.  Layers run
-    below depth, 1 plus the largest finite distance between targets (at
-    least 1).  A strategy's mask is the OR of its members' and inbound's
-    masks, in which target t lacks one bit per hop of its least distance;
-    when the top layer is full (every target reached) the distance sum is
-    thus width * (depth + 1) minus the mask's set bits, INF otherwise.
-    That is an integer hop count or INF, so every cost equals
-    job_player_cost or edge_fog_player_cost for the same strategy exactly.
-    cost(k, sums) prices k links with each distance sum.
+    neighbourhoods of the vertices first reached at r - 1 and the partners
+    of those first reached at r - 2 until it stops growing, even across
+    radii that reach no target.  Layers run below depth, 1 plus the largest
+    finite distance between targets (at least 1).  A strategy's mask is the
+    OR of its members' and inbound's masks, in which target t lacks one bit
+    per hop of its least distance; when the top layer is full (every target
+    reached) the distance sum is thus width * (depth + 1) minus the mask's
+    set bits, INF otherwise.  That is an integer hop count or INF, so every
+    cost equals job_player_cost or edge_fog_player_cost for the same
+    strategy exactly.  cost(k, sums) prices k links with each distance sum.
     """
 
     __slots__ = ("universe", "masks", "base", "full", "reached", "cost")
@@ -318,6 +318,7 @@ class DeviationRows:
         adjacency: list[int],
         cost: Callable[[int, list[Distance]], list[float]],
         inbound: Iterable[int] = (),
+        partners: Sequence[int] = (),
     ):
         self.universe = tuple(universe)
         width = len(self.universe)
@@ -328,16 +329,18 @@ class DeviationRows:
         # the targets it reached and the sum of bit * ones(r) as below.
         spans = []
         depth = 1
+        partners = partners or [0] * len(adjacency)
         for t in range(width):
             reach = frontier = 1 << t
-            ones = below = r = 0
-            while frontier:
-                grown = 0
+            ones = below = r = pending = 0
+            while frontier or pending:
+                grown, later = pending, 0
                 while frontier:
-                    low = frontier & -frontier
-                    grown |= adjacency[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = grown & ~reach
+                    v = frontier.bit_length() - 1
+                    grown |= adjacency[v]
+                    later |= partners[v]
+                    frontier ^= 1 << v
+                frontier, pending = grown & ~reach, later
                 reach |= frontier
                 r += 1
                 ones = ones << width | 1
@@ -347,9 +350,7 @@ class DeviationRows:
             spans.append((reach & targets, below))
         ones = sum(1 << r * width for r in range(depth))
         self.masks = {v: reach * ones - below for v, (reach, below) in zip(self.universe, spans)}
-        self.base = 0
-        for v in inbound:
-            self.base |= self.masks[v]
+        self.base = reduce(int.__or__, (self.masks[v] for v in inbound), 0)
         self.full = width * (depth + 1)
         # a mask is at least this iff its top layer is full
         self.reached = targets << (depth - 1) * width
@@ -360,9 +361,7 @@ class DeviationRows:
         return [full - mask.bit_count() if mask >= reached else INF for mask in masks]
 
     def evaluate(self, strategy: VertexSet) -> float:
-        mask = self.base
-        for s in strategy:
-            mask |= self.masks[s]
+        mask = reduce(int.__or__, (self.masks[s] for s in strategy), self.base)
         return self.cost(len(strategy), self._sums([mask]))[0]
 
     def floors(self) -> list[float]:
@@ -402,57 +401,62 @@ class DeviationRows:
             yield self.cost(k, self._sums(masks))
 
 
-def lent_pairs(g1: Graph, strategies: Sequence[VertexSet], cfg: GameConfig) -> Iterator[int]:
-    """Far fog pairs each job strategy lends the other jobs, one int per strategy, lazily.
-
-    Under FULL_COMBINED a job joins two members a, b of its strategy by a
-    two-hop path, which shortens a fog distance only when b lies outside
-    N[N[a]] in g1, 3 or more hops from a (INF counts): bits a * n1 + b
-    and b * n1 + a.  So bits a * n1 .. a * n1 + n1 - 1 of an OR of these
-    ints are a's partners.  Under FOG_ONLY no path crosses a job, so every
-    strategy gets 0.
-    """
-    if cfg.transit_policy is TransitPolicy.FOG_ONLY:
-        return itertools.repeat(0, len(strategies))
-    n1 = g1.n
+@lru_cache(maxsize=16)
+def _far_masks(g1: Graph) -> tuple[int, ...]:
+    """Per fog vertex a, the bitmask of the vertices outside N[N[a]] in g1."""
     adjacency = closed_neighborhood_masks(g1)
     two = list(adjacency)
     for u, v in g1.edges:
         two[u] |= adjacency[v]
         two[v] |= adjacency[u]
-    far = [(1 << n1) - 1 & ~near for near in two]
-    members = (sum(1 << v for v in s) for s in strategies)
-    return (sum((far[a] & m) << a * n1 for a in s) for s, m in zip(strategies, members))
+    return tuple((1 << g1.n) - 1 & ~near for near in two)
+
+
+def lent_partners(g1: Graph, strategies: Iterable[VertexSet], cfg: GameConfig) -> list[int]:
+    """Per fog vertex a, the bitmask of its partners b in the far pairs the strategies lend.
+
+    Under FULL_COMBINED a job's two-hop path between members a, b shortens
+    a fog distance only when b lies outside N[N[a]] in g1, 3 or more hops
+    from a (INF counts).  Under FOG_ONLY no path crosses a job.
+    """
+    partners = [0] * g1.n
+    if cfg.transit_policy is TransitPolicy.FULL_COMBINED:
+        far = _far_masks(g1)
+        for s in strategies:
+            members = sum(1 << v for v in s)
+            for a in s:
+                partners[a] |= far[a] & members
+    return partners
+
+
+def lent_pairs(g1: Graph, strategies: Sequence[VertexSet], cfg: GameConfig) -> Iterator[int]:
+    """Far fog pairs each job strategy lends the other jobs, one int per strategy, lazily.
+
+    Bits a * n1 .. a * n1 + n1 - 1 are a's partners (see lent_partners).
+    """
+    for s in strategies:
+        yield sum(p << a * g1.n for a, p in enumerate(lent_partners(g1, [s], cfg)))
+
+
+def _job_rows(g1: Graph, partners: list[int], cfg: GameConfig) -> DeviationRows:
+    """Distance layers of a job on g1 whose fog vertices have these lent partners."""
+    def cost(k: int, sums: list[Distance]) -> list[float]:
+        return _job_costs(cfg.beta * k, sums, cfg)
+
+    return DeviationRows(range(g1.n), closed_neighborhood_masks(g1), cost, partners=partners)
 
 
 def job_rows(g1: Graph, lent: int, cfg: GameConfig) -> DeviationRows:
-    """Distance layers of a job against the far pairs in lent (see lent_pairs).
-
-    The graph is g1 plus one hub per fog vertex a with partners: a links
-    to the hub and the hub on to a's partners.  Nothing else links to a
-    hub, so a path enters it only from a, and the hubs add exactly the
-    lent two-hop paths: at most 2 * n1 vertices.  Partners are symmetric,
-    so fog distances stay symmetric.
-    """
-    n1 = g1.n
-    low = (1 << n1) - 1
-    adjacency = closed_neighborhood_masks(g1)
-    for a in range(n1):
-        partners = lent >> a * n1 & low
-        if partners:
-            bit = 1 << len(adjacency)
-            adjacency.append(bit | partners)
-            adjacency[a] |= bit
-    return DeviationRows(range(n1), adjacency, lambda k, d: _job_costs(cfg.beta * k, d, cfg))
+    """Distance layers of a job against the far pairs in lent (see lent_pairs)."""
+    return _job_rows(g1, [lent >> a * g1.n & (1 << g1.n) - 1 for a in range(g1.n)], cfg)
 
 
 def job_deviation_rows(j: int, state: GameState, cfg: GameConfig) -> DeviationRows:
-    """Distance layers of job j against the far pairs the other jobs lend (see job_rows)."""
+    """Distance layers of job j against the far pairs the other jobs lend (see lent_partners)."""
     if not 0 <= j < state.n2:
         raise ValueError(f"job {j} outside [0,{state.n2})")
     g1, jobs = state.g1, state.level2.strategies
-    lent = reduce(int.__or__, lent_pairs(g1, jobs[:j] + jobs[j + 1 :], cfg), 0)
-    return job_rows(g1, lent, cfg)
+    return _job_rows(g1, lent_partners(g1, jobs[:j] + jobs[j + 1 :], cfg), cfg)
 
 
 def fog_deviation_rows(i: int, state: GameState, cfg: GameConfig) -> DeviationRows:

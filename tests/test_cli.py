@@ -452,6 +452,35 @@ def test_main_exact_guard_refuses_before_generating_the_graph(
     )
 
 
+def test_main_cost_guard_refuses_before_generating_the_graph(tmp_path, monkeypatch, capsys):
+    # Path 2^20 + 1 is within GENERATION_PAIR_GUARD, but a BFS from each
+    # of its vertices would take some 2^40 steps: the shape alone is refused.
+    def no_generate(*args, **kwargs):
+        raise AssertionError("the graph was generated before the guard refused it")
+
+    monkeypatch.setattr(generators, "generate", no_generate)
+    n = 2**20 + 1
+    body = {"mode": "cost", "graph": {"kind": "path", "n": n}, "n2": 1, "allow_unequal": True}
+    path = _write(tmp_path, "long.json", body)
+    assert cli.main(["cost", path]) == cli.EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"foggame: cost evaluation guard exceeded: size {(n + 1) ** 2} > limit 16777216\n"
+    )
+
+
+def test_main_cost_guard_counts_the_built_edges(tmp_path, capsys):
+    # K_400 without jobs passes on its edgeless shape (400^2 pairs); once
+    # built, 400 BFS over its 79,800 edges do not.
+    graph = {"kind": "complete", "n": 400}
+    body = {"mode": "cost", "graph": graph, "n2": 0, "allow_unequal": True}
+    assert cli.main(["cost", _write(tmp_path, "k400.json", body)]) == cli.EXIT_GUARD
+    assert capsys.readouterr().err == (
+        "foggame: cost evaluation guard exceeded: size 32080000 > limit 16777216\n"
+    )
+
+
 @pytest.mark.parametrize(
     "mode, extra, options, code, message",
     [

@@ -13,7 +13,8 @@ the argmin over the whole scan, before the exact oracles stopped at the
 size floors, and reference_layers builds the distance layers from BFS
 distance rows, before the bit-parallel BFS over adjacency bitmasks.
 reference_job_deviation_rows adds one vertex per other job, as job rows
-did before they kept only hubs for the far fog pairs the other jobs lend.
+did before they kept only the far fog pairs the other jobs lend, as each
+fog vertex's partners two hops away.
 """
 
 import itertools
@@ -655,6 +656,32 @@ def test_layers_follow_radii_that_reach_only_jobs():
     assert best_response_job_exact(1, state, cfg) == reference_job_exact(1, state, cfg)
 
 
+def _lent_path_shapes():
+    """Named fixed fog graphs on which a job's shortest paths cross lending jobs.
+
+    Each item is (fog graph, lending jobs, source, target, fog hops, hops
+    in the combined graph); a last job links nothing.
+    """
+    # path 0..6: 0 -> job 0 -> 3 -> job 1 -> 6 takes two lent pairs in a row
+    path = Graph(7, frozenset((i, i + 1) for i in range(6)))
+    yield pytest.param(path, [{0, 3}, {3, 6}], 0, 6, 6, 4, id="two-lent-pairs-in-a-row")
+    # components {0, 1, 2} and {3, 4}: job 0's pair 2-3 is the only way across
+    split = Graph(5, frozenset({(0, 1), (1, 2), (3, 4)}))
+    yield pytest.param(split, [{2, 3}, {0, 1}], 4, 0, INF, 5, id="partner-only-way-in")
+
+
+@pytest.mark.parametrize("g1, lending, source, target, fog_hops, hops", _lent_path_shapes())
+def test_job_layers_follow_lent_pairs(g1, lending, source, target, fog_hops, hops):
+    jobs = Level2Profile(g1.n, [*map(frozenset, lending), frozenset()])
+    state = GameState(g1, jobs, allow_unequal=True)
+    assert single_source_distances(g1, source)[target] == fog_hops
+    assert single_source_distances(model.build_combined_graph(g1, jobs), source)[target] == hops
+    for cfg in DEEP_CONFIGS:
+        for j in range(state.n2):
+            rows = model.job_deviation_rows(j, state, cfg)
+            assert _layers(rows) == reference_job_layers(j, state, cfg), (cfg, j)
+
+
 # ------------------------------------------------------------ lent far pairs
 
 
@@ -699,17 +726,17 @@ def _lending_state(rng):
     return GameState(g1, Level2Profile(n1, jobs), allow_unequal=True), cfg
 
 
-def _hub_kind(j, state, cfg):
-    """Whether job j's rows hold hubs: none, or some for the far pairs the other jobs lend."""
+def _lend_kind(j, state, cfg):
+    """Whether the other jobs lend job j some far pairs, or none."""
     others = state.level2.strategies[:j] + state.level2.strategies[j + 1 :]
-    return "hubs" if any(model.lent_pairs(state.g1, others, cfg)) else "none"
+    return "lend" if any(model.lent_pairs(state.g1, others, cfg)) else "none"
 
 
 def test_job_rows_match_one_vertex_per_job_reference():
     # A job vertex shortens a fog distance only between its members at
     # least 3 hops apart, so leaving out the jobs that lend no such pair,
-    # merging equal strategies, or giving each lent pair its own two-hop
-    # vertex keeps the layers and every scanned cost the same.
+    # merging equal strategies, or giving each fog vertex its lent partners
+    # two hops away keeps the layers and every scanned cost the same.
     rng = random.Random(16)
     seen = set()
     for _ in range(600):
@@ -730,13 +757,13 @@ def test_job_rows_match_one_vertex_per_job_reference():
                     ("empty", frozenset() in jobs),
                     ("singleton", any(len(s) == 1 for s in jobs)),
                     ("duplicate", len(set(jobs)) < len(jobs)),
-                    ("hubs", _hub_kind(j, state, cfg)),
+                    ("lends", _lend_kind(j, state, cfg)),
                 }
             )
     assert {("n1", n) for n in range(8)} | {("n2", n) for n in range(1, 7)} <= seen
     assert {("inf", True), ("empty", True), ("singleton", True), ("duplicate", True)} <= seen
     assert {("cfg", c, t) for c in JobCostType for t in TransitPolicy} <= seen
-    assert {("hubs", "none"), ("hubs", "hubs")} <= seen
+    assert {("lends", "none"), ("lends", "lend")} <= seen
 
 
 def test_lent_pairs_are_the_pairs_at_least_3_hops_apart():
@@ -749,6 +776,21 @@ def test_lent_pairs_are_the_pairs_at_least_3_hops_apart():
     assert list(model.lent_pairs(g1, [frozenset({0, 1, 2}), frozenset()], GameConfig())) == [0, 0]
     fog_only = GameConfig(transit_policy=TransitPolicy.FOG_ONLY)
     assert list(model.lent_pairs(g1, [frozenset(range(6))], fog_only)) == [0]
+    # the partner masks are the lent int's n1-bit blocks
+    partners = model.lent_partners(g1, [frozenset(range(6)), frozenset({0, 5})], GameConfig())
+    assert partners == [far >> a * 6 & 0b111111 for a in range(6)]
+    assert model.lent_partners(g1, [frozenset(range(6))], fog_only) == [0] * 6
+
+
+def test_far_masks_are_kept_per_fog_graph():
+    # Every job's deviation on one fog graph reads the same far masks.
+    g1 = generate("erdos_renyi", 30, p=0.1, seed=5)
+    jobs = [frozenset(range(k, 30, 7)) for k in range(7)]
+    state = GameState(g1, Level2Profile(30, jobs), allow_unequal=True)
+    model._far_masks.cache_clear()
+    for j in range(7):
+        model.job_deviation_rows(j, state, GameConfig())
+    assert model._far_masks.cache_info()[:2] == (6, 1)  # hits, misses
 
 
 def _row_vertices(monkeypatch):
@@ -756,18 +798,18 @@ def _row_vertices(monkeypatch):
     built = []
     original = model.DeviationRows
 
-    def spy(universe, adjacency, *args):
+    def spy(universe, adjacency, *args, **kwargs):
         built.append(len(adjacency))
-        return original(universe, adjacency, *args)
+        return original(universe, adjacency, *args, **kwargs)
 
     monkeypatch.setattr(model, "DeviationRows", spy)
     return built
 
 
-def test_job_rows_grow_with_the_fog_pairs_not_the_jobs(monkeypatch):
+def test_job_rows_do_not_grow_with_the_jobs(monkeypatch):
     # Four isolated fog vertices, so every pair is far, and forty jobs: a
-    # job is priced on one hub per fog vertex in a lent pair, at most
-    # 2 * n1 = 8 vertices, not one per other job.
+    # job is priced on the n1 = 4 fog vertices and their lent partners,
+    # not on one vertex per other job.
     built = _row_vertices(monkeypatch)
     g1 = Graph(4, frozenset())
     subsets = [frozenset(c) for k in range(5) for c in itertools.combinations(range(4), k)]
@@ -784,25 +826,27 @@ def test_job_rows_grow_with_the_fog_pairs_not_the_jobs(monkeypatch):
         sizes[name] = built[:]
         # beta 1 and one hop to 0, three to each other vertex over a lent pair
         assert rows[1].evaluate(frozenset({0})) == 1 + 1 + 3 * 3
-    # every vertex is in a lent pair, except for job 0 against
-    # singletons, which lend nothing
-    assert sizes == {"one strategy": [8, 8], "every subset": [8, 8], "singletons": [4, 8]}
+    # n1 vertices whether the others lend every pair or, for job 0
+    # against singletons, none
+    assert sizes == {"one strategy": [4, 4], "every subset": [4, 4], "singletons": [4, 4]}
 
 
-def test_job_rows_have_at_most_one_hub_per_fog_vertex(monkeypatch):
+def test_job_rows_hold_only_the_fog_vertices(monkeypatch):
     # Six isolated fog vertices and one job on every subset: the 57
-    # lending strategies lend all 15 pairs, and still each fog vertex
-    # gets one hub, 2 * n1 vertices in all.
+    # lending strategies lend all 15 pairs, and still the rows hold the
+    # n1 = 6 fog vertices alone.
     built = _row_vertices(monkeypatch)
     jobs = [frozenset(c) for k in range(7) for c in itertools.combinations(range(6), k)]
     state = GameState(Graph(6, frozenset()), Level2Profile(6, jobs), allow_unequal=True)
-    model.job_deviation_rows(0, state, GameConfig())
-    assert built == [12]
+    rows = model.job_deviation_rows(0, state, GameConfig())
+    assert built == [6]
+    # beta 1 and one hop to 0, three to each other vertex over a lent pair
+    assert rows.evaluate(frozenset({0})) == 1 + 1 + 5 * 3
 
 
-def test_job_rows_hold_one_lent_int_at_a_time():
-    # A lent int spans up to n1 * n1 bits, 2.7 KiB here: one per other
-    # job would take about 4 MiB, one at a time well under 1 MiB.
+def test_job_deviation_rows_hold_no_lent_int():
+    # A lent int spans up to n1 * n1 bits, 2.7 KiB here: one per other job
+    # would take about 4 MiB; the rows OR n1-bit partner masks instead.
     g1 = generate("erdos_renyi", 150, p=0.02, seed=3)
     rng = random.Random(3)
     jobs = [frozenset(rng.sample(range(150), 5)) for _ in range(2000)]
