@@ -30,6 +30,12 @@ _SUBMODULE_NAMES = {
         "type2_mid_beta_report",
         "type2_poa_bound",
     ),
+    "costs": (
+        "CostReport",
+        "cost_report",
+        "interconnection_count",
+        "interconnection_union",
+    ),
     "domination": (
         "DominationDiagnostic",
         "construct_complete_bipartite",
@@ -74,7 +80,6 @@ _SUBMODULE_NAMES = {
         "single_source_distances",
     ),
     "model": (
-        "CostReport",
         "GameConfig",
         "GameState",
         "JobCostType",
@@ -83,10 +88,7 @@ _SUBMODULE_NAMES = {
         "TransitPolicy",
         "build_combined_graph",
         "build_level1_graph",
-        "cost_report",
         "edge_fog_player_cost",
-        "interconnection_count",
-        "interconnection_union",
         "job_player_cost",
         "social_cost_level1",
         "social_cost_level2",

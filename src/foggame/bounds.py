@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
+from .costs import interconnection_count
 from .domination import min_dominating_set
 from .equilibrium import empirical_poa
 from .errors import GuardExceeded
@@ -18,7 +19,6 @@ from .model import (
     GameConfig,
     GameState,
     JobCostType,
-    interconnection_count,
     social_cost_level1,
     social_cost_level2,
 )

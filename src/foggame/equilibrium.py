@@ -18,13 +18,12 @@ Another job can shorten a job's distances only by a two-hop fog -> job ->
 fog path between two of its members at least 3 hops apart in the fog
 graph, a far pair it lends (model.lent_partners); a job is priced on the
 n1 fog vertices alone, each BFS reaching a vertex's lent partners two
-hops after it (model.job_rows).  The joint level-2 analyses (social optimum,
-equilibrium enumeration, price of anarchy) walk lend classes, candidates
-lending the same far pairs, instead of the 2^(n1*n2) job profiles.  One
-cost table per set of lent pairs (one in all under FOG_ONLY transit, with
-a single job, or on a fog graph of diameter <= 2) prices every class, and
-each vector of classes, one per job, is read in O(n2) from those tables
-(see _class_walk).
+hops after it (model.job_deviation_rows).  The joint level-2 analyses
+(social optimum, equilibrium enumeration, price of anarchy) walk lend
+classes, candidates lending the same far pairs, instead of the
+2^(n1*n2) job profiles; their engine is foggame.joint (see
+joint._class_walk), and foggame.greedy holds the greedy local search.
+Both load on first call, so a run compiles only the engine it uses.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import itertools
 import math
 import random
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import GuardExceeded, NoEquilibriumError, PolicyError
 from .graph import Graph, VertexSet
@@ -44,8 +43,6 @@ from .model import (
     Level2Profile,
     fog_deviation_rows,
     job_deviation_rows,
-    job_rows,
-    lent_pairs,
 )
 
 # Enumeration limits, read at call time: setting one on this module (for
@@ -125,36 +122,6 @@ def best_response_fog_exact(i: int, state: GameState, cfg: GameConfig) -> tuple[
     return _deviation(Scope.LEVEL1, i, state, cfg, "exact")[2:]
 
 
-def _local_step_candidates(current: VertexSet, universe: Sequence[int]) -> Iterator[VertexSet]:
-    """Single-element adds, drops, then swaps, each in ascending order."""
-    outside = [v for v in universe if v not in current]
-    inside = sorted(current)
-    for v in outside:
-        yield current | {v}
-    for v in inside:
-        yield current - {v}
-    for u in inside:
-        for v in outside:
-            yield (current - {u}) | {v}
-
-
-def _local_search(
-    start: VertexSet, universe: Sequence[int], evaluate: Callable[[VertexSet], float]
-) -> tuple[VertexSet, float]:
-    current = frozenset(start)
-    cost = evaluate(current)
-    while True:
-        best_cand: VertexSet | None = None
-        best_cost = cost
-        for cand in _local_step_candidates(current, universe):
-            c = evaluate(cand)
-            if c < best_cost:
-                best_cand, best_cost = cand, c
-        if best_cand is None:
-            return current, cost
-        current, cost = best_cand, best_cost
-
-
 def best_response_job_greedy(
     j: int, state: GameState, cfg: GameConfig
 ) -> tuple[VertexSet, float]:
@@ -202,6 +169,8 @@ def _deviation(
     if oracle == "exact":
         cand, cand_cost = _exact_best(rows)
     else:
+        from .greedy import _local_search
+
         cand, cand_cost = _local_search(current, rows.universe, rows.evaluate)
     return current, rows.evaluate(current), cand, cand_cost
 
@@ -325,113 +294,16 @@ def _check_joint_size(n1: int, n2: int) -> None:
         raise GuardExceeded("joint profile enumeration", guard, n1 * n2)
 
 
-def _joint_candidates(n1: int, n2: int) -> list[VertexSet]:
-    """Per-job strategies in scan order (see DeviationRows.scan); none without jobs."""
-    if not n2:
-        return []
-    return [frozenset(c) for k in range(n1 + 1) for c in itertools.combinations(range(n1), k)]
-
-
-def _profile(n1: int, cands: list[VertexSet], indices: tuple[int, ...]) -> Level2Profile:
-    return Level2Profile(n1, tuple(cands[i] for i in indices))
-
-
-def _class_walk(g1: Graph, cands: list[VertexSet], n2: int, cfg: GameConfig) -> Iterator[list]:
-    """Every vector of lend classes once, one entry per job.
-
-    Candidates that lend the same far pairs (see model.lent_pairs; none
-    with one job) form a class, the same to every other job.  So with one
-    class fixed per job, each job's key, the OR of the pairs the others
-    lend, is fixed too, and the job picks inside its class alone.  Vectors
-    come in itertools.product order over the L classes, L^n2 <= 2^(n1*n2)
-    of them.  A job's entry is (least cost in its class, the class members
-    whose cost equals the table minimum, that minimum, the cost table, the
-    class members), all candidate indices ascending.  The first vector of
-    a key fills its table by one whole distance-layer scan against the
-    pairs in the key (see model.job_rows) and prices every class on it:
-    one table per key, as many as a profile-by-profile pass would fill.
-    """
-    classes: dict[int, list[int]] = {}
-    for i, lent in enumerate(lent_pairs(g1, cands, cfg) if n2 > 1 else [0] * len(cands)):
-        classes.setdefault(lent, []).append(i)
-    lends, members = list(classes), list(classes.values())
-    tables: dict[int, list[tuple]] = {}
-    for vector in itertools.product(range(len(lends)), repeat=n2):
-        once = twice = 0
-        for c in vector:
-            twice |= once & lends[c]
-            once |= lends[c]
-        jobs = []
-        for c in vector:
-            key = once & ~(lends[c] & ~twice)
-            table = tables.get(key)
-            if table is None:
-                row = tuple(itertools.chain(*job_rows(g1, key, cfg).scan()))
-                best = min(row)
-                table = tables[key] = [
-                    (min(row[i] for i in ms), tuple(i for i in ms if row[i] == best), best, row, ms)
-                    for ms in members
-                ]
-            jobs.append(table[c])
-        yield jobs
-
-
-def _first_least(jobs: list, least: float) -> tuple[int, ...]:
-    """First profile of a class vector, in product order, whose social cost is least.
-
-    The social cost is a float sum in job order, and rounding is monotone,
-    so the least sum a job's member allows is the sum with the later jobs'
-    class minima, and a member of least cost always allows least.
-    """
-    lows = [job[0] for job in jobs]
-    costs: list[float] = []
-    picks = []
-    for p, (low, _, _, row, ms) in enumerate(jobs):
-        m = next(m for m in ms if row[m] == low or sum(costs + [row[m]] + lows[p + 1 :]) == least)
-        costs.append(row[m])
-        picks.append(m)
-    return tuple(picks)
-
-
-def _joint_extremes(g1: Graph, n2: int, cfg: GameConfig) -> tuple:
-    """The optimum, the worst equilibrium and the equilibrium count, from one walk.
-
-    Returns (candidates, least social cost, its first profile, greatest
-    equilibrium cost, its first profile, equilibrium count), the two
-    equilibrium entries None when there is none.  A class vector's least
-    cost is the job-order sum of its class minima (see _class_walk), and
-    its equilibria, the products of its jobs' equilibrium members, all
-    cost the sum of the table minima.  Ties between vectors go to the
-    first profile in product order, as a profile-by-profile scan keeping
-    strict improvements reports it; only the current extremes are kept.
-    """
-    _check_joint_size(g1.n, n2)
-    cands = _joint_candidates(g1.n, n2)
-    least = worst = optimum = first = None
-    count = 0
-    for jobs in _class_walk(g1, cands, n2, cfg):
-        cost = sum([job[0] for job in jobs])
-        if least is None or cost <= least:
-            picks = _first_least(jobs, cost)
-            if least is None or cost < least or picks < optimum:
-                least, optimum = cost, picks
-        stable = math.prod(len(job[1]) for job in jobs)
-        if stable:
-            count += stable
-            cost = sum([job[2] for job in jobs])
-            picks = tuple(job[1][0] for job in jobs)
-            if worst is None or cost > worst or cost == worst and picks < first:
-                worst, first = cost, picks
-    return cands, least, optimum, worst, first, count
-
-
 def social_optimum_level2(g1: Graph, n2: int, cfg: GameConfig) -> tuple[float, Level2Profile]:
     """Minimum level-2 social cost over job profiles, with the minimizer.
 
-    Reads the lend-class vectors (see _joint_extremes), not all 2^(n1*n2)
-    profiles; the first profile with the strictly smallest cost wins.
-    Refuses when n1 * n2 exceeds JOINT_ENUMERATION_GUARD.
+    Reads the lend-class vectors (see joint._joint_extremes), not all
+    2^(n1*n2) profiles; the first profile with the strictly smallest cost
+    wins.  Refuses when n1 * n2 exceeds JOINT_ENUMERATION_GUARD.
     """
+    _check_joint_size(g1.n, n2)
+    from .joint import _joint_extremes, _profile
+
     cands, least, optimum, *_ = _joint_extremes(g1, n2, cfg)
     return least, _profile(g1.n, cands, optimum)
 
@@ -441,13 +313,15 @@ def enumerate_nash_level2(
 ) -> list[tuple[Level2Profile, float]]:
     """All pure level-2 equilibria with the fog graph held fixed.
 
-    Each lend-class vector (see _class_walk) contributes the product of
-    its jobs' equilibrium members, every job at its table minimum, which
-    matches is_nash under Scope.LEVEL2 exactly; the equilibria come in
-    profile order, each with its social cost.  Refuses when n1 * n2
+    Each lend-class vector (see joint._class_walk) contributes the product
+    of its jobs' equilibrium members, every job at its table minimum,
+    which matches is_nash under Scope.LEVEL2 exactly; the equilibria come
+    in profile order, each with its social cost.  Refuses when n1 * n2
     exceeds JOINT_ENUMERATION_GUARD.
     """
     _check_joint_size(g1.n, n2)
+    from .joint import _class_walk, _joint_candidates, _profile
+
     cands = _joint_candidates(g1.n, n2)
     found = []
     for jobs in _class_walk(g1, cands, n2, cfg):
@@ -471,11 +345,11 @@ class PoAReport(NamedTuple):
 def empirical_poa(g1: Graph, n2: int, cfg: GameConfig) -> PoAReport:
     """Price of anarchy over all level-2 profiles.
 
-    One walk over the lend-class vectors (see _joint_extremes) gives the
-    optimum (first strict minimum), the worst equilibrium (first strict
-    maximum among equilibria) and the equilibrium count, with the same
-    results as social_optimum_level2 and enumerate_nash_level2.  Only the
-    two reported profiles are built.  Refuses when n1 * n2 exceeds
+    One walk over the lend-class vectors (see joint._joint_extremes) gives
+    the optimum (first strict minimum), the worst equilibrium (first
+    strict maximum among equilibria) and the equilibrium count, with the
+    same results as social_optimum_level2 and enumerate_nash_level2.  Only
+    the two reported profiles are built.  Refuses when n1 * n2 exceeds
     JOINT_ENUMERATION_GUARD.
 
     Raises NoEquilibriumError when no pure equilibrium exists and
@@ -483,6 +357,9 @@ def empirical_poa(g1: Graph, n2: int, cfg: GameConfig) -> PoAReport:
     happen under TYPE_I where costs may reach zero or below, or infinite,
     which a float sum of huge job costs can reach (the ratio would be NaN).
     """
+    _check_joint_size(g1.n, n2)
+    from .joint import _joint_extremes, _profile
+
     cands, optimum_cost, optimum, worst_cost, worst, ne_count = _joint_extremes(g1, n2, cfg)
     if worst is None:
         raise NoEquilibriumError(f"no pure level-2 equilibrium (n1={g1.n}, n2={n2})")

@@ -4,6 +4,10 @@ Level 1: each fog device is a vertex that buys links to other fog devices
 (price alpha each) and pays the sum of its hop distances to every fog
 vertex.  Level 2: each job is an extra vertex that buys links into the fog
 graph (price beta each) and pays a distance term over all fog vertices.
+
+The joint analyses' lend keys (joint.lent_pairs, joint.job_rows) and the
+cost mode's report (costs.cost_report) build on the rows and costs here
+and live in modules that load on first call.
 """
 
 from __future__ import annotations
@@ -429,26 +433,15 @@ def lent_partners(g1: Graph, strategies: Iterable[VertexSet], cfg: GameConfig) -
     return partners
 
 
-def lent_pairs(g1: Graph, strategies: Sequence[VertexSet], cfg: GameConfig) -> Iterator[int]:
-    """Far fog pairs each job strategy lends the other jobs, one int per strategy, lazily.
-
-    Bits a * n1 .. a * n1 + n1 - 1 are a's partners (see lent_partners).
-    """
-    for s in strategies:
-        yield sum(p << a * g1.n for a, p in enumerate(lent_partners(g1, [s], cfg)))
-
-
 def _job_rows(g1: Graph, partners: list[int], cfg: GameConfig) -> DeviationRows:
-    """Distance layers of a job on g1 whose fog vertices have these lent partners."""
+    """Distance layers of a job on g1 whose fog vertices have these lent partners.
+
+    job_deviation_rows and, through a lend key, joint.job_rows read them.
+    """
     def cost(k: int, sums: list[Distance]) -> list[float]:
         return _job_costs(cfg.beta * k, sums, cfg)
 
     return DeviationRows(range(g1.n), closed_neighborhood_masks(g1), cost, partners=partners)
-
-
-def job_rows(g1: Graph, lent: int, cfg: GameConfig) -> DeviationRows:
-    """Distance layers of a job against the far pairs in lent (see lent_pairs)."""
-    return _job_rows(g1, [lent >> a * g1.n & (1 << g1.n) - 1 for a in range(g1.n)], cfg)
 
 
 def job_deviation_rows(j: int, state: GameState, cfg: GameConfig) -> DeviationRows:
@@ -487,16 +480,6 @@ def fog_deviation_rows(i: int, state: GameState, cfg: GameConfig) -> DeviationRo
     return DeviationRows(universe, adjacency, cost, inbound)
 
 
-def interconnection_count(profile: Level2Profile) -> int:
-    """Total number of job-to-fog links, counting one per purchase."""
-    return sum(len(s) for s in profile.strategies)
-
-
-def interconnection_union(profile: Level2Profile) -> VertexSet:
-    """Diagnostic alternative reading: fog vertices touched by any job."""
-    return frozenset().union(*profile.strategies) if profile.strategies else frozenset()
-
-
 def social_cost_level1(state: GameState, cfg: GameConfig) -> float:
     """Sum of fog player costs; purchase terms count only in profile mode."""
     return sum(edge_fog_player_cost(i, state, cfg) for i in range(state.n1))
@@ -504,44 +487,3 @@ def social_cost_level1(state: GameState, cfg: GameConfig) -> float:
 
 def social_cost_level2(state: GameState, cfg: GameConfig) -> float:
     return sum(job_player_cost(j, state, cfg) for j in range(state.n2))
-
-
-class CostReport(NamedTuple):
-    """Per-player costs plus the social totals of one state."""
-
-    level1_costs: tuple[float, ...]
-    level2_costs: tuple[float, ...]
-    social_level1: float
-    social_level2: float
-    interconnection_count: int
-
-
-def _bfs_sums(g: Graph, sources: Iterable[int], n1: int) -> list[Distance]:
-    """Each source's distance sum to vertices 0..n1-1 of g, on one adjacency build."""
-    adjacency = g.adjacency()
-    return [sum(single_source_distances(g, s, adjacency)[:n1]) for s in sources]
-
-
-def cost_report(state: GameState, cfg: GameConfig) -> CostReport:
-    """Evaluate every player once; the social totals are exact sums.
-
-    The costs equal edge_fog_player_cost and job_player_cost exactly, from
-    shared builds: one adjacency of the fog graph serves every fog BFS,
-    and under FULL_COMBINED one combined graph serves every job BFS.
-    """
-    g1, n1, jobs = state.g1, state.n1, state.level2
-    level1 = _bfs_sums(g1, range(n1), n1)
-    if state.profile_mode:
-        level1 = [d + cfg.alpha * len(s) for d, s in zip(level1, state.level1.strategies)]
-    if cfg.transit_policy is TransitPolicy.FULL_COMBINED:
-        sums = _bfs_sums(build_combined_graph(g1, jobs), range(n1, n1 + jobs.n2), n1)
-    else:
-        sums = [_job_distance_sum(j, state, cfg) for j in range(jobs.n2)]
-    level2 = [_job_costs(cfg.beta * len(s), [d], cfg)[0] for s, d in zip(jobs.strategies, sums)]
-    return CostReport(
-        level1_costs=tuple(level1),
-        level2_costs=tuple(level2),
-        social_level1=sum(level1),
-        social_level2=sum(level2),
-        interconnection_count=interconnection_count(jobs),
-    )

@@ -26,7 +26,7 @@ from .equilibrium import (
     empirical_poa,
     is_nash,
 )
-from .errors import GuardExceeded, ScenarioError
+from .errors import ScenarioError
 from .graph import Graph, new_graph
 from .model import (
     GameConfig,
@@ -35,12 +35,10 @@ from .model import (
     Level1Profile,
     Level2Profile,
     TransitPolicy,
-    cost_report,
 )
 from .serialize import to_jsonable
 
 MODES = ("gen", "cost", "dynamics", "nash", "poa", "bounds", "verify", "sweep")
-COST_PAIR_GUARD = 2**24  # (BFS source, vertex or edge) pairs of a cost run
 
 _TOP_KEYS = {
     "gen": {"mode", "graph"},
@@ -267,15 +265,6 @@ def _check_exact_first(shape: GameState, scope: Scope) -> None:
         _check_exact_size(shape.n1)
 
 
-def _within_cost_guard(state: GameState) -> GameState:
-    """state, unless one BFS per player over its combined graph passes COST_PAIR_GUARD."""
-    n = state.n1 + state.n2
-    pairs = n * (n + state.g1.edge_count + sum(map(len, state.level2.strategies)))
-    if pairs > COST_PAIR_GUARD:
-        raise GuardExceeded("cost evaluation", COST_PAIR_GUARD, pairs)
-    return state
-
-
 def run_spec(data: Any) -> dict:
     """Execute one parsed scenario object and return its payload."""
     if not isinstance(data, dict):
@@ -316,8 +305,10 @@ def run_spec(data: Any) -> dict:
     shape, build_state = _state_builder(data, options, mode)
 
     if mode == "cost":
-        _within_cost_guard(shape)  # before building a generator graph, edgeless in shape
-        return to_jsonable(cost_report(_within_cost_guard(build_state()), cfg))
+        from . import costs  # loaded for its mode only
+
+        costs._within_cost_guard(shape)  # before building a generator graph, edgeless in shape
+        return to_jsonable(costs.cost_report(costs._within_cost_guard(build_state()), cfg))
 
     if mode == "nash":
         scope = _member(Scope, options.get("scope", Scope.LEVEL2.value), "options: scope")

@@ -21,6 +21,7 @@ from .bounds import (
     type2_lower_bound,
     type2_poa_bound,
 )
+from .costs import interconnection_count
 from .domination import (
     construct_complete_bipartite,
     domination_diagnostic,
@@ -44,7 +45,6 @@ from .model import (
     Level1Profile,
     Level2Profile,
     build_level1_graph,
-    interconnection_count,
     social_cost_level1,
     social_cost_level2,
 )

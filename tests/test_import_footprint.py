@@ -1,13 +1,17 @@
-"""What `import foggame.cli` loads: only what a poa, dynamics or cost run executes.
+"""What `import foggame.cli` loads, and what each kind of run adds to it.
 
 A CLI run starts in a fresh interpreter, so module imports, and without a
 bytecode cache their compilation, are a large share of a small scenario's
-wall time.  The bounds and verify modes load their modules on first use,
-as do generator graph sections (generators), the bounds and verify
+wall time.  `import foggame.cli` loads only what an exact dynamics or
+nash run executes.  The joint analyses' lend-class engine (joint) loads
+on a poa run's first analysis call, the cost mode's report (costs) in
+the cost mode, and the greedy local search (greedy) on the first greedy
+best response.  The bounds and verify modes load their modules on first
+use, as do generator graph sections (generators), the bounds and verify
 modes' dominating sets (domination), --format csv (tabular, csv) and the
 sweep command (sweep, copy); records are named tuples rather than
-dataclasses.  Each probe runs in a fresh interpreter without bytecode caching,
-and what it adds is measured against a bare interpreter.
+dataclasses.  Each probe runs in a fresh interpreter without bytecode
+caching, and what it adds is measured against a bare interpreter.
 """
 
 import json
@@ -21,6 +25,9 @@ import foggame
 PACKAGE_ROOT = str(Path(foggame.__file__).resolve().parents[1])
 
 NOT_AT_CLI_IMPORT = (
+    "foggame.joint",
+    "foggame.costs",
+    "foggame.greedy",
     "foggame.bounds",
     "foggame.verify",
     "foggame.domination",
@@ -80,14 +87,51 @@ def test_cli_runs_load_no_argument_parser_library(tmp_path):
     assert sorted({"argparse", "gettext"} & loaded) == []
 
 
+_EDGES = [[0, 1], [1, 2], [2, 3]]
+
+
+def _loaded_by_run(tmp_path, mode: str, body: dict) -> set[str]:
+    """Modules loaded after `foggame <mode>` runs this scenario body and exits 0."""
+    scenario = tmp_path / f"{mode}.json"
+    scenario.write_text(json.dumps(body))
+    return _modules_after(
+        "import contextlib, io\nimport foggame.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert foggame.cli.main({[mode, str(scenario)]!r}) == 0\n"
+    )
+
+
+def _mode_only(loaded: set[str]) -> list[str]:
+    return sorted(set(NOT_AT_CLI_IMPORT) & loaded)
+
+
+def test_exact_profile_dynamics_run_loads_no_mode_only_module(tmp_path):
+    # Both levels in profile mode, as the benchmark's dynamics workload
+    # runs them: neither the joint engine, the cost report nor the greedy
+    # search is compiled.
+    body = {
+        "config": {"alpha": 2.0, "beta": 1.5},
+        "options": {
+            "level1_strategies": [[1], [2], [3], []],
+            "level2_strategies": [[0], [1, 2], [3], [0, 3]],
+            "scope": "both",
+            "schedule": "random_permutation",
+            "max_rounds": 3,
+        },
+    }
+    loaded = _loaded_by_run(tmp_path, "dynamics", body)
+    assert "foggame.equilibrium" in loaded
+    assert _mode_only(loaded) == []
+
+
 def test_inline_graph_runs_load_no_mode_only_module(tmp_path):
-    # poa and dynamics runs on inline graphs, as the benchmark workloads
-    # give them, compile no module that only other modes or sections read.
-    edges = [[0, 1], [1, 2], [2, 3]]
+    # poa and exact dynamics runs on inline graphs, as the benchmark
+    # workloads give them, compile no module that only other modes,
+    # sections or oracles read; the poa analysis loads its own engine.
     poa = tmp_path / "poa.json"
-    poa.write_text(json.dumps({"graph": {"n": 4, "edges": edges}, "n2": 2, "config": {"beta": 3.5}}))
+    poa.write_text(json.dumps({"graph": {"n": 4, "edges": _EDGES}, "n2": 2, "config": {"beta": 3.5}}))
     dynamics = tmp_path / "dynamics.json"
-    dynamics.write_text(json.dumps({"graph": {"n": 4, "edges": edges}, "n2": 4, "config": {"beta": 1.5}}))
+    dynamics.write_text(json.dumps({"graph": {"n": 4, "edges": _EDGES}, "n2": 4, "config": {"beta": 1.5}}))
     runs = "".join(
         f"    assert foggame.cli.main({argv!r}) == 0\n"
         for argv in (["poa", str(poa)], ["dynamics", str(dynamics), "--seed", "2"])
@@ -97,7 +141,19 @@ def test_inline_graph_runs_load_no_mode_only_module(tmp_path):
         f"with contextlib.redirect_stdout(io.StringIO()):\n{runs}"
     )
     assert "foggame.equilibrium" in loaded
-    assert sorted(set(NOT_AT_CLI_IMPORT) & loaded) == []
+    assert _mode_only(loaded) == ["foggame.joint"]
+
+
+def test_cost_run_loads_the_cost_report_but_not_the_joint_engine(tmp_path):
+    body = {"graph": {"n": 4, "edges": _EDGES}, "n2": 4, "options": {}}
+    loaded = _loaded_by_run(tmp_path, "cost", body)
+    assert _mode_only(loaded) == ["foggame.costs"]
+
+
+def test_greedy_dynamics_loads_the_greedy_search(tmp_path):
+    body = {"graph": {"n": 4, "edges": _EDGES}, "n2": 4, "options": {"oracle": "greedy"}}
+    loaded = _loaded_by_run(tmp_path, "dynamics", body)
+    assert _mode_only(loaded) == ["foggame.greedy"]
 
 
 def test_package_import_loads_no_submodule():

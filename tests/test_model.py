@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from foggame.costs import cost_report, interconnection_count, interconnection_union
 from foggame.domination import min_dominating_set
 from foggame.generators import generate
 from foggame.graph import INF, all_pairs_distances, new_graph
@@ -17,10 +18,7 @@ from foggame.model import (
     TransitPolicy,
     build_combined_graph,
     build_level1_graph,
-    cost_report,
     edge_fog_player_cost,
-    interconnection_count,
-    interconnection_union,
     job_player_cost,
     social_cost_level1,
     social_cost_level2,

@@ -25,7 +25,7 @@ import tracemalloc
 import pytest
 
 from foggame import equilibrium as eq
-from foggame import graph, model
+from foggame import graph, greedy, joint, model
 from foggame.equilibrium import (
     Scope,
     best_response_dynamics,
@@ -97,7 +97,7 @@ def reference_fog_exact(i, state, cfg):
 
 
 def reference_job_greedy(j, state, cfg):
-    return eq._local_search(
+    return greedy._local_search(
         state.level2.strategies[j],
         range(state.n1),
         lambda cand: job_player_cost(j, state.with_level2_strategy(j, cand), cfg),
@@ -107,7 +107,7 @@ def reference_job_greedy(j, state, cfg):
 def reference_fog_greedy(i, state, cfg):
     if not state.profile_mode:
         raise PolicyError("fog best response needs profile mode, not a fixed graph")
-    return eq._local_search(
+    return greedy._local_search(
         state.level1.strategies[i],
         [v for v in range(state.n1) if v != i],
         lambda cand: edge_fog_player_cost(i, state.with_level1_strategy(i, cand), cfg),
@@ -729,7 +729,7 @@ def _lending_state(rng):
 def _lend_kind(j, state, cfg):
     """Whether the other jobs lend job j some far pairs, or none."""
     others = state.level2.strategies[:j] + state.level2.strategies[j + 1 :]
-    return "lend" if any(model.lent_pairs(state.g1, others, cfg)) else "none"
+    return "lend" if any(joint.lent_pairs(state.g1, others, cfg)) else "none"
 
 
 def test_job_rows_match_one_vertex_per_job_reference():
@@ -768,14 +768,14 @@ def test_job_rows_match_one_vertex_per_job_reference():
 
 def test_lent_pairs_are_the_pairs_at_least_3_hops_apart():
     g1 = Graph(6, frozenset({(0, 1), (1, 2), (2, 3)}))  # path 0..3, isolated 4 and 5
-    [far] = model.lent_pairs(g1, [frozenset(range(6))], GameConfig())
+    [far] = joint.lent_pairs(g1, [frozenset(range(6))], GameConfig())
     dist = all_pairs_distances(g1)
     pairs = itertools.permutations(range(6), 2)
     expected = sum(1 << a * 6 + b for a, b in pairs if dist[a][b] >= 3)
     assert far == expected and far.bit_count() == 20
-    assert list(model.lent_pairs(g1, [frozenset({0, 1, 2}), frozenset()], GameConfig())) == [0, 0]
+    assert list(joint.lent_pairs(g1, [frozenset({0, 1, 2}), frozenset()], GameConfig())) == [0, 0]
     fog_only = GameConfig(transit_policy=TransitPolicy.FOG_ONLY)
-    assert list(model.lent_pairs(g1, [frozenset(range(6))], fog_only)) == [0]
+    assert list(joint.lent_pairs(g1, [frozenset(range(6))], fog_only)) == [0]
     # the partner masks are the lent int's n1-bit blocks
     partners = model.lent_partners(g1, [frozenset(range(6)), frozenset({0, 5})], GameConfig())
     assert partners == [far >> a * 6 & 0b111111 for a in range(6)]

@@ -14,6 +14,7 @@ import pytest
 
 import foggame
 from foggame.bounds import BoundCheck, MidBetaCostReport, type2_poa_bound
+from foggame.costs import CostReport
 from foggame.domination import DominationDiagnostic
 from foggame.equilibrium import (
     DeviationWitness,
@@ -26,7 +27,6 @@ from foggame.equilibrium import (
 )
 from foggame.graph import Graph, new_graph
 from foggame.model import (
-    CostReport,
     GameConfig,
     GameState,
     JobCostType,
