@@ -10,18 +10,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .costs import interconnection_count
+from .costs import cost_report
 from .domination import min_dominating_set
 from .equilibrium import empirical_poa
-from .errors import GuardExceeded
+from .errors import GuardExceeded, NoEquilibriumError
 from .graph import Graph
-from .model import (
-    GameConfig,
-    GameState,
-    JobCostType,
-    social_cost_level1,
-    social_cost_level2,
-)
+from .model import GameConfig, GameState, JobCostType
 
 EQUALITY_TOLERANCE = 1e-9
 INEQUALITY_SLACK = 1e-12
@@ -228,9 +222,12 @@ def check_bounds_on_instance(state: GameState, cfg: GameConfig) -> list[BoundChe
     Always checks the level-2 social lower bound for the configured cost
     type; in profile mode also the level-1 bound; for TYPE_II with
     beta > 0, in a regime the paper covers, also the price-of-anarchy
-    statement, skipped when the joint enumeration guard refuses.  An
-    infinite measured cost satisfies any lower bound.  Requires matching
-    player counts, since the formulas assume a single n.
+    statement, skipped when the joint enumeration guard refuses or the
+    price of anarchy is undefined (no pure equilibrium, or an optimum
+    cost that is not positive and finite).  The social costs are those of
+    costs.cost_report.  An infinite measured cost satisfies any lower
+    bound.  Requires matching player counts, since the formulas assume a
+    single n.
     """
     if state.n1 != state.n2:
         raise ValueError(
@@ -239,8 +236,9 @@ def check_bounds_on_instance(state: GameState, cfg: GameConfig) -> list[BoundChe
     n = state.n1
     checks: list[BoundCheck] = []
 
-    actual2 = social_cost_level2(state, cfg)
-    icount = interconnection_count(state.level2)
+    measured = cost_report(state, cfg)
+    actual2 = measured.social_level2
+    icount = measured.interconnection_count
     if cfg.job_cost_type is JobCostType.TYPE_II:
         rhs = type2_lower_bound(n, icount, cfg.beta)
         checks.append(
@@ -276,7 +274,7 @@ def check_bounds_on_instance(state: GameState, cfg: GameConfig) -> list[BoundChe
             )
 
     if state.profile_mode:
-        actual1 = social_cost_level1(state, cfg)
+        actual1 = measured.social_level1
         g1 = state.g1
         rhs1 = level1_lower_bound(n, g1.edge_count, cfg.alpha)
         checks.append(
@@ -294,7 +292,7 @@ def check_bounds_on_instance(state: GameState, cfg: GameConfig) -> list[BoundChe
         if verdict.kind != "uncovered":
             try:
                 report = empirical_poa(state.g1, state.n2, cfg)
-            except GuardExceeded:
+            except (GuardExceeded, NoEquilibriumError, ValueError):
                 return checks
             relation = "==" if verdict.kind == "exact" else "<="
             checks.append(

@@ -18,7 +18,8 @@ from typing import Any
 
 from .errors import FogGameError, GuardExceeded, ScenarioError
 from .graph import GENERATOR_KINDS
-from .scenario import MODES, _SWEEP_PARAMETERS, run_record, writable_section
+from .parsing import writable_section
+from .scenario import MODES, _SWEEP_PARAMETERS, run_record
 from .serialize import emit_json
 
 # Import-time objects live until exit; frozen, the GC and teardown skip them.

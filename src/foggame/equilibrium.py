@@ -6,7 +6,7 @@ strict improvement replaces the incumbent, so ties always resolve to the
 smallest, lexicographically first set.
 
 Every best response, exact or greedy, prices its candidates on one set of
-distance layers (see model.DeviationRows): one bit-parallel BFS per fog
+distance layers (see kernel.DeviationRows): one bit-parallel BFS per fog
 vertex per oracle call, with no graph built, then one integer OR and one
 bit count per candidate, its mask extended from that of the candidate
 minus its smallest member.  An exact best response scans sizes in
@@ -16,9 +16,9 @@ edge_fog_player_cost exactly.
 
 Another job can shorten a job's distances only by a two-hop fog -> job ->
 fog path between two of its members at least 3 hops apart in the fog
-graph, a far pair it lends (model.lent_partners); a job is priced on the
+graph, a far pair it lends (kernel.lent_partners); a job is priced on the
 n1 fog vertices alone, each BFS reaching a vertex's lent partners two
-hops after it (model.job_deviation_rows).  The joint level-2 analyses
+hops after it (kernel.job_deviation_rows).  The joint level-2 analyses
 (social optimum, equilibrium enumeration, price of anarchy) walk lend
 classes, candidates lending the same far pairs, instead of the
 2^(n1*n2) job profiles; their engine is foggame.joint (see
@@ -36,14 +36,8 @@ from typing import NamedTuple
 
 from .errors import GuardExceeded, NoEquilibriumError, PolicyError
 from .graph import Graph, VertexSet
-from .model import (
-    DeviationRows,
-    GameConfig,
-    GameState,
-    Level2Profile,
-    fog_deviation_rows,
-    job_deviation_rows,
-)
+from .kernel import DeviationRows, fog_deviation_rows, job_deviation_rows
+from .model import GameConfig, GameState, Level2Profile
 
 # Enumeration limits, read at call time: setting one on this module (for
 # instance with setattr) moves it for every later call.

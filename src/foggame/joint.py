@@ -11,7 +11,8 @@ candidates lending the same far pairs, instead of the 2^(n1*n2) job
 profiles.  One cost table per set of lent pairs (one in all under FOG_ONLY
 transit, with a single job, or on a fog graph of diameter <= 2) prices
 every class, and each vector of classes, one per job, is read in O(n2)
-from those tables (see _class_walk).
+from those tables (see _class_walk).  A table is one scan of the
+distance layers foggame.kernel builds against its lent pairs (job_rows).
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import math
 from typing import Iterator, Sequence
 
 from .graph import Graph, VertexSet
-from .model import DeviationRows, GameConfig, Level2Profile, _job_rows, lent_partners
+from .kernel import DeviationRows, _job_rows, lent_partners
+from .model import GameConfig, Level2Profile
 
 
 def lent_pairs(g1: Graph, strategies: Sequence[VertexSet], cfg: GameConfig) -> Iterator[int]:
     """Far fog pairs each job strategy lends the other jobs, one int per strategy, lazily.
 
-    Bits a * n1 .. a * n1 + n1 - 1 are a's partners (see model.lent_partners).
+    Bits a * n1 .. a * n1 + n1 - 1 are a's partners (see kernel.lent_partners).
     """
     for s in strategies:
         yield sum(p << a * g1.n for a, p in enumerate(lent_partners(g1, [s], cfg)))

@@ -1,0 +1,251 @@
+"""Strict parsing of a scenario's sections.
+
+Unknown keys anywhere are rejected with the offending key named, so
+misspelled fields never pass silently, and a value of the wrong JSON type
+(a string or boolean count, a fractional vertex, a three-element edge) is
+rejected with its field named.  A graph or state section is checked in
+full before anything is built, and a generator graph is built only when
+its builder is called, so the guards read the shape first.
+foggame.scenario runs the parsed sections.
+"""
+
+from __future__ import annotations
+
+from enum import Enum
+from typing import Any, Callable, TypeVar
+
+from .equilibrium import Scope, _check_exact_size
+from .errors import ScenarioError
+from .graph import Graph, new_graph
+from .model import (
+    GameConfig,
+    GameState,
+    JobCostType,
+    Level1Profile,
+    Level2Profile,
+    TransitPolicy,
+)
+
+_TOP_KEYS = {
+    "gen": {"mode", "graph"},
+    "cost": {"mode", "graph", "n2", "config", "options", "allow_unequal"},
+    "nash": {"mode", "graph", "n2", "config", "options", "allow_unequal"},
+    "dynamics": {"mode", "graph", "n2", "config", "options", "allow_unequal"},
+    "bounds": {"mode", "graph", "n2", "config", "options", "allow_unequal"},
+    "poa": {"mode", "graph", "n2", "config"},
+    "verify": {"mode"},
+}
+
+_GENERATOR_KEYS = {"kind", "n", "p", "seed", "require_connected"}
+_INLINE_KEYS = {"n", "edges"}
+_CONFIG_KEYS = {"alpha", "beta", "job_cost_type", "rcs_constant", "transit"}
+
+_OPTION_KEYS = {
+    "cost": {"level1_strategies", "level2_strategies"},
+    "nash": {"level1_strategies", "level2_strategies", "scope"},
+    "bounds": {"level1_strategies", "level2_strategies"},
+    "dynamics": {
+        "level1_strategies",
+        "level2_strategies",
+        "scope",
+        "schedule",
+        "seed",
+        "max_rounds",
+        "oracle",
+    },
+}
+
+
+def _check_keys(section: dict, allowed: set[str], where: str) -> None:
+    for key in sorted(section):
+        if key not in allowed:
+            raise ScenarioError(f"{where}: unknown key {key!r}")
+
+
+def _require(section: dict, key: str, where: str) -> Any:
+    if key not in section:
+        raise ScenarioError(f"{where}: missing required key {key!r}")
+    return section[key]
+
+
+def _integer(value: Any, where: str, minimum: int | None = None) -> int:
+    # bool is an int subclass, but JSON true/false is not a count or an index.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ScenarioError(f"{where}: must be at least {minimum}, got {value}")
+    return value
+
+
+def _number(value: Any, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+_E = TypeVar("_E", bound=Enum)
+
+
+def _member(kind: type[_E], value: Any, where: str) -> _E:
+    try:
+        return kind(value)
+    except ValueError:
+        choices = [member.value for member in kind]
+        raise ScenarioError(f"{where} must be one of {choices}, got {value!r}") from None
+
+
+def _boolean(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
+def _parse_edge(raw: Any) -> tuple[int, int]:
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise ScenarioError(f"graph.edges: each edge must be a pair of vertices, got {raw!r}")
+    return _integer(raw[0], "graph.edges"), _integer(raw[1], "graph.edges")
+
+
+def _graph_builder(section: Any) -> tuple[int, Callable[[], Graph]]:
+    """Validate a graph section; return its vertex count and its builder.
+
+    An inline graph is built here, at the cost of reading its edge list; a
+    generator graph is built only when the builder is called, so a guard
+    can refuse its size first.
+    """
+    if not isinstance(section, dict):
+        raise ScenarioError("graph: expected an object")
+    if "edges" in section:
+        _check_keys(section, _INLINE_KEYS, "graph")
+        n = _integer(_require(section, "n", "graph"), "graph.n")
+        edges = section["edges"]
+        if not isinstance(edges, list):
+            raise ScenarioError("graph: edges must be a list of pairs")
+        g = new_graph(n, [_parse_edge(e) for e in edges])
+        return n, lambda: g
+    _check_keys(section, _GENERATOR_KEYS, "graph")
+    kind = _require(section, "kind", "graph")
+    n = _integer(_require(section, "n", "graph"), "graph.n")
+    if kind != "erdos_renyi":
+        for key in ("p", "seed"):
+            if key in section:
+                raise ScenarioError(f"graph.{key}: only erdos_renyi reads it, not {kind!r}")
+    p = section.get("p")
+    p = None if p is None else _number(p, "graph.p")
+    seed = section.get("seed")
+    seed = None if seed is None else _integer(seed, "graph.seed")
+    require_connected = _boolean(
+        section.get("require_connected", False), "graph.require_connected"
+    )
+    from . import generators  # loaded for a generator section only
+
+    generators.check_generator(kind, n, p, seed)
+    return n, lambda: generators.generate(
+        kind, n, p=p, seed=seed, require_connected=require_connected
+    )
+
+
+def _parse_graph(section: Any) -> Graph:
+    return _graph_builder(section)[1]()
+
+
+def writable_section(data: dict, name: str) -> dict:
+    """data[name] for a flag or a sweep value to write into, made if absent.
+
+    A null config reads as the defaults, so it is replaced as well; any
+    other value that is not an object is refused as run_spec refuses it.
+    """
+    section = data.setdefault(name, {})
+    if section is None and name == "config":
+        section = data[name] = {}
+    if not isinstance(section, dict):
+        raise ScenarioError(f"{name}: expected an object")
+    return section
+
+
+def _parse_config(section: Any) -> GameConfig:
+    if section is None:
+        return GameConfig()
+    if not isinstance(section, dict):
+        raise ScenarioError("config: expected an object")
+    _check_keys(section, _CONFIG_KEYS, "config")
+    kwargs: dict[str, Any] = {
+        name: _number(section[name], f"config.{name}")
+        for name in ("alpha", "beta", "rcs_constant")
+        if name in section
+    }
+    if "job_cost_type" in section:
+        kwargs["job_cost_type"] = _member(
+            JobCostType, section["job_cost_type"], "config: job_cost_type"
+        )
+    if "transit" in section:
+        kwargs["transit_policy"] = _member(TransitPolicy, section["transit"], "config: transit")
+    return GameConfig(**kwargs)
+
+
+def _parse_strategies(raw: Any, where: str) -> tuple[frozenset[int], ...]:
+    if not isinstance(raw, list):
+        raise ScenarioError(f"{where}: expected a list of vertex lists")
+    out = []
+    for entry in raw:
+        if not isinstance(entry, list):
+            raise ScenarioError(f"{where}: each strategy must be a list of vertices")
+        out.append(frozenset(_integer(v, where) for v in entry))
+    return tuple(out)
+
+
+def _state_builder(
+    data: dict, options: dict, mode: str
+) -> tuple[GameState, Callable[[], GameState]]:
+    """Validate a state section; return its shape and the builder of the state.
+
+    The shape is the state on an edgeless fog graph of the same size, so a
+    guard can read n1 and n2, after every field is checked, before a
+    generator graph is built; in profile mode it is the state itself.
+    """
+    has_graph = "graph" in data
+    has_profile = "level1_strategies" in options
+    if has_graph and has_profile:
+        raise ScenarioError(
+            f"{mode}: give either a graph or options.level1_strategies, not both"
+        )
+    if not has_graph and not has_profile:
+        raise ScenarioError(f"{mode}: needs a graph or options.level1_strategies")
+
+    if has_profile:
+        level1: Level1Profile | Graph = Level1Profile(
+            _parse_strategies(options["level1_strategies"], "options.level1_strategies")
+        )
+        n1 = level1.n1
+    else:
+        n1, build_graph = _graph_builder(data["graph"])
+        level1 = Graph(n1, frozenset())
+
+    n2 = _integer(data["n2"], "n2", minimum=0) if "n2" in data else None
+    if "level2_strategies" in options:
+        strategies = _parse_strategies(options["level2_strategies"], "options.level2_strategies")
+    elif n2 is not None:
+        strategies = (frozenset(),) * n2
+    else:
+        raise ScenarioError(f"{mode}: needs options.level2_strategies or n2")
+    if n2 is not None and n2 != len(strategies):
+        raise ScenarioError(
+            f"{mode}: n2={n2} disagrees with {len(strategies)} level-2 strategies"
+        )
+    level2 = Level2Profile(n1, strategies)
+    allow_unequal = _boolean(data.get("allow_unequal", False), "allow_unequal")
+    shape = GameState(level1, level2, allow_unequal=allow_unequal)
+    if has_profile:
+        return shape, lambda: shape
+    return shape, lambda: GameState(build_graph(), level2, allow_unequal=allow_unequal)
+
+
+def _check_exact_first(shape: GameState, scope: Scope) -> None:
+    """Refuse before building the fog graph what the exact oracles' guard would.
+
+    That guard reads only n1.  is_nash and exact dynamics reach it first
+    on a fixed graph at level-2 scope with jobs; a level-1 scope on a fixed
+    graph raises PolicyError instead, and no jobs means no oracle call.
+    """
+    if not shape.profile_mode and scope is Scope.LEVEL2 and shape.n2:
+        _check_exact_size(shape.n1)

@@ -9,7 +9,8 @@ import copy
 from typing import Any
 
 from .errors import ScenarioError
-from .scenario import _SWEEP_PARAMETERS, _record, run_record, writable_section
+from .parsing import writable_section
+from .scenario import _SWEEP_PARAMETERS, _record, run_record
 
 
 def sweep_records(template: Any, parameter: str, values: list) -> dict:

@@ -404,6 +404,56 @@ def test_main_bounds_at_zero_beta_skips_the_poa_check(tmp_path, capsys, n):
     assert payload["all_hold"] is True
 
 
+@pytest.mark.parametrize(
+    "scenario_file, lhs",
+    [
+        # no players: the optimum costs 0, so the ratio is undefined
+        ({"graph": {"n": 0, "edges": []}, "n2": 0}, 0),
+        # jobs without links cost inf, and so does every optimum
+        ({"graph": {"kind": "path", "n": 2}, "n2": 2, "config": {"beta": 1e308}}, math.inf),
+    ],
+)
+def test_main_bounds_skips_an_undefined_poa_check(tmp_path, capsys, scenario_file, lhs):
+    # empirical_poa refuses both with ValueError; the lower bounds still run.
+    path = _write(tmp_path, "undefined.json", scenario_file)
+    assert cli.main(["bounds", path]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = parse_record(captured.out)["payload"]
+    assert [(c["name"], c["lhs"]) for c in payload["checks"]] == [
+        ("type2-social-lower-bound", lhs)
+    ]
+    assert payload["all_hold"] is True
+
+
+def test_main_bounds_guard_refuses_before_generating_the_graph(tmp_path, monkeypatch, capsys):
+    # The bounds mode prices every player as the cost mode does, under the
+    # same guard: path 3000 with 3000 jobs has 6000^2 pairs on its
+    # edgeless shape alone.
+    def no_generate(*args, **kwargs):
+        raise AssertionError("the graph was generated before the guard refused it")
+
+    monkeypatch.setattr(generators, "generate", no_generate)
+    body = {"mode": "bounds", "graph": {"kind": "path", "n": 3000}, "n2": 3000}
+    path = _write(tmp_path, "long.json", body)
+    assert cli.main(["bounds", path]) == cli.EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "foggame: cost evaluation guard exceeded: size 36000000 > limit 16777216\n"
+    )
+
+
+def test_main_bounds_guard_counts_the_built_edges(tmp_path, capsys):
+    # K_300 with 300 jobs passes on its edgeless shape (600^2 pairs); once
+    # built, 600 BFS over its 44,850 edges do not.
+    body = {"mode": "bounds", "graph": {"kind": "complete", "n": 300}, "n2": 300}
+    assert cli.main(["bounds", _write(tmp_path, "k300.json", body)]) == cli.EXIT_GUARD
+    assert capsys.readouterr().err == (
+        "foggame: cost evaluation guard exceeded: size 27270000 > limit 16777216\n"
+    )
+
+
 def test_main_guard_refuses_before_generating_the_graph(tmp_path, monkeypatch, capsys):
     # K_1000 has 499,500 edges; the shape alone clears the budget, so the
     # refusal must not pay for them.

@@ -12,12 +12,21 @@ modes' dominating sets (domination), --format csv (tabular, csv) and the
 sweep command (sweep, copy); records are named tuples rather than
 dataclasses.  Each probe runs in a fresh interpreter without bytecode
 caching, and what it adds is measured against a bare interpreter.
+
+Without a bytecode cache each module is parsed from source, and the
+parser's peak memory for the largest module parsed sets the process's
+peak RSS: later compiles reuse that memory, but it is not returned to the
+operating system.  No module a CLI run compiles may parse larger than
+cli.py itself.
 """
 
+import importlib.machinery
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import foggame
@@ -66,6 +75,31 @@ def test_cli_import_skips_mode_only_modules():
     added = _modules_after("import foggame.cli") - baseline
     assert "foggame.cli" in added and "foggame.scenario" in added
     assert sorted(set(NOT_AT_CLI_IMPORT) & added) == []
+
+
+def _compile_peak(module: str) -> int:
+    """Peak bytes tracemalloc sees while the import system compiles module's source."""
+    path = importlib.util.find_spec(module).origin
+    loader = importlib.machinery.SourceFileLoader(module, path)
+    source = loader.get_data(path)
+    tracemalloc.start()
+    try:
+        loader.source_to_code(source, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_module_a_cli_run_compiles_parses_larger_than_cli():
+    # The distance-layer kernel (kernel) and strict section parsing
+    # (parsing) are modules of their own so that neither model.py nor
+    # scenario.py outgrows cli.py; the poa engine (joint) loads in main.
+    loaded = _modules_after("import foggame.cli")
+    assert {"foggame.kernel", "foggame.parsing"} <= loaded
+    modules = sorted(m for m in loaded if m.split(".")[0] == "foggame") + ["foggame.joint"]
+    limit = _compile_peak("foggame.cli")
+    peaks = {m: _compile_peak(m) for m in modules}
+    assert {m: peak for m, peak in peaks.items() if peak > limit} == {}, limit
 
 
 def test_cli_runs_load_no_argument_parser_library(tmp_path):

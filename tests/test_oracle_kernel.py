@@ -25,7 +25,7 @@ import tracemalloc
 import pytest
 
 from foggame import equilibrium as eq
-from foggame import graph, greedy, joint, model
+from foggame import graph, greedy, joint, kernel, model
 from foggame.equilibrium import (
     Scope,
     best_response_dynamics,
@@ -294,7 +294,7 @@ DEEP_CONFIGS = [
 @pytest.mark.parametrize("state, fog", _deep_shapes())
 def test_oracles_match_reference_on_deep_masks(state, fog):
     for cfg in DEEP_CONFIGS:
-        jobs = model.job_deviation_rows(0, state, cfg)
+        jobs = kernel.job_deviation_rows(0, state, cfg)
         if cfg.transit_policy is TransitPolicy.FOG_ONLY:
             assert max(m.bit_length() for m in jobs.masks.values()) > 60
         for fast, reference in (
@@ -305,7 +305,7 @@ def test_oracles_match_reference_on_deep_masks(state, fog):
                 fast.__name__,
                 cfg,
             )
-    fogs = model.fog_deviation_rows(fog, state, DEEP_CONFIGS[0])
+    fogs = kernel.fog_deviation_rows(fog, state, DEEP_CONFIGS[0])
     assert max(m.bit_length() for m in fogs.masks.values()) > 60
     # fog costs do not depend on the job cost type or transit policy
     for cfg in DEEP_CONFIGS[::2]:
@@ -340,9 +340,9 @@ def test_oracles_match_reference_without_targets():
 
 def test_scan_matches_evaluate_on_random_states():
     for state, cfg in _states(7, 320):
-        deviations = [model.job_deviation_rows(j, state, cfg) for j in range(state.n2)]
+        deviations = [kernel.job_deviation_rows(j, state, cfg) for j in range(state.n2)]
         if state.profile_mode:
-            deviations += [model.fog_deviation_rows(i, state, cfg) for i in range(state.n1)]
+            deviations += [kernel.fog_deviation_rows(i, state, cfg) for i in range(state.n1)]
         for rows in deviations:
             scanned = list(itertools.chain.from_iterable(rows.scan()))
             evaluated = [rows.evaluate(c) for c in _subsets(rows.universe)]
@@ -475,7 +475,7 @@ def test_exact_oracles_run_no_bfs_and_build_no_graph(monkeypatch):
 def _priced(oracle, *args):
     """The oracle's answer and the number of candidates each scanned size priced."""
     priced = []
-    scan = model.DeviationRows.scan
+    scan = kernel.DeviationRows.scan
 
     def counted(self):
         for costs in scan(self):
@@ -483,7 +483,7 @@ def _priced(oracle, *args):
             yield costs
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model.DeviationRows, "scan", counted)
+        mp.setattr(kernel.DeviationRows, "scan", counted)
         return oracle(*args), priced
 
 
@@ -553,12 +553,12 @@ def test_size_pruning_matches_the_full_scan():
     for state in _pruning_states(19, 160):
         for cfg in _pruning_configs(rng):
             deviations = [
-                (model.job_deviation_rows(j, state, cfg), best_response_job_exact, j)
+                (kernel.job_deviation_rows(j, state, cfg), best_response_job_exact, j)
                 for j in range(state.n2)
             ]
             if state.profile_mode:
                 deviations += [
-                    (model.fog_deviation_rows(i, state, cfg), best_response_fog_exact, i)
+                    (kernel.fog_deviation_rows(i, state, cfg), best_response_fog_exact, i)
                     for i in range(state.n1)
                 ]
             for rows, oracle, player in deviations:
@@ -633,11 +633,11 @@ def test_layers_match_distance_rows():
     cases += [(state, cfg) for state, _ in shapes for cfg in DEEP_CONFIGS]
     for state, cfg in cases:
         for j in range(state.n2):
-            rows = model.job_deviation_rows(j, state, cfg)
+            rows = kernel.job_deviation_rows(j, state, cfg)
             assert _layers(rows) == reference_job_layers(j, state, cfg), (state, cfg, j)
         if state.profile_mode and cfg is DEEP_CONFIGS[0]:
             for i in range(state.n1):
-                rows = model.fog_deviation_rows(i, state, cfg)
+                rows = kernel.fog_deviation_rows(i, state, cfg)
                 assert _layers(rows) == reference_fog_layers(i, state), (state, i)
 
 
@@ -648,7 +648,7 @@ def test_layers_follow_radii_that_reach_only_jobs():
     jobs = Level2Profile(4, (frozenset({0, 1, 3}), frozenset()))
     state = GameState(Graph(4, frozenset({(0, 3)})), jobs, allow_unequal=True)
     cfg = GameConfig()
-    rows = model.job_deviation_rows(1, state, cfg)
+    rows = kernel.job_deviation_rows(1, state, cfg)
     # the largest finite distance is 2, so three layers of four targets
     assert (rows.full, rows.reached) == (16, 0b1111 << 8)
     assert rows.masks[1] == 0b1011_0010_0010
@@ -678,7 +678,7 @@ def test_job_layers_follow_lent_pairs(g1, lending, source, target, fog_hops, hop
     assert single_source_distances(model.build_combined_graph(g1, jobs), source)[target] == hops
     for cfg in DEEP_CONFIGS:
         for j in range(state.n2):
-            rows = model.job_deviation_rows(j, state, cfg)
+            rows = kernel.job_deviation_rows(j, state, cfg)
             assert _layers(rows) == reference_job_layers(j, state, cfg), (cfg, j)
 
 
@@ -695,7 +695,7 @@ def reference_job_deviation_rows(j, state, cfg):
                 for v in strategy:
                     adjacency[v] |= bit
                 adjacency.append(bit + sum(1 << v for v in strategy))
-    return model.DeviationRows(
+    return kernel.DeviationRows(
         range(state.n1), adjacency, lambda k, sums: model._job_costs(cfg.beta * k, sums, cfg)
     )
 
@@ -743,7 +743,7 @@ def test_job_rows_match_one_vertex_per_job_reference():
         state, cfg = _lending_state(rng)
         jobs = state.level2.strategies
         for j in range(state.n2):
-            rows = model.job_deviation_rows(j, state, cfg)
+            rows = kernel.job_deviation_rows(j, state, cfg)
             reference = reference_job_deviation_rows(j, state, cfg)
             assert _layers(rows) == _layers(reference), (state, cfg, j)
             assert repr(list(rows.scan())) == repr(list(reference.scan())), (state, cfg, j)
@@ -777,9 +777,9 @@ def test_lent_pairs_are_the_pairs_at_least_3_hops_apart():
     fog_only = GameConfig(transit_policy=TransitPolicy.FOG_ONLY)
     assert list(joint.lent_pairs(g1, [frozenset(range(6))], fog_only)) == [0]
     # the partner masks are the lent int's n1-bit blocks
-    partners = model.lent_partners(g1, [frozenset(range(6)), frozenset({0, 5})], GameConfig())
+    partners = kernel.lent_partners(g1, [frozenset(range(6)), frozenset({0, 5})], GameConfig())
     assert partners == [far >> a * 6 & 0b111111 for a in range(6)]
-    assert model.lent_partners(g1, [frozenset(range(6))], fog_only) == [0] * 6
+    assert kernel.lent_partners(g1, [frozenset(range(6))], fog_only) == [0] * 6
 
 
 def test_far_masks_are_kept_per_fog_graph():
@@ -787,22 +787,22 @@ def test_far_masks_are_kept_per_fog_graph():
     g1 = generate("erdos_renyi", 30, p=0.1, seed=5)
     jobs = [frozenset(range(k, 30, 7)) for k in range(7)]
     state = GameState(g1, Level2Profile(30, jobs), allow_unequal=True)
-    model._far_masks.cache_clear()
+    kernel._far_masks.cache_clear()
     for j in range(7):
-        model.job_deviation_rows(j, state, GameConfig())
-    assert model._far_masks.cache_info()[:2] == (6, 1)  # hits, misses
+        kernel.job_deviation_rows(j, state, GameConfig())
+    assert kernel._far_masks.cache_info()[:2] == (6, 1)  # hits, misses
 
 
 def _row_vertices(monkeypatch):
-    """Spy on model.DeviationRows; return the list of each build's vertex count."""
+    """Spy on kernel.DeviationRows; return the list of each build's vertex count."""
     built = []
-    original = model.DeviationRows
+    original = kernel.DeviationRows
 
     def spy(universe, adjacency, *args, **kwargs):
         built.append(len(adjacency))
         return original(universe, adjacency, *args, **kwargs)
 
-    monkeypatch.setattr(model, "DeviationRows", spy)
+    monkeypatch.setattr(kernel, "DeviationRows", spy)
     return built
 
 
@@ -822,7 +822,7 @@ def test_job_rows_do_not_grow_with_the_jobs(monkeypatch):
     for name, jobs in shapes.items():
         state = GameState(g1, Level2Profile(4, jobs), allow_unequal=True)
         built.clear()
-        rows = [model.job_deviation_rows(j, state, GameConfig()) for j in (0, 1)]
+        rows = [kernel.job_deviation_rows(j, state, GameConfig()) for j in (0, 1)]
         sizes[name] = built[:]
         # beta 1 and one hop to 0, three to each other vertex over a lent pair
         assert rows[1].evaluate(frozenset({0})) == 1 + 1 + 3 * 3
@@ -838,7 +838,7 @@ def test_job_rows_hold_only_the_fog_vertices(monkeypatch):
     built = _row_vertices(monkeypatch)
     jobs = [frozenset(c) for k in range(7) for c in itertools.combinations(range(6), k)]
     state = GameState(Graph(6, frozenset()), Level2Profile(6, jobs), allow_unequal=True)
-    rows = model.job_deviation_rows(0, state, GameConfig())
+    rows = kernel.job_deviation_rows(0, state, GameConfig())
     assert built == [6]
     # beta 1 and one hop to 0, three to each other vertex over a lent pair
     assert rows.evaluate(frozenset({0})) == 1 + 1 + 5 * 3
@@ -853,7 +853,7 @@ def test_job_deviation_rows_hold_no_lent_int():
     state = GameState(g1, Level2Profile(150, jobs), allow_unequal=True)
     tracemalloc.start()
     try:
-        model.job_deviation_rows(0, state, GameConfig())
+        kernel.job_deviation_rows(0, state, GameConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,4 +1,4 @@
-"""README's Guards table against the limits the modules define."""
+"""README's Guards table and Modules list against the modules the package defines."""
 
 import importlib
 import pkgutil
@@ -40,3 +40,11 @@ def test_readme_guards_table_lists_every_limit_with_its_default():
         if name.endswith(("_GUARD", "_BUDGET")) and not name.startswith("EXIT_")
     }
     assert _guards_table() == limits
+
+
+def test_readme_modules_list_names_every_module():
+    # A module added, split off or removed must show in the list.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Modules\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`foggame\.(\w+)", section))
+    assert named == {info.name for info in pkgutil.iter_modules(foggame.__path__)}
