@@ -7,18 +7,11 @@ compile it.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import GuardExceeded
-from .graph import Distance, Graph, VertexSet, single_source_distances
-from .model import (
-    GameConfig,
-    GameState,
-    Level2Profile,
-    TransitPolicy,
-    _job_costs,
-    build_combined_graph,
-)
+from .graph import VertexSet, single_source_distances
+from .model import GameConfig, GameState, Level2Profile, TransitPolicy, _job_costs
 
 COST_PAIR_GUARD = 2**24  # (BFS source, vertex or edge) pairs of a cost run
 
@@ -52,39 +45,30 @@ def _within_cost_guard(state: GameState) -> GameState:
     return state
 
 
-def _bfs_sums(
-    g: Graph, adjacency: list[list[int]], sources: Iterable[int], n1: int
-) -> list[Distance]:
-    """Each source's distance sum to vertices 0..n1-1 of g, on one adjacency."""
-    return [sum(single_source_distances(g, s, adjacency)[:n1]) for s in sources]
-
-
 def cost_report(state: GameState, cfg: GameConfig) -> CostReport:
     """Evaluate every player once; the social totals are exact sums.
 
-    The costs equal edge_fog_player_cost and job_player_cost exactly, from
-    shared builds: one adjacency of the fog graph serves every fog BFS,
-    and under FULL_COMBINED one combined graph serves every job BFS.
-    Under FOG_ONLY a job's graph is the fog graph plus its own vertex n1,
-    and a BFS from n1 never comes back to it, so the fog adjacency with
-    n1's links to the job's members appended serves every job in turn;
-    no combined graph is built.
+    The costs equal edge_fog_player_cost and job_player_cost exactly, and
+    every BFS walks one adjacency list.  It starts as the fog graph's,
+    which serves the fog BFS; then each job vertex n1 + j gets an out-list
+    of its members, and under FULL_COMBINED each member a link back to
+    it.  Without the back-links a BFS from a job never enters another job,
+    which is what FOG_ONLY means; with them the list is the combined
+    graph's.  No graph is built beyond the fog graph.
     """
     g1, n1, jobs = state.g1, state.n1, state.level2
     adjacency = g1.adjacency()
-    level1 = _bfs_sums(g1, adjacency, range(n1), n1)
+    level1 = [sum(single_source_distances(g1, i, adjacency)) for i in range(n1)]
     if state.profile_mode:
         level1 = [d + cfg.alpha * len(s) for d, s in zip(level1, state.level1.strategies)]
+    adjacency += map(list, jobs.strategies)
     if cfg.transit_policy is TransitPolicy.FULL_COMBINED:
-        combined = build_combined_graph(g1, jobs)
-        sums = _bfs_sums(combined, combined.adjacency(), range(n1, n1 + jobs.n2), n1)
-    else:
-        with_job = Graph(n1 + 1, frozenset())  # its vertex count sizes the BFS
-        adjacency.append([])
-        sums = []
-        for s in jobs.strategies:
-            adjacency[n1] = list(s)
-            sums += _bfs_sums(with_job, adjacency, [n1], n1)
+        for jv, s in enumerate(jobs.strategies, n1):
+            for v in s:
+                adjacency[v].append(jv)
+    sums = [
+        sum(single_source_distances(g1, jv, adjacency)[:n1]) for jv in range(n1, n1 + jobs.n2)
+    ]
     level2 = [_job_costs(cfg.beta * len(s), [d], cfg)[0] for s, d in zip(jobs.strategies, sums)]
     return CostReport(
         level1_costs=tuple(level1),

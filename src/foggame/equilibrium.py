@@ -336,6 +336,16 @@ class PoAReport(NamedTuple):
     ne_count: int
 
 
+def _check_poa_optimum(optimum_cost: float) -> None:
+    """Refuse an optimum the PoA cannot divide by: not positive, or infinite."""
+    if optimum_cost <= 0:
+        raise ValueError(
+            f"price of anarchy undefined for non-positive optimum cost {optimum_cost}"
+        )
+    if optimum_cost == math.inf:
+        raise ValueError("price of anarchy undefined for infinite optimum cost")
+
+
 def empirical_poa(g1: Graph, n2: int, cfg: GameConfig) -> PoAReport:
     """Price of anarchy over all level-2 profiles.
 
@@ -352,17 +362,14 @@ def empirical_poa(g1: Graph, n2: int, cfg: GameConfig) -> PoAReport:
     which a float sum of huge job costs can reach (the ratio would be NaN).
     """
     _check_joint_size(g1.n, n2)
+    if g1.n == 0:  # every job's only strategy, the empty set, costs 0.0, whatever n2
+        _check_poa_optimum(0.0 if n2 else 0)
     from .joint import _joint_extremes, _profile
 
     cands, optimum_cost, optimum, worst_cost, worst, ne_count = _joint_extremes(g1, n2, cfg)
     if worst is None:
         raise NoEquilibriumError(f"no pure level-2 equilibrium (n1={g1.n}, n2={n2})")
-    if optimum_cost <= 0:
-        raise ValueError(
-            f"price of anarchy undefined for non-positive optimum cost {optimum_cost}"
-        )
-    if optimum_cost == math.inf:
-        raise ValueError("price of anarchy undefined for infinite optimum cost")
+    _check_poa_optimum(optimum_cost)
     return PoAReport(
         optimum_cost=optimum_cost,
         optimum_profile=_profile(g1.n, cands, optimum),

@@ -103,12 +103,14 @@ def single_source_distances(
     """Hop distances from source to every vertex, INF where unreachable.
 
     A caller that runs several BFS on g passes g.adjacency() once as
-    adjacency instead of having each call rebuild it.
+    adjacency instead of having each call rebuild it.  The BFS walks that
+    list alone, whose length is the vertex count: it may extend g's.
     """
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} outside [0,{g.n})")
     adj = g.adjacency() if adjacency is None else adjacency
-    dist: list[Distance] = [INF] * g.n
+    n = len(adj)
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} outside [0,{n})")
+    dist: list[Distance] = [INF] * n
     dist[source] = 0
     queue: deque[int] = deque([source])
     while queue:

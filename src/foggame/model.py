@@ -9,7 +9,10 @@ The per-player costs here price one strategy at a time and are the
 references for the faster paths built on them: the distance-layer kernel
 that prices every strategy of a deviating player (foggame.kernel), the
 joint analyses' lend keys (joint.lent_pairs, joint.job_rows) and the cost
-mode's report (costs.cost_report).
+mode's report (costs.cost_report).  Where job_player_cost builds a
+combined graph per job, the report walks one adjacency list for every
+player under either transit policy: the fog graph's, one out-list per job
+vertex, and fog-to-job back-links under FULL_COMBINED only.
 """
 
 from __future__ import annotations

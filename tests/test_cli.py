@@ -601,12 +601,12 @@ def test_main_infinite_optimum_exits_one(tmp_path, capsys):
     assert "infinite optimum" in captured.err
 
 
-def test_main_poa_without_fog_vertices_exits_one_on_many_jobs(tmp_path, capsys):
-    # n1 * n2 = 0 passes the joint guard at any n2.  Each job is priced on
-    # the far fog pairs the others lend, none here, not on one vertex per
-    # other job (O(n2^2) bits, 2.6 GB at this n2), so the run reaches the
-    # zero optimum at once.
-    path = _write(tmp_path, "many.json", {"graph": {"n": 0, "edges": []}, "n2": 200000})
+@pytest.mark.parametrize("n2", [200000, 2**63 - 1])
+def test_main_poa_without_fog_vertices_exits_one_on_many_jobs(tmp_path, capsys, n2):
+    # n1 * n2 = 0 passes the joint guard at any n2.  Without fog vertices
+    # each job's only strategy is the empty set at cost 0, so the optimum is
+    # refused before any walk; a walk over 2^63 - 1 jobs cannot even start.
+    path = _write(tmp_path, "many.json", {"graph": {"n": 0, "edges": []}, "n2": n2})
     assert cli.main(["poa", path]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""

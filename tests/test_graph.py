@@ -81,9 +81,24 @@ def test_single_source_unreachable_is_inf():
     assert single_source_distances(g, 0) == [0, 1, INF]
 
 
-def test_single_source_rejects_bad_source():
+@pytest.mark.parametrize(
+    "g, source, adjacency",
+    [
+        (new_graph(2, []), 2, None),
+        # a given adjacency, not g.n, fixes the vertex count and the source range
+        (new_graph(3, [(0, 1)]), 1, [[]]),
+    ],
+    ids=["graph", "adjacency"],
+)
+def test_single_source_rejects_bad_source(g, source, adjacency):
     with pytest.raises(ValueError, match="outside"):
-        single_source_distances(new_graph(2, []), 2)
+        single_source_distances(g, source, adjacency)
+
+
+def test_single_source_walks_an_extended_adjacency():
+    # vertex 2 lies outside g but inside the adjacency, as a cost-mode job does
+    g = new_graph(2, [(0, 1)])
+    assert single_source_distances(g, 2, g.adjacency() + [[1]]) == [2, 1, 0]
 
 
 def test_all_pairs_matches_single_source():

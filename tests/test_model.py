@@ -294,9 +294,10 @@ def test_cost_report_totals_match_components():
 @pytest.mark.parametrize("transit", tuple(TransitPolicy))
 @pytest.mark.parametrize("profile_mode", [False, True], ids=["fixed", "profile"])
 def test_cost_report_matches_the_per_player_references(transit, profile_mode):
-    # cost_report shares one fog adjacency and, under FULL_COMBINED, one
-    # combined graph; edge_fog_player_cost and job_player_cost each build
-    # their own.  Compared by repr, so an int sum (fixed-graph fog costs)
+    # cost_report runs every BFS on one adjacency list, the fog graph's
+    # extended by the job vertices (with back-links under FULL_COMBINED);
+    # edge_fog_player_cost and job_player_cost each build their own
+    # graph.  Compared by repr, so an int sum (fixed-graph fog costs)
     # and a float one differ; disconnected draws give INF costs, and
     # n1 = 0 the zero distance term.
     rng = random.Random(6100 + profile_mode)
