@@ -225,10 +225,11 @@ def check_bounds_on_instance(state: GameState, cfg: GameConfig) -> list[BoundChe
     statement, skipped when the joint enumeration guard refuses or the
     price of anarchy is undefined (no pure equilibrium, or an optimum
     cost that is not positive and finite).  The social costs are those of
-    costs.cost_report.  An infinite measured cost satisfies any lower
-    bound.  Requires matching player counts, since the formulas assume a
-    single n.
+    costs.cost_report, which runs first, so its guard refuses before any
+    other check.  An infinite measured cost satisfies any lower bound.
+    Requires matching player counts, since the formulas assume a single n.
     """
+    measured = cost_report(state, cfg)
     if state.n1 != state.n2:
         raise ValueError(
             f"bound formulas assume n1 == n2, got n1={state.n1}, n2={state.n2}"
@@ -236,7 +237,6 @@ def check_bounds_on_instance(state: GameState, cfg: GameConfig) -> list[BoundChe
     n = state.n1
     checks: list[BoundCheck] = []
 
-    measured = cost_report(state, cfg)
     actual2 = measured.social_level2
     icount = measured.interconnection_count
     if cfg.job_cost_type is JobCostType.TYPE_II:

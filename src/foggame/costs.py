@@ -1,8 +1,8 @@
 """The cost mode: every player's cost and the social totals of one state.
 
-scenario loads this module for a `cost` run only, and bounds and verify
-for their interconnection counts; poa, nash and dynamics runs never
-compile it.
+A scenario loads this module in the `cost` and `bounds` modes only, for
+the guard and the report, and verify for its interconnection counts;
+poa, nash and dynamics runs never compile it.
 """
 
 from __future__ import annotations
@@ -10,8 +10,15 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import GuardExceeded
-from .graph import VertexSet, single_source_distances
-from .model import GameConfig, GameState, Level2Profile, TransitPolicy, _job_costs
+from .graph import Graph, VertexSet
+from .model import (
+    GameConfig,
+    GameState,
+    Level1Profile,
+    Level2Profile,
+    _player_costs,
+    build_level1_graph,
+)
 
 COST_PAIR_GUARD = 2**24  # (BFS source, vertex or edge) pairs of a cost run
 
@@ -36,44 +43,34 @@ def interconnection_union(profile: Level2Profile) -> VertexSet:
     return frozenset().union(*profile.strategies) if profile.strategies else frozenset()
 
 
-def _within_cost_guard(state: GameState) -> GameState:
-    """state, unless one BFS per player over its combined graph passes COST_PAIR_GUARD."""
-    n = state.n1 + state.n2
-    pairs = n * (n + state.g1.edge_count + sum(map(len, state.level2.strategies)))
+def _within_cost_guard(level1: Level1Profile | Graph, n2: int, links: int) -> None:
+    """Refuse past COST_PAIR_GUARD one BFS per player over at most the combined graph.
+
+    level1 is the fog graph or the level-1 profile that builds it.
+    """
+    g1 = level1 if isinstance(level1, Graph) else build_level1_graph(level1)
+    n = g1.n + n2
+    pairs = n * (n + g1.edge_count + links)
     if pairs > COST_PAIR_GUARD:
         raise GuardExceeded("cost evaluation", COST_PAIR_GUARD, pairs)
-    return state
 
 
 def cost_report(state: GameState, cfg: GameConfig) -> CostReport:
     """Evaluate every player once; the social totals are exact sums.
 
-    The costs equal edge_fog_player_cost and job_player_cost exactly, and
-    every BFS walks one adjacency list.  It starts as the fog graph's,
-    which serves the fog BFS; then each job vertex n1 + j gets an out-list
-    of its members, and under FULL_COMBINED each member a link back to
-    it.  Without the back-links a BFS from a job never enters another job,
-    which is what FOG_ONLY means; with them the list is the combined
-    graph's.  No graph is built beyond the fog graph.
+    Refused past COST_PAIR_GUARD.  The costs are edge_fog_player_cost's
+    and job_player_cost's, from the same list-BFS pricing of the state
+    (model._player_costs), every BFS on one adjacency list.
     """
-    g1, n1, jobs = state.g1, state.n1, state.level2
-    adjacency = g1.adjacency()
-    level1 = [sum(single_source_distances(g1, i, adjacency)) for i in range(n1)]
-    if state.profile_mode:
-        level1 = [d + cfg.alpha * len(s) for d, s in zip(level1, state.level1.strategies)]
-    adjacency += map(list, jobs.strategies)
-    if cfg.transit_policy is TransitPolicy.FULL_COMBINED:
-        for jv, s in enumerate(jobs.strategies, n1):
-            for v in s:
-                adjacency[v].append(jv)
-    sums = [
-        sum(single_source_distances(g1, jv, adjacency)[:n1]) for jv in range(n1, n1 + jobs.n2)
-    ]
-    level2 = [_job_costs(cfg.beta * len(s), [d], cfg)[0] for s, d in zip(jobs.strategies, sums)]
+    n1, jobs = state.n1, state.level2
+    links = interconnection_count(jobs)
+    _within_cost_guard(state.g1, jobs.n2, links)
+    costs = _player_costs(state, cfg, range(n1), range(jobs.n2))
+    level1, level2 = costs[:n1], costs[n1:]
     return CostReport(
         level1_costs=tuple(level1),
         level2_costs=tuple(level2),
         social_level1=sum(level1),
         social_level2=sum(level2),
-        interconnection_count=interconnection_count(jobs),
+        interconnection_count=links,
     )

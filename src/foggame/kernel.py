@@ -17,7 +17,7 @@ from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import INF, Distance, Graph, VertexSet, closed_neighborhood_masks
-from .model import GameConfig, GameState, TransitPolicy, _job_costs
+from .model import GameConfig, GameState, TransitPolicy, _check_player, _job_costs
 
 
 class DeviationRows:
@@ -180,8 +180,7 @@ def _job_rows(g1: Graph, partners: list[int], cfg: GameConfig) -> DeviationRows:
 
 def job_deviation_rows(j: int, state: GameState, cfg: GameConfig) -> DeviationRows:
     """Distance layers of job j against the far pairs the other jobs lend (see lent_partners)."""
-    if not 0 <= j < state.n2:
-        raise ValueError(f"job {j} outside [0,{state.n2})")
+    _check_player("job", j, state.n2)
     g1, jobs = state.g1, state.level2.strategies
     return _job_rows(g1, lent_partners(g1, jobs[:j] + jobs[j + 1 :], cfg), cfg)
 
@@ -196,8 +195,7 @@ def fog_deviation_rows(i: int, state: GameState, cfg: GameConfig) -> DeviationRo
     if not state.profile_mode:
         raise ValueError("level-1 strategies cannot change in fixed-graph mode")
     n1 = state.n1
-    if not 0 <= i < n1:
-        raise ValueError(f"fog player {i} outside [0,{n1})")
+    _check_player("fog player", i, n1)
     low = (1 << i) - 1
     adjacency = [
         mask & low | mask >> 1 & ~low

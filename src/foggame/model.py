@@ -5,14 +5,13 @@ Level 1: each fog device is a vertex that buys links to other fog devices
 vertex.  Level 2: each job is an extra vertex that buys links into the fog
 graph (price beta each) and pays a distance term over all fog vertices.
 
-The per-player costs here price one strategy at a time and are the
-references for the faster paths built on them: the distance-layer kernel
-that prices every strategy of a deviating player (foggame.kernel), the
-joint analyses' lend keys (joint.lent_pairs, joint.job_rows) and the cost
-mode's report (costs.cost_report).  Where job_player_cost builds a
-combined graph per job, the report walks one adjacency list for every
-player under either transit policy: the fog graph's, one out-list per job
-vertex, and fog-to-job back-links under FULL_COMBINED only.
+The per-player costs here are the references for the faster paths built
+on them: the distance-layer kernel that prices every strategy of a
+deviating player (foggame.kernel) and the joint analyses' lend keys
+(joint.lent_pairs, joint.job_rows).  They and the cost mode's report
+(costs.cost_report) read one list-BFS pricing of a state, _player_costs:
+fog players by BFS over the fog graph, jobs by BFS over its adjacency
+list extended by the job vertices; no combined graph is built.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import INF, Distance, Graph, VertexSet, _Validated, single_source_distances
 
@@ -81,10 +80,6 @@ class GameConfig(_Validated, _GameConfigFields):
         return self
 
 
-def _normalize_strategies(raw: Iterable[Iterable[int]]) -> tuple[VertexSet, ...]:
-    return tuple(frozenset(s) for s in raw)
-
-
 class _Level1Fields(NamedTuple):
     strategies: tuple[VertexSet, ...]
 
@@ -95,7 +90,7 @@ class Level1Profile(_Validated, _Level1Fields):
     __slots__ = ()
 
     def __new__(cls, strategies: Iterable[Iterable[int]]):
-        strategies = _normalize_strategies(strategies)
+        strategies = tuple(map(frozenset, strategies))
         n1 = len(strategies)
         for i, s in enumerate(strategies):
             if i in s:
@@ -111,8 +106,8 @@ class Level1Profile(_Validated, _Level1Fields):
 
     def replace(self, player: int, strategy: Iterable[int]) -> "Level1Profile":
         parts = list(self.strategies)
-        parts[player] = frozenset(strategy)
-        return Level1Profile(tuple(parts))
+        parts[player] = strategy
+        return Level1Profile(parts)
 
 
 class _Level2Fields(NamedTuple):
@@ -126,7 +121,7 @@ class Level2Profile(_Validated, _Level2Fields):
     __slots__ = ()
 
     def __new__(cls, n1: int, strategies: Iterable[Iterable[int]]):
-        strategies = _normalize_strategies(strategies)
+        strategies = tuple(map(frozenset, strategies))
         if n1 < 0:
             raise ValueError(f"n1 must be non-negative, got {n1}")
         for j, s in enumerate(strategies):
@@ -141,8 +136,8 @@ class Level2Profile(_Validated, _Level2Fields):
 
     def replace(self, job: int, strategy: Iterable[int]) -> "Level2Profile":
         parts = list(self.strategies)
-        parts[job] = frozenset(strategy)
-        return Level2Profile(self.n1, tuple(parts))
+        parts[job] = strategy
+        return Level2Profile(self.n1, parts)
 
 
 class _GameStateFields(NamedTuple):
@@ -169,11 +164,7 @@ class GameState(_Validated, _GameStateFields):
             raise ValueError(
                 f"level-2 profile addresses {self.level2.n1} fog vertices, level 1 has {n1}"
             )
-        if not self.allow_unequal and n1 != self.level2.n2:
-            raise ValueError(
-                f"player counts differ (n1={n1}, n2={self.level2.n2}); "
-                'pass allow_unequal=True (scenario key "allow_unequal": true) to permit this'
-            )
+        _check_player_counts(n1, self.level2.n2, self.allow_unequal)
         return self
 
     @property
@@ -182,7 +173,7 @@ class GameState(_Validated, _GameStateFields):
 
     @property
     def n1(self) -> int:
-        return self.level1.n if isinstance(self.level1, Graph) else self.level1.n1
+        return self.level1.n1 if self.profile_mode else self.level1.n
 
     @property
     def n2(self) -> int:
@@ -191,9 +182,7 @@ class GameState(_Validated, _GameStateFields):
     @property
     def g1(self) -> Graph:
         """The fog graph: fixed, or built from the level-1 profile."""
-        if isinstance(self.level1, Graph):
-            return self.level1
-        return build_level1_graph(self.level1)
+        return build_level1_graph(self.level1) if self.profile_mode else self.level1
 
     def with_level1_strategy(self, player: int, strategy: Iterable[int]) -> "GameState":
         if not self.profile_mode:
@@ -204,6 +193,21 @@ class GameState(_Validated, _GameStateFields):
         return GameState(self.level1, self.level2.replace(job, strategy), self.allow_unequal)
 
 
+def _check_player_counts(n1: int, n2: int, allow_unequal: bool) -> None:
+    """GameState's count check; a scenario's parser runs it before expanding a bare n2."""
+    if not allow_unequal and n1 != n2:
+        raise ValueError(
+            f"player counts differ (n1={n1}, n2={n2}); "
+            'pass allow_unequal=True (scenario key "allow_unequal": true) to permit this'
+        )
+
+
+def _check_player(kind: str, p: int, n: int) -> None:
+    """The index check of every per-player cost and deviation: kind p must lie in [0, n)."""
+    if not 0 <= p < n:
+        raise ValueError(f"{kind} {p} outside [0,{n})")
+
+
 @lru_cache(maxsize=1024)
 def build_level1_graph(profile: Level1Profile) -> Graph:
     """Union semantics: edge {i,k} exists iff i bought k or k bought i.
@@ -211,10 +215,7 @@ def build_level1_graph(profile: Level1Profile) -> Graph:
     Both sides of a duplicate purchase are still charged in the cost
     functions; the built graph keeps a single edge.
     """
-    edges = set()
-    for i, s in enumerate(profile.strategies):
-        for k in s:
-            edges.add((min(i, k), max(i, k)))
+    edges = ((min(i, k), max(i, k)) for i, s in enumerate(profile.strategies) for k in s)
     return Graph(profile.n1, frozenset(edges))
 
 
@@ -225,12 +226,36 @@ def build_combined_graph(g1: Graph, profile: Level2Profile) -> Graph:
     """
     if profile.n1 != g1.n:
         raise ValueError(f"profile addresses {profile.n1} fog vertices, graph has {g1.n}")
-    edges = set(g1.edges)
-    for j, s in enumerate(profile.strategies):
-        jv = g1.n + j
-        for v in s:
-            edges.add((v, jv))
-    return Graph(g1.n + profile.n2, frozenset(edges))
+    return Graph(
+        g1.n + profile.n2,
+        g1.edges.union((v, jv) for jv, s in enumerate(profile.strategies, g1.n) for v in s),
+    )
+
+
+def _player_costs(
+    state: GameState, cfg: GameConfig, fog: Sequence[int], jobs: Sequence[int]
+) -> list[float]:
+    """The costs of the fog players in fog, then of the jobs in jobs, all on one adjacency list.
+
+    The list starts as the fog graph's, which serves the fog BFS; then each
+    job vertex n1 + j gets an out-list of its members, and under
+    FULL_COMBINED each member a link back to it.  Without the back-links a
+    BFS from a job never enters another job, which is what FOG_ONLY means.
+    """
+    g1, n1, strategies = state.g1, state.n1, state.level2.strategies
+    adjacency = g1.adjacency()
+    costs = [sum(single_source_distances(g1, i, adjacency)) for i in fog]
+    if state.profile_mode:
+        costs = [d + cfg.alpha * len(state.level1.strategies[i]) for i, d in zip(fog, costs)]
+    adjacency += map(list, strategies)
+    if cfg.transit_policy is TransitPolicy.FULL_COMBINED:
+        for jv, s in enumerate(strategies, n1):
+            for v in s:
+                adjacency[v].append(jv)
+    for j in jobs:
+        d = sum(single_source_distances(g1, n1 + j, adjacency)[:n1])
+        costs += _job_costs(cfg.beta * len(strategies[j]), [d], cfg)
+    return costs
 
 
 def edge_fog_player_cost(i: int, state: GameState, cfg: GameConfig) -> float:
@@ -239,28 +264,8 @@ def edge_fog_player_cost(i: int, state: GameState, cfg: GameConfig) -> float:
     In fixed-graph mode the purchase term is zero.  Infinite whenever some
     fog vertex is unreachable inside the fog graph.
     """
-    if not 0 <= i < state.n1:
-        raise ValueError(f"fog player {i} outside [0,{state.n1})")
-    dist = single_source_distances(state.g1, i)
-    total = sum(dist)
-    if state.profile_mode:
-        total += cfg.alpha * len(state.level1.strategies[i])
-    return total
-
-
-def _job_distance_sum(j: int, state: GameState, cfg: GameConfig) -> float:
-    """BFS from job j in the combined graph; under FOG_ONLY the other jobs keep no links."""
-    n1 = state.n1
-    if n1 == 0:
-        return 0
-    level2 = state.level2
-    if cfg.transit_policy is TransitPolicy.FOG_ONLY:
-        level2 = Level2Profile(
-            n1, (s if k == j else frozenset() for k, s in enumerate(level2.strategies))
-        )
-    combined = build_combined_graph(state.g1, level2)
-    dist = single_source_distances(combined, n1 + j)
-    return sum(dist[:n1])
+    _check_player("fog player", i, state.n1)
+    return _player_costs(state, cfg, (i,), ())[0]
 
 
 def job_player_cost(j: int, state: GameState, cfg: GameConfig) -> float:
@@ -270,10 +275,8 @@ def job_player_cost(j: int, state: GameState, cfg: GameConfig) -> float:
     vertices.  TYPE_I: beta * |S| - 1/D, infinite when D is infinite.  With
     no fog vertices at all the distance term is zero by convention.
     """
-    if not 0 <= j < state.n2:
-        raise ValueError(f"job {j} outside [0,{state.n2})")
-    purchase = cfg.beta * len(state.level2.strategies[j])
-    return _job_costs(purchase, [_job_distance_sum(j, state, cfg)], cfg)[0]
+    _check_player("job", j, state.n2)
+    return _player_costs(state, cfg, (), (j,))[0]
 
 
 def _job_costs(purchase: float, sums: list[Distance], cfg: GameConfig) -> list[float]:

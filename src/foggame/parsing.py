@@ -24,6 +24,7 @@ from .model import (
     Level1Profile,
     Level2Profile,
     TransitPolicy,
+    _check_player_counts,
 )
 
 _TOP_KEYS = {
@@ -201,7 +202,9 @@ def _state_builder(
 
     The shape is the state on an edgeless fog graph of the same size, so a
     guard can read n1 and n2, after every field is checked, before a
-    generator graph is built; in profile mode it is the state itself.
+    generator graph is built; in profile mode it is the state itself.  A
+    bare n2 is expanded only once the player counts and, in the modes that
+    price the state, the cost guard accept it.
     """
     has_graph = "graph" in data
     has_profile = "level1_strategies" in options
@@ -222,22 +225,25 @@ def _state_builder(
         level1 = Graph(n1, frozenset())
 
     n2 = _integer(data["n2"], "n2", minimum=0) if "n2" in data else None
+    strategies = ()
     if "level2_strategies" in options:
         strategies = _parse_strategies(options["level2_strategies"], "options.level2_strategies")
-    elif n2 is not None:
-        strategies = (frozenset(),) * n2
-    else:
+        if n2 is not None and n2 != len(strategies):
+            raise ScenarioError(
+                f"{mode}: n2={n2} disagrees with {len(strategies)} level-2 strategies"
+            )
+        n2 = Level2Profile(n1, strategies).n2  # members are checked before counts
+    elif n2 is None:
         raise ScenarioError(f"{mode}: needs options.level2_strategies or n2")
-    if n2 is not None and n2 != len(strategies):
-        raise ScenarioError(
-            f"{mode}: n2={n2} disagrees with {len(strategies)} level-2 strategies"
-        )
-    level2 = Level2Profile(n1, strategies)
     allow_unequal = _boolean(data.get("allow_unequal", False), "allow_unequal")
+    _check_player_counts(n1, n2, allow_unequal)
+    if mode in ("cost", "bounds"):  # the modes that price the state
+        from .costs import _within_cost_guard
+
+        _within_cost_guard(level1, n2, sum(map(len, strategies)))
+    level2 = Level2Profile(n1, strategies or (frozenset(),) * n2)
     shape = GameState(level1, level2, allow_unequal=allow_unequal)
-    if has_profile:
-        return shape, lambda: shape
-    return shape, lambda: GameState(build_graph(), level2, allow_unequal=allow_unequal)
+    return shape, lambda: shape if has_profile else shape._replace(level1=build_graph())
 
 
 def _check_exact_first(shape: GameState, scope: Scope) -> None:

@@ -83,8 +83,7 @@ def run_spec(data: Any) -> dict:
     if mode == "cost":
         from . import costs  # loaded for its mode only
 
-        costs._within_cost_guard(shape)  # before building a generator graph, edgeless in shape
-        return to_jsonable(costs.cost_report(costs._within_cost_guard(build_state()), cfg))
+        return to_jsonable(costs.cost_report(build_state(), cfg))
 
     if mode == "nash":
         scope = _member(Scope, options.get("scope", Scope.LEVEL2.value), "options: scope")
@@ -93,11 +92,9 @@ def run_spec(data: Any) -> dict:
         return {"is_nash": stable, "witness": to_jsonable(witness)}
 
     if mode == "bounds":
-        from . import costs
         from .bounds import check_bounds_on_instance
 
-        costs._within_cost_guard(shape)  # prices the state as the cost mode does
-        checks = check_bounds_on_instance(costs._within_cost_guard(build_state()), cfg)
+        checks = check_bounds_on_instance(build_state(), cfg)
         return {
             "checks": [to_jsonable(c) for c in checks],
             "all_hold": all(c.holds for c in checks),

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from foggame import cli, generators, scenario, verify
+from foggame import cli, generators, parsing, scenario, verify
 from foggame.errors import FormatError, ScenarioError
 from foggame.graph import GENERATOR_KINDS
 from foggame.scenario import MODES, run_record, run_spec
@@ -528,6 +528,50 @@ def test_main_cost_guard_counts_the_built_edges(tmp_path, capsys):
     assert cli.main(["cost", _write(tmp_path, "k400.json", body)]) == cli.EXIT_GUARD
     assert capsys.readouterr().err == (
         "foggame: cost evaluation guard exceeded: size 32080000 > limit 16777216\n"
+    )
+
+
+def _refuse_building(monkeypatch):
+    """Make building a generator graph or a bare n2's strategies fail the test."""
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the graph or the strategies were built before the refusal")
+
+    monkeypatch.setattr(generators, "generate", no_build)
+    monkeypatch.setattr(parsing, "Level2Profile", no_build)
+
+
+@pytest.mark.parametrize("mode", ["cost", "nash", "dynamics", "bounds"])
+def test_main_compares_player_counts_before_expanding_a_bare_n2(
+    tmp_path, monkeypatch, capsys, mode
+):
+    # A bare n2 becomes n2 empty strategies only after the counts are
+    # compared; 2^63 of them could not even be allocated.
+    _refuse_building(monkeypatch)
+    body = {"mode": mode, "graph": {"kind": "path", "n": 3}, "n2": 2**63}
+    assert cli.main([mode, _write(tmp_path, "huge.json", body)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "foggame: player counts differ (n1=3, n2=9223372036854775808); "
+        'pass allow_unequal=True (scenario key "allow_unequal": true) to permit this\n'
+    )
+
+
+@pytest.mark.parametrize("mode", ["cost", "bounds"])
+@pytest.mark.parametrize("n2", [3_000_000, 2**63])
+def test_main_cost_guard_reads_a_bare_n2_before_expanding_it(
+    tmp_path, monkeypatch, capsys, mode, n2
+):
+    # With unequal counts allowed the cost guard is the first to read n2:
+    # path 3 with n2 jobs is (n2 + 3)^2 pairs on its edgeless shape.
+    _refuse_building(monkeypatch)
+    body = {"mode": mode, "graph": {"kind": "path", "n": 3}, "n2": n2, "allow_unequal": True}
+    assert cli.main([mode, _write(tmp_path, "many.json", body)]) == cli.EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"foggame: cost evaluation guard exceeded: size {(n2 + 3) ** 2} > limit 16777216\n"
     )
 
 

@@ -5,10 +5,13 @@ import random
 
 import pytest
 
+from foggame import costs
+from foggame.bounds import check_bounds_on_instance
 from foggame.costs import cost_report, interconnection_count, interconnection_union
 from foggame.domination import min_dominating_set
 from foggame.generators import generate
-from foggame.graph import INF, all_pairs_distances, new_graph
+from foggame.errors import GuardExceeded
+from foggame.graph import INF, all_pairs_distances, new_graph, single_source_distances
 from foggame.model import (
     GameConfig,
     GameState,
@@ -291,18 +294,43 @@ def test_cost_report_totals_match_components():
     assert report.social_level1 == social_cost_level1(st, cfg)
 
 
+def _reference_fog_cost(i, state, cfg):
+    """A BFS from fog player i in the fog graph, plus alpha per link bought in profile mode."""
+    total = sum(single_source_distances(state.g1, i))
+    if state.profile_mode:
+        total += cfg.alpha * len(state.level1.strategies[i])
+    return total
+
+
+def _reference_job_cost(j, state, cfg):
+    """A BFS from job vertex n1 + j in a combined graph built for the job.
+
+    FOG_ONLY reads as "drop the other jobs' links": the job then reaches
+    the fog vertices over its own links and fog-internal paths only.
+    """
+    n1, jobs = state.n1, state.level2
+    if cfg.transit_policy is TransitPolicy.FOG_ONLY:
+        jobs = Level2Profile(n1, (s if k == j else () for k, s in enumerate(jobs.strategies)))
+    d = sum(single_source_distances(build_combined_graph(state.g1, jobs), n1 + j)[:n1])
+    purchase = cfg.beta * len(state.level2.strategies[j])
+    if cfg.job_cost_type is JobCostType.TYPE_II:
+        return purchase + d
+    return INF if d == INF else purchase if d == 0 else purchase - 1.0 / d
+
+
 @pytest.mark.parametrize("transit", tuple(TransitPolicy))
 @pytest.mark.parametrize("profile_mode", [False, True], ids=["fixed", "profile"])
 def test_cost_report_matches_the_per_player_references(transit, profile_mode):
-    # cost_report runs every BFS on one adjacency list, the fog graph's
-    # extended by the job vertices (with back-links under FULL_COMBINED);
-    # edge_fog_player_cost and job_player_cost each build their own
-    # graph.  Compared by repr, so an int sum (fixed-graph fog costs)
-    # and a float one differ; disconnected draws give INF costs, and
-    # n1 = 0 the zero distance term.
+    # The per-player costs and the report read one list-BFS pricing that
+    # runs every BFS on one adjacency list, the fog graph's extended by
+    # the job vertices (with back-links under FULL_COMBINED); the
+    # references run one BFS per player in the fog graph or in a combined
+    # graph built for that job.  Compared by repr, so an int sum
+    # (fixed-graph fog costs) and a float one differ; disconnected draws
+    # give INF costs, and the first draw, n1 = 0, the zero distance term.
     rng = random.Random(6100 + profile_mode)
-    for _ in range(40):
-        n1, n2 = rng.randint(0, 7), rng.randint(0, 6)
+    sizes = [(0, 3)] + [(rng.randint(0, 7), rng.randint(0, 6)) for _ in range(40)]
+    for n1, n2 in sizes:
         cfg = GameConfig(
             alpha=rng.choice((0.5, 2.0)),
             beta=rng.choice((0.5, 1.5, 3.5)),
@@ -321,11 +349,33 @@ def test_cost_report_matches_the_per_player_references(transit, profile_mode):
             if n1:
                 level1 = generate("erdos_renyi", n1, p=0.4, seed=rng.randrange(10**6))
         state = GameState(level1, jobs, allow_unequal=True)
+        fog = repr(tuple(_reference_fog_cost(i, state, cfg) for i in range(n1)))
+        job = repr(tuple(_reference_job_cost(j, state, cfg) for j in range(n2)))
         report = cost_report(state, cfg)
-        assert repr(report.level1_costs) == repr(
-            tuple(edge_fog_player_cost(i, state, cfg) for i in range(n1))
-        )
-        assert repr(report.level2_costs) == repr(
-            tuple(job_player_cost(j, state, cfg) for j in range(n2))
-        )
+        assert repr(report.level1_costs) == fog
+        assert repr(tuple(edge_fog_player_cost(i, state, cfg) for i in range(n1))) == fog
+        assert repr(report.level2_costs) == job
+        assert repr(tuple(job_player_cost(j, state, cfg) for j in range(n2))) == job
         assert repr(report.social_level2) == repr(social_cost_level2(state, cfg))
+
+
+def test_cost_report_and_the_bounds_check_run_the_cost_guard(monkeypatch):
+    # The library calls are guarded where they price, not only in the
+    # scenario layer.  Path 3 with jobs {0}, {1}, {2}: 6 BFS over 6
+    # vertices, 2 fog edges and 3 links are 6 * 11 = 66 pairs.
+    state = _fixed(generate("path", 3), [{0}, {1}, {2}])
+    monkeypatch.setattr(costs, "COST_PAIR_GUARD", 65)
+    refusal = "^cost evaluation guard exceeded: size 66 > limit 65$"
+    for run in (cost_report, check_bounds_on_instance):
+        with pytest.raises(GuardExceeded, match=refusal):
+            run(state, GameConfig())
+    # The bounds check prices first, so the guard refuses unequal counts
+    # (4 * 7 = 28 pairs here) before the counts are compared.
+    unequal = _fixed(generate("path", 3), [{0}])
+    monkeypatch.setattr(costs, "COST_PAIR_GUARD", 27)
+    with pytest.raises(GuardExceeded, match="size 28 > limit 27"):
+        check_bounds_on_instance(unequal, GameConfig())
+    monkeypatch.setattr(costs, "COST_PAIR_GUARD", 66)
+    assert cost_report(state, GameConfig()).interconnection_count == 3
+    with pytest.raises(ValueError, match="bound formulas assume n1 == n2"):
+        check_bounds_on_instance(unequal, GameConfig())
