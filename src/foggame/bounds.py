@@ -139,8 +139,6 @@ def type1_saddle_grid(n: int, beta: float, c: float = 1.0) -> int:
     it has a single stationary point; this scans integer I and returns the
     first grid point attaining the extreme value.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     best_i = 0
     best_v = type1_lower_bound(n, 0, beta, c)
     for i in range(1, 2 * n * n):

@@ -10,15 +10,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import GuardExceeded
-from .graph import Graph, VertexSet
-from .model import (
-    GameConfig,
-    GameState,
-    Level1Profile,
-    Level2Profile,
-    _player_costs,
-    build_level1_graph,
-)
+from .graph import VertexSet
+from .model import GameConfig, GameState, Level2Profile, _player_costs
 
 COST_PAIR_GUARD = 2**24  # (BFS source, vertex or edge) pairs of a cost run
 
@@ -43,14 +36,12 @@ def interconnection_union(profile: Level2Profile) -> VertexSet:
     return frozenset().union(*profile.strategies) if profile.strategies else frozenset()
 
 
-def _within_cost_guard(level1: Level1Profile | Graph, n2: int, links: int) -> None:
+def _within_cost_guard(n: int, links: int) -> None:
     """Refuse past COST_PAIR_GUARD one BFS per player over at most the combined graph.
 
-    level1 is the fog graph or the level-1 profile that builds it.
+    n counts the players, links the fog edges plus the job links.
     """
-    g1 = level1 if isinstance(level1, Graph) else build_level1_graph(level1)
-    n = g1.n + n2
-    pairs = n * (n + g1.edge_count + links)
+    pairs = n * (n + links)
     if pairs > COST_PAIR_GUARD:
         raise GuardExceeded("cost evaluation", COST_PAIR_GUARD, pairs)
 
@@ -64,7 +55,7 @@ def cost_report(state: GameState, cfg: GameConfig) -> CostReport:
     """
     n1, jobs = state.n1, state.level2
     links = interconnection_count(jobs)
-    _within_cost_guard(state.g1, jobs.n2, links)
+    _within_cost_guard(n1 + jobs.n2, state.g1.edge_count + links)
     costs = _player_costs(state, cfg, range(n1), range(jobs.n2))
     level1, level2 = costs[:n1], costs[n1:]
     return CostReport(

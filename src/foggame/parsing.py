@@ -4,9 +4,12 @@ Unknown keys anywhere are rejected with the offending key named, so
 misspelled fields never pass silently, and a value of the wrong JSON type
 (a string or boolean count, a fractional vertex, a three-element edge) is
 rejected with its field named.  A graph or state section is checked in
-full before anything is built, and a generator graph is built only when
-its builder is called, so the guards read the shape first.
-foggame.scenario runs the parsed sections.
+full before anything is built.  A state section yields its player counts
+n1 and n2 and one builder of the state; the guards read the counts, and
+a generator graph and a bare n2's strategies are built only when the
+builder is called.  The cost guard counts a level-1 profile's fog edges
+here and a fog graph's none, since it is not built yet; costs.cost_report
+counts them again.  foggame.scenario runs the parsed sections.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .model import (
     Level2Profile,
     TransitPolicy,
     _check_player_counts,
+    build_level1_graph,
 )
 
 _TOP_KEYS = {
@@ -146,10 +150,6 @@ def _graph_builder(section: Any) -> tuple[int, Callable[[], Graph]]:
     )
 
 
-def _parse_graph(section: Any) -> Graph:
-    return _graph_builder(section)[1]()
-
-
 def writable_section(data: dict, name: str) -> dict:
     """data[name] for a flag or a sweep value to write into, made if absent.
 
@@ -197,14 +197,13 @@ def _parse_strategies(raw: Any, where: str) -> tuple[frozenset[int], ...]:
 
 def _state_builder(
     data: dict, options: dict, mode: str
-) -> tuple[GameState, Callable[[], GameState]]:
-    """Validate a state section; return its shape and the builder of the state.
+) -> tuple[int, int, Callable[[], GameState]]:
+    """Validate a state section; return its player counts and the builder of the state.
 
-    The shape is the state on an edgeless fog graph of the same size, so a
-    guard can read n1 and n2, after every field is checked, before a
-    generator graph is built; in profile mode it is the state itself.  A
-    bare n2 is expanded only once the player counts and, in the modes that
-    price the state, the cost guard accept it.
+    Every field is checked before a guard reads n1 and n2, and a generator
+    graph is built only by the builder.  A bare n2 is expanded there too,
+    once the player counts and, in the modes that price the state, the
+    cost guard accept it; given strategies are validated here, once.
     """
     has_graph = "graph" in data
     has_profile = "level1_strategies" in options
@@ -216,23 +215,24 @@ def _state_builder(
         raise ScenarioError(f"{mode}: needs a graph or options.level1_strategies")
 
     if has_profile:
-        level1: Level1Profile | Graph = Level1Profile(
+        level1 = Level1Profile(
             _parse_strategies(options["level1_strategies"], "options.level1_strategies")
         )
         n1 = level1.n1
     else:
         n1, build_graph = _graph_builder(data["graph"])
-        level1 = Graph(n1, frozenset())
 
     n2 = _integer(data["n2"], "n2", minimum=0) if "n2" in data else None
     strategies = ()
+    level2 = None
     if "level2_strategies" in options:
         strategies = _parse_strategies(options["level2_strategies"], "options.level2_strategies")
         if n2 is not None and n2 != len(strategies):
             raise ScenarioError(
                 f"{mode}: n2={n2} disagrees with {len(strategies)} level-2 strategies"
             )
-        n2 = Level2Profile(n1, strategies).n2  # members are checked before counts
+        level2 = Level2Profile(n1, strategies)  # members are checked before counts
+        n2 = level2.n2
     elif n2 is None:
         raise ScenarioError(f"{mode}: needs options.level2_strategies or n2")
     allow_unequal = _boolean(data.get("allow_unequal", False), "allow_unequal")
@@ -240,18 +240,25 @@ def _state_builder(
     if mode in ("cost", "bounds"):  # the modes that price the state
         from .costs import _within_cost_guard
 
-        _within_cost_guard(level1, n2, sum(map(len, strategies)))
-    level2 = Level2Profile(n1, strategies or (frozenset(),) * n2)
-    shape = GameState(level1, level2, allow_unequal=allow_unequal)
-    return shape, lambda: shape if has_profile else shape._replace(level1=build_graph())
+        # A graph is not built yet, so its edges count 0; a profile's are
+        # counted on its cached graph, which the state's g1 then reuses.
+        fog_edges = build_level1_graph(level1).edge_count if has_profile else 0
+        _within_cost_guard(n1 + n2, fog_edges + sum(map(len, strategies)))
+
+    def build():
+        jobs = Level2Profile(n1, (frozenset(),) * n2) if level2 is None else level2
+        return GameState(level1 if has_profile else build_graph(), jobs, allow_unequal)
+
+    return n1, n2, build
 
 
-def _check_exact_first(shape: GameState, scope: Scope) -> None:
+def _check_exact_first(n1: int, n2: int, scope: Scope) -> None:
     """Refuse before building the fog graph what the exact oracles' guard would.
 
     That guard reads only n1.  is_nash and exact dynamics reach it first
-    on a fixed graph at level-2 scope with jobs; a level-1 scope on a fixed
-    graph raises PolicyError instead, and no jobs means no oracle call.
+    at level-2 scope with jobs, in profile mode as on a fixed graph; a
+    level-1 scope on a fixed graph raises PolicyError instead, and no jobs
+    means no oracle call.
     """
-    if not shape.profile_mode and scope is Scope.LEVEL2 and shape.n2:
-        _check_exact_size(shape.n1)
+    if scope is Scope.LEVEL2 and n2:
+        _check_exact_size(n1)

@@ -1,11 +1,12 @@
 """Scenario files: execution of a parsed scenario and its record.
 
 A scenario is a JSON object with a mode, an instance description, and
-mode-specific options.  foggame.parsing checks every section strictly;
-run_spec runs the mode on what it returns.  run_record (and
-foggame.sweep's sweep_record) wrap a run's payload with the echoed
-scenario, the tool version, and the wall-clock duration; everything
-inside the payload is deterministic for fixed seeds.
+mode-specific options.  foggame.parsing checks every section strictly
+and returns the player counts and a builder of the state; run_spec runs
+the guards on the counts, then the mode on the built state.
+run_record (and foggame.sweep's sweep_record) wrap a run's payload with
+the echoed scenario, the tool version, and the wall-clock duration;
+everything inside the payload is deterministic for fixed seeds.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .parsing import (
     _integer,
     _member,
     _parse_config,
-    _parse_graph,
     _require,
     _state_builder,
 )
@@ -53,8 +53,7 @@ def run_spec(data: Any) -> dict:
     _check_keys(data, _TOP_KEYS[mode], "scenario")
 
     if mode == "gen":
-        g = _parse_graph(_require(data, "graph", "scenario"))
-        return {"graph": to_jsonable(g)}
+        return {"graph": to_jsonable(_graph_builder(_require(data, "graph", "scenario"))[1]())}
 
     if mode == "verify":
         from .verify import run_all  # loaded for its mode only, as bounds is
@@ -78,7 +77,7 @@ def run_spec(data: Any) -> dict:
         return to_jsonable(report)
 
     _check_keys(options, _OPTION_KEYS[mode], "options")
-    shape, build_state = _state_builder(data, options, mode)
+    n1, n2, build_state = _state_builder(data, options, mode)
 
     if mode == "cost":
         from . import costs  # loaded for its mode only
@@ -87,7 +86,7 @@ def run_spec(data: Any) -> dict:
 
     if mode == "nash":
         scope = _member(Scope, options.get("scope", Scope.LEVEL2.value), "options: scope")
-        _check_exact_first(shape, scope)
+        _check_exact_first(n1, n2, scope)
         stable, witness = is_nash(build_state(), cfg, scope)
         return {"is_nash": stable, "witness": to_jsonable(witness)}
 
@@ -107,7 +106,7 @@ def run_spec(data: Any) -> dict:
     schedule = options.get("schedule", "round_robin")
     oracle = options.get("oracle", "exact")
     if oracle == "exact" and max_rounds and schedule in SCHEDULES:
-        _check_exact_first(shape, scope)
+        _check_exact_first(n1, n2, scope)
     trace = best_response_dynamics(
         build_state(),
         cfg,

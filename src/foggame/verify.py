@@ -13,6 +13,8 @@ import random
 from typing import NamedTuple
 
 from .bounds import (
+    EQUALITY_TOLERANCE,
+    INEQUALITY_SLACK,
     level1_lower_bound,
     rcs_min_constant,
     type1_lower_bound,
@@ -32,7 +34,6 @@ from .equilibrium import (
     DynamicsOutcome,
     Scope,
     best_response_dynamics,
-    best_response_job_exact,
     empirical_poa,
     is_nash,
 )
@@ -97,7 +98,7 @@ def check_poa_exact_low_beta() -> CheckResult:
     report = empirical_poa(g, 3, cfg)
     bipartite = construct_complete_bipartite(3, 3)
     stable, _ = is_nash(GameState(g, bipartite), cfg, Scope.LEVEL2)
-    ratio_ok = abs(report.poa - 1.0) <= 1e-9
+    ratio_ok = abs(report.poa - 1.0) <= EQUALITY_TOLERANCE
     optimum_ok = report.optimum_cost == 13.5
     passed = ratio_ok and optimum_ok and stable
     return CheckResult(
@@ -118,22 +119,14 @@ def check_mds_best_response_structure() -> CheckResult:
     for i in range(30):
         n = 3 + i % 8
         g = _connected_sample(n, 0.5, 2000 + i)
-        empty = Level2Profile(n, (frozenset(),) * n)
-        state = GameState(g, empty)
-        strategy, cost = best_response_job_exact(0, state, cfg)
-        gamma = len(min_dominating_set(g))
-        expected_cost = 2 * n + (cfg.beta - 1) * gamma
-        ok = (
-            is_dominating_set(g, strategy)
-            and len(strategy) == gamma
-            and abs(cost - expected_cost) <= 1e-9
-        )
-        if ok:
+        diag = domination_diagnostic(g, cfg)
+        expected_cost = 2 * n + (cfg.beta - 1) * diag.min_dominating_size
+        if diag.consistent and abs(diag.cost - expected_cost) <= EQUALITY_TOLERANCE:
             hits += 1
         elif not first_failure:
             first_failure = (
-                f"; first failure at seed {2000 + i} (n={n}, strategy={sorted(strategy)}, "
-                f"cost={cost}, expected={expected_cost})"
+                f"; first failure at seed {2000 + i} (n={n}, strategy={sorted(diag.strategy)}, "
+                f"cost={diag.cost}, expected={expected_cost})"
             )
     return CheckResult(
         name="mds-best-response-structure",
@@ -153,7 +146,7 @@ def check_poa_bound_midrange_beta() -> CheckResult:
     for kind in ("path", "complete", "star"):
         g = generate(kind, 3)
         report = empirical_poa(g, 3, cfg)
-        ok = report.poa <= verdict.value + 1e-12
+        ok = report.poa <= verdict.value + INEQUALITY_SLACK
         passed = passed and ok
         results.append(f"{kind}3 poa={report.poa}")
     return CheckResult(
@@ -187,7 +180,7 @@ def check_type2_lower_bound_property() -> CheckResult:
                 actual = social_cost_level2(state, cfg)
                 bound = type2_lower_bound(n, interconnection_count(profile), beta)
                 total += 1
-                if actual >= bound - 1e-12:
+                if actual >= bound - INEQUALITY_SLACK:
                     held += 1
                 elif not first_failure:
                     first_failure = f"; first failure: instance {gi}, beta={beta}"
@@ -226,7 +219,7 @@ def check_level1_lower_bound_property() -> CheckResult:
             actual = social_cost_level1(state, cfg)
             bound = level1_lower_bound(n1, state.g1.edge_count, alpha)
             total += 1
-            if actual >= bound - 1e-12:
+            if actual >= bound - INEQUALITY_SLACK:
                 held += 1
             elif not first_failure:
                 first_failure = f"; first failure at seed {4000 + i}, alpha={alpha}"
@@ -248,7 +241,7 @@ def check_rcs_constant_regime() -> CheckResult:
             c_min = rcs_min_constant(a, 2 * n)
             total += 1
             worst = max(worst, c_min)
-            if c_min <= 1 + 1e-12:
+            if c_min <= 1 + INEQUALITY_SLACK:
                 ok += 1
     return CheckResult(
         name="rcs-constant-application-regime",
@@ -265,12 +258,12 @@ def check_type1_saddle_consistency() -> CheckResult:
     for n in range(1, 5):
         for beta in (1.0, 4.0):
             for c in (1 / 16, 1 / 64):
-                if c > beta:
-                    continue
                 i_star, cost_star = type1_social_optimum(n, beta, c)
                 grid = type1_saddle_grid(n, beta, c)
-                location_ok = abs(grid - i_star) <= 1 + 1e-9
-                value_ok = abs(type1_lower_bound(n, i_star, beta, c) - cost_star) <= 1e-9
+                location_ok = abs(grid - i_star) <= 1 + EQUALITY_TOLERANCE
+                value_ok = (
+                    abs(type1_lower_bound(n, i_star, beta, c) - cost_star) <= EQUALITY_TOLERANCE
+                )
                 total += 1
                 if location_ok and value_ok:
                     ok += 1

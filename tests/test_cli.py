@@ -314,6 +314,12 @@ def test_sweep_records_validation():
             sweep_records(dict(POA_K3), "n", [value])
 
 
+def test_sweep_records_refuses_a_template_that_is_not_an_object():
+    with pytest.raises(ScenarioError) as refused:
+        sweep_records([1], "beta", [1.0])
+    assert str(refused.value) == "sweep: template must be a JSON object"
+
+
 def test_sweep_csv_shape():
     out = sweep_records(dict(POA_K3), "beta", [0.5, 1.5])
     lines = emit_csv("sweep", out).splitlines()
@@ -712,6 +718,57 @@ def test_main_rejects_mistyped_scenario_fields(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert field in captured.err
+
+
+# Refusals from the parser's own checks, each with its exact message.
+# Three come from the state parser, before its counts or builder exist.
+_REFUSED_SCENARIOS = {
+    "poa-without-graph": ("poa", {"n2": 3}, "scenario: missing required key 'graph'"),
+    "beta-as-string": (
+        "poa",
+        {"graph": {"kind": "path", "n": 3}, "config": {"beta": "x"}},
+        "config.beta: expected a number, got 'x'",
+    ),
+    "require-connected-as-integer": (
+        "gen",
+        {"graph": {"kind": "path", "n": 3, "require_connected": 1}},
+        "graph.require_connected: expected true or false, got 1",
+    ),
+    "allow-unequal-as-string": (
+        "cost",
+        {"graph": {"kind": "path", "n": 3}, "n2": 3, "allow_unequal": "yes"},
+        "allow_unequal: expected true or false, got 'yes'",
+    ),
+    "edges-as-string": (
+        "gen",
+        {"graph": {"n": 3, "edges": "x"}},
+        "graph: edges must be a list of pairs",
+    ),
+    "strategies-as-number": (
+        "cost",
+        {"graph": {"kind": "path", "n": 3}, "options": {"level2_strategies": 5}},
+        "options.level2_strategies: expected a list of vertex lists",
+    ),
+    "strategy-as-number": (
+        "cost",
+        {"graph": {"kind": "path", "n": 3}, "options": {"level2_strategies": [5]}},
+        "options.level2_strategies: each strategy must be a list of vertices",
+    ),
+    "cost-without-jobs": (
+        "cost",
+        {"graph": {"kind": "path", "n": 3}},
+        "cost: needs options.level2_strategies or n2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_SCENARIOS))
+def test_main_refuses_a_malformed_scenario_with_its_message(tmp_path, capsys, case):
+    mode, body, message = _REFUSED_SCENARIOS[case]
+    assert cli.main([mode, _write(tmp_path, "bad.json", body)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"foggame: {message}\n"
 
 
 def test_main_rejects_non_finite_beta_flag(capsys):
