@@ -27,6 +27,7 @@ from foggame.domination import (
 from foggame.errors import GuardExceeded, PolicyError
 from foggame.generators import generate
 from foggame.graph import INF, Graph
+from foggame.kernel import job_deviation_rows
 from foggame.model import (
     GameConfig,
     GameState,
@@ -314,6 +315,33 @@ def test_dynamics_detects_revisited_states(monkeypatch):
     assert trace.outcome is DynamicsOutcome.CYCLE_DETECTED
     assert trace.cycle_period == 2
     assert trace.final_state == st
+
+
+def test_path5_two_jobs_have_a_better_response_cycle_but_best_responses_converge():
+    # Six strictly improving moves return to the start, so the level-2 game
+    # has no finite improvement property and no generalized ordinal
+    # potential (Monderer & Shapley, GEB 1996); exact best responses from
+    # the same start still settle.
+    g1 = generate("path", 5)
+    cfg = GameConfig(beta=2.5, job_cost_type=JobCostType.TYPE_II)
+    assert cfg.transit_policy is TransitPolicy.FULL_COMBINED
+    a, b = {0, 1, 2}, {4}
+    ab = a | b
+    cycle = [(a, ab), (b, ab), (b, a), (ab, a), (ab, b), (a, b), (a, ab)]
+    costs = []
+    for before, after in zip(cycle, cycle[1:]):
+        j = 0 if before[1] == after[1] else 1
+        old, new = _fixed(g1, before), _fixed(g1, after)
+        assert old.level2.strategies[1 - j] == new.level2.strategies[1 - j]
+        pair = (job_player_cost(j, old, cfg), job_player_cost(j, new, cfg))
+        rows = job_deviation_rows(j, old, cfg)
+        assert pair == tuple(rows.evaluate(s.level2.strategies[j]) for s in (old, new))
+        costs.append(pair)
+    assert costs == [(15.5, 14.5), (16.0, 15.5), (17.5, 16.0)] * 2
+
+    trace = best_response_dynamics(_fixed(g1, cycle[0]), cfg, Scope.LEVEL2)
+    assert trace.outcome is DynamicsOutcome.CONVERGED
+    assert len(trace.moves) == 2
 
 
 # ------------------------------------------------------- optima and equilibria
