@@ -260,16 +260,15 @@ def check_bounds_on_instance(state: GameState, cfg: GameConfig) -> list[BoundChe
             )
         )
         a = [2 * n - len(s) for s in state.level2.strategies]
-        if n >= 1:
-            checks.append(
-                make_check(
-                    "reciprocal-sum-constant-regime",
-                    rcs_min_constant(a, 2 * n),
-                    cfg.rcs_constant,
-                    "<=",
-                    context=f"a=(2n-|S_j|) over {len(a)} jobs, upper=2n={2 * n}",
-                )
+        checks.append(
+            make_check(
+                "reciprocal-sum-constant-regime",
+                rcs_min_constant(a, 2 * n),
+                cfg.rcs_constant,
+                "<=",
+                context=f"a=(2n-|S_j|) over {len(a)} jobs, upper=2n={2 * n}",
             )
+        )
 
     if state.profile_mode:
         actual1 = measured.social_level1

@@ -48,7 +48,8 @@ def generate(
     Erdos-Renyi kind needs p and seed; with require_connected it redraws
     up to GENERATION_RETRY_BUDGET times, and no more than
     GENERATION_PAIR_GUARD vertex pairs over all its draws, then raises
-    GenerationError.  Refuses a draw that would visit more than
+    GenerationError; the other kinds are connected at every n >= 1, so
+    only erdos_renyi reads require_connected.  Refuses a draw that would visit more than
     GENERATION_PAIR_GUARD vertex pairs (n - 1 for path and star, n for
     cycle, C(n, 2) otherwise) before building any edge.
     """
@@ -77,7 +78,4 @@ def generate(
         raise GenerationError(
             f"no connected graph in {budget} draws (n={n}, p={p}, seed={seed})"
         )
-    g = Graph(n, frozenset(edges))
-    if require_connected and not is_connected(g):
-        raise GenerationError(f"{kind} instance with n={n} is not connected")
-    return g
+    return Graph(n, frozenset(edges))

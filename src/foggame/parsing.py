@@ -4,12 +4,12 @@ Unknown keys anywhere are rejected with the offending key named, so
 misspelled fields never pass silently, and a value of the wrong JSON type
 (a string or boolean count, a fractional vertex, a three-element edge) is
 rejected with its field named.  A graph or state section is checked in
-full before anything is built.  A state section yields its player counts
-n1 and n2 and one builder of the state; the guards read the counts, and
-a generator graph and a bare n2's strategies are built only when the
-builder is called.  The cost guard counts a level-1 profile's fog edges
-here and a fog graph's none, since it is not built yet; costs.cost_report
-counts them again.  foggame.scenario runs the parsed sections.
+full before anything is built.  The parser validates and counts and runs
+no guard: a state section yields its player counts n1 and n2, the edges
+the cost guard can count before anything is built, and one builder of
+the state.  A generator graph and a bare n2's strategies are built only
+when the builder is called.  foggame.scenario runs every early refusal on
+those counts, then the parsed sections.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Any, Callable, TypeVar
 
-from .equilibrium import Scope, _check_exact_size
 from .errors import ScenarioError
 from .graph import Graph, new_graph
 from .model import (
@@ -197,13 +196,15 @@ def _parse_strategies(raw: Any, where: str) -> tuple[frozenset[int], ...]:
 
 def _state_builder(
     data: dict, options: dict, mode: str
-) -> tuple[int, int, Callable[[], GameState]]:
-    """Validate a state section; return its player counts and the builder of the state.
+) -> tuple[int, int, int, Callable[[], GameState]]:
+    """Validate a state section; return n1, n2, its edges and the builder of the state.
 
-    Every field is checked before a guard reads n1 and n2, and a generator
-    graph is built only by the builder.  A bare n2 is expanded there too,
-    once the player counts and, in the modes that price the state, the
-    cost guard accept it; given strategies are validated here, once.
+    The edges are those the cost guard can count before anything is built:
+    a level-1 profile's fog edges, read from the cached graph that the
+    state's g1 then reuses (a graph section's count 0, as it is not built
+    yet), plus the given job links.  A generator graph is built only by
+    the builder, and a bare n2 is expanded there too; given strategies are
+    validated here, once.  No guard runs here.
     """
     has_graph = "graph" in data
     has_profile = "level1_strategies" in options
@@ -237,28 +238,10 @@ def _state_builder(
         raise ScenarioError(f"{mode}: needs options.level2_strategies or n2")
     allow_unequal = _boolean(data.get("allow_unequal", False), "allow_unequal")
     _check_player_counts(n1, n2, allow_unequal)
-    if mode in ("cost", "bounds"):  # the modes that price the state
-        from .costs import _within_cost_guard
-
-        # A graph is not built yet, so its edges count 0; a profile's are
-        # counted on its cached graph, which the state's g1 then reuses.
-        fog_edges = build_level1_graph(level1).edge_count if has_profile else 0
-        _within_cost_guard(n1 + n2, fog_edges + sum(map(len, strategies)))
+    fog_edges = build_level1_graph(level1).edge_count if has_profile else 0
 
     def build():
         jobs = Level2Profile(n1, (frozenset(),) * n2) if level2 is None else level2
         return GameState(level1 if has_profile else build_graph(), jobs, allow_unequal)
 
-    return n1, n2, build
-
-
-def _check_exact_first(n1: int, n2: int, scope: Scope) -> None:
-    """Refuse before building the fog graph what the exact oracles' guard would.
-
-    That guard reads only n1.  is_nash and exact dynamics reach it first
-    at level-2 scope with jobs, in profile mode as on a fixed graph; a
-    level-1 scope on a fixed graph raises PolicyError instead, and no jobs
-    means no oracle call.
-    """
-    if scope is Scope.LEVEL2 and n2:
-        _check_exact_size(n1)
+    return n1, n2, fog_edges + sum(map(len, strategies)), build

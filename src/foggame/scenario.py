@@ -1,9 +1,10 @@
 """Scenario files: execution of a parsed scenario and its record.
 
 A scenario is a JSON object with a mode, an instance description, and
-mode-specific options.  foggame.parsing checks every section strictly
-and returns the player counts and a builder of the state; run_spec runs
-the guards on the counts, then the mode on the built state.
+mode-specific options.  foggame.parsing checks every section strictly,
+counts its players and edges and returns a builder of the state; run_spec
+runs every early refusal on those counts, once, in the branch whose call
+it guards, then the mode on the built state.
 run_record (and foggame.sweep's sweep_record) wrap a run's payload with
 the echoed scenario, the tool version, and the wall-clock duration;
 everything inside the payload is deterministic for fixed seeds.
@@ -18,6 +19,7 @@ from . import __version__
 from .equilibrium import (
     SCHEDULES,
     Scope,
+    _check_exact_size,
     _check_joint_size,
     best_response_dynamics,
     empirical_poa,
@@ -27,7 +29,6 @@ from .errors import ScenarioError
 from .parsing import (
     _OPTION_KEYS,
     _TOP_KEYS,
-    _check_exact_first,
     _check_keys,
     _graph_builder,
     _integer,
@@ -77,20 +78,14 @@ def run_spec(data: Any) -> dict:
         return to_jsonable(report)
 
     _check_keys(options, _OPTION_KEYS[mode], "options")
-    n1, n2, build_state = _state_builder(data, options, mode)
+    n1, n2, edges, build_state = _state_builder(data, options, mode)
 
-    if mode == "cost":
-        from . import costs  # loaded for its mode only
+    if mode in ("cost", "bounds"):  # the modes that price the state
+        from .costs import _within_cost_guard, cost_report  # loaded for these modes only
 
-        return to_jsonable(costs.cost_report(build_state(), cfg))
-
-    if mode == "nash":
-        scope = _member(Scope, options.get("scope", Scope.LEVEL2.value), "options: scope")
-        _check_exact_first(n1, n2, scope)
-        stable, witness = is_nash(build_state(), cfg, scope)
-        return {"is_nash": stable, "witness": to_jsonable(witness)}
-
-    if mode == "bounds":
+        _within_cost_guard(n1 + n2, edges)  # before building the graph
+        if mode == "cost":
+            return to_jsonable(cost_report(build_state(), cfg))
         from .bounds import check_bounds_on_instance
 
         checks = check_bounds_on_instance(build_state(), cfg)
@@ -99,14 +94,22 @@ def run_spec(data: Any) -> dict:
             "all_hold": all(c.holds for c in checks),
         }
 
-    # dynamics
+    # nash and dynamics.  nash takes no dynamics option, so it reads their
+    # defaults: the exact oracle, asked once per scoped player by is_nash.
     scope = _member(Scope, options.get("scope", Scope.LEVEL2.value), "options: scope")
     seed = _integer(options.get("seed", 0), "options.seed")
     max_rounds = _integer(options.get("max_rounds", 100), "options.max_rounds", minimum=0)
     schedule = options.get("schedule", "round_robin")
     oracle = options.get("oracle", "exact")
-    if oracle == "exact" and max_rounds and schedule in SCHEDULES:
-        _check_exact_first(n1, n2, scope)
+    # The exact oracles' guard reads only n1, so it refuses before a
+    # generator graph is built.  A level-1 scope on a fixed graph raises
+    # PolicyError first, no jobs means no oracle call, and dynamics refuses
+    # a bad schedule (and spends no round at max_rounds 0) before asking one.
+    if scope is Scope.LEVEL2 and n2 and oracle == "exact" and max_rounds and schedule in SCHEDULES:
+        _check_exact_size(n1)
+    if mode == "nash":
+        stable, witness = is_nash(build_state(), cfg, scope)
+        return {"is_nash": stable, "witness": to_jsonable(witness)}
     trace = best_response_dynamics(
         build_state(),
         cfg,

@@ -172,7 +172,11 @@ def _random_level2_profile(n1: int, n2: int, rng: random.Random) -> Level2Profil
 
 @_check("type2-social-lower-bound-property", "profiles satisfy the bound")
 def check_type2_lower_bound_property() -> Iterator[_Case]:
-    """2n^2 + (beta-1)I against 200 seeded profiles per instance and beta."""
+    """2n^2 + (beta-1)I against 200 seeded profiles per instance and beta.
+
+    A profile is redrawn until every job buys a link, so each social cost
+    is finite and the bound is tested, not met trivially.
+    """
     instances = [generate("path", 3), generate("cycle", 4), generate("complete", 3)]
     for gi, g in enumerate(instances):
         n = g.n
@@ -181,6 +185,8 @@ def check_type2_lower_bound_property() -> Iterator[_Case]:
             rng = random.Random(3000 + 10 * gi + bi)
             for _ in range(200):
                 profile = _random_level2_profile(n, n, rng)
+                while not all(profile.strategies):  # an empty one meets any bound at inf
+                    profile = _random_level2_profile(n, n, rng)
                 actual = social_cost_level2(GameState(g, profile), cfg)
                 bound = type2_lower_bound(n, interconnection_count(profile), beta)
                 yield _relation_holds(actual, bound, ">="), lambda: f"instance {gi}, beta={beta}"

@@ -180,6 +180,20 @@ def test_run_spec_checks_n2_consistency():
         )
 
 
+def test_state_builder_counts_and_runs_no_guard(monkeypatch):
+    # The parser only validates and counts; run_spec runs the guards on
+    # the counts.  A profile's fog edges count once however often they
+    # were bought, and the given job links are added.
+    options = {"level1_strategies": [[1], [0, 2], []], "level2_strategies": [[0], [1, 2], []]}
+    n1, n2, edges, build = parsing._state_builder({}, options, "nash")
+    assert (n1, n2, edges) == (3, 3, 5)
+    assert build().g1.edge_count == 2
+    # Past every guard, nothing is refused or built here.
+    _refuse_building(monkeypatch)
+    big = {"graph": {"kind": "path", "n": 5000}, "n2": 5000}
+    assert parsing._state_builder(big, {}, "cost")[:3] == (5000, 5000, 0)
+
+
 def test_run_spec_config_enum_errors():
     path2 = {"kind": "path", "n": 2}
     with pytest.raises(ScenarioError) as refused:
@@ -377,6 +391,24 @@ def test_main_bad_scenario_files(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "foggame: scenario file is nested too deeply to parse\n"
+
+
+def test_main_sweep_refuses_a_template_that_is_not_an_object(tmp_path, capsys):
+    path = _write(tmp_path, "array.json", [POA_K3])
+    assert cli.main(["sweep", path, "--parameter", "beta", "--values", "1"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "foggame: scenario: expected a JSON object\n"
+
+
+def test_main_type1_bounds_refuse_no_fog_vertices(tmp_path, capsys):
+    # The type-1 bound is defined for n >= 1 only, so it refuses before the
+    # reciprocal-sum check is reached.
+    body = {"graph": {"n": 0, "edges": []}, "n2": 0, "config": {"job_cost_type": "type1"}}
+    assert cli.main(["bounds", _write(tmp_path, "empty.json", body)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "foggame: need n >= 1, got 0\n"
 
 
 def test_main_guard_exit_code(tmp_path, capsys):

@@ -385,6 +385,12 @@ def test_social_optimum_zero_jobs():
     assert profile.strategies == ()
 
 
+def test_social_optimum_refuses_a_negative_job_count():
+    with pytest.raises(ValueError) as refused:
+        social_optimum_level2(generate("path", 3), -1, GameConfig())
+    assert str(refused.value) == "n2 must be non-negative, got -1"
+
+
 def test_enumerate_nash_large_beta_prefers_singletons():
     found = enumerate_nash_level2(generate("complete", 2), 2, GameConfig(beta=10.0))
     profiles = sorted(tuple(tuple(sorted(s)) for s in p.strategies) for p, _ in found)

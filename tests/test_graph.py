@@ -230,6 +230,13 @@ def test_generator_shapes(kind, n, expected):
     assert generate(kind, n).edges == frozenset(expected)
 
 
+@pytest.mark.parametrize("kind", ["path", "cycle", "star", "complete"])
+def test_named_generators_are_connected_at_every_size(kind):
+    # generate keeps no connectivity check for these kinds: it cannot fail.
+    for n in range(1, 13):
+        assert is_connected(generate(kind, n, require_connected=True))
+
+
 def test_erdos_renyi_is_deterministic_per_seed():
     a = generate("erdos_renyi", 8, p=0.3, seed=5)
     b = generate("erdos_renyi", 8, p=0.3, seed=5)

@@ -393,6 +393,13 @@ def test_index_past_the_last_player_is_a_value_error():
         best_response_fog_exact(3, live, GameConfig())
 
 
+def test_fog_rows_need_profile_mode():
+    state = GameState(generate("path", 3), Level2Profile(3, (frozenset(),) * 3))
+    with pytest.raises(ValueError) as refused:
+        kernel.fog_deviation_rows(0, state, GameConfig())
+    assert str(refused.value) == "level-1 strategies cannot change in fixed-graph mode"
+
+
 def test_is_nash_matches_reference(monkeypatch):
     for state, cfg in _states(11, 120):
         for scope in _scopes(state):

@@ -1,5 +1,7 @@
 """The verify battery's payload, pinned line by line, and its crash reports."""
 
+import math
+
 from foggame import verify
 from foggame.scenario import run_spec
 
@@ -84,3 +86,19 @@ def test_a_failing_sampled_check_reports_its_count_and_first_failure(monkeypatch
         False,
         "0/1800 profiles satisfy the bound; first failure at instance 0, beta=0.5",
     )
+
+
+def test_the_type2_bound_is_tested_on_finite_costs_only(monkeypatch):
+    # A job with an empty strategy has an infinite cost, which meets any
+    # finite lower bound without testing it.
+    costs = []
+    priced = verify.social_cost_level2
+
+    def recorded(state, cfg):
+        costs.append(priced(state, cfg))
+        return costs[-1]
+
+    monkeypatch.setattr(verify, "social_cost_level2", recorded)
+    assert verify.check_type2_lower_bound_property().passed
+    assert len(costs) == 1800
+    assert all(math.isfinite(c) for c in costs)
