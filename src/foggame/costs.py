@@ -1,19 +1,16 @@
 """The cost mode: every player's cost and the social totals of one state.
 
-A scenario loads this module in the `cost` and `bounds` modes only, for
-the guard and the report, and verify for its interconnection counts;
-poa, nash and dynamics runs never compile it.
+A scenario loads this module in the `cost` and `bounds` modes only, and
+verify for its interconnection counts; poa, nash and dynamics runs never
+compile it, and read the report's guard, model.COST_PAIR_GUARD, without it.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import GuardExceeded
 from .graph import VertexSet
-from .model import GameConfig, GameState, Level2Profile, _player_costs
-
-COST_PAIR_GUARD = 2**24  # (BFS source, vertex or edge) pairs of a cost run
+from .model import GameConfig, GameState, Level2Profile, _player_costs, _within_cost_guard
 
 
 class CostReport(NamedTuple):
@@ -36,20 +33,10 @@ def interconnection_union(profile: Level2Profile) -> VertexSet:
     return frozenset().union(*profile.strategies) if profile.strategies else frozenset()
 
 
-def _within_cost_guard(n: int, links: int) -> None:
-    """Refuse past COST_PAIR_GUARD one BFS per player over at most the combined graph.
-
-    n counts the players, links the fog edges plus the job links.
-    """
-    pairs = n * (n + links)
-    if pairs > COST_PAIR_GUARD:
-        raise GuardExceeded("cost evaluation", COST_PAIR_GUARD, pairs)
-
-
 def cost_report(state: GameState, cfg: GameConfig) -> CostReport:
     """Evaluate every player once; the social totals are exact sums.
 
-    Refused past COST_PAIR_GUARD.  The costs are edge_fog_player_cost's
+    Refused past model.COST_PAIR_GUARD.  The costs are edge_fog_player_cost's
     and job_player_cost's, from the same list-BFS pricing of the state
     (model._player_costs), every BFS on one adjacency list.
     """

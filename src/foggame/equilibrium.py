@@ -5,25 +5,17 @@ scanned by increasing size and then lexicographic member order, and only a
 strict improvement replaces the incumbent, so ties always resolve to the
 smallest, lexicographically first set.
 
-Every best response, exact or greedy, prices its candidates on one set of
-distance layers (see kernel.DeviationRows): one bit-parallel BFS per fog
-vertex per oracle call, with no graph built, then one integer OR and one
-bit count per candidate, its mask extended from that of the candidate
-minus its smallest member.  An exact best response scans sizes in
-increasing order and stops once no larger size's cost floor lies below its
-incumbent, at most 2^n1 ORs, and its costs equal job_player_cost and
-edge_fog_player_cost exactly.
+Every best response, exact or greedy, prices its candidates on one
+player's distance layers (see kernel.DeviationRows), one integer OR and
+one bit count each.  An exact one scans sizes in increasing order and
+stops once no larger size's cost floor lies below its incumbent, and its
+costs equal job_player_cost and edge_fog_player_cost exactly.
 
-Another job can shorten a job's distances only by a two-hop fog -> job ->
-fog path between two of its members at least 3 hops apart in the fog
-graph, a far pair it lends (kernel.lent_partners); a job is priced on the
-n1 fog vertices alone, each BFS reaching a vertex's lent partners two
-hops after it (kernel.job_deviation_rows).  The joint level-2 analyses
-(social optimum, equilibrium enumeration, price of anarchy) walk lend
-classes, candidates lending the same far pairs, instead of the
-2^(n1*n2) job profiles; their engine is foggame.joint (see
-joint._class_walk), and foggame.greedy holds the greedy local search.
-Both load on first call, so a run compiles only the engine it uses.
+A job's rows depend on g1 and its lend key alone (see foggame.kernel), so
+is_nash and dynamics keep one answer per key for their call.  The joint
+level-2 analyses (optimum, equilibrium enumeration, price of anarchy)
+walk lend classes in foggame.joint; foggame.greedy holds the greedy local
+search.  Both load on first call, so a run compiles only what it uses.
 """
 
 from __future__ import annotations
@@ -36,8 +28,8 @@ from typing import NamedTuple
 
 from .errors import GuardExceeded, NoEquilibriumError, PolicyError
 from .graph import Graph, VertexSet
-from .kernel import DeviationRows, fog_deviation_rows, job_deviation_rows
-from .model import GameConfig, GameState, Level2Profile
+from .kernel import DeviationRows, fog_deviation_rows, job_rows, lend_keys, lent_pairs
+from .model import GameConfig, GameState, Level2Profile, _check_player
 
 # Enumeration limits, read at call time: setting one on this module (for
 # instance with setattr) moves it for every later call.
@@ -102,7 +94,7 @@ def best_response_job_exact(j: int, state: GameState, cfg: GameConfig) -> tuple[
     a path of 20 fog vertices only sizes 0..7, 137,980 of 1,048,576.
     Refuses when n1 exceeds EXACT_ENUMERATION_GUARD.
     """
-    return _deviation(Scope.LEVEL2, j, state, cfg, "exact")[2:]
+    return _deviation(Scope.LEVEL2, j, state, cfg, "exact", None)[2:]
 
 
 def best_response_fog_exact(i: int, state: GameState, cfg: GameConfig) -> tuple[VertexSet, float]:
@@ -113,7 +105,7 @@ def best_response_fog_exact(i: int, state: GameState, cfg: GameConfig) -> tuple[
     larger size can strictly beat the best so far: at most 2^(n1-1) ORs.
     Refuses when n1 exceeds EXACT_ENUMERATION_GUARD.
     """
-    return _deviation(Scope.LEVEL1, i, state, cfg, "exact")[2:]
+    return _deviation(Scope.LEVEL1, i, state, cfg, "exact", None)[2:]
 
 
 def best_response_job_greedy(
@@ -125,7 +117,7 @@ def best_response_job_greedy(
     exists, pricing candidates on the job's distance rows.  May stop at a
     local optimum above the exact best response.
     """
-    return _deviation(Scope.LEVEL2, j, state, cfg, "greedy")[2:]
+    return _deviation(Scope.LEVEL2, j, state, cfg, "greedy", None)[2:]
 
 
 def _scoped_players(state: GameState, scope: Scope) -> list[tuple[Scope, int]]:
@@ -139,15 +131,32 @@ def _scoped_players(state: GameState, scope: Scope) -> list[tuple[Scope, int]]:
     return players
 
 
+def _job_key(j: int, state: GameState, cfg: GameConfig, memo: dict | None) -> int:
+    """Job j's lend key; without memo, as in a lone best response, no lend is kept.
+
+    memo keeps each strategy's lend on g1 and, under None, the last state
+    with its key rule; a new state first empties it past 4 * n2 entries.
+    """
+    g1, jobs = state.g1, state.level2.strategies
+    if memo is None:
+        return lend_keys(lent_pairs(g1, s, cfg) for s in jobs)(lent_pairs(g1, jobs[j], cfg))
+    if memo.get(None, (None,))[0] is not state:
+        if len(memo) > 4 * len(jobs):
+            memo.clear()
+        memo.update((k, lent_pairs(*k, cfg)) for k in {(g1, s) for s in jobs}.difference(memo))
+        memo[None] = state, lend_keys(memo[g1, s] for s in jobs)
+    return memo[None][1](memo[g1, jobs[j]])
+
+
 def _deviation(
-    level: Scope, player: int, state: GameState, cfg: GameConfig, oracle: str
+    level: Scope, player: int, state: GameState, cfg: GameConfig, oracle: str, memo: dict | None
 ) -> tuple[VertexSet, float, VertexSet, float]:
     """Current strategy and cost of a player and the oracle's answer.
 
     Both costs come from one set of distance rows.  oracle is "exact"
-    (guarded) or "greedy".  Every best response, equilibrium check and
-    dynamics step asks here.  A fog player needs profile mode
-    (PolicyError), checked before the guard, which comes before the
+    (guarded) or "greedy"; is_nash and dynamics pass a memo for their call,
+    which keeps one (rows, exact answer) per job (g1, key).  A fog player
+    needs profile mode (PolicyError), checked before the guard, then the
     player index (ValueError).
     """
     if level is Scope.LEVEL1 and not state.profile_mode:
@@ -155,18 +164,22 @@ def _deviation(
     if oracle == "exact":
         _check_exact_size(state.n1)
     if level is Scope.LEVEL1:
-        rows = fog_deviation_rows(player, state, cfg)
+        rows, answer = fog_deviation_rows(player, state, cfg), None
         current = state.level1.strategies[player]
     else:
-        rows = job_deviation_rows(player, state, cfg)
+        _check_player("job", player, state.n2)
         current = state.level2.strategies[player]
-    if oracle == "exact":
-        cand, cand_cost = _exact_best(rows)
-    else:
+        key = state.g1, _job_key(player, state, cfg, memo)
+        rows, answer = memo[key] if memo and key in memo else (job_rows(*key, cfg), None)
+    if oracle == "greedy":
         from .greedy import _local_search
 
-        cand, cand_cost = _local_search(current, rows.universe, rows.evaluate)
-    return current, rows.evaluate(current), cand, cand_cost
+        answer = _local_search(current, rows.universe, rows.evaluate)
+    elif answer is None:
+        answer = _exact_best(rows)
+        if level is Scope.LEVEL2 and memo is not None:
+            memo[key] = rows, answer
+    return current, rows.evaluate(current), *answer
 
 
 def is_nash(
@@ -177,8 +190,9 @@ def is_nash(
     Returns the first strictly profitable deviation in ascending player
     order (level-1 players before level-2 players under Scope.BOTH).
     """
+    memo: dict = {}
     for level, player in _scoped_players(state, scope):
-        _, current, better_set, better_cost = _deviation(level, player, state, cfg, "exact")
+        _, current, better_set, better_cost = _deviation(level, player, state, cfg, "exact", memo)
         if better_cost < current:
             return False, DeviationWitness(level, player, current, better_set, better_cost)
     return True, None
@@ -248,14 +262,12 @@ def best_response_dynamics(
     rng = random.Random(seed)
     seen: dict[GameState, int] = {state: 0}
     moves: list[Move] = []
+    memo: dict = {}
     for round_index in range(max_rounds):
-        if schedule == "round_robin":
-            order = players
-        else:
-            order = rng.sample(players, len(players))
+        order = players if schedule == "round_robin" else rng.sample(players, len(players))
         moved = False
         for level, player in order:
-            old, current, cand, cand_cost = _deviation(level, player, state, cfg, oracle)
+            old, current, cand, cand_cost = _deviation(level, player, state, cfg, oracle, memo)
             if cand_cost < current:
                 if level is Scope.LEVEL1:
                     state = state.with_level1_strategy(player, cand)

@@ -6,42 +6,28 @@ never asks for them never compiles it.
 
 Another job can shorten a job's distances only by a two-hop fog -> job ->
 fog path between two of its members at least 3 hops apart in the fog
-graph, a far pair it lends (lent_pairs).  The analyses walk lend classes,
-candidates lending the same far pairs, instead of the 2^(n1*n2) job
-profiles.  One cost table per set of lent pairs (one in all under FOG_ONLY
-transit, with a single job, or on a fog graph of diameter <= 2) prices
-every class, and each vector of classes, one per job, is read in O(n2)
-from those tables (see _class_walk).  A table is one scan of the
-distance layers foggame.kernel builds against its lent pairs (job_rows).
+graph, a far pair it lends.  The analyses walk lend classes, candidates
+lending the same far pairs, instead of the 2^(n1*n2) job profiles.  One
+cost table per lend key (one in all under FOG_ONLY transit, with a single
+job, or on a fog graph of diameter <= 2), one scan of the key's layers,
+prices every class, and each vector of classes, one per job, is read in
+O(n2) from those tables (see _class_walk).  The lend key is
+foggame.kernel's (lent_pairs, lend_keys, job_rows), as in is_nash.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
+from . import kernel
 from .graph import Graph, VertexSet
-from .kernel import DeviationRows, _job_rows, lent_partners
 from .model import GameConfig, Level2Profile
 
 
-def lent_pairs(g1: Graph, strategies: Sequence[VertexSet], cfg: GameConfig) -> Iterator[int]:
-    """Far fog pairs each job strategy lends the other jobs, one int per strategy, lazily.
-
-    Bits a * n1 .. a * n1 + n1 - 1 are a's partners (see kernel.lent_partners).
-    """
-    for s in strategies:
-        yield sum(p << a * g1.n for a, p in enumerate(lent_partners(g1, [s], cfg)))
-
-
-def job_rows(g1: Graph, lent: int, cfg: GameConfig) -> DeviationRows:
-    """Distance layers of a job against the far pairs in lent (see lent_pairs)."""
-    return _job_rows(g1, [lent >> a * g1.n & (1 << g1.n) - 1 for a in range(g1.n)], cfg)
-
-
 def _joint_candidates(n1: int, n2: int) -> list[VertexSet]:
-    """Per-job strategies in scan order (see DeviationRows.scan); none without jobs."""
+    """Per-job strategies in scan order (see kernel.DeviationRows.scan); none without jobs."""
     if not n2:
         return []
     return [frozenset(c) for k in range(n1 + 1) for c in itertools.combinations(range(n1), k)]
@@ -54,34 +40,30 @@ def _profile(n1: int, cands: list[VertexSet], indices: tuple[int, ...]) -> Level
 def _class_walk(g1: Graph, cands: list[VertexSet], n2: int, cfg: GameConfig) -> Iterator[list]:
     """Every vector of lend classes once, one entry per job.
 
-    Candidates that lend the same far pairs (see lent_pairs; none with one
-    job) form a class, the same to every other job.  So with one class
-    fixed per job, each job's key, the OR of the pairs the others lend, is
-    fixed too, and the job picks inside its class alone.  Vectors come in
-    itertools.product order over the L classes, L^n2 <= 2^(n1*n2) of
-    them.  A job's entry is (least cost in its class, the class members
-    whose cost equals the table minimum, that minimum, the cost table, the
-    class members), all candidate indices ascending.  The first vector of
-    a key fills its table by one whole distance-layer scan against the
-    pairs in the key (see job_rows) and prices every class on it: one
-    table per key, as many as a profile-by-profile pass would fill.
+    Candidates that lend the same far pairs (none with one job) form a
+    class, the same to every other job.  So with one class fixed per job,
+    each job's key is fixed too, and the job picks inside its class alone.
+    Vectors come in itertools.product order over the L classes, L^n2 <=
+    2^(n1*n2) of them.  A job's entry is (least cost in its class, the
+    class members whose cost equals the table minimum, that minimum, the
+    cost table, the class members), all candidate indices ascending.  The
+    first vector of a key fills its table by one whole scan of the key's
+    layers and prices every class on it: one table per key, as many as a
+    profile-by-profile pass would fill.
     """
     classes: dict[int, list[int]] = {}
-    for i, lent in enumerate(lent_pairs(g1, cands, cfg) if n2 > 1 else [0] * len(cands)):
-        classes.setdefault(lent, []).append(i)
+    for i, cand in enumerate(cands):
+        classes.setdefault(kernel.lent_pairs(g1, cand, cfg) if n2 > 1 else 0, []).append(i)
     lends, members = list(classes), list(classes.values())
     tables: dict[int, list[tuple]] = {}
     for vector in itertools.product(range(len(lends)), repeat=n2):
-        once = twice = 0
-        for c in vector:
-            twice |= once & lends[c]
-            once |= lends[c]
+        key_of = kernel.lend_keys(lends[c] for c in vector)
         jobs = []
         for c in vector:
-            key = once & ~(lends[c] & ~twice)
+            key = key_of(lends[c])
             table = tables.get(key)
             if table is None:
-                row = tuple(itertools.chain(*job_rows(g1, key, cfg).scan()))
+                row = tuple(itertools.chain(*kernel.job_rows(g1, key, cfg).scan()))
                 best = min(row)
                 table = tables[key] = [
                     (min(row[i] for i in ms), tuple(i for i in ms if row[i] == best), best, row, ms)

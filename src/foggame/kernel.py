@@ -1,13 +1,14 @@
 """Distance-layer kernel: every strategy of one deviating player, priced at once.
 
 A best response, an equilibrium check or a dynamics step asks for the
-distance layers of one player (job_deviation_rows, fog_deviation_rows);
-the joint analyses build a job's layers from a lend key (see
-joint.job_rows).  Each set of layers comes from one bit-parallel BFS per
-fog vertex over closed-neighbourhood bitmasks, with no graph built, and
-prices a strategy with one integer OR and one bit count.  The costs equal
-model.job_player_cost and model.edge_fog_player_cost exactly, which stay
-in foggame.model as the references.
+distance layers of one player: a fog player's from fog_deviation_rows, a
+job's from job_rows.  Each set comes from one bit-parallel BFS per fog
+vertex over closed-neighbourhood bitmasks, with no graph built, and
+prices a strategy with one integer OR and one bit count, to the cost the
+references model.job_player_cost and model.edge_fog_player_cost give.
+
+A job's lend key, the far fog pairs the other jobs lend it, is the kernel's
+too: its format (lent_pairs), rule (lend_keys) and layers (job_rows).
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ class DeviationRows:
     |universe| is target t, standing for universe[t], a vertex the player
     may link to, and later vertices only carry paths.  partners, if given,
     has per vertex the bitmask of those two hops away through a job (see
-    lent_partners).  inbound lists the vertices whose links to the player
-    other players bought.
+    job_rows); inbound, the vertices whose links to it other players bought.
 
     A bit-parallel BFS from each target keeps its distances to the targets
     as one int of layers: layer r, at bit offset r * width, is reach_r &
@@ -150,39 +150,46 @@ def _far_masks(g1: Graph) -> tuple[int, ...]:
     return tuple((1 << g1.n) - 1 & ~near for near in two)
 
 
-def lent_partners(g1: Graph, strategies: Iterable[VertexSet], cfg: GameConfig) -> list[int]:
-    """Per fog vertex a, the bitmask of its partners b in the far pairs the strategies lend.
+def lent_pairs(g1: Graph, strategy: VertexSet, cfg: GameConfig) -> int:
+    """The far fog pairs one job strategy lends the other jobs, packed in one int.
 
-    Under FULL_COMBINED a job's two-hop path between members a, b shortens
-    a fog distance only when b lies outside N[N[a]] in g1, 3 or more hops
-    from a (INF counts).  Under FOG_ONLY no path crosses a job.
+    A job's two-hop path between members a, b shortens a fog distance only
+    when b lies 3 or more hops from a in g1 (INF counts), and only under
+    FULL_COMBINED.  Bit b of block a, n1 bits in whole bytes, marks a, b.
     """
-    partners = [0] * g1.n
-    if cfg.transit_policy is TransitPolicy.FULL_COMBINED:
-        far = _far_masks(g1)
-        for s in strategies:
-            members = sum(1 << v for v in s)
-            for a in s:
-                partners[a] |= far[a] & members
-    return partners
+    if cfg.transit_policy is not TransitPolicy.FULL_COMBINED:
+        return 0
+    far, size = _far_masks(g1), (g1.n + 7) // 8
+    members = sum(1 << v for v in strategy)
+    packed = bytearray(size * (max(strategy, default=-1) + 1))
+    for a in strategy:
+        packed[a * size : (a + 1) * size] = (far[a] & members).to_bytes(size, "little")
+    return int.from_bytes(packed, "little")
 
 
-def _job_rows(g1: Graph, partners: list[int], cfg: GameConfig) -> DeviationRows:
-    """Distance layers of a job on g1 whose fog vertices have these lent partners.
+def lend_keys(lends: Iterable[int]) -> Callable[[int], int]:
+    """The key rule of one job profile, read off its jobs' lends: a job's own lend -> its key.
 
-    job_deviation_rows and, through a lend key, joint.job_rows read them.
+    A job's key, the OR of the other jobs' lends, is every pair lent once
+    except those only it lends.  lends may be a generator: no lend is kept.
     """
+    once = twice = 0
+    for lent in lends:
+        twice |= once & lent
+        once |= lent
+    return lambda lent: once & ~(lent & ~twice)
+
+
+def job_rows(g1: Graph, key: int, cfg: GameConfig) -> DeviationRows:
+    """Distance layers of a job on g1 whose lend key is key, unpacked with one to_bytes."""
+    size = (g1.n + 7) // 8
+    packed = key.to_bytes(size * g1.n, "little")
+    partners = [int.from_bytes(packed[a * size : (a + 1) * size], "little") for a in range(g1.n)]
+
     def cost(k: int, sums: list[Distance]) -> list[float]:
         return _job_costs(cfg.beta * k, sums, cfg)
 
     return DeviationRows(range(g1.n), closed_neighborhood_masks(g1), cost, partners=partners)
-
-
-def job_deviation_rows(j: int, state: GameState, cfg: GameConfig) -> DeviationRows:
-    """Distance layers of job j against the far pairs the other jobs lend (see lent_partners)."""
-    _check_player("job", j, state.n2)
-    g1, jobs = state.g1, state.level2.strategies
-    return _job_rows(g1, lent_partners(g1, jobs[:j] + jobs[j + 1 :], cfg), cfg)
 
 
 def fog_deviation_rows(i: int, state: GameState, cfg: GameConfig) -> DeviationRows:

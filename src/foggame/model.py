@@ -5,13 +5,12 @@ Level 1: each fog device is a vertex that buys links to other fog devices
 vertex.  Level 2: each job is an extra vertex that buys links into the fog
 graph (price beta each) and pays a distance term over all fog vertices.
 
-The per-player costs here are the references for the faster paths built
-on them: the distance-layer kernel that prices every strategy of a
-deviating player (foggame.kernel) and the joint analyses' lend keys
-(joint.lent_pairs, joint.job_rows).  They and the cost mode's report
-(costs.cost_report) read one list-BFS pricing of a state, _player_costs:
-fog players by BFS over the fog graph, jobs by BFS over its adjacency
-list extended by the job vertices; no combined graph is built.
+The per-player costs here are the references for the faster path built
+on them, the distance-layer kernel (foggame.kernel).  They and the cost
+mode's report (costs.cost_report) read one list-BFS pricing of a state,
+_player_costs, which COST_PAIR_GUARD bounds: fog players by BFS over the
+fog graph, jobs by BFS over its adjacency list extended by the job
+vertices; no combined graph is built.
 """
 
 from __future__ import annotations
@@ -21,7 +20,10 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
+from .errors import GuardExceeded
 from .graph import INF, Distance, Graph, VertexSet, _Validated, single_source_distances
+
+COST_PAIR_GUARD = 2**24  # (BFS source, vertex or edge) pairs of pricing one state
 
 
 class JobCostType(Enum):
@@ -200,6 +202,13 @@ def _check_player_counts(n1: int, n2: int, allow_unequal: bool) -> None:
             f"player counts differ (n1={n1}, n2={n2}); "
             'pass allow_unequal=True (scenario key "allow_unequal": true) to permit this'
         )
+
+
+def _within_cost_guard(n: int, links: int) -> None:
+    """Refuse past COST_PAIR_GUARD n BFS, one per player, over n vertices and links edges."""
+    pairs = n * (n + links)
+    if pairs > COST_PAIR_GUARD:
+        raise GuardExceeded("cost evaluation", COST_PAIR_GUARD, pairs)
 
 
 def _check_player(kind: str, p: int, n: int) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable
 
-from . import __version__
+from . import __version__, model
 from .equilibrium import (
     SCHEDULES,
     Scope,
@@ -25,7 +25,7 @@ from .equilibrium import (
     empirical_poa,
     is_nash,
 )
-from .errors import ScenarioError
+from .errors import GuardExceeded, ScenarioError
 from .parsing import (
     _OPTION_KEYS,
     _TOP_KEYS,
@@ -81,10 +81,10 @@ def run_spec(data: Any) -> dict:
     n1, n2, edges, build_state = _state_builder(data, options, mode)
 
     if mode in ("cost", "bounds"):  # the modes that price the state
-        from .costs import _within_cost_guard, cost_report  # loaded for these modes only
-
-        _within_cost_guard(n1 + n2, edges)  # before building the graph
+        model._within_cost_guard(n1 + n2, edges)  # before building the graph
         if mode == "cost":
+            from .costs import cost_report  # loaded for this mode only
+
             return to_jsonable(cost_report(build_state(), cfg))
         from .bounds import check_bounds_on_instance
 
@@ -101,10 +101,12 @@ def run_spec(data: Any) -> dict:
     max_rounds = _integer(options.get("max_rounds", 100), "options.max_rounds", minimum=0)
     schedule = options.get("schedule", "round_robin")
     oracle = options.get("oracle", "exact")
-    # The exact oracles' guard reads only n1, so it refuses before a
-    # generator graph is built.  A level-1 scope on a fixed graph raises
-    # PolicyError first, no jobs means no oracle call, and dynamics refuses
-    # a bad schedule (and spends no round at max_rounds 0) before asking one.
+    # No run on more jobs than COST_PAIR_GUARD finishes, and the exact guard
+    # reads only n1: both refuse before the state is built.  A level-1 scope on
+    # a fixed graph raises PolicyError first, no jobs or rounds ask no oracle,
+    # and dynamics refuses a bad schedule before asking one.
+    if n2 > model.COST_PAIR_GUARD:
+        raise GuardExceeded("job count", model.COST_PAIR_GUARD, n2)
     if scope is Scope.LEVEL2 and n2 and oracle == "exact" and max_rounds and schedule in SCHEDULES:
         _check_exact_size(n1)
     if mode == "nash":

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from foggame import cli, generators, parsing, scenario, verify
+from foggame import cli, generators, model, parsing, scenario, verify
 from foggame.errors import FormatError, ScenarioError
 from foggame.graph import GENERATOR_KINDS
 from foggame.scenario import MODES, run_record, run_spec
@@ -611,6 +611,38 @@ def test_main_cost_guard_reads_a_bare_n2_before_expanding_it(
     assert captured.err == (
         f"foggame: cost evaluation guard exceeded: size {(n2 + 3) ** 2} > limit 16777216\n"
     )
+
+
+@pytest.mark.parametrize("mode", ["nash", "dynamics"])
+@pytest.mark.parametrize("n2", [2**63, 10**11])
+def test_main_refuses_more_jobs_than_the_cost_guard_in_nash_and_dynamics(
+    tmp_path, monkeypatch, mode, n2
+):
+    # A run builds and asks every job, so none on more than COST_PAIR_GUARD
+    # jobs can finish.  Before this refusal a bare 2^63 ended in an
+    # OverflowError traceback and 10^11 in a MemoryError one, both while
+    # building the strategies.
+    body = {"mode": mode, "graph": {"kind": "path", "n": 3}, "n2": n2, "allow_unequal": True}
+    path = _write(tmp_path, "many.json", body)
+    proc = subprocess.run(
+        [sys.executable, "-m", "foggame.cli", mode, path],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_GUARD
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"foggame: job count guard exceeded: size {n2} > limit 16777216\n"
+    assert proc.stdout == ""
+    # the guard is read when the run starts, before anything is built
+    _refuse_building(monkeypatch)
+    monkeypatch.setattr(model, "COST_PAIR_GUARD", 2)
+    body["n2"] = 3
+    assert cli.main([mode, _write(tmp_path, "three.json", body)]) == cli.EXIT_GUARD
+    monkeypatch.undo()
+    monkeypatch.setattr(model, "COST_PAIR_GUARD", 3)
+    assert cli.main([mode, _write(tmp_path, "three.json", body)]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from foggame.domination import (
 from foggame.errors import GuardExceeded, PolicyError
 from foggame.generators import generate
 from foggame.graph import INF, Graph
-from foggame.kernel import job_deviation_rows
+from foggame.kernel import job_rows
 from foggame.model import (
     GameConfig,
     GameState,
@@ -304,7 +304,7 @@ def test_dynamics_detects_revisited_states(monkeypatch):
     monkeypatch.setattr(
         eq,
         "_deviation",
-        lambda level, j, state, cfg, oracle: (
+        lambda level, j, state, cfg, oracle, memo: (
             state.level2.strategies[j],
             2.0,
             flip[state.level2.strategies[j]],
@@ -334,7 +334,7 @@ def test_path5_two_jobs_have_a_better_response_cycle_but_best_responses_converge
         old, new = _fixed(g1, before), _fixed(g1, after)
         assert old.level2.strategies[1 - j] == new.level2.strategies[1 - j]
         pair = (job_player_cost(j, old, cfg), job_player_cost(j, new, cfg))
-        rows = job_deviation_rows(j, old, cfg)
+        rows = job_rows(g1, eq._job_key(j, old, cfg, {}), cfg)
         assert pair == tuple(rows.evaluate(s.level2.strategies[j]) for s in (old, new))
         costs.append(pair)
     assert costs == [(15.5, 14.5), (16.0, 15.5), (17.5, 16.0)] * 2

@@ -17,7 +17,7 @@ is that scan as it was before its tables were keyed by lent pairs, keyed
 instead by the sorted multiset of the other jobs' candidate indices, or ()
 under FOG_ONLY, each table priced against the OR of those candidates' far
 pairs.  Both share the cost-table fill with the engine under test
-(joint.job_rows, scanned whole), so they check its keys, its
+(kernel.job_rows, scanned whole), so they check its keys, its
 per-class reading of the tables and the product order of its reported
 profiles.
 """
@@ -29,7 +29,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from foggame import equilibrium, joint, model
+from foggame import equilibrium, joint, kernel, model
 from foggame.equilibrium import (
     PoAReport,
     empirical_poa,
@@ -133,7 +133,7 @@ def reference_poa(g1, n2, cfg):
 
 def _table(g1, lent, cfg):
     """A job's cost for each candidate, in scan order, against the far pairs in lent."""
-    rows = joint.job_rows(g1, lent, cfg)
+    rows = kernel.job_rows(g1, lent, cfg)
     return tuple(itertools.chain.from_iterable(rows.scan()))
 
 
@@ -142,12 +142,12 @@ def _level2_scan(g1, cands, n2, cfg):
 
     Profiles come in itertools.product order over indices into cands.  A
     job's cost table is keyed by the OR of the far pairs the other jobs
-    lend (see joint.lent_pairs).  Two ORs over a profile give the bits
+    lend (see kernel.lent_pairs).  Two ORs over a profile give the bits
     lent `once` and `twice` or more, and a job's key is `once` without the
     bits only its own candidate lends.  A profile is an
     equilibrium iff no job's cost exceeds its table minimum.
     """
-    lends = list(joint.lent_pairs(g1, cands, cfg))
+    lends = [kernel.lent_pairs(g1, c, cfg) for c in cands]
     tables = {}
     for indices in itertools.product(range(len(cands)), repeat=n2):
         once = twice = 0
@@ -240,8 +240,8 @@ def _multiset_scan(g1, cands, n2, cfg):
             table = tables.get(others)
             if table is None:
                 lent = 0
-                for pairs in joint.lent_pairs(g1, [cands[i] for i in others], cfg):
-                    lent |= pairs
+                for i in others:
+                    lent |= kernel.lent_pairs(g1, cands[i], cfg)
                 row = _table(g1, lent, cfg)
                 table = tables[others] = (row, min(row))
             by_own[own] = table
@@ -467,9 +467,9 @@ def test_scan_matches_reference_without_equilibrium(monkeypatch):
     # candidate keys each table by the other job's strategy, which the
     # substituted cost reads.
     monkeypatch.setattr(model, "job_player_cost", _rps_cost)
-    monkeypatch.setattr(joint, "job_rows", _rps_rows)
+    monkeypatch.setattr(kernel, "job_rows", _rps_rows)
     monkeypatch.setattr(
-        joint, "lent_pairs", lambda g1, cands, cfg: [1 << i for i in range(len(cands))]
+        kernel, "lent_pairs", lambda g1, cand, cfg: 1 << _reference_candidates(g1.n).index(cand)
     )
     g1 = generate("path", 2)
     with pytest.raises(NoEquilibriumError):
@@ -479,15 +479,15 @@ def test_scan_matches_reference_without_equilibrium(monkeypatch):
 
 
 def _count_fills(monkeypatch):
-    """Replace joint.job_rows by a wrapper; return the list that counts its calls."""
+    """Replace kernel.job_rows by a wrapper; return the list that counts its calls."""
     calls = []
-    original = joint.job_rows
+    original = kernel.job_rows
 
     def counted(*args):
         calls.append(None)
         return original(*args)
 
-    monkeypatch.setattr(joint, "job_rows", counted)
+    monkeypatch.setattr(kernel, "job_rows", counted)
     return calls
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from foggame import costs
+from foggame import model
 from foggame.bounds import check_bounds_on_instance
 from foggame.costs import cost_report, interconnection_count, interconnection_union
 from foggame.domination import min_dominating_set
@@ -364,7 +364,7 @@ def test_cost_report_and_the_bounds_check_run_the_cost_guard(monkeypatch):
     # scenario layer.  Path 3 with jobs {0}, {1}, {2}: 6 BFS over 6
     # vertices, 2 fog edges and 3 links are 6 * 11 = 66 pairs.
     state = _fixed(generate("path", 3), [{0}, {1}, {2}])
-    monkeypatch.setattr(costs, "COST_PAIR_GUARD", 65)
+    monkeypatch.setattr(model, "COST_PAIR_GUARD", 65)
     refusal = "^cost evaluation guard exceeded: size 66 > limit 65$"
     for run in (cost_report, check_bounds_on_instance):
         with pytest.raises(GuardExceeded, match=refusal):
@@ -372,10 +372,10 @@ def test_cost_report_and_the_bounds_check_run_the_cost_guard(monkeypatch):
     # The bounds check prices first, so the guard refuses unequal counts
     # (4 * 7 = 28 pairs here) before the counts are compared.
     unequal = _fixed(generate("path", 3), [{0}])
-    monkeypatch.setattr(costs, "COST_PAIR_GUARD", 27)
+    monkeypatch.setattr(model, "COST_PAIR_GUARD", 27)
     with pytest.raises(GuardExceeded, match="size 28 > limit 27"):
         check_bounds_on_instance(unequal, GameConfig())
-    monkeypatch.setattr(costs, "COST_PAIR_GUARD", 66)
+    monkeypatch.setattr(model, "COST_PAIR_GUARD", 66)
     assert cost_report(state, GameConfig()).interconnection_count == 3
     with pytest.raises(ValueError, match="bound formulas assume n1 == n2"):
         check_bounds_on_instance(unequal, GameConfig())

@@ -15,6 +15,13 @@ distance rows, before the bit-parallel BFS over adjacency bitmasks.
 reference_job_deviation_rows adds one vertex per other job, as job rows
 did before they kept only the far fog pairs the other jobs lend, as each
 fog vertex's partners two hops away.
+
+The keyed path prices a job from its lend key (kernel.lent_pairs,
+kernel.lend_keys, kernel.job_rows), and is_nash and dynamics keep one
+answer per key for their call.  per_job_deviation is the path it
+replaced: every call ORs the other jobs' per-vertex partners
+(reference_lent_partners) and builds the job's rows anew; is_nash and
+dynamics must give the same witnesses, traces and outcomes on both.
 """
 
 import itertools
@@ -25,8 +32,9 @@ import tracemalloc
 import pytest
 
 from foggame import equilibrium as eq
-from foggame import graph, greedy, joint, kernel, model
+from foggame import graph, greedy, kernel, model
 from foggame.equilibrium import (
+    DynamicsOutcome,
     Scope,
     best_response_dynamics,
     best_response_fog_exact,
@@ -114,7 +122,7 @@ def reference_fog_greedy(i, state, cfg):
     )
 
 
-def reference_deviation(level, player, state, cfg, oracle):
+def reference_deviation(level, player, state, cfg, oracle, memo):
     """The current-cost and oracle calls that is_nash and dynamics made before."""
     if level is Scope.LEVEL1:
         current = state.level1.strategies[player]
@@ -132,9 +140,14 @@ def reference_deviation(level, player, state, cfg, oracle):
 # ------------------------------------------------------------------- harness
 
 
+def keyed_job_rows(j, state, cfg):
+    """Job j's rows on the keyed path: its lend key in state, then kernel.job_rows."""
+    return kernel.job_rows(state.g1, eq._job_key(j, state, cfg, {}), cfg)
+
+
 def dynamics_fog_greedy(i, state, cfg):
     """The greedy fog answer on the path that is_nash and dynamics take."""
-    return eq._deviation(Scope.LEVEL1, i, state, cfg, "greedy")[2:]
+    return eq._deviation(Scope.LEVEL1, i, state, cfg, "greedy", {})[2:]
 
 
 def _outcome(fn, *args):
@@ -294,7 +307,7 @@ DEEP_CONFIGS = [
 @pytest.mark.parametrize("state, fog", _deep_shapes())
 def test_oracles_match_reference_on_deep_masks(state, fog):
     for cfg in DEEP_CONFIGS:
-        jobs = kernel.job_deviation_rows(0, state, cfg)
+        jobs = keyed_job_rows(0, state, cfg)
         if cfg.transit_policy is TransitPolicy.FOG_ONLY:
             assert max(m.bit_length() for m in jobs.masks.values()) > 60
         for fast, reference in (
@@ -340,7 +353,7 @@ def test_oracles_match_reference_without_targets():
 
 def test_scan_matches_evaluate_on_random_states():
     for state, cfg in _states(7, 320):
-        deviations = [kernel.job_deviation_rows(j, state, cfg) for j in range(state.n2)]
+        deviations = [keyed_job_rows(j, state, cfg) for j in range(state.n2)]
         if state.profile_mode:
             deviations += [kernel.fog_deviation_rows(i, state, cfg) for i in range(state.n1)]
         for rows in deviations:
@@ -560,7 +573,7 @@ def test_size_pruning_matches_the_full_scan():
     for state in _pruning_states(19, 160):
         for cfg in _pruning_configs(rng):
             deviations = [
-                (kernel.job_deviation_rows(j, state, cfg), best_response_job_exact, j)
+                (keyed_job_rows(j, state, cfg), best_response_job_exact, j)
                 for j in range(state.n2)
             ]
             if state.profile_mode:
@@ -640,7 +653,7 @@ def test_layers_match_distance_rows():
     cases += [(state, cfg) for state, _ in shapes for cfg in DEEP_CONFIGS]
     for state, cfg in cases:
         for j in range(state.n2):
-            rows = kernel.job_deviation_rows(j, state, cfg)
+            rows = keyed_job_rows(j, state, cfg)
             assert _layers(rows) == reference_job_layers(j, state, cfg), (state, cfg, j)
         if state.profile_mode and cfg is DEEP_CONFIGS[0]:
             for i in range(state.n1):
@@ -655,7 +668,7 @@ def test_layers_follow_radii_that_reach_only_jobs():
     jobs = Level2Profile(4, (frozenset({0, 1, 3}), frozenset()))
     state = GameState(Graph(4, frozenset({(0, 3)})), jobs, allow_unequal=True)
     cfg = GameConfig()
-    rows = kernel.job_deviation_rows(1, state, cfg)
+    rows = keyed_job_rows(1, state, cfg)
     # the largest finite distance is 2, so three layers of four targets
     assert (rows.full, rows.reached) == (16, 0b1111 << 8)
     assert rows.masks[1] == 0b1011_0010_0010
@@ -685,7 +698,7 @@ def test_job_layers_follow_lent_pairs(g1, lending, source, target, fog_hops, hop
     assert single_source_distances(model.build_combined_graph(g1, jobs), source)[target] == hops
     for cfg in DEEP_CONFIGS:
         for j in range(state.n2):
-            rows = kernel.job_deviation_rows(j, state, cfg)
+            rows = keyed_job_rows(j, state, cfg)
             assert _layers(rows) == reference_job_layers(j, state, cfg), (cfg, j)
 
 
@@ -705,6 +718,60 @@ def reference_job_deviation_rows(j, state, cfg):
     return kernel.DeviationRows(
         range(state.n1), adjacency, lambda k, sums: model._job_costs(cfg.beta * k, sums, cfg)
     )
+
+
+def reference_lent_partners(g1, strategies, cfg):
+    """Per fog vertex a, the OR over the strategies of a's members 3 or more hops away.
+
+    This is how a job's rows got their partners before the lend key: one
+    per-vertex OR over the other jobs' strategies, for every job.
+    """
+    partners = [0] * g1.n
+    if cfg.transit_policy is TransitPolicy.FULL_COMBINED:
+        dist = all_pairs_distances(g1)
+        for s in strategies:
+            for a, b in itertools.permutations(s, 2):
+                if dist[a][b] >= 3:
+                    partners[a] |= 1 << b
+    return partners
+
+
+def per_job_rows(j, state, cfg):
+    """Rows of job j from the per-vertex OR of the other jobs' partners, built for every call."""
+    others = state.level2.strategies[:j] + state.level2.strategies[j + 1 :]
+    return kernel.DeviationRows(
+        range(state.n1),
+        graph.closed_neighborhood_masks(state.g1),
+        lambda k, sums: model._job_costs(cfg.beta * k, sums, cfg),
+        partners=reference_lent_partners(state.g1, others, cfg),
+    )
+
+
+_keyed_deviation = eq._deviation
+
+
+def per_job_deviation(level, player, state, cfg, oracle, memo):
+    """The seam of is_nash and dynamics before the lend key: a job's rows built per call, no memo.
+
+    Fog players take the package's path, as their rows have no key.
+    """
+    if level is Scope.LEVEL1:
+        return _keyed_deviation(level, player, state, cfg, oracle, {})
+    if oracle == "exact":
+        eq._check_exact_size(state.n1)
+    current = state.level2.strategies[player]
+    rows = per_job_rows(player, state, cfg)
+    if oracle == "exact":
+        answer = eq._exact_best(rows)
+    else:
+        answer = greedy._local_search(current, rows.universe, rows.evaluate)
+    return (current, rows.evaluate(current), *answer)
+
+
+def _with_per_job(fn, *args, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eq, "_deviation", per_job_deviation)
+        return fn(*args, **kwargs)
 
 
 def _lending_state(rng):
@@ -736,7 +803,7 @@ def _lending_state(rng):
 def _lend_kind(j, state, cfg):
     """Whether the other jobs lend job j some far pairs, or none."""
     others = state.level2.strategies[:j] + state.level2.strategies[j + 1 :]
-    return "lend" if any(joint.lent_pairs(state.g1, others, cfg)) else "none"
+    return "lend" if any(kernel.lent_pairs(state.g1, s, cfg) for s in others) else "none"
 
 
 def test_job_rows_match_one_vertex_per_job_reference():
@@ -750,7 +817,7 @@ def test_job_rows_match_one_vertex_per_job_reference():
         state, cfg = _lending_state(rng)
         jobs = state.level2.strategies
         for j in range(state.n2):
-            rows = kernel.job_deviation_rows(j, state, cfg)
+            rows = keyed_job_rows(j, state, cfg)
             reference = reference_job_deviation_rows(j, state, cfg)
             assert _layers(rows) == _layers(reference), (state, cfg, j)
             assert repr(list(rows.scan())) == repr(list(reference.scan())), (state, cfg, j)
@@ -773,30 +840,67 @@ def test_job_rows_match_one_vertex_per_job_reference():
     assert {("lends", "none"), ("lends", "lend")} <= seen
 
 
+def _blocks(key, n1):
+    """A packed lend or key as one partner mask per fog vertex, n1 bits in whole bytes each."""
+    stride = 8 * ((n1 + 7) // 8)
+    return [key >> a * stride & (1 << n1) - 1 for a in range(n1)]
+
+
 def test_lent_pairs_are_the_pairs_at_least_3_hops_apart():
     g1 = Graph(6, frozenset({(0, 1), (1, 2), (2, 3)}))  # path 0..3, isolated 4 and 5
-    [far] = joint.lent_pairs(g1, [frozenset(range(6))], GameConfig())
+    far = kernel.lent_pairs(g1, frozenset(range(6)), GameConfig())
     dist = all_pairs_distances(g1)
     pairs = itertools.permutations(range(6), 2)
-    expected = sum(1 << a * 6 + b for a, b in pairs if dist[a][b] >= 3)
+    # one byte per fog vertex at n1 = 6
+    expected = sum(1 << a * 8 + b for a, b in pairs if dist[a][b] >= 3)
     assert far == expected and far.bit_count() == 20
-    assert list(joint.lent_pairs(g1, [frozenset({0, 1, 2}), frozenset()], GameConfig())) == [0, 0]
+    lends = [kernel.lent_pairs(g1, s, GameConfig()) for s in (frozenset({0, 1, 2}), frozenset())]
+    assert lends == [0, 0]
     fog_only = GameConfig(transit_policy=TransitPolicy.FOG_ONLY)
-    assert list(joint.lent_pairs(g1, [frozenset(range(6))], fog_only)) == [0]
-    # the partner masks are the lent int's n1-bit blocks
-    partners = kernel.lent_partners(g1, [frozenset(range(6)), frozenset({0, 5})], GameConfig())
-    assert partners == [far >> a * 6 & 0b111111 for a in range(6)]
-    assert kernel.lent_partners(g1, [frozenset(range(6))], fog_only) == [0] * 6
+    assert kernel.lent_pairs(g1, frozenset(range(6)), fog_only) == 0
+    # a lend's blocks are the per-vertex partner masks
+    assert _blocks(far, 6) == reference_lent_partners(g1, [frozenset(range(6))], GameConfig())
+
+
+def test_lend_keys_are_the_per_vertex_or_of_the_other_jobs():
+    # The key rule gives every job the OR of the others' lends, and its
+    # blocks are the per-vertex OR of their partners that job rows read
+    # before the lend key, also past one byte per vertex.
+    rng = random.Random(21)
+    states = [_lending_state(rng) for _ in range(300)]
+    g1 = generate("erdos_renyi", 11, p=0.15, seed=4)
+    jobs = [frozenset(rng.sample(range(11), 4)) for _ in range(5)]
+    states.append((GameState(g1, Level2Profile(11, jobs), allow_unequal=True), GameConfig()))
+    widths = set()
+    for state, cfg in states:
+        g1, jobs = state.g1, state.level2.strategies
+        lends = [kernel.lent_pairs(g1, s, cfg) for s in jobs]
+        key_of = kernel.lend_keys(iter(lends))
+        for j in range(state.n2):
+            key = key_of(lends[j])
+            union = 0
+            for lent in lends[:j] + lends[j + 1 :]:
+                union |= lent
+            assert key == union, (state, cfg, j)
+            reference = reference_lent_partners(g1, jobs[:j] + jobs[j + 1 :], cfg)
+            assert _blocks(key, g1.n) == reference, (state, cfg, j)
+            # with a memo, as the exact oracle asks, and streamed, as the greedy one
+            assert key == eq._job_key(j, state, cfg, {}) == eq._job_key(j, state, cfg, None)
+            widths.add((g1.n > 8, key > 0))
+    assert widths == {(False, False), (False, True), (True, True)}
 
 
 def test_far_masks_are_kept_per_fog_graph():
-    # Every job's deviation on one fog graph reads the same far masks.
+    # Every job's key on one fog graph reads the same far masks, once per
+    # strategy with the memo of an is_nash call.
     g1 = generate("erdos_renyi", 30, p=0.1, seed=5)
     jobs = [frozenset(range(k, 30, 7)) for k in range(7)]
     state = GameState(g1, Level2Profile(30, jobs), allow_unequal=True)
     kernel._far_masks.cache_clear()
+    memo = {}
     for j in range(7):
-        kernel.job_deviation_rows(j, state, GameConfig())
+        keyed = kernel.job_rows(g1, eq._job_key(j, state, GameConfig(), memo), GameConfig())
+        assert _layers(keyed) == _layers(per_job_rows(j, state, GameConfig()))
     assert kernel._far_masks.cache_info()[:2] == (6, 1)  # hits, misses
 
 
@@ -829,7 +933,7 @@ def test_job_rows_do_not_grow_with_the_jobs(monkeypatch):
     for name, jobs in shapes.items():
         state = GameState(g1, Level2Profile(4, jobs), allow_unequal=True)
         built.clear()
-        rows = [kernel.job_deviation_rows(j, state, GameConfig()) for j in (0, 1)]
+        rows = [keyed_job_rows(j, state, GameConfig()) for j in (0, 1)]
         sizes[name] = built[:]
         # beta 1 and one hop to 0, three to each other vertex over a lent pair
         assert rows[1].evaluate(frozenset({0})) == 1 + 1 + 3 * 3
@@ -845,23 +949,145 @@ def test_job_rows_hold_only_the_fog_vertices(monkeypatch):
     built = _row_vertices(monkeypatch)
     jobs = [frozenset(c) for k in range(7) for c in itertools.combinations(range(6), k)]
     state = GameState(Graph(6, frozenset()), Level2Profile(6, jobs), allow_unequal=True)
-    rows = kernel.job_deviation_rows(0, state, GameConfig())
+    rows = keyed_job_rows(0, state, GameConfig())
     assert built == [6]
     # beta 1 and one hop to 0, three to each other vertex over a lent pair
     assert rows.evaluate(frozenset({0})) == 1 + 1 + 5 * 3
 
 
-def test_job_deviation_rows_hold_no_lent_int():
-    # A lent int spans up to n1 * n1 bits, 2.7 KiB here: one per other job
-    # would take about 4 MiB; the rows OR n1-bit partner masks instead.
+def test_job_key_holds_no_lent_int_per_job():
+    # A lent int spans up to n1 * n1 bits, 2.8 KiB here: one per other job
+    # would take about 5 MiB.  Without a memo, as the greedy oracle asks,
+    # the lends stream through the key rule, which keeps the pairs lent
+    # once and twice, and the rows unpack one key.
     g1 = generate("erdos_renyi", 150, p=0.02, seed=3)
     rng = random.Random(3)
     jobs = [frozenset(rng.sample(range(150), 5)) for _ in range(2000)]
     state = GameState(g1, Level2Profile(150, jobs), allow_unequal=True)
     tracemalloc.start()
     try:
-        kernel.job_deviation_rows(0, state, GameConfig())
+        kernel.job_rows(g1, eq._job_key(0, state, GameConfig(), None), GameConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ------------------------------------------------- keyed against per-job path
+
+
+def _many_jobs_state(rng):
+    """A small state with 2 to 12 jobs drawn from a pool of three strategies.
+
+    The jobs share strategies, so they share lend keys, and the per-call
+    memo of is_nash and dynamics answers some of them from one entry.
+    """
+    state, cfg = _random_state(rng)
+    pool = [_random_subset(rng, range(state.n1), 0.5) for _ in range(3)]
+    jobs = tuple(rng.choice(pool) for _ in range(rng.randint(2, 12)))
+    return GameState(state.level1, Level2Profile(state.n1, jobs), allow_unequal=True), cfg
+
+
+@pytest.mark.parametrize("oracle", ["exact", "greedy"])
+def test_keyed_path_matches_the_per_job_path(oracle, monkeypatch):
+    builds = []
+    monkeypatch.setattr(eq, "job_rows", lambda *args: builds.append(1) or kernel.job_rows(*args))
+    rng = random.Random(29)
+    seen = set()
+    for index in range(120):
+        state, cfg = _many_jobs_state(rng)
+        for scope in _scopes(state):
+            if oracle == "exact":
+                fast = is_nash(state, cfg, scope)
+                assert repr(fast) == repr(_with_per_job(is_nash, state, cfg, scope)), (state, cfg)
+                seen.add(("nash", fast[0]))
+            kwargs = dict(
+                schedule=("round_robin", "random_permutation")[index % 2],
+                seed=index,
+                max_rounds=(1, 6)[index % 3 > 0],
+                oracle=oracle,
+            )
+            builds.clear()
+            fast = best_response_dynamics(state, cfg, scope, **kwargs)
+            slow = _with_per_job(best_response_dynamics, state, cfg, scope, **kwargs)
+            assert fast == slow, (state, cfg, scope, kwargs)
+            assert repr(fast.moves) == repr(slow.moves)
+            levels = [move.level for move in fast.moves]
+            asked = state.n2 * fast.rounds_used if scope is not Scope.LEVEL1 else 0
+            seen.update(
+                {
+                    ("cfg", cfg.job_cost_type, cfg.transit_policy),
+                    ("schedule", kwargs["schedule"]),
+                    ("outcome", fast.outcome),
+                    # a fog move changes g1, and so every key the jobs then ask for
+                    ("g1 moved", scope is Scope.BOTH and Scope.LEVEL1 in levels),
+                    ("shared", oracle == "exact" and len(builds) < asked),
+                }
+            )
+    assert {("cfg", c, t) for c in JobCostType for t in TransitPolicy} <= seen
+    assert {("schedule", "round_robin"), ("schedule", "random_permutation")} <= seen
+    assert {("outcome", DynamicsOutcome.CONVERGED), ("outcome", DynamicsOutcome.BUDGET_EXHAUSTED)} <= seen
+    assert ("g1 moved", True) in seen
+    if oracle == "exact":
+        assert {("nash", True), ("nash", False), ("shared", True)} <= seen
+
+
+def test_path5_cycle_states_match_the_per_job_path():
+    # The level-2 better-response cycle on path 5 (see test_equilibrium):
+    # on every state of the cycle both jobs get the per-job rows, and
+    # dynamics from its start makes the same moves.
+    g1 = generate("path", 5)
+    cfg = GameConfig(beta=2.5, job_cost_type=JobCostType.TYPE_II)
+    a, b = frozenset({0, 1, 2}), frozenset({4})
+    for jobs in [(a, a | b), (b, a | b), (b, a), (a | b, a), (a | b, b), (a, b)]:
+        state = GameState(g1, Level2Profile(5, jobs), allow_unequal=True)
+        for j in range(2):
+            assert _layers(keyed_job_rows(j, state, cfg)) == _layers(per_job_rows(j, state, cfg))
+        for schedule in ("round_robin", "random_permutation"):
+            fast = best_response_dynamics(state, cfg, Scope.LEVEL2, schedule=schedule)
+            assert fast == _with_per_job(best_response_dynamics, state, cfg, Scope.LEVEL2, schedule=schedule)
+        assert is_nash(state, cfg, Scope.LEVEL2) == _with_per_job(is_nash, state, cfg, Scope.LEVEL2)
+
+
+def test_is_nash_builds_one_job_rows_per_lend_key(monkeypatch):
+    # 1000 jobs on {1, 4, 7, 10} of path 12 all have one key, so is_nash
+    # builds at most 2 job rows where a per-job pass built 1000.
+    built = _row_vertices(monkeypatch)
+    jobs = Level2Profile(12, (frozenset({1, 4, 7, 10}),) * 1000)
+    state = GameState(generate("path", 12), jobs, allow_unequal=True)
+    cfg = GameConfig(beta=3.5)
+    stable, witness = is_nash(state, cfg, Scope.LEVEL2)
+    assert 1 <= len(built) <= 2
+    small = GameState(state.g1, Level2Profile(12, jobs.strategies[:5]), allow_unequal=True)
+    assert (stable, witness) == _with_per_job(is_nash, small, cfg, Scope.LEVEL2)
+
+
+def test_dynamics_memo_stays_linear_in_the_jobs(monkeypatch):
+    # A dynamics run asks _deviation about every job of each new state
+    # with one memo; here 300 moves, each a job or a fog player taking a
+    # random strategy, meet far more (g1, key) pairs than there are jobs,
+    # and the memo still holds O(n2) entries.
+    builds = []
+    monkeypatch.setattr(eq, "job_rows", lambda *args: builds.append(1) or kernel.job_rows(*args))
+    rng = random.Random(31)
+    n1, n2 = 8, 4
+    level1 = Level1Profile(tuple(frozenset({(i + 1) % n1}) for i in range(n1)))
+    jobs = Level2Profile(n1, tuple(_random_subset(rng, range(n1), 0.5) for _ in range(n2)))
+    state = GameState(level1, jobs, allow_unequal=True)
+    cfg = GameConfig(alpha=0.6, beta=0.4)
+    memo = {}
+    sizes = []
+    for _ in range(300):
+        if rng.random() < 0.2:
+            i = rng.randrange(n1)
+            state = state.with_level1_strategy(i, _random_subset(rng, [v for v in range(n1) if v != i], 0.3))
+        else:
+            state = state.with_level2_strategy(rng.randrange(n2), _random_subset(rng, range(n1), 0.5))
+        for j in range(n2):
+            answer = eq._deviation(Scope.LEVEL2, j, state, cfg, "exact", memo)
+            assert answer == per_job_deviation(Scope.LEVEL2, j, state, cfg, "exact", {})
+            sizes.append(len(memo))
+    # over 4 * n2 entries a new state empties the memo, then adds its
+    # slot and at most n2 lends and n2 answers
+    assert len(builds) > 50 * n2
+    assert max(sizes) <= 6 * n2 + 1
