@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import gc
 import json
-import re
 import sys
 from types import SimpleNamespace
 from typing import Any
@@ -32,8 +31,8 @@ EXIT_VERIFICATION = 3
 
 
 # Every flag: (modes that take it, value type or None for a switch, choices,
-# required, the scenario field it overrides).  Parsing, the usage line and
-# the overrides read this table; every parser also knows -h/--help.
+# required, the scenario field it overrides).  The plain reader, the argparse
+# parser behind it and the overrides read this table.
 _CONFIGURED = ("cost", "dynamics", "nash", "poa", "bounds", "sweep")
 _FLAGS = {
     "--format": (MODES, str, ("json", "csv"), False, None),
@@ -50,121 +49,78 @@ _FLAGS = {
     "--parameter": (("sweep",), str, _SWEEP_PARAMETERS, True, None),
     "--values": (("sweep",), str, None, True, None),
 }
-_HELP = ("-h", "--help")
 
 
 def _dest(flag: str) -> str:
     return flag.lstrip("-").replace("-", "_")
 
 
-def _usage(mode: str | None) -> str:
-    words = ["usage: foggame", *([mode] if mode else []), "[-h]"]
-    for flag, (modes, kind, choices, required, _) in _FLAGS.items():
-        if mode in modes:
-            metavar = "{%s}" % ",".join(choices) if choices else _dest(flag).upper()
-            word = flag if kind is None else f"{flag} {metavar}"
-            words.append(word if required else f"[{word}]")
-    if mode != "verify":
-        words.append("[scenario]" if mode else "{%s} ..." % ",".join(MODES))
-    return " ".join(words)
-
-
-def _fail(mode: str | None, message: str, flag: str | None = None):
-    if flag is not None:
-        message = f"argument {'-h/--help' if flag in _HELP else flag}: {message}"
-    prog = f"foggame {mode}" if mode else "foggame"
-    print(_usage(mode), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
-
-
-def _choose(mode: str | None, flag: str, value: Any, choices: tuple | None) -> None:
-    if choices and value not in choices:
-        listed = ", ".join(map(repr, choices))
-        _fail(mode, f"invalid choice: {value!r} (choose from {listed})", flag)
-
-
-def _option(token: str, mode: str | None) -> tuple | None:
-    """argparse's reading of a token before "--" (mode None: the top level).
-
-    (flag, attached value) for a flag or a unique prefix of one, (None,
-    token) for an unknown option, None for a positional.
-    """
-    known = [*_HELP, *(flag for flag, spec in _FLAGS.items() if mode in spec[0])]
-    if token in known:
-        return token, None
-    name, eq, value = token.partition("=")
-    if eq and name in known:
-        return name, value
-    if token[:1] != "-" or token in ("-", "--"):
-        return None
-    if token[1] == "-":
-        found = [(flag, value if eq else None) for flag in known if flag.startswith(name)]
-    else:  # -h is the only short flag, and -hX is -h with X attached
-        found = [("-h", token[2:])] if token[1] == "h" else []
-    if len(found) > 1:
-        _fail(mode, f"ambiguous option: {token} could match {', '.join(f for f, _ in found)}")
-    if found:
-        return found[0]
-    return None if " " in token or re.match(r"^-\d+$|^-\d*\.\d+$", token) else (None, token)
-
-
 def _parse_args(argv: list[str]) -> SimpleNamespace:
-    """Read `foggame <mode> [scenario] [options]` from _FLAGS, as argparse does.
+    """Read `foggame <mode> [scenario] [options]` from _FLAGS.
 
-    A usage error prints the usage line and argparse's error line, then
-    exits with EXIT_USAGE; -h prints the usage and exits with EXIT_OK.
+    A plain command line is read without argparse: a mode, at most one
+    scenario file (none for verify), and the mode's flags spelled out, as
+    `--flag value` or `--flag=value`, each value valid for its flag and not
+    starting with "-".  argparse reads every other one: prefixes, -h, "--",
+    negative values and every usage error.
     """
-    mode, values, extras, at = None, {}, [], None
-    items, i, cut = [_option(token, None) for token in argv], 0, len(argv)
-    while i < len(argv):
-        token, option = argv[i], items[i]
-        i += 1
-        if option is None and mode is None:  # the mode; a "--" that ends argv is none
-            if token == "--" and i == len(argv):
-                break
-            _choose(None, "command", token, MODES)
-            mode = token
-            values = {} if mode == "verify" else {"scenario": None}
-            values.update((flag, None) for flag, spec in _FLAGS.items() if mode in spec[0])
-            values["--format"] = "json"
-            cut = argv.index("--", i) if "--" in argv[i:] else cut
-            items[i:] = [_option(t, mode) for t in argv[i:cut]] + [None] * (len(argv) - cut)
-        elif option is None:  # a positional, or the "--" at cut
-            # argparse drops that "--" while the scenario is unread or just read
-            if mode == "verify" or at is not None and (i - 1 != cut or at != cut - 1):
-                extras.append(token)
-            elif i - 1 != cut:
-                values["scenario"], at = token, i - 1
-        elif option[0] is None:
-            extras.append(token)
+    return _read_plain(argv) or _argparse(argv)
+
+
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    mode, *words = argv or [""]
+    if mode not in MODES:
+        return None
+    flags = {flag: spec for flag, spec in _FLAGS.items() if mode in spec[0]}
+    values = dict.fromkeys(flags) | {"--format": "json"}
+    if mode != "verify":
+        values["scenario"] = None
+    words = iter(words)
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if flag not in flags:  # the scenario file: one at most, none for verify
+            if word[:1] == "-" or values.get("scenario", word) is not None:
+                return None
+            values["scenario"] = word
+        elif flags[flag][1] is None:  # a switch
+            if eq:
+                return None
+            values[flag] = True
         else:
-            flag, value = option
-            kind, choices = _FLAGS[flag][1:3] if flag in _FLAGS else (None, None)
-            if flag == "-h" and value:  # -hh is -h twice
-                value = value.lstrip("h") or None
-            if kind is None and value is not None:
-                _fail(mode, f"ignored explicit argument {value!r}", flag)
-            if flag in _HELP:
-                about = (__doc__ or "") if mode is None else f"Run a {mode} scenario."
-                print(_usage(mode), "", about, sep="\n")
-                raise SystemExit(EXIT_OK)
-            if kind is not None and value is None:
-                if i >= cut or items[i] is not None:
-                    _fail(mode, "expected one argument", flag)
-                value, i = argv[i], i + 1
+            kind, choices = flags[flag][1:3]
+            raw = value if eq else next(words, "-")
             try:
-                values[flag] = value = True if kind is None else kind(value)
+                values[flag] = value = kind(raw)
             except ValueError:
-                _fail(mode, f"invalid {kind.__name__} value: {value!r}", flag)
-            _choose(mode, flag, value, choices)
-    if mode is None:
-        _fail(None, "the following arguments are required: command")
-    missing = [f for f, spec in _FLAGS.items() if mode in spec[0] and spec[3] and values[f] is None]
-    if missing:
-        _fail(mode, f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(command=mode, **{_dest(flag): value for flag, value in values.items()})
+                return None
+            if raw[:1] == "-" or choices and value not in choices:
+                return None
+    if any(spec[3] and values[flag] is None for flag, spec in flags.items()):
+        return None
+    return SimpleNamespace(command=mode, **{_dest(key): value for key, value in values.items()})
+
+
+def _argparse(argv: list[str]) -> SimpleNamespace:
+    import argparse  # loaded only for the command lines _read_plain declines
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # exit EXIT_USAGE, not argparse's 2
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
+    parser = Parser(prog="foggame", description=__doc__)
+    modes = parser.add_subparsers(dest="command", required=True)
+    for mode in MODES:
+        sub = modes.add_parser(mode, help=f"run a {mode} scenario")
+        if mode != "verify":
+            sub.add_argument("scenario", nargs="?", help="scenario JSON file")
+        for flag, (takers, kind, choices, required, _) in _FLAGS.items():
+            if mode in takers:
+                how = {"action": "store_true"} if kind is None else {"type": kind, "choices": choices}
+                default = "json" if flag == "--format" else None
+                sub.add_argument(flag, required=required, default=default, **how)
+    return SimpleNamespace(**vars(parser.parse_args(argv)))
 
 
 def _read_json(path: str) -> dict:

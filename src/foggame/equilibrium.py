@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .errors import GuardExceeded, NoEquilibriumError, PolicyError
 from .graph import Graph, VertexSet
 from .kernel import DeviationRows, fog_deviation_rows, job_rows, lend_keys, lent_pairs
-from .model import GameConfig, GameState, Level2Profile, _check_player
+from .model import GameConfig, GameState, Level2Profile, _check_player, _within_job_guard
 
 # Enumeration limits, read at call time: setting one on this module (for
 # instance with setattr) moves it for every later call.
@@ -305,9 +305,11 @@ def social_optimum_level2(g1: Graph, n2: int, cfg: GameConfig) -> tuple[float, L
 
     Reads the lend-class vectors (see joint._joint_extremes), not all
     2^(n1*n2) profiles; the first profile with the strictly smallest cost
-    wins.  Refuses when n1 * n2 exceeds JOINT_ENUMERATION_GUARD.
+    wins.  Refuses when n1 * n2 exceeds JOINT_ENUMERATION_GUARD, or n2
+    exceeds COST_PAIR_GUARD (with no fog vertices the walk is over n2 jobs).
     """
     _check_joint_size(g1.n, n2)
+    _within_job_guard(n2)
     from .joint import _joint_extremes, _profile
 
     cands, least, optimum, *_ = _joint_extremes(g1, n2, cfg)
@@ -323,9 +325,10 @@ def enumerate_nash_level2(
     of its jobs' equilibrium members, every job at its table minimum,
     which matches is_nash under Scope.LEVEL2 exactly; the equilibria come
     in profile order, each with its social cost.  Refuses when n1 * n2
-    exceeds JOINT_ENUMERATION_GUARD.
+    exceeds JOINT_ENUMERATION_GUARD, or n2 exceeds COST_PAIR_GUARD.
     """
     _check_joint_size(g1.n, n2)
+    _within_job_guard(n2)
     from .joint import _class_walk, _joint_candidates, _profile
 
     cands = _joint_candidates(g1.n, n2)

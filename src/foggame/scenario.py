@@ -25,7 +25,7 @@ from .equilibrium import (
     empirical_poa,
     is_nash,
 )
-from .errors import GuardExceeded, ScenarioError
+from .errors import ScenarioError
 from .parsing import (
     _OPTION_KEYS,
     _TOP_KEYS,
@@ -105,8 +105,7 @@ def run_spec(data: Any) -> dict:
     # reads only n1: both refuse before the state is built.  A level-1 scope on
     # a fixed graph raises PolicyError first, no jobs or rounds ask no oracle,
     # and dynamics refuses a bad schedule before asking one.
-    if n2 > model.COST_PAIR_GUARD:
-        raise GuardExceeded("job count", model.COST_PAIR_GUARD, n2)
+    model._within_job_guard(n2)
     if scope is Scope.LEVEL2 and n2 and oracle == "exact" and max_rounds and schedule in SCHEDULES:
         _check_exact_size(n1)
     if mode == "nash":

@@ -1010,12 +1010,17 @@ _PARSE_CASES = [
 
 
 def _parse_outcome(parse, argv, capsys):
-    """Parsed values, or the exit code, the usage and the error line."""
+    """Parsed values, or the exit code, the usage and the error line.
+
+    -h prints no error line: its usage block, up to the first blank line of
+    the help on stdout, stands for the usage.
+    """
     try:
         values = vars(parse(list(argv)))
     except SystemExit as exc:
-        *usage, error = capsys.readouterr().err.splitlines()
-        # argparse wraps the usage at the terminal width; cli prints one line
+        out, err = capsys.readouterr()
+        *usage, error = err.splitlines() if err else [out.partition("\n\n")[0], "(help)"]
+        # argparse wraps the usage at the terminal width
         return exc.code, " ".join(" ".join(usage).split()), error
     # repr, so that a NaN matches a NaN and 2 does not match 2.0
     return repr(sorted(values.items()))
@@ -1031,6 +1036,60 @@ def test_parser_cases_cover_every_flag_and_error():
 def test_parser_matches_the_argparse_reference(capsys, argv):
     expected = _parse_outcome(_build_parser().parse_args, argv, capsys)
     assert _parse_outcome(cli._parse_args, argv, capsys) == expected
+
+
+# Values a fuzzed flag draws: valid, invalid, negative and empty ones.
+_FUZZ_VALUES = {
+    int: ["3", "0", "1_000", "0x1", " 7 ", "-2", "3.5", "x", ""],
+    float: ["1.5", "2", "inf", "nan", "1e-3", "-.5", "-1e5", "high", ""],
+    str: ["1,2", "0.5,1.5", "beta", "", "-1", "a b"],
+}
+
+
+def _fuzz_word(rng: random.Random, mode: str) -> list[str]:
+    """One flag with its value, a file, or a word argparse alone reads."""
+    own = [flag for flag, spec in cli._FLAGS.items() if mode in spec[0]]
+    flag = rng.choice(own if own and rng.random() < 0.9 else list(cli._FLAGS))
+    kind, choices = cli._FLAGS[flag][1:3]
+    values = list(choices or _FUZZ_VALUES[kind or str]) + ["-1", "bad"]
+    value = rng.choice(list(choices) if choices and rng.random() < 0.7 else values)
+    roll = rng.random()
+    if roll < 0.08:
+        return [rng.choice(["f.json", "g.json", "-", "--", "-1", "-.5", "--bogus", "-x", "-x y"])]
+    if roll < 0.11:
+        return [rng.choice(["-h", "--help", "--he", "-hx", "-hh", "--help=1"])]
+    if roll < 0.2:
+        flag = flag[: rng.randrange(3, len(flag))] if len(flag) > 3 else "--"
+    if kind is None:
+        return [flag + rng.choice(["", "", "", "=yes", "="])]
+    if roll < 0.45:
+        return [f"{flag}={value}"]
+    return [flag, value] if roll < 0.97 else [flag]
+
+
+def _fuzz_argv(rng: random.Random) -> list[str]:
+    mode = rng.choice([*MODES, *MODES, "simulate", "-h", "--format", "--"])
+    argv = [mode] if rng.random() < 0.98 else []
+    for _ in range(rng.randrange(6)):
+        argv += _fuzz_word(rng, mode)
+    if rng.random() < 0.6 and mode != "verify":
+        argv.insert(rng.randrange(1, len(argv) + 1) if argv else 0, "scenario.json")
+    return argv
+
+
+def test_parser_matches_the_argparse_reference_on_random_command_lines(capsys):
+    # cli reads plain command lines itself and hands the rest to argparse;
+    # either way each outcome must be the hand-built reference parser's.
+    rng = random.Random(20261020)
+    argvs = [_fuzz_argv(rng) for _ in range(2000)]
+    reference, mismatched = _build_parser(), []
+    for argv in argvs:
+        expected = _parse_outcome(reference.parse_args, argv, capsys)
+        if _parse_outcome(cli._parse_args, argv, capsys) != expected:
+            mismatched.append(argv)
+    assert mismatched[:5] == []
+    plain = sum(cli._read_plain(argv) is not None for argv in argvs)
+    assert 200 < plain < len(argvs) - 200
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he", "poa"], ["-x", "-h"]])
@@ -1050,7 +1109,8 @@ def test_mode_help_lists_its_flags(capsys, mode):
     with pytest.raises(SystemExit) as excinfo:
         cli.main([mode, "--beta", "1", "-h"] if mode in ("poa", "sweep") else [mode, "--help"])
     assert excinfo.value.code == cli.EXIT_OK
-    usage = capsys.readouterr().out.splitlines()[0]
+    # argparse may wrap the usage over several lines; it ends at a blank line
+    usage = capsys.readouterr().out.partition("\n\n")[0]
     assert usage.startswith(f"usage: foggame {mode} [-h]")
     flags = {flag for flag, spec in cli._FLAGS.items() if mode in spec[0]}
     assert {word.strip("[]") for word in usage.split() if word.startswith(("--", "[--"))} == flags

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from foggame import equilibrium as eq
+from foggame import model
 from foggame.equilibrium import (
     DynamicsOutcome,
     Scope,
@@ -389,6 +390,24 @@ def test_social_optimum_refuses_a_negative_job_count():
     with pytest.raises(ValueError) as refused:
         social_optimum_level2(generate("path", 3), -1, GameConfig())
     assert str(refused.value) == "n2 must be non-negative, got -1"
+
+
+@pytest.mark.parametrize("analysis", [social_optimum_level2, enumerate_nash_level2])
+def test_joint_analyses_without_fog_vertices_refuse_more_jobs_than_the_cost_guard(
+    monkeypatch, analysis
+):
+    # n1 * n2 = 0 passes the joint guard at any n2, and the walk over n2
+    # empty strategies could not start at 2^63 - 1 jobs.
+    g1 = Graph(0, frozenset())
+    with pytest.raises(GuardExceeded) as refused:
+        analysis(g1, 2**63 - 1, GameConfig())
+    assert (refused.value.guard, refused.value.limit) == ("job count", model.COST_PAIR_GUARD)
+    monkeypatch.setattr(model, "COST_PAIR_GUARD", 3)
+    with pytest.raises(GuardExceeded, match="job count"):
+        analysis(g1, 4, GameConfig())
+    empty = Level2Profile(0, (frozenset(),) * 3)
+    expected = (0.0, empty) if analysis is social_optimum_level2 else [(empty, 0.0)]
+    assert analysis(g1, 3, GameConfig()) == expected
 
 
 def test_enumerate_nash_large_beta_prefers_singletons():

@@ -17,7 +17,7 @@ Without a bytecode cache each module is parsed from source, and the
 parser's peak memory for the largest module parsed sets the process's
 peak RSS: later compiles reuse that memory, but it is not returned to the
 operating system.  No module a CLI run compiles may parse larger than
-cli.py itself.
+equilibrium.py, the largest of them.
 """
 
 import importlib.machinery
@@ -90,14 +90,15 @@ def _compile_peak(module: str) -> int:
         tracemalloc.stop()
 
 
-def test_no_module_a_cli_run_compiles_parses_larger_than_cli():
+def test_no_module_a_cli_run_compiles_parses_larger_than_equilibrium():
     # The distance-layer kernel (kernel) and strict section parsing
     # (parsing) are modules of their own so that neither model.py nor
-    # scenario.py outgrows cli.py; the poa engine (joint) loads in main.
+    # scenario.py outgrows equilibrium.py; the poa engine (joint) loads in
+    # main.
     loaded = _modules_after("import foggame.cli")
-    assert {"foggame.kernel", "foggame.parsing"} <= loaded
+    assert {"foggame.kernel", "foggame.parsing", "foggame.equilibrium"} <= loaded
     modules = sorted(m for m in loaded if m.split(".")[0] == "foggame") + ["foggame.joint"]
-    limit = _compile_peak("foggame.cli")
+    limit = _compile_peak("foggame.equilibrium")
     peaks = {m: _compile_peak(m) for m in modules}
     assert {m: peak for m, peak in peaks.items() if peak > limit} == {}, limit
 
@@ -119,6 +120,24 @@ def test_cli_runs_load_no_argument_parser_library(tmp_path):
     )
     assert "foggame.equilibrium" in loaded
     assert sorted({"argparse", "gettext"} & loaded) == []
+
+
+def test_a_command_line_the_plain_reader_declines_loads_argparse():
+    # A prefix is argparse's to read: it loads then, and not before, and the
+    # run prints what the spelled-out flag prints.
+    exact, prefixed = ["gen", "--kind", "path", "--n", "3"], ["gen", "--k", "path", "--n", "3"]
+    loaded = _modules_after(
+        "import contextlib, io, json, sys\nimport foggame.cli\n"
+        "def payload(argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert foggame.cli.main(argv) == 0\n"
+        "    return json.loads(out.getvalue())['payload']\n"
+        f"exact = payload({exact!r})\n"
+        "assert exact['graph']['n'] == 3 and 'argparse' not in sys.modules\n"
+        f"assert payload({prefixed!r}) == exact\n"
+    )
+    assert "argparse" in loaded
 
 
 _EDGES = [[0, 1], [1, 2], [2, 3]]
