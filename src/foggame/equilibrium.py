@@ -1,4 +1,4 @@
-"""Best-response oracles, improvement dynamics, and equilibrium analysis.
+"""Best responses, improvement dynamics, and equilibrium analysis.
 
 All enumeration is exhaustive and deterministic: candidate strategies are
 scanned by increasing size and then lexicographic member order, and only a
@@ -11,25 +11,25 @@ one bit count each.  An exact one scans sizes in increasing order and
 stops once no larger size's cost floor lies below its incumbent, and its
 costs equal job_player_cost and edge_fog_player_cost exactly.
 
-A job's rows depend on g1 and its lend key alone (see foggame.kernel), so
-is_nash and dynamics keep one answer per key for their call.  The joint
-level-2 analyses (optimum, equilibrium enumeration, price of anarchy)
-walk lend classes in foggame.joint; foggame.greedy holds the greedy local
-search.  Both load on first call, so a run compiles only what it uses.
+This module holds the public names, the guards, the records and the joint
+level-2 analyses (optimum, equilibrium enumeration, price of anarchy).
+Each analysis checks its arguments and guard, then loads its engine on
+first call: foggame.oracles for the best responses, is_nash and dynamics
+(foggame.greedy under it for the greedy oracle), foggame.joint for the
+joint analyses, each with foggame.kernel.  So a run compiles only the
+engine it uses, and a refused call none.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from enum import Enum
 from typing import NamedTuple
 
 from .errors import GuardExceeded, NoEquilibriumError, PolicyError
 from .graph import Graph, VertexSet
-from .kernel import DeviationRows, fog_deviation_rows, job_rows, lend_keys, lent_pairs
-from .model import GameConfig, GameState, Level2Profile, _check_player, _within_job_guard
+from .model import GameConfig, GameState, Level2Profile, _within_job_guard
 
 # Enumeration limits, read at call time: setting one on this module (for
 # instance with setattr) moves it for every later call.
@@ -59,30 +59,27 @@ class DeviationWitness(NamedTuple):
     better_cost: float
 
 
-def _exact_best(rows: DeviationRows) -> tuple[VertexSet, float]:
-    """First candidate with the strictly smallest cost, in scan order.
-
-    Stops asking the scan for larger sizes once none of their floors (see
-    DeviationRows.floors) lies below the incumbent: no larger candidate
-    can then strictly beat it, and ties never replace it.
-    """
-    floors = rows.floors()
-    best_k = best_i = -1
-    best_cost = 0.0
-    for k, costs in enumerate(rows.scan()):
-        cost = min(costs)
-        if best_k < 0 or cost < best_cost:
-            best_k, best_i, best_cost = k, costs.index(cost), cost
-        if min(floors[k + 1 :], default=math.inf) >= best_cost:
-            break
-    members = itertools.combinations(rows.universe, best_k)
-    return frozenset(next(itertools.islice(members, best_i, None))), best_cost
-
-
 def _check_exact_size(n1: int) -> None:
     guard = EXACT_ENUMERATION_GUARD
     if n1 > guard:
         raise GuardExceeded("exact best-response enumeration", guard, n1)
+
+
+def _best_response(
+    level: Scope, player: int, state: GameState, cfg: GameConfig, oracle: str
+) -> tuple[VertexSet, float]:
+    """A lone player's answer (oracles._deviation), after its refusals.
+
+    A fog player needs profile mode (PolicyError), checked before the
+    exact guard, then the player index (ValueError).
+    """
+    if level is Scope.LEVEL1 and not state.profile_mode:
+        raise PolicyError("fog best response needs profile mode, not a fixed graph")
+    if oracle == "exact":
+        _check_exact_size(state.n1)
+    from .oracles import _deviation
+
+    return _deviation(level, player, state, cfg, oracle, None)[2:]
 
 
 def best_response_job_exact(j: int, state: GameState, cfg: GameConfig) -> tuple[VertexSet, float]:
@@ -94,7 +91,7 @@ def best_response_job_exact(j: int, state: GameState, cfg: GameConfig) -> tuple[
     a path of 20 fog vertices only sizes 0..7, 137,980 of 1,048,576.
     Refuses when n1 exceeds EXACT_ENUMERATION_GUARD.
     """
-    return _deviation(Scope.LEVEL2, j, state, cfg, "exact", None)[2:]
+    return _best_response(Scope.LEVEL2, j, state, cfg, "exact")
 
 
 def best_response_fog_exact(i: int, state: GameState, cfg: GameConfig) -> tuple[VertexSet, float]:
@@ -105,7 +102,7 @@ def best_response_fog_exact(i: int, state: GameState, cfg: GameConfig) -> tuple[
     larger size can strictly beat the best so far: at most 2^(n1-1) ORs.
     Refuses when n1 exceeds EXACT_ENUMERATION_GUARD.
     """
-    return _deviation(Scope.LEVEL1, i, state, cfg, "exact", None)[2:]
+    return _best_response(Scope.LEVEL1, i, state, cfg, "exact")
 
 
 def best_response_job_greedy(
@@ -117,7 +114,7 @@ def best_response_job_greedy(
     exists, pricing candidates on the job's distance rows.  May stop at a
     local optimum above the exact best response.
     """
-    return _deviation(Scope.LEVEL2, j, state, cfg, "greedy", None)[2:]
+    return _best_response(Scope.LEVEL2, j, state, cfg, "greedy")
 
 
 def _scoped_players(state: GameState, scope: Scope) -> list[tuple[Scope, int]]:
@@ -131,57 +128,6 @@ def _scoped_players(state: GameState, scope: Scope) -> list[tuple[Scope, int]]:
     return players
 
 
-def _job_key(j: int, state: GameState, cfg: GameConfig, memo: dict | None) -> int:
-    """Job j's lend key; without memo, as in a lone best response, no lend is kept.
-
-    memo keeps each strategy's lend on g1 and, under None, the last state
-    with its key rule; a new state first empties it past 4 * n2 entries.
-    """
-    g1, jobs = state.g1, state.level2.strategies
-    if memo is None:
-        return lend_keys(lent_pairs(g1, s, cfg) for s in jobs)(lent_pairs(g1, jobs[j], cfg))
-    if memo.get(None, (None,))[0] is not state:
-        if len(memo) > 4 * len(jobs):
-            memo.clear()
-        memo.update((k, lent_pairs(*k, cfg)) for k in {(g1, s) for s in jobs}.difference(memo))
-        memo[None] = state, lend_keys(memo[g1, s] for s in jobs)
-    return memo[None][1](memo[g1, jobs[j]])
-
-
-def _deviation(
-    level: Scope, player: int, state: GameState, cfg: GameConfig, oracle: str, memo: dict | None
-) -> tuple[VertexSet, float, VertexSet, float]:
-    """Current strategy and cost of a player and the oracle's answer.
-
-    Both costs come from one set of distance rows.  oracle is "exact"
-    (guarded) or "greedy"; is_nash and dynamics pass a memo for their call,
-    which keeps one (rows, exact answer) per job (g1, key).  A fog player
-    needs profile mode (PolicyError), checked before the guard, then the
-    player index (ValueError).
-    """
-    if level is Scope.LEVEL1 and not state.profile_mode:
-        raise PolicyError("fog best response needs profile mode, not a fixed graph")
-    if oracle == "exact":
-        _check_exact_size(state.n1)
-    if level is Scope.LEVEL1:
-        rows, answer = fog_deviation_rows(player, state, cfg), None
-        current = state.level1.strategies[player]
-    else:
-        _check_player("job", player, state.n2)
-        current = state.level2.strategies[player]
-        key = state.g1, _job_key(player, state, cfg, memo)
-        rows, answer = memo[key] if memo and key in memo else (job_rows(*key, cfg), None)
-    if oracle == "greedy":
-        from .greedy import _local_search
-
-        answer = _local_search(current, rows.universe, rows.evaluate)
-    elif answer is None:
-        answer = _exact_best(rows)
-        if level is Scope.LEVEL2 and memo is not None:
-            memo[key] = rows, answer
-    return current, rows.evaluate(current), *answer
-
-
 def is_nash(
     state: GameState, cfg: GameConfig, scope: Scope
 ) -> tuple[bool, DeviationWitness | None]:
@@ -189,13 +135,14 @@ def is_nash(
 
     Returns the first strictly profitable deviation in ascending player
     order (level-1 players before level-2 players under Scope.BOTH).
+    The exact guard refuses only a check that asks some player.
     """
-    memo: dict = {}
-    for level, player in _scoped_players(state, scope):
-        _, current, better_set, better_cost = _deviation(level, player, state, cfg, "exact", memo)
-        if better_cost < current:
-            return False, DeviationWitness(level, player, current, better_set, better_cost)
-    return True, None
+    players = _scoped_players(state, scope)
+    if players:
+        _check_exact_size(state.n1)
+    from .oracles import _first_witness
+
+    return _first_witness(state, cfg, players)
 
 
 class DynamicsOutcome(Enum):
@@ -250,7 +197,8 @@ def best_response_dynamics(
     oracle is "exact" or "greedy".  A player moves only when the oracle
     strictly beats its current cost.  Stops on a full pass without moves
     (CONVERGED), on revisiting an earlier state (CYCLE_DETECTED), or when
-    max_rounds passes are spent (BUDGET_EXHAUSTED).
+    max_rounds passes are spent (BUDGET_EXHAUSTED).  The exact guard
+    refuses only a run that asks some player.
     """
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
@@ -259,29 +207,11 @@ def best_response_dynamics(
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
     players = _scoped_players(state, scope)
-    rng = random.Random(seed)
-    seen: dict[GameState, int] = {state: 0}
-    moves: list[Move] = []
-    memo: dict = {}
-    for round_index in range(max_rounds):
-        order = players if schedule == "round_robin" else rng.sample(players, len(players))
-        moved = False
-        for level, player in order:
-            old, current, cand, cand_cost = _deviation(level, player, state, cfg, oracle, memo)
-            if cand_cost < current:
-                if level is Scope.LEVEL1:
-                    state = state.with_level1_strategy(player, cand)
-                else:
-                    state = state.with_level2_strategy(player, cand)
-                moves.append(Move(level, player, old, cand, current, cand_cost))
-                moved = True
-                if state in seen:
-                    outcome, period = DynamicsOutcome.CYCLE_DETECTED, len(moves) - seen[state]
-                    return DynamicsTrace(tuple(moves), outcome, state, round_index + 1, period)
-                seen[state] = len(moves)
-        if not moved:
-            return DynamicsTrace(tuple(moves), DynamicsOutcome.CONVERGED, state, round_index + 1)
-    return DynamicsTrace(tuple(moves), DynamicsOutcome.BUDGET_EXHAUSTED, state, max_rounds)
+    if oracle == "exact" and players and max_rounds:
+        _check_exact_size(state.n1)
+    from .oracles import _dynamics
+
+    return _dynamics(state, cfg, players, schedule, seed, max_rounds, oracle)
 
 
 def _check_joint_size(n1: int, n2: int) -> None:

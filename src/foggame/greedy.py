@@ -1,7 +1,7 @@
 """Greedy local search, the oracle of best_response_job_greedy and "greedy" dynamics.
 
-equilibrium._deviation loads this module on its first greedy call, so
-exact runs never compile it.
+oracles._deviation loads this module on its first greedy call, so exact
+runs never compile it.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Lend-class engine of the joint level-2 analyses.
 
 social_optimum_level2, enumerate_nash_level2 and empirical_poa (in
-foggame.equilibrium) load this module on their first call, so a run that
-never asks for them never compiles it.
+foggame.equilibrium) load this module, and foggame.kernel with it, on
+their first call after the joint guard, so a run that never asks for them
+never compiles it; a poa run compiles neither foggame.oracles nor greedy.
 
 Another job can shorten a job's distances only by a two-hop fog -> job ->
 fog path between two of its members at least 3 hops apart in the fog
@@ -12,7 +13,7 @@ cost table per lend key (one in all under FOG_ONLY transit, with a single
 job, or on a fog graph of diameter <= 2), one scan of the key's layers,
 prices every class, and each vector of classes, one per job, is read in
 O(n2) from those tables (see _class_walk).  The lend key is
-foggame.kernel's (lent_pairs, lend_keys, job_rows), as in is_nash.
+foggame.kernel's (lent_pairs, lend_keys, job_rows), as in foggame.oracles.
 """
 
 from __future__ import annotations

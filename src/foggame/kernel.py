@@ -9,6 +9,11 @@ references model.job_player_cost and model.edge_fog_player_cost give.
 
 A job's lend key, the far fog pairs the other jobs lend it, is the kernel's
 too: its format (lent_pairs), rule (lend_keys) and layers (job_rows).
+
+The engines that read it, foggame.oracles (best responses, is_nash,
+dynamics) and foggame.joint (the joint level-2 analyses), import it, so
+it loads with the first of them a run asks for, not at `import
+foggame.cli`.
 """
 
 from __future__ import annotations

@@ -82,34 +82,50 @@ class GameConfig(_Validated, _GameConfigFields):
         return self
 
 
+def _checked(owner: str, player: int, strategy: Iterable[int], n1: int, own: bool) -> VertexSet:
+    """strategy as a frozenset, refused if it holds a vertex outside [0, n1), or player if own."""
+    s = frozenset(strategy)
+    if own and player in s:
+        raise ValueError(f"{owner} {player} cannot buy a link to itself")
+    for v in s:
+        if not 0 <= v < n1:
+            raise ValueError(f"{owner} {player} strategy member {v} outside [0,{n1})")
+    return s
+
+
+class _Profile(_Validated):
+    """A strategy profile: its __new__ checks every strategy, replace only the new one."""
+
+    __slots__ = ()
+
+    def replace(self, player: int, strategy: Iterable[int]):
+        parts = list(self.strategies)
+        parts[player] = strategy
+        player %= len(parts)  # as the constructor's messages number a negative index
+        parts[player] = _checked(self._OWNER, player, strategy, self.n1, self._OWN)
+        # the fields before strategies (a job profile's n1) are kept as they are
+        return tuple.__new__(type(self), (*self[:-1], tuple(parts)))
+
+
 class _Level1Fields(NamedTuple):
     strategies: tuple[VertexSet, ...]
 
 
-class Level1Profile(_Validated, _Level1Fields):
+class Level1Profile(_Profile, _Level1Fields):
     """One purchase set per fog player; player i may not buy a link to itself."""
 
     __slots__ = ()
+    _OWNER, _OWN = "fog player", True
 
     def __new__(cls, strategies: Iterable[Iterable[int]]):
         strategies = tuple(map(frozenset, strategies))
-        n1 = len(strategies)
         for i, s in enumerate(strategies):
-            if i in s:
-                raise ValueError(f"fog player {i} cannot buy a link to itself")
-            for v in s:
-                if not 0 <= v < n1:
-                    raise ValueError(f"fog player {i} strategy member {v} outside [0,{n1})")
+            _checked(cls._OWNER, i, s, len(strategies), cls._OWN)
         return super().__new__(cls, strategies)
 
     @property
     def n1(self) -> int:
         return len(self.strategies)
-
-    def replace(self, player: int, strategy: Iterable[int]) -> "Level1Profile":
-        parts = list(self.strategies)
-        parts[player] = strategy
-        return Level1Profile(parts)
 
 
 class _Level2Fields(NamedTuple):
@@ -117,29 +133,23 @@ class _Level2Fields(NamedTuple):
     strategies: tuple[VertexSet, ...]
 
 
-class Level2Profile(_Validated, _Level2Fields):
+class Level2Profile(_Profile, _Level2Fields):
     """One fog-vertex subset per job; n1 fixes the purchasable range."""
 
     __slots__ = ()
+    _OWNER, _OWN = "job", False
 
     def __new__(cls, n1: int, strategies: Iterable[Iterable[int]]):
         strategies = tuple(map(frozenset, strategies))
         if n1 < 0:
             raise ValueError(f"n1 must be non-negative, got {n1}")
         for j, s in enumerate(strategies):
-            for v in s:
-                if not 0 <= v < n1:
-                    raise ValueError(f"job {j} strategy member {v} outside [0,{n1})")
+            _checked(cls._OWNER, j, s, n1, cls._OWN)
         return super().__new__(cls, n1, strategies)
 
     @property
     def n2(self) -> int:
         return len(self.strategies)
-
-    def replace(self, job: int, strategy: Iterable[int]) -> "Level2Profile":
-        parts = list(self.strategies)
-        parts[job] = strategy
-        return Level2Profile(self.n1, parts)
 
 
 class _GameStateFields(NamedTuple):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from foggame import equilibrium as eq
-from foggame import model
+from foggame import model, oracles
 from foggame.equilibrium import (
     DynamicsOutcome,
     Scope,
@@ -302,17 +302,19 @@ def test_dynamics_detects_revisited_states(monkeypatch):
     # no tiny instance cycles naturally, so force an oscillating oracle
     st = _fixed(generate("complete", 2), [{0}])
     flip = {frozenset({0}): frozenset({1}), frozenset({1}): frozenset({0})}
+    asked = []
     monkeypatch.setattr(
-        eq,
+        oracles,
         "_deviation",
         lambda level, j, state, cfg, oracle, memo: (
-            state.level2.strategies[j],
+            asked.append(j) or state.level2.strategies[j],
             2.0,
             flip[state.level2.strategies[j]],
             1.0,
         ),
     )
     trace = eq.best_response_dynamics(st, GameConfig(), Scope.LEVEL2, max_rounds=50)
+    assert asked == [0, 0]
     assert trace.outcome is DynamicsOutcome.CYCLE_DETECTED
     assert trace.cycle_period == 2
     assert trace.final_state == st
@@ -335,7 +337,7 @@ def test_path5_two_jobs_have_a_better_response_cycle_but_best_responses_converge
         old, new = _fixed(g1, before), _fixed(g1, after)
         assert old.level2.strategies[1 - j] == new.level2.strategies[1 - j]
         pair = (job_player_cost(j, old, cfg), job_player_cost(j, new, cfg))
-        rows = job_rows(g1, eq._job_key(j, old, cfg, {}), cfg)
+        rows = job_rows(g1, oracles._job_key(j, old, cfg, {}), cfg)
         assert pair == tuple(rows.evaluate(s.level2.strategies[j]) for s in (old, new))
         costs.append(pair)
     assert costs == [(15.5, 14.5), (16.0, 15.5), (17.5, 16.0)] * 2

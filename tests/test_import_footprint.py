@@ -2,22 +2,24 @@
 
 A CLI run starts in a fresh interpreter, so module imports, and without a
 bytecode cache their compilation, are a large share of a small scenario's
-wall time.  `import foggame.cli` loads only what an exact dynamics or
-nash run executes.  The joint analyses' lend-class engine (joint) loads
-on a poa run's first analysis call, the cost mode's report (costs) in
-the cost mode, and the greedy local search (greedy) on the first greedy
-best response.  The bounds and verify modes load their modules on first
-use, as do generator graph sections (generators), the bounds and verify
-modes' dominating sets (domination), --format csv (tabular, csv) and the
-sweep command (sweep, copy); records are named tuples rather than
-dataclasses.  Each probe runs in a fresh interpreter without bytecode
-caching, and what it adds is measured against a bare interpreter.
+wall time.  `import foggame.cli` loads what every mode shares, and each
+mode's engine loads inside main, on its first call: the per-player
+oracle engine (oracles) for nash and dynamics, the joint analyses'
+lend-class engine (joint) for poa, each with the distance-layer kernel
+(kernel), the cost mode's report (costs) in the cost mode, and the greedy
+local search (greedy) on the first greedy best response.  The bounds and
+verify modes load their modules on first use, as do generator graph
+sections (generators), the bounds and verify modes' dominating sets
+(domination), --format csv (tabular, csv) and the sweep command (sweep,
+copy); records are named tuples rather than dataclasses.  Each probe runs
+in a fresh interpreter without bytecode caching, and what it adds is
+measured against a bare interpreter.
 
 Without a bytecode cache each module is parsed from source, and the
 parser's peak memory for the largest module parsed sets the process's
 peak RSS: later compiles reuse that memory, but it is not returned to the
 operating system.  No module a CLI run compiles may parse larger than
-equilibrium.py, the largest of them.
+model.py, the largest of them.
 """
 
 import importlib.machinery
@@ -34,7 +36,9 @@ import foggame
 PACKAGE_ROOT = str(Path(foggame.__file__).resolve().parents[1])
 
 NOT_AT_CLI_IMPORT = (
+    "foggame.oracles",
     "foggame.joint",
+    "foggame.kernel",
     "foggame.costs",
     "foggame.greedy",
     "foggame.bounds",
@@ -90,15 +94,15 @@ def _compile_peak(module: str) -> int:
         tracemalloc.stop()
 
 
-def test_no_module_a_cli_run_compiles_parses_larger_than_equilibrium():
-    # The distance-layer kernel (kernel) and strict section parsing
-    # (parsing) are modules of their own so that neither model.py nor
-    # scenario.py outgrows equilibrium.py; the poa engine (joint) loads in
-    # main.
+def test_no_module_a_cli_run_compiles_parses_larger_than_model():
+    # The engines a mode loads in main (oracles, joint, kernel) and strict
+    # section parsing (parsing) are modules of their own so that neither
+    # equilibrium.py nor scenario.py outgrows model.py.
     loaded = _modules_after("import foggame.cli")
-    assert {"foggame.kernel", "foggame.parsing", "foggame.equilibrium"} <= loaded
-    modules = sorted(m for m in loaded if m.split(".")[0] == "foggame") + ["foggame.joint"]
-    limit = _compile_peak("foggame.equilibrium")
+    assert {"foggame.parsing", "foggame.equilibrium", "foggame.model"} <= loaded
+    engines = ["foggame.oracles", "foggame.joint", "foggame.kernel"]
+    modules = sorted(m for m in loaded if m.split(".")[0] == "foggame") + engines
+    limit = _compile_peak("foggame.model")
     peaks = {m: _compile_peak(m) for m in modules}
     assert {m: peak for m, peak in peaks.items() if peak > limit} == {}, limit
 
@@ -158,21 +162,43 @@ def _mode_only(loaded: set[str]) -> list[str]:
     return sorted(set(NOT_AT_CLI_IMPORT) & loaded)
 
 
-def test_exact_profile_dynamics_run_loads_no_mode_only_module(tmp_path):
+_PROFILE_OPTIONS = {
+    "level1_strategies": [[1], [2], [3], []],
+    "level2_strategies": [[0], [1, 2], [3], [0, 3]],
+    "scope": "both",
+}
+
+
+def test_exact_profile_runs_load_only_the_oracle_engine(tmp_path):
     # Both levels in profile mode, as the benchmark's dynamics workload
-    # runs them: neither the joint engine, the cost report nor the greedy
-    # search is compiled.
-    body = {
-        "config": {"alpha": 2.0, "beta": 1.5},
-        "options": {
-            "level1_strategies": [[1], [2], [3], []],
-            "level2_strategies": [[0], [1, 2], [3], [0, 3]],
-            "scope": "both",
-            "schedule": "random_permutation",
-            "max_rounds": 3,
-        },
-    }
-    loaded = _loaded_by_run(tmp_path, "dynamics", body)
+    # runs them: the oracle engine and its kernel load, and neither the
+    # joint engine, the cost report nor the greedy search is compiled.
+    dynamics = dict(_PROFILE_OPTIONS, schedule="random_permutation", max_rounds=3)
+    for mode, options in (("dynamics", dynamics), ("nash", _PROFILE_OPTIONS)):
+        body = {"config": {"alpha": 2.0, "beta": 1.5}, "options": options}
+        loaded = _loaded_by_run(tmp_path, mode, body)
+        assert _mode_only(loaded) == ["foggame.kernel", "foggame.oracles"], mode
+
+
+def test_poa_run_loads_only_the_joint_engine(tmp_path):
+    # A poa run compiles its lend-class engine and the kernel, never the
+    # per-player oracle engine.
+    body = {"graph": {"n": 4, "edges": _EDGES}, "n2": 2, "config": {"beta": 3.5}}
+    loaded = _loaded_by_run(tmp_path, "poa", body)
+    assert _mode_only(loaded) == ["foggame.joint", "foggame.kernel"]
+
+
+def test_refused_dynamics_run_loads_no_engine(tmp_path):
+    # A bad schedule is refused before best_response_dynamics loads its engine.
+    scenario = tmp_path / "dynamics.json"
+    body = {"graph": {"n": 4, "edges": _EDGES}, "n2": 4, "options": {"schedule": "sorted"}}
+    scenario.write_text(json.dumps(body))
+    loaded = _modules_after(
+        "import contextlib, io\nimport foggame.cli\n"
+        "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        f"    assert foggame.cli.main({['dynamics', str(scenario)]!r}) == 1\n"
+        "assert 'unknown schedule' in err.getvalue()\n"
+    )
     assert "foggame.equilibrium" in loaded
     assert _mode_only(loaded) == []
 
@@ -180,7 +206,7 @@ def test_exact_profile_dynamics_run_loads_no_mode_only_module(tmp_path):
 def test_inline_graph_runs_load_no_mode_only_module(tmp_path):
     # poa and exact dynamics runs on inline graphs, as the benchmark
     # workloads give them, compile no module that only other modes,
-    # sections or oracles read; the poa analysis loads its own engine.
+    # sections or oracles read; each analysis loads its own engine.
     poa = tmp_path / "poa.json"
     poa.write_text(json.dumps({"graph": {"n": 4, "edges": _EDGES}, "n2": 2, "config": {"beta": 3.5}}))
     dynamics = tmp_path / "dynamics.json"
@@ -194,7 +220,7 @@ def test_inline_graph_runs_load_no_mode_only_module(tmp_path):
         f"with contextlib.redirect_stdout(io.StringIO()):\n{runs}"
     )
     assert "foggame.equilibrium" in loaded
-    assert _mode_only(loaded) == ["foggame.joint"]
+    assert _mode_only(loaded) == ["foggame.joint", "foggame.kernel", "foggame.oracles"]
 
 
 def test_cost_run_loads_the_cost_report_but_not_the_joint_engine(tmp_path):
@@ -206,7 +232,7 @@ def test_cost_run_loads_the_cost_report_but_not_the_joint_engine(tmp_path):
 def test_greedy_dynamics_loads_the_greedy_search(tmp_path):
     body = {"graph": {"n": 4, "edges": _EDGES}, "n2": 4, "options": {"oracle": "greedy"}}
     loaded = _loaded_by_run(tmp_path, "dynamics", body)
-    assert _mode_only(loaded) == ["foggame.greedy"]
+    assert _mode_only(loaded) == ["foggame.greedy", "foggame.kernel", "foggame.oracles"]
 
 
 def test_package_import_loads_no_submodule():

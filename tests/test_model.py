@@ -86,6 +86,51 @@ def test_profile_replace():
     assert p.strategies[1] == frozenset()
 
 
+def _rebuilt(profile, player, strategy):
+    """replace as the full constructor gives it, every strategy checked again."""
+    parts = list(profile.strategies)
+    parts[player] = strategy
+    if isinstance(profile, Level1Profile):
+        return Level1Profile(parts)
+    return Level2Profile(profile.n1, parts)
+
+
+def _replaced(fn, *args):
+    """(type, profile, member set types), or the exception type and message raised."""
+    try:
+        profile = fn(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+    return type(profile), profile, [type(s) for s in profile.strategies]
+
+
+def test_profile_replace_matches_the_full_constructor():
+    # replace checks only the new strategy; on random valid profiles it
+    # gives what rebuilding the whole profile gives, and the same error on
+    # a bad new member, a self-link or a bad index.
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(600):
+        n1 = rng.randint(1, 5)
+        level1 = Level1Profile(
+            [{v for v in range(n1) if v != i and rng.random() < 0.4} for i in range(n1)]
+        )
+        level2 = Level2Profile(
+            n1, [{v for v in range(n1) if rng.random() < 0.4} for _ in range(rng.randint(1, 4))]
+        )
+        for profile in (level1, level2):
+            n = len(profile.strategies)
+            player = rng.randint(-n - 1, n)
+            strategy = [v for v in range(-1, n1 + 1) if rng.random() < 0.3]
+            expected = _replaced(_rebuilt, profile, player, strategy)
+            assert _replaced(profile.replace, player, strategy) == expected, (profile, player)
+            if expected[0] is ValueError:
+                seen.add("self-link" if "itself" in expected[1] else "member")
+            else:
+                seen.add(expected[0])
+    assert seen == {Level1Profile, Level2Profile, IndexError, "self-link", "member"}
+
+
 def test_game_state_consistency_checks():
     g = generate("path", 3)
     with pytest.raises(ValueError, match="fog"):

@@ -24,6 +24,7 @@ replaced: every call ORs the other jobs' per-vertex partners
 dynamics must give the same witnesses, traces and outcomes on both.
 """
 
+import collections
 import itertools
 import math
 import random
@@ -32,7 +33,7 @@ import tracemalloc
 import pytest
 
 from foggame import equilibrium as eq
-from foggame import graph, greedy, kernel, model
+from foggame import graph, greedy, kernel, model, oracles
 from foggame.equilibrium import (
     DynamicsOutcome,
     Scope,
@@ -142,12 +143,12 @@ def reference_deviation(level, player, state, cfg, oracle, memo):
 
 def keyed_job_rows(j, state, cfg):
     """Job j's rows on the keyed path: its lend key in state, then kernel.job_rows."""
-    return kernel.job_rows(state.g1, eq._job_key(j, state, cfg, {}), cfg)
+    return kernel.job_rows(state.g1, oracles._job_key(j, state, cfg, {}), cfg)
 
 
 def dynamics_fog_greedy(i, state, cfg):
-    """The greedy fog answer on the path that is_nash and dynamics take."""
-    return eq._deviation(Scope.LEVEL1, i, state, cfg, "greedy", {})[2:]
+    """The greedy fog answer, which only dynamics asks for, behind a lone best response's refusals."""
+    return eq._best_response(Scope.LEVEL1, i, state, cfg, "greedy")
 
 
 def _outcome(fn, *args):
@@ -159,10 +160,27 @@ def _outcome(fn, *args):
     return strategy, repr(cost)
 
 
-def _with_reference(fn, *args, **kwargs):
+SEAM_CALLS = collections.Counter()  # replacement -> calls that reached it
+
+
+def _substituted(replacement, fn, *args, **kwargs):
+    """fn run with the seam of is_nash and dynamics, oracles._deviation, replaced.
+
+    SEAM_CALLS counts the replacement's calls: a test asserts they grew,
+    since a patch on a name the loops no longer read would pass vacuously.
+    """
+
+    def counted(*seam_args):
+        SEAM_CALLS[replacement] += 1
+        return replacement(*seam_args)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eq, "_deviation", reference_deviation)
+        mp.setattr(oracles, "_deviation", counted)
         return fn(*args, **kwargs)
+
+
+def _with_reference(fn, *args, **kwargs):
+    return _substituted(reference_deviation, fn, *args, **kwargs)
 
 
 def _random_subset(rng, universe, p):
@@ -414,6 +432,7 @@ def test_fog_rows_need_profile_mode():
 
 
 def test_is_nash_matches_reference(monkeypatch):
+    asked = SEAM_CALLS[reference_deviation]
     for state, cfg in _states(11, 120):
         for scope in _scopes(state):
             fast = is_nash(state, cfg, scope)
@@ -422,6 +441,7 @@ def test_is_nash_matches_reference(monkeypatch):
                 cfg,
                 scope,
             )
+    assert SEAM_CALLS[reference_deviation] > asked
     state = GameState(generate("path", 3), Level2Profile(3, ()), allow_unequal=True)
     with pytest.raises(PolicyError):
         is_nash(state, GameConfig(), Scope.BOTH)
@@ -434,6 +454,7 @@ def test_is_nash_matches_reference(monkeypatch):
 
 @pytest.mark.parametrize("oracle", ["exact", "greedy"])
 def test_dynamics_match_reference(oracle):
+    asked = SEAM_CALLS[reference_deviation]
     for index, (state, cfg) in enumerate(_states(13, 60)):
         for scope in _scopes(state):
             kwargs = dict(
@@ -446,6 +467,7 @@ def test_dynamics_match_reference(oracle):
             slow = _with_reference(best_response_dynamics, state, cfg, scope, **kwargs)
             assert fast == slow, (state, cfg, scope)
             assert repr(fast.moves) == repr(slow.moves)
+    assert SEAM_CALLS[reference_deviation] > asked
 
 
 def test_exact_oracles_run_no_bfs_and_build_no_graph(monkeypatch):
@@ -564,7 +586,7 @@ def _pruning_configs(rng):
 
 
 def _sizes_read(rows):
-    return len(_priced(eq._exact_best, rows)[1])
+    return len(_priced(oracles._exact_best, rows)[1])
 
 
 def test_size_pruning_matches_the_full_scan():
@@ -583,7 +605,7 @@ def test_size_pruning_matches_the_full_scan():
                 ]
             for rows, oracle, player in deviations:
                 expected = repr(reference_exact_best(rows))
-                assert repr(eq._exact_best(rows)) == expected, (state, cfg, player)
+                assert repr(oracles._exact_best(rows)) == expected, (state, cfg, player)
                 assert repr(oracle(player, state, cfg)) == expected, (state, cfg, player)
                 sizes = list(rows.scan())
                 floors = rows.floors()
@@ -747,7 +769,7 @@ def per_job_rows(j, state, cfg):
     )
 
 
-_keyed_deviation = eq._deviation
+_keyed_deviation = oracles._deviation
 
 
 def per_job_deviation(level, player, state, cfg, oracle, memo):
@@ -762,16 +784,14 @@ def per_job_deviation(level, player, state, cfg, oracle, memo):
     current = state.level2.strategies[player]
     rows = per_job_rows(player, state, cfg)
     if oracle == "exact":
-        answer = eq._exact_best(rows)
+        answer = oracles._exact_best(rows)
     else:
         answer = greedy._local_search(current, rows.universe, rows.evaluate)
     return (current, rows.evaluate(current), *answer)
 
 
 def _with_per_job(fn, *args, **kwargs):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eq, "_deviation", per_job_deviation)
-        return fn(*args, **kwargs)
+    return _substituted(per_job_deviation, fn, *args, **kwargs)
 
 
 def _lending_state(rng):
@@ -885,7 +905,7 @@ def test_lend_keys_are_the_per_vertex_or_of_the_other_jobs():
             reference = reference_lent_partners(g1, jobs[:j] + jobs[j + 1 :], cfg)
             assert _blocks(key, g1.n) == reference, (state, cfg, j)
             # with a memo, as the exact oracle asks, and streamed, as the greedy one
-            assert key == eq._job_key(j, state, cfg, {}) == eq._job_key(j, state, cfg, None)
+            assert key == oracles._job_key(j, state, cfg, {}) == oracles._job_key(j, state, cfg, None)
             widths.add((g1.n > 8, key > 0))
     assert widths == {(False, False), (False, True), (True, True)}
 
@@ -899,7 +919,7 @@ def test_far_masks_are_kept_per_fog_graph():
     kernel._far_masks.cache_clear()
     memo = {}
     for j in range(7):
-        keyed = kernel.job_rows(g1, eq._job_key(j, state, GameConfig(), memo), GameConfig())
+        keyed = kernel.job_rows(g1, oracles._job_key(j, state, GameConfig(), memo), GameConfig())
         assert _layers(keyed) == _layers(per_job_rows(j, state, GameConfig()))
     assert kernel._far_masks.cache_info()[:2] == (6, 1)  # hits, misses
 
@@ -966,7 +986,7 @@ def test_job_key_holds_no_lent_int_per_job():
     state = GameState(g1, Level2Profile(150, jobs), allow_unequal=True)
     tracemalloc.start()
     try:
-        kernel.job_rows(g1, eq._job_key(0, state, GameConfig(), None), GameConfig())
+        kernel.job_rows(g1, oracles._job_key(0, state, GameConfig(), None), GameConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -991,9 +1011,10 @@ def _many_jobs_state(rng):
 @pytest.mark.parametrize("oracle", ["exact", "greedy"])
 def test_keyed_path_matches_the_per_job_path(oracle, monkeypatch):
     builds = []
-    monkeypatch.setattr(eq, "job_rows", lambda *args: builds.append(1) or kernel.job_rows(*args))
+    monkeypatch.setattr(oracles, "job_rows", lambda *args: builds.append(1) or kernel.job_rows(*args))
     rng = random.Random(29)
     seen = set()
+    per_job = SEAM_CALLS[per_job_deviation]
     for index in range(120):
         state, cfg = _many_jobs_state(rng)
         for scope in _scopes(state):
@@ -1028,6 +1049,7 @@ def test_keyed_path_matches_the_per_job_path(oracle, monkeypatch):
     assert {("schedule", "round_robin"), ("schedule", "random_permutation")} <= seen
     assert {("outcome", DynamicsOutcome.CONVERGED), ("outcome", DynamicsOutcome.BUDGET_EXHAUSTED)} <= seen
     assert ("g1 moved", True) in seen
+    assert SEAM_CALLS[per_job_deviation] > per_job
     if oracle == "exact":
         assert {("nash", True), ("nash", False), ("shared", True)} <= seen
 
@@ -1039,6 +1061,7 @@ def test_path5_cycle_states_match_the_per_job_path():
     g1 = generate("path", 5)
     cfg = GameConfig(beta=2.5, job_cost_type=JobCostType.TYPE_II)
     a, b = frozenset({0, 1, 2}), frozenset({4})
+    per_job = SEAM_CALLS[per_job_deviation]
     for jobs in [(a, a | b), (b, a | b), (b, a), (a | b, a), (a | b, b), (a, b)]:
         state = GameState(g1, Level2Profile(5, jobs), allow_unequal=True)
         for j in range(2):
@@ -1047,6 +1070,7 @@ def test_path5_cycle_states_match_the_per_job_path():
             fast = best_response_dynamics(state, cfg, Scope.LEVEL2, schedule=schedule)
             assert fast == _with_per_job(best_response_dynamics, state, cfg, Scope.LEVEL2, schedule=schedule)
         assert is_nash(state, cfg, Scope.LEVEL2) == _with_per_job(is_nash, state, cfg, Scope.LEVEL2)
+    assert SEAM_CALLS[per_job_deviation] > per_job
 
 
 def test_is_nash_builds_one_job_rows_per_lend_key(monkeypatch):
@@ -1059,16 +1083,18 @@ def test_is_nash_builds_one_job_rows_per_lend_key(monkeypatch):
     stable, witness = is_nash(state, cfg, Scope.LEVEL2)
     assert 1 <= len(built) <= 2
     small = GameState(state.g1, Level2Profile(12, jobs.strategies[:5]), allow_unequal=True)
+    per_job = SEAM_CALLS[per_job_deviation]
     assert (stable, witness) == _with_per_job(is_nash, small, cfg, Scope.LEVEL2)
+    assert SEAM_CALLS[per_job_deviation] > per_job
 
 
 def test_dynamics_memo_stays_linear_in_the_jobs(monkeypatch):
-    # A dynamics run asks _deviation about every job of each new state
+    # A dynamics run asks oracles._deviation about every job of each new state
     # with one memo; here 300 moves, each a job or a fog player taking a
     # random strategy, meet far more (g1, key) pairs than there are jobs,
     # and the memo still holds O(n2) entries.
     builds = []
-    monkeypatch.setattr(eq, "job_rows", lambda *args: builds.append(1) or kernel.job_rows(*args))
+    monkeypatch.setattr(oracles, "job_rows", lambda *args: builds.append(1) or kernel.job_rows(*args))
     rng = random.Random(31)
     n1, n2 = 8, 4
     level1 = Level1Profile(tuple(frozenset({(i + 1) % n1}) for i in range(n1)))
@@ -1084,7 +1110,7 @@ def test_dynamics_memo_stays_linear_in_the_jobs(monkeypatch):
         else:
             state = state.with_level2_strategy(rng.randrange(n2), _random_subset(rng, range(n1), 0.5))
         for j in range(n2):
-            answer = eq._deviation(Scope.LEVEL2, j, state, cfg, "exact", memo)
+            answer = oracles._deviation(Scope.LEVEL2, j, state, cfg, "exact", memo)
             assert answer == per_job_deviation(Scope.LEVEL2, j, state, cfg, "exact", {})
             sizes.append(len(memo))
     # over 4 * n2 entries a new state empties the memo, then adds its
