@@ -17,7 +17,9 @@ Each analysis checks its arguments and guard, then loads its engine on
 first call: foggame.oracles for the best responses, is_nash and dynamics
 (foggame.greedy under it for the greedy oracle), foggame.joint for the
 joint analyses, each with foggame.kernel.  So a run compiles only the
-engine it uses, and a refused call none.
+engine it uses, and a refused call none.  is_nash and dynamics state all
+their refusals once, in _check_run, from the player counts alone, so
+foggame.scenario runs the same check before it builds the state.
 """
 
 from __future__ import annotations
@@ -117,15 +119,34 @@ def best_response_job_greedy(
     return _best_response(Scope.LEVEL2, j, state, cfg, "greedy")
 
 
-def _scoped_players(state: GameState, scope: Scope) -> list[tuple[Scope, int]]:
-    players: list[tuple[Scope, int]] = []
-    if scope in (Scope.LEVEL1, Scope.BOTH):
-        if not state.profile_mode:
-            raise PolicyError("level-1 scope needs profile mode, not a fixed graph")
-        players.extend((Scope.LEVEL1, i) for i in range(state.n1))
-    if scope in (Scope.LEVEL2, Scope.BOTH):
-        players.extend((Scope.LEVEL2, j) for j in range(state.n2))
-    return players
+def _check_run(
+    scope: Scope,
+    n1: int,
+    n2: int,
+    profile_mode: bool,
+    schedule: str = "round_robin",
+    oracle: str = "exact",
+    max_rounds: int = 1,
+) -> None:
+    """Every refusal of is_nash and best_response_dynamics, read from the run's counts.
+
+    In order: a bad schedule, oracle or max_rounds (ValueError), a level-1
+    scope outside profile mode (PolicyError), then the exact guard, only
+    when the exact oracle would ask some scoped player in some round.
+    is_nash reads the defaults, one exact pass.  Needs no state, so a
+    scenario runs it before building one.
+    """
+    if schedule not in SCHEDULES:
+        raise ValueError(f"unknown schedule {schedule!r}")
+    if oracle not in ("exact", "greedy"):
+        raise ValueError(f"unknown oracle {oracle!r}")
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
+    if scope is not Scope.LEVEL2 and not profile_mode:
+        raise PolicyError("level-1 scope needs profile mode, not a fixed graph")
+    players = n2 if scope is Scope.LEVEL2 else n1 if scope is Scope.LEVEL1 else n1 + n2
+    if oracle == "exact" and max_rounds and players:
+        _check_exact_size(n1)
 
 
 def is_nash(
@@ -135,14 +156,13 @@ def is_nash(
 
     Returns the first strictly profitable deviation in ascending player
     order (level-1 players before level-2 players under Scope.BOTH).
-    The exact guard refuses only a check that asks some player.
+    Refuses as _check_run does; the exact guard only a check that asks
+    some player.
     """
-    players = _scoped_players(state, scope)
-    if players:
-        _check_exact_size(state.n1)
+    _check_run(scope, state.n1, state.n2, state.profile_mode)
     from .oracles import _first_witness
 
-    return _first_witness(state, cfg, players)
+    return _first_witness(state, cfg, scope)
 
 
 class DynamicsOutcome(Enum):
@@ -197,21 +217,13 @@ def best_response_dynamics(
     oracle is "exact" or "greedy".  A player moves only when the oracle
     strictly beats its current cost.  Stops on a full pass without moves
     (CONVERGED), on revisiting an earlier state (CYCLE_DETECTED), or when
-    max_rounds passes are spent (BUDGET_EXHAUSTED).  The exact guard
-    refuses only a run that asks some player.
+    max_rounds passes are spent (BUDGET_EXHAUSTED).  Refuses as
+    _check_run does; the exact guard only a run that asks some player.
     """
-    if schedule not in SCHEDULES:
-        raise ValueError(f"unknown schedule {schedule!r}")
-    if oracle not in ("exact", "greedy"):
-        raise ValueError(f"unknown oracle {oracle!r}")
-    if max_rounds < 0:
-        raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
-    players = _scoped_players(state, scope)
-    if oracle == "exact" and players and max_rounds:
-        _check_exact_size(state.n1)
+    _check_run(scope, state.n1, state.n2, state.profile_mode, schedule, oracle, max_rounds)
     from .oracles import _dynamics
 
-    return _dynamics(state, cfg, players, schedule, seed, max_rounds, oracle)
+    return _dynamics(state, cfg, scope, schedule, seed, max_rounds, oracle)
 
 
 def _check_joint_size(n1: int, n2: int) -> None:

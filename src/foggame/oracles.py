@@ -1,9 +1,11 @@
 """Per-player oracle engine: the exact scan, deviations, and the is_nash and dynamics loops.
 
 The public best responses, is_nash and best_response_dynamics (in
-foggame.equilibrium) check their arguments and the exact guard, then load
-this module, and foggame.kernel with it, on their first call: a poa run
-never compiles it, and a refused call compiles neither.
+foggame.equilibrium, the last two through its _check_run) check their
+arguments and the exact guard, then load this module, and foggame.kernel
+with it, on their first call: a poa run never compiles it, and a refused
+call compiles neither.  The is_nash and dynamics loops list their scoped
+players and refuse nothing.
 
 A job's rows depend on g1 and its lend key alone (see foggame.kernel), so
 is_nash and dynamics keep one answer per key for their call.
@@ -88,12 +90,22 @@ def _deviation(
     return current, rows.evaluate(current), *answer
 
 
+def _scoped_players(state: GameState, scope: Scope) -> list[tuple[Scope, int]]:
+    """The players scope quantifies over: level-1 ones first, each level ascending."""
+    players: list[tuple[Scope, int]] = []
+    if scope is not Scope.LEVEL2:
+        players.extend((Scope.LEVEL1, i) for i in range(state.n1))
+    if scope is not Scope.LEVEL1:
+        players.extend((Scope.LEVEL2, j) for j in range(state.n2))
+    return players
+
+
 def _first_witness(
-    state: GameState, cfg: GameConfig, players: list[tuple[Scope, int]]
+    state: GameState, cfg: GameConfig, scope: Scope
 ) -> tuple[bool, DeviationWitness | None]:
-    """is_nash's loop: the first strictly profitable exact deviation among players."""
+    """is_nash's loop: the first strictly profitable exact deviation among the scoped players."""
     memo: dict = {}
-    for level, player in players:
+    for level, player in _scoped_players(state, scope):
         _, current, better_set, better_cost = _deviation(level, player, state, cfg, "exact", memo)
         if better_cost < current:
             return False, DeviationWitness(level, player, current, better_set, better_cost)
@@ -103,13 +115,14 @@ def _first_witness(
 def _dynamics(
     state: GameState,
     cfg: GameConfig,
-    players: list[tuple[Scope, int]],
+    scope: Scope,
     schedule: str,
     seed: int,
     max_rounds: int,
     oracle: str,
 ) -> DynamicsTrace:
-    """best_response_dynamics' loop over players, its arguments already checked."""
+    """best_response_dynamics' loop over the scoped players, its arguments already checked."""
+    players = _scoped_players(state, scope)
     rng = random.Random(seed)
     seen: dict[GameState, int] = {state: 0}
     moves: list[Move] = []

@@ -4,7 +4,9 @@ A scenario is a JSON object with a mode, an instance description, and
 mode-specific options.  foggame.parsing checks every section strictly,
 counts its players and edges and returns a builder of the state; run_spec
 runs every early refusal on those counts, once, in the branch whose call
-it guards, then the mode on the built state.
+it guards, then the mode on the built state, and converts its payload to
+JSON values once.  A nash or dynamics run's refusals are the analyses'
+own, equilibrium._check_run, so a refused run builds nothing.
 run_record (and foggame.sweep's sweep_record) wrap a run's payload with
 the echoed scenario, the tool version, and the wall-clock duration;
 everything inside the payload is deterministic for fixed seeds.
@@ -17,10 +19,9 @@ from typing import Any, Callable
 
 from . import __version__, model
 from .equilibrium import (
-    SCHEDULES,
     Scope,
-    _check_exact_size,
     _check_joint_size,
+    _check_run,
     best_response_dynamics,
     empirical_poa,
     is_nash,
@@ -44,6 +45,11 @@ MODES = ("gen", "cost", "dynamics", "nash", "poa", "bounds", "verify", "sweep")
 
 def run_spec(data: Any) -> dict:
     """Execute one parsed scenario object and return its payload."""
+    return to_jsonable(_payload(data))
+
+
+def _payload(data: Any) -> Any:
+    """run_spec's payload, records and all, before conversion to JSON values."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario: expected a JSON object")
     mode = _require(data, "mode", "scenario")
@@ -54,16 +60,13 @@ def run_spec(data: Any) -> dict:
     _check_keys(data, _TOP_KEYS[mode], "scenario")
 
     if mode == "gen":
-        return {"graph": to_jsonable(_graph_builder(_require(data, "graph", "scenario"))[1]())}
+        return {"graph": _graph_builder(_require(data, "graph", "scenario"))[1]()}
 
     if mode == "verify":
         from .verify import run_all  # loaded for its mode only, as bounds is
 
         results = run_all()
-        return {
-            "checks": [to_jsonable(r) for r in results],
-            "all_passed": all(r.passed for r in results),
-        }
+        return {"checks": results, "all_passed": all(r.passed for r in results)}
 
     cfg = _parse_config(data.get("config"))
     options = data.get("options", {})
@@ -74,8 +77,7 @@ def run_spec(data: Any) -> dict:
         n1, build = _graph_builder(_require(data, "graph", "scenario"))
         n2 = _integer(data["n2"], "n2", minimum=0) if "n2" in data else n1
         _check_joint_size(n1, n2)  # before building the graph
-        report = empirical_poa(build(), n2, cfg)
-        return to_jsonable(report)
+        return empirical_poa(build(), n2, cfg)
 
     _check_keys(options, _OPTION_KEYS[mode], "options")
     n1, n2, edges, build_state = _state_builder(data, options, mode)
@@ -85,14 +87,11 @@ def run_spec(data: Any) -> dict:
         if mode == "cost":
             from .costs import cost_report  # loaded for this mode only
 
-            return to_jsonable(cost_report(build_state(), cfg))
+            return cost_report(build_state(), cfg)
         from .bounds import check_bounds_on_instance
 
         checks = check_bounds_on_instance(build_state(), cfg)
-        return {
-            "checks": [to_jsonable(c) for c in checks],
-            "all_hold": all(c.holds for c in checks),
-        }
+        return {"checks": checks, "all_hold": all(c.holds for c in checks)}
 
     # nash and dynamics.  nash takes no dynamics option, so it reads their
     # defaults: the exact oracle, asked once per scoped player by is_nash.
@@ -101,17 +100,15 @@ def run_spec(data: Any) -> dict:
     max_rounds = _integer(options.get("max_rounds", 100), "options.max_rounds", minimum=0)
     schedule = options.get("schedule", "round_robin")
     oracle = options.get("oracle", "exact")
-    # No run on more jobs than COST_PAIR_GUARD finishes, and the exact guard
-    # reads only n1: both refuse before the state is built.  A level-1 scope on
-    # a fixed graph raises PolicyError first, no jobs or rounds ask no oracle,
-    # and dynamics refuses a bad schedule before asking one.
+    # Both refuse on the counts, before the state is built: no run on more
+    # jobs than COST_PAIR_GUARD finishes, and _check_run holds the analyses'
+    # own refusals.
     model._within_job_guard(n2)
-    if scope is Scope.LEVEL2 and n2 and oracle == "exact" and max_rounds and schedule in SCHEDULES:
-        _check_exact_size(n1)
+    _check_run(scope, n1, n2, "level1_strategies" in options, schedule, oracle, max_rounds)
     if mode == "nash":
         stable, witness = is_nash(build_state(), cfg, scope)
-        return {"is_nash": stable, "witness": to_jsonable(witness)}
-    trace = best_response_dynamics(
+        return {"is_nash": stable, "witness": witness}
+    return best_response_dynamics(
         build_state(),
         cfg,
         scope,
@@ -120,7 +117,6 @@ def run_spec(data: Any) -> dict:
         max_rounds=max_rounds,
         oracle=oracle,
     )
-    return to_jsonable(trace)
 
 
 def _record(spec: Any, run: Callable[[], dict]) -> dict:

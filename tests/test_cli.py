@@ -677,6 +677,13 @@ def test_main_refuses_more_jobs_than_the_cost_guard_in_nash_and_dynamics(
             "foggame: unknown schedule 'bogus'\n",
         ),
         (
+            "dynamics",
+            {"n2": 25},
+            {"oracle": "magic"},
+            cli.EXIT_USAGE,
+            "foggame: unknown oracle 'magic'\n",
+        ),
+        (
             "nash",
             {"n2": 24},
             {},
@@ -684,13 +691,33 @@ def test_main_refuses_more_jobs_than_the_cost_guard_in_nash_and_dynamics(
             "foggame: player counts differ (n1=25, n2=24); "
             'pass allow_unequal=True (scenario key "allow_unequal": true) to permit this\n',
         ),
+        # a level-1 scope in profile mode asks 25 fog players
+        (
+            "nash",
+            {"n2": 25},
+            {"level1_strategies": [[]] * 25, "scope": "level1"},
+            cli.EXIT_GUARD,
+            "foggame: exact best-response enumeration guard exceeded: size 25 > limit 20\n",
+        ),
+        # a bad schedule is refused before a graph too large to generate
+        (
+            "dynamics",
+            {"graph": {"kind": "complete", "n": 2000}, "n2": 2000},
+            {"schedule": "bogus"},
+            cli.EXIT_USAGE,
+            "foggame: unknown schedule 'bogus'\n",
+        ),
     ],
 )
 def test_main_runs_past_the_exact_guard_keep_their_outcome(
-    tmp_path, capsys, mode, extra, options, code, message
+    tmp_path, monkeypatch, capsys, mode, extra, options, code, message
 ):
-    body = {"mode": mode, "graph": {"kind": "path", "n": 25}, "options": options, **extra}
+    body = {"mode": mode, "options": options, **extra}
+    if "level1_strategies" not in options:
+        body.setdefault("graph", {"kind": "path", "n": 25})
     path = _write(tmp_path, "p25.json", body)
+    if message is not None:  # a refused run builds neither the graph nor the strategies
+        _refuse_building(monkeypatch)
     assert cli.main([mode, path]) == code
     captured = capsys.readouterr()
     if message is None:

@@ -27,7 +27,7 @@ from foggame.domination import (
 )
 from foggame.errors import GuardExceeded, PolicyError
 from foggame.generators import generate
-from foggame.graph import INF, Graph
+from foggame.graph import INF, Graph, new_graph
 from foggame.kernel import job_rows
 from foggame.model import (
     GameConfig,
@@ -288,6 +288,77 @@ def test_dynamics_validates_schedule_and_oracle():
         best_response_dynamics(st, GameConfig(), Scope.LEVEL2, oracle="magic")
     with pytest.raises(ValueError, match="max_rounds must be non-negative"):
         best_response_dynamics(st, GameConfig(), Scope.LEVEL2, max_rounds=-1)
+
+
+# The reference for _check_run: the same refusals read from a built state,
+# listing the scoped players that is_nash and dynamics would ask.
+def _reference_players(state, scope):
+    players = []
+    if scope in (Scope.LEVEL1, Scope.BOTH):
+        if not state.profile_mode:
+            raise PolicyError("level-1 scope needs profile mode, not a fixed graph")
+        players.extend((Scope.LEVEL1, i) for i in range(state.n1))
+    if scope in (Scope.LEVEL2, Scope.BOTH):
+        players.extend((Scope.LEVEL2, j) for j in range(state.n2))
+    return players
+
+
+def _reference_nash_refusal(state, scope):
+    if _reference_players(state, scope):
+        eq._check_exact_size(state.n1)
+
+
+def _reference_dynamics_refusal(state, scope, schedule, oracle, max_rounds):
+    if schedule not in eq.SCHEDULES:
+        raise ValueError(f"unknown schedule {schedule!r}")
+    if oracle not in ("exact", "greedy"):
+        raise ValueError(f"unknown oracle {oracle!r}")
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
+    players = _reference_players(state, scope)
+    if oracle == "exact" and players and max_rounds:
+        eq._check_exact_size(state.n1)
+
+
+def _outcome(call):
+    """(type, message) of what call raises, or ("ran", value)."""
+    try:
+        return "ran", call()
+    except Exception as refused:
+        return type(refused), str(refused)
+
+
+def test_check_run_refuses_as_the_built_state_reference(monkeypatch):
+    # _check_run reads counts only; the references read the built state.
+    # Each refusal must agree in type and message, in _check_run and in both
+    # analyses, and every call the references pass must reach the (stubbed)
+    # engine.
+    monkeypatch.setattr(oracles, "_first_witness", lambda state, cfg, scope: "nash ran")
+    monkeypatch.setattr(oracles, "_dynamics", lambda state, cfg, scope, *rest: "dynamics ran")
+    cfg = GameConfig()
+    for scope, profile_mode, n1, n2 in itertools.product(Scope, (False, True), (0, 3, 21), (0, 2)):
+        path = new_graph(n1, [(i, i + 1) for i in range(n1 - 1)])
+        level1 = Level1Profile((frozenset(),) * n1) if profile_mode else path
+        state = GameState(level1, _empty_jobs(n1, n2), allow_unequal=True)
+        counts = scope, n1, n2, profile_mode
+        expected = _outcome(lambda: _reference_nash_refusal(state, scope))
+        assert _outcome(lambda: eq._check_run(*counts)) == expected, counts
+        ran = ("ran", "nash ran") if expected == ("ran", None) else expected
+        assert _outcome(lambda: is_nash(state, cfg, scope)) == ran, counts
+        schedules = ("round_robin", "random_permutation", "sorted")
+        for schedule, oracle, max_rounds in itertools.product(
+            schedules, ("exact", "greedy", "magic"), (-1, 0, 1)
+        ):
+            args = schedule, oracle, max_rounds
+            expected = _outcome(lambda: _reference_dynamics_refusal(state, scope, *args))
+            assert _outcome(lambda: eq._check_run(*counts, *args)) == expected, (counts, args)
+            ran = ("ran", "dynamics ran") if expected == ("ran", None) else expected
+            got = _outcome(
+                lambda: best_response_dynamics(
+                    state, cfg, scope, schedule=schedule, max_rounds=max_rounds, oracle=oracle
+                )
+            )
+            assert got == ran, (counts, args)
 
 
 def test_dynamics_greedy_oracle_converges_on_star():
