@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .costs import cost_report
+from .costs import _priced_links, cost_report
 from .domination import min_dominating_set
 from .equilibrium import empirical_poa
 from .errors import GuardExceeded, NoEquilibriumError
@@ -223,15 +223,17 @@ def check_bounds_on_instance(state: GameState, cfg: GameConfig) -> list[BoundChe
     statement, skipped when the joint enumeration guard refuses or the
     price of anarchy is undefined (no pure equilibrium, or an optimum
     cost that is not positive and finite).  The social costs are those of
-    costs.cost_report, which runs first, so its guard refuses before any
-    other check.  An infinite measured cost satisfies any lower bound.
-    Requires matching player counts, since the formulas assume a single n.
+    costs.cost_report, whose guard refuses before any other check.  An
+    infinite measured cost satisfies any lower bound.  Requires matching
+    player counts, since the formulas assume a single n: compared after
+    the guard, before any player is priced.
     """
-    measured = cost_report(state, cfg)
+    _priced_links(state)
     if state.n1 != state.n2:
         raise ValueError(
             f"bound formulas assume n1 == n2, got n1={state.n1}, n2={state.n2}"
         )
+    measured = cost_report(state, cfg)
     n = state.n1
     checks: list[BoundCheck] = []
 

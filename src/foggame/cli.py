@@ -2,9 +2,9 @@
 
 Subcommands mirror the scenario modes; anything beyond a trivial run
 belongs in a scenario file, with flags acting as overrides.  Results go to
-stdout as canonical JSON (or CSV for tabular payloads), diagnostics to
-stderr.  Exit codes: 0 success, 1 usage or parse problem, 2 enumeration
-guard exceeded, 3 verification failure.
+stdout as canonical JSON, written as it is encoded (or CSV for tabular
+payloads), diagnostics to stderr.  Exit codes: 0 success, 1 usage or
+parse problem, 2 enumeration guard exceeded, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
 
             sys.stdout.write(emit_csv(args.command, payload))
         else:
-            sys.stdout.write(emit_json(record))
+            emit_json(record, sys.stdout)
         if args.command == "verify" and not payload["all_passed"]:
             failed = [c["name"] for c in payload["checks"] if not c["passed"]]
             print(f"verification failed: {', '.join(failed)}", file=sys.stderr)

@@ -33,6 +33,13 @@ def interconnection_union(profile: Level2Profile) -> VertexSet:
     return frozenset().union(*profile.strategies) if profile.strategies else frozenset()
 
 
+def _priced_links(state: GameState) -> int:
+    """The state's job link count, once model.COST_PAIR_GUARD admits pricing the state."""
+    links = interconnection_count(state.level2)
+    _within_cost_guard(state.n1 + state.n2, state.g1.edge_count + links)
+    return links
+
+
 def cost_report(state: GameState, cfg: GameConfig) -> CostReport:
     """Evaluate every player once; the social totals are exact sums.
 
@@ -40,10 +47,9 @@ def cost_report(state: GameState, cfg: GameConfig) -> CostReport:
     and job_player_cost's, from the same list-BFS pricing of the state
     (model._player_costs), every BFS on one adjacency list.
     """
-    n1, jobs = state.n1, state.level2
-    links = interconnection_count(jobs)
-    _within_cost_guard(n1 + jobs.n2, state.g1.edge_count + links)
-    costs = _player_costs(state, cfg, range(n1), range(jobs.n2))
+    n1, n2 = state.n1, state.n2
+    links = _priced_links(state)
+    costs = _player_costs(state, cfg, range(n1), range(n2))
     level1, level2 = costs[:n1], costs[n1:]
     return CostReport(
         level1_costs=tuple(level1),

@@ -9,7 +9,9 @@ JSON values once.  A nash or dynamics run's refusals are the analyses'
 own, equilibrium._check_run, so a refused run builds nothing.
 run_record (and foggame.sweep's sweep_record) wrap a run's payload with
 the echoed scenario, the tool version, and the wall-clock duration;
-everything inside the payload is deterministic for fixed seeds.
+everything inside the payload is deterministic for fixed seeds.  A record
+leaves this module as JSON values, each part converted once, so
+serialize.emit_json writes it without another walk.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _payload(data: Any) -> Any:
 
 
 def _record(spec: Any, run: Callable[[], dict]) -> dict:
-    """Wrap the payload of run() with the echoed spec, version and duration."""
+    """Wrap the JSON-ready payload of run() with the echoed spec, version and duration."""
     started = time.monotonic()
     payload = run()
     return {

@@ -11,10 +11,11 @@ from typing import Any
 from .errors import ScenarioError
 from .parsing import writable_section
 from .scenario import _SWEEP_PARAMETERS, _record, run_record
+from .serialize import to_jsonable
 
 
 def sweep_records(template: Any, parameter: str, values: list) -> dict:
-    """Run a template scenario once per parameter value.
+    """Run a template scenario once per parameter value; the result is JSON values.
 
     beta and alpha patch the config section; n and p patch the graph
     section and therefore need a generator graph.
@@ -42,7 +43,7 @@ def sweep_records(template: Any, parameter: str, values: list) -> dict:
                 value = int(value)
             graph[parameter] = value
         records.append(run_record(data))
-    return {"parameter": parameter, "values": list(values), "records": records}
+    return {"parameter": parameter, "values": to_jsonable(list(values)), "records": records}
 
 
 def sweep_record(template: Any, parameter: str, values: list) -> dict:

@@ -5,11 +5,18 @@ asserting, so a plain `pytest -s tests/test_acceptance.py` reads as a
 checklist.  Criteria with a stated wall-clock budget also assert it.
 """
 
+import io
 import time
 
 from foggame import verify
 from foggame.scenario import run_spec
 from foggame.serialize import emit_json
+
+
+def _emitted(record):
+    out = io.StringIO()
+    emit_json(record, out)
+    return out.getvalue()
 
 
 def _timed(check):
@@ -77,8 +84,8 @@ def test_criterion_10_non_dominating_best_response_flagged():
 
 
 def test_criterion_11_verify_payload_is_deterministic():
-    first = emit_json(run_spec({"mode": "verify"}))
-    second = emit_json(run_spec({"mode": "verify"}))
+    first = _emitted(run_spec({"mode": "verify"}))
+    second = _emitted(run_spec({"mode": "verify"}))
     passed = first == second
     detail = f"{len(first.encode())} bytes compared across two runs"
     print(f"criterion 11 verify-payload-determinism: {'PASS' if passed else 'FAIL'} - {detail}")

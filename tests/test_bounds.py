@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from foggame import equilibrium
+from foggame import bounds, equilibrium, model
 from foggame.bounds import (
     BoundCheck,
     EQUALITY_TOLERANCE,
@@ -320,6 +320,19 @@ def test_check_bounds_rejects_unequal_populations():
         allow_unequal=True,
     )
     with pytest.raises(ValueError, match="n1"):
+        check_bounds_on_instance(st, GameConfig())
+
+
+def test_check_bounds_refuses_unequal_populations_before_pricing(monkeypatch):
+    # Path 2800 with one job is within the cost guard, and pricing its
+    # 2,801 players takes seconds; the counts alone refuse it.
+    def price(*args):
+        raise AssertionError("a player was priced before the counts were compared")
+
+    monkeypatch.setattr(bounds, "cost_report", price)
+    monkeypatch.setattr(model, "_player_costs", price)
+    st = GameState(generate("path", 2800), Level2Profile(2800, (frozenset({0}),)), allow_unequal=True)
+    with pytest.raises(ValueError, match="^bound formulas assume n1 == n2, got n1=2800, n2=1$"):
         check_bounds_on_instance(st, GameConfig())
 
 

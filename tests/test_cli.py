@@ -1,6 +1,7 @@
 """Scenario execution, JSON/CSV emission, and the command line front end."""
 
 import argparse
+import io
 import json
 import math
 import os
@@ -38,6 +39,13 @@ def revive_infinities(obj):
 def parse_record(text):
     """Parse emitted JSON, restoring infinite values."""
     return revive_infinities(json.loads(text))
+
+
+def emitted(record):
+    """The text the CLI prints for a record: one conversion, then the stream."""
+    out = io.StringIO()
+    emit_json(to_jsonable(record), out)
+    return out.getvalue()
 
 
 def _write(tmp_path, name, data):
@@ -227,7 +235,7 @@ def test_run_record_wraps_payload():
 
 
 def test_emit_json_canonical_form():
-    text = emit_json({"b": 1, "a": math.inf})
+    text = emitted({"b": 1, "a": math.inf})
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert '"inf"' in text
@@ -235,7 +243,7 @@ def test_emit_json_canonical_form():
 
 def test_emit_json_refuses_nan():
     with pytest.raises(ValueError, match="JSON compliant"):
-        emit_json({"poa": math.nan})
+        emitted({"poa": math.nan})
 
 
 def test_to_jsonable_rejects_unknown_types():
@@ -256,7 +264,7 @@ def test_json_round_trip_preserves_infinities():
 
     for _ in range(50):
         payload = {"data": build()}
-        assert parse_record(emit_json(payload)) == payload
+        assert parse_record(emitted(payload)) == payload
 
 
 def test_cost_csv_includes_inf_rows():

@@ -414,8 +414,8 @@ def test_cost_report_and_the_bounds_check_run_the_cost_guard(monkeypatch):
     for run in (cost_report, check_bounds_on_instance):
         with pytest.raises(GuardExceeded, match=refusal):
             run(state, GameConfig())
-    # The bounds check prices first, so the guard refuses unequal counts
-    # (4 * 7 = 28 pairs here) before the counts are compared.
+    # The bounds check runs the cost guard first, so the guard refuses
+    # unequal counts (4 * 7 = 28 pairs here) before they are compared.
     unequal = _fixed(generate("path", 3), [{0}])
     monkeypatch.setattr(model, "COST_PAIR_GUARD", 27)
     with pytest.raises(GuardExceeded, match="size 28 > limit 27"):

@@ -8,6 +8,7 @@ the pinned digest and the gate's invariants.  perfbench/ is only read:
 its modules are imported without writing bytecode.
 """
 
+import io
 import json
 import sys
 from pathlib import Path
@@ -37,4 +38,6 @@ def test_seed_1_payloads_match_the_pinned_digests(workload):
     check = gate.Gate(pinned).check
     for scenario in batch:
         record = run_record(json.loads(scenario.text()))
-        assert check(scenario, 0, emit_json(record)) is None, scenario.name
+        out = io.StringIO()
+        emit_json(record, out)
+        assert check(scenario, 0, out.getvalue()) is None, scenario.name
