@@ -220,13 +220,13 @@ def check_bounds_on_instance(state: GameState, cfg: GameConfig) -> list[BoundChe
     Always checks the level-2 social lower bound for the configured cost
     type; in profile mode also the level-1 bound; for TYPE_II with
     beta > 0, in a regime the paper covers, also the price-of-anarchy
-    statement, skipped when the joint enumeration guard refuses or the
-    price of anarchy is undefined (no pure equilibrium, or an optimum
-    cost that is not positive and finite).  The social costs are those of
-    costs.cost_report, whose guard refuses before any other check.  An
-    infinite measured cost satisfies any lower bound.  Requires matching
-    player counts, since the formulas assume a single n: compared after
-    the guard, before any player is priced.
+    statement, skipped when the joint guard refuses the walk's predicted
+    work (equilibrium._check_joint_size) or the price of anarchy is
+    undefined (no pure equilibrium, or an optimum not positive and
+    finite).  The social costs are costs.cost_report's, whose guard
+    refuses before any other check; an infinite measured cost satisfies
+    any lower bound.  Requires matching player counts, since the formulas
+    assume a single n: compared after the guard, before any pricing.
     """
     _priced_links(state)
     if state.n1 != state.n2:

@@ -29,14 +29,15 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
+from . import model
 from .errors import GuardExceeded, NoEquilibriumError, PolicyError
 from .graph import Graph, VertexSet
-from .model import GameConfig, GameState, Level2Profile, _within_job_guard
+from .model import GameConfig, GameState, Level2Profile
 
 # Enumeration limits, read at call time: setting one on this module (for
 # instance with setattr) moves it for every later call.
 EXACT_ENUMERATION_GUARD = 20  # fog vertices of an exact best response
-JOINT_ENUMERATION_GUARD = 15  # n1 * n2 of the joint level-2 analyses
+JOINT_ENUMERATION_GUARD = 2**17  # job-cost reads of the joint level-2 walk
 SCHEDULES = ("round_robin", "random_permutation")
 
 
@@ -130,12 +131,14 @@ def _check_run(
 ) -> None:
     """Every refusal of is_nash and best_response_dynamics, read from the run's counts.
 
-    In order: a bad schedule, oracle or max_rounds (ValueError), a level-1
-    scope outside profile mode (PolicyError), then the exact guard, only
-    when the exact oracle would ask some scoped player in some round.
-    is_nash reads the defaults, one exact pass.  Needs no state, so a
-    scenario runs it before building one.
+    In order: more jobs than model.COST_PAIR_GUARD, a bad schedule, oracle
+    or max_rounds (ValueError), a level-1 scope outside profile mode
+    (PolicyError), then the exact guard, only when the exact oracle would
+    ask some scoped player in some round.  is_nash reads the defaults, one
+    exact pass.  Needs no state, so a scenario runs it before building one.
     """
+    if n2 > model.COST_PAIR_GUARD:
+        raise GuardExceeded("job count", model.COST_PAIR_GUARD, n2)
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
     if oracle not in ("exact", "greedy"):
@@ -226,20 +229,23 @@ def best_response_dynamics(
     return _dynamics(state, cfg, scope, schedule, seed, max_rounds, oracle)
 
 
-def _check_joint_size(n1: int, n2: int) -> None:
-    """Refuse a joint level-2 analysis whose n1 * n2 exceeds JOINT_ENUMERATION_GUARD.
+def _check_joint_size(n1: int, n2: int, classes: int = 1) -> None:
+    """Refuse a joint level-2 walk predicted to read more than JOINT_ENUMERATION_GUARD job costs.
 
-    The analyses walk at most 2^(n1*n2) class vectors (one per profile
-    when every candidate is its own class) and fill one table of 2^n1 job
-    costs per lend key, the far pairs the other jobs lend, at most one
-    per vector, so n1 * n2 bounds both; enumerate_nash_level2 also lists
-    up to 2^(n1*n2) equilibria.
+    joint._class_walk reads n2 table entries per vector of classes, and
+    fills 2^n1 costs per lend-key table, fixed by the other jobs' classes:
+    W = classes^(n2-1) * (n2*classes + 2^n1), 0 without jobs.  Exponents
+    are clamped at the guard's bit length, past which a term alone exceeds
+    it.  Checked on the counts with one class, the fewest any graph has,
+    then by the walk on its own classes.
     """
     if n2 < 0:
         raise ValueError(f"n2 must be non-negative, got {n2}")
     guard = JOINT_ENUMERATION_GUARD
-    if n1 * n2 > guard:
-        raise GuardExceeded("joint profile enumeration", guard, n1 * n2)
+    bits = guard.bit_length()
+    work = classes ** min(n2 - 1, bits) * (n2 * classes + 2 ** min(n1, bits)) if n2 else 0
+    if work > guard:
+        raise GuardExceeded("joint profile enumeration", guard, work)
 
 
 def social_optimum_level2(g1: Graph, n2: int, cfg: GameConfig) -> tuple[float, Level2Profile]:
@@ -247,11 +253,9 @@ def social_optimum_level2(g1: Graph, n2: int, cfg: GameConfig) -> tuple[float, L
 
     Reads the lend-class vectors (see joint._joint_extremes), not all
     2^(n1*n2) profiles; the first profile with the strictly smallest cost
-    wins.  Refuses when n1 * n2 exceeds JOINT_ENUMERATION_GUARD, or n2
-    exceeds COST_PAIR_GUARD (with no fog vertices the walk is over n2 jobs).
+    wins.  Refuses as _check_joint_size does.
     """
     _check_joint_size(g1.n, n2)
-    _within_job_guard(n2)
     from .joint import _joint_extremes, _profile
 
     cands, least, optimum, *_ = _joint_extremes(g1, n2, cfg)
@@ -266,16 +270,18 @@ def enumerate_nash_level2(
     Each lend-class vector (see joint._class_walk) contributes the product
     of its jobs' equilibrium members, every job at its table minimum,
     which matches is_nash under Scope.LEVEL2 exactly; the equilibria come
-    in profile order, each with its social cost.  Refuses when n1 * n2
-    exceeds JOINT_ENUMERATION_GUARD, or n2 exceeds COST_PAIR_GUARD.
+    in profile order, each with its social cost.  Refuses as
+    _check_joint_size does, and past JOINT_ENUMERATION_GUARD equilibria.
     """
     _check_joint_size(g1.n, n2)
-    _within_job_guard(n2)
     from .joint import _class_walk, _joint_candidates, _profile
 
     cands = _joint_candidates(g1.n, n2)
     found = []
     for jobs in _class_walk(g1, cands, n2, cfg):
+        listed = len(found) + math.prod(len(job[1]) for job in jobs)
+        if listed > JOINT_ENUMERATION_GUARD:
+            raise GuardExceeded("joint equilibrium listing", JOINT_ENUMERATION_GUARD, listed)
         cost = sum([job[2] for job in jobs])
         found.extend((picks, cost) for picks in itertools.product(*(job[1] for job in jobs)))
     found.sort()
@@ -310,17 +316,17 @@ def empirical_poa(g1: Graph, n2: int, cfg: GameConfig) -> PoAReport:
     the optimum (first strict minimum), the worst equilibrium (first
     strict maximum among equilibria) and the equilibrium count, with the
     same results as social_optimum_level2 and enumerate_nash_level2.  Only
-    the two reported profiles are built.  Refuses when n1 * n2 exceeds
-    JOINT_ENUMERATION_GUARD.
+    the two reported profiles are built.  Refuses the optimum 0 without
+    fog vertices first, then as _check_joint_size does.
 
     Raises NoEquilibriumError when no pure equilibrium exists and
     ValueError when the optimum social cost is not positive, which can
     happen under TYPE_I where costs may reach zero or below, or infinite,
     which a float sum of huge job costs can reach (the ratio would be NaN).
     """
-    _check_joint_size(g1.n, n2)
-    if g1.n == 0:  # every job's only strategy, the empty set, costs 0.0, whatever n2
+    if g1.n == 0 and n2 >= 0:  # every job's only strategy, the empty set, costs 0.0
         _check_poa_optimum(0.0 if n2 else 0)
+    _check_joint_size(g1.n, n2)
     from .joint import _joint_extremes, _profile
 
     cands, optimum_cost, optimum, worst_cost, worst, ne_count = _joint_extremes(g1, n2, cfg)

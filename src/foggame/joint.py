@@ -23,6 +23,7 @@ import math
 from typing import Iterator
 
 from . import kernel
+from .equilibrium import _check_joint_size
 from .graph import Graph, VertexSet
 from .model import GameConfig, Level2Profile
 
@@ -44,18 +45,19 @@ def _class_walk(g1: Graph, cands: list[VertexSet], n2: int, cfg: GameConfig) -> 
     Candidates that lend the same far pairs (none with one job) form a
     class, the same to every other job.  So with one class fixed per job,
     each job's key is fixed too, and the job picks inside its class alone.
-    Vectors come in itertools.product order over the L classes, L^n2 <=
-    2^(n1*n2) of them.  A job's entry is (least cost in its class, the
-    class members whose cost equals the table minimum, that minimum, the
-    cost table, the class members), all candidate indices ascending.  The
-    first vector of a key fills its table by one whole scan of the key's
-    layers and prices every class on it: one table per key, as many as a
-    profile-by-profile pass would fill.
+    Vectors come in itertools.product order over the L classes, L^n2 of
+    them, once the joint guard admits L.  A job's entry is (least cost in
+    its class, the class members whose cost equals the table minimum, that
+    minimum, the cost table, the class members), all candidate indices
+    ascending.  The first vector of a key fills its table by one whole scan
+    of the key's layers and prices every class on it: one table per key,
+    as many as a profile-by-profile pass would fill.
     """
     classes: dict[int, list[int]] = {}
     for i, cand in enumerate(cands):
         classes.setdefault(kernel.lent_pairs(g1, cand, cfg) if n2 > 1 else 0, []).append(i)
     lends, members = list(classes), list(classes.values())
+    _check_joint_size(g1.n, n2, len(lends))
     tables: dict[int, list[tuple]] = {}
     for vector in itertools.product(range(len(lends)), repeat=n2):
         key_of = kernel.lend_keys(lends[c] for c in vector)
@@ -102,7 +104,7 @@ def _joint_extremes(g1: Graph, n2: int, cfg: GameConfig) -> tuple:
     cost the sum of the table minima.  Ties between vectors go to the
     first profile in product order, as a profile-by-profile scan keeping
     strict improvements reports it; only the current extremes are kept.
-    The caller checks the size first (equilibrium._check_joint_size).
+    The caller checks the counts first (equilibrium._check_joint_size).
     """
     cands = _joint_candidates(g1.n, n2)
     least = worst = optimum = first = None

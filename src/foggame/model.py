@@ -221,12 +221,6 @@ def _within_cost_guard(n: int, links: int) -> None:
         raise GuardExceeded("cost evaluation", COST_PAIR_GUARD, pairs)
 
 
-def _within_job_guard(n2: int) -> None:
-    """Refuse more jobs than COST_PAIR_GUARD, before a bare n2 is expanded."""
-    if n2 > COST_PAIR_GUARD:
-        raise GuardExceeded("job count", COST_PAIR_GUARD, n2)
-
-
 def _check_player(kind: str, p: int, n: int) -> None:
     """The index check of every per-player cost and deviation: kind p must lie in [0, n)."""
     if not 0 <= p < n:

@@ -78,7 +78,8 @@ def _payload(data: Any) -> Any:
     if mode == "poa":
         n1, build = _graph_builder(_require(data, "graph", "scenario"))
         n2 = _integer(data["n2"], "n2", minimum=0) if "n2" in data else n1
-        _check_joint_size(n1, n2)  # before building the graph
+        if n1:  # without fog vertices empirical_poa refuses the optimum first
+            _check_joint_size(n1, n2)  # before building the graph
         return empirical_poa(build(), n2, cfg)
 
     _check_keys(options, _OPTION_KEYS[mode], "options")
@@ -102,10 +103,7 @@ def _payload(data: Any) -> Any:
     max_rounds = _integer(options.get("max_rounds", 100), "options.max_rounds", minimum=0)
     schedule = options.get("schedule", "round_robin")
     oracle = options.get("oracle", "exact")
-    # Both refuse on the counts, before the state is built: no run on more
-    # jobs than COST_PAIR_GUARD finishes, and _check_run holds the analyses'
-    # own refusals.
-    model._within_job_guard(n2)
+    # The analyses' own refusals, on the counts, before the state is built.
     _check_run(scope, n1, n2, "level1_strategies" in options, schedule, oracle, max_rounds)
     if mode == "nash":
         stable, witness = is_nash(build_state(), cfg, scope)

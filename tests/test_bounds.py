@@ -302,15 +302,16 @@ def test_check_bounds_profile_mode_adds_level1():
 
 
 def test_check_bounds_skips_the_poa_check_past_the_joint_guard(monkeypatch):
-    # Complete 4x4 takes 2^16 profiles, one past n1 * n2 <= 15: the other
-    # checks still run.  With the guard lifted the PoA check runs too.
+    # Complete 4x4 has one lend class, so its walk predicts 4 + 2^4 = 20
+    # job-cost reads and the PoA check runs.  Past a guard of 19 it is
+    # skipped and the other checks still run.
     st = GameState(generate("complete", 4), Level2Profile(4, (frozenset(range(4)),) * 4))
     cfg = GameConfig(beta=0.5)
     names = [c.name for c in check_bounds_on_instance(st, cfg)]
-    assert names == ["type2-social-lower-bound"]
-    monkeypatch.setattr(equilibrium, "JOINT_ENUMERATION_GUARD", 16)
-    names = [c.name for c in check_bounds_on_instance(st, cfg)]
     assert names == ["type2-social-lower-bound", "type2-poa-regime"]
+    monkeypatch.setattr(equilibrium, "JOINT_ENUMERATION_GUARD", 19)
+    names = [c.name for c in check_bounds_on_instance(st, cfg)]
+    assert names == ["type2-social-lower-bound"]
 
 
 def test_check_bounds_rejects_unequal_populations():

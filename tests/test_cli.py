@@ -421,21 +421,21 @@ def test_main_type1_bounds_refuse_no_fog_vertices(tmp_path, capsys):
 
 def test_main_guard_exit_code(tmp_path, capsys):
     path = _write(
-        tmp_path, "big.json", {"mode": "poa", "graph": {"kind": "complete", "n": 5}}
+        tmp_path, "big.json", {"mode": "poa", "graph": {"kind": "path", "n": 6}}
     )
     assert cli.main(["poa", path]) == cli.EXIT_GUARD
     assert "guard exceeded" in capsys.readouterr().err
 
 
 def test_main_guard_bounds_predicted_work(tmp_path, capsys):
-    # Path 2 with 7 jobs takes 2^14 profiles, within n1 * n2 <= 15; path 4
-    # with 4 jobs takes 2^16.
-    small = _write(tmp_path, "p2.json", {"mode": "poa", "graph": {"kind": "path", "n": 2}})
-    assert cli.main(["poa", small, "--n2", "7"]) == cli.EXIT_OK
+    # Path 4 has 2 lend classes: 4 jobs read 2^3 * (4*2 + 2^4) = 192 job
+    # costs.  Path 6 has 28: 4 jobs would read 28^3 * (4*28 + 2^6).
+    small = _write(tmp_path, "p4.json", {"mode": "poa", "graph": {"kind": "path", "n": 4}})
+    assert cli.main(["poa", small, "--n2", "4"]) == cli.EXIT_OK
     capsys.readouterr()
-    large = _write(tmp_path, "p4.json", {"mode": "poa", "graph": {"kind": "path", "n": 4}})
+    large = _write(tmp_path, "p6.json", {"mode": "poa", "graph": {"kind": "path", "n": 6}})
     assert cli.main(["poa", large, "--n2", "4"]) == cli.EXIT_GUARD
-    assert "size 16 > limit 15" in capsys.readouterr().err
+    assert "size 3863552 > limit 131072" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -502,7 +502,8 @@ def test_main_bounds_guard_counts_the_built_edges(tmp_path, capsys):
 
 def test_main_guard_refuses_before_generating_the_graph(tmp_path, monkeypatch, capsys):
     # K_1000 has 499,500 edges; the shape alone clears the budget, so the
-    # refusal must not pay for them.
+    # refusal must not pay for them.  Its 2^1000 table costs are clamped at
+    # the guard's bit length, 2^18.
     def no_generate(*args, **kwargs):
         raise AssertionError("the graph was generated before the guard refused it")
 
@@ -512,7 +513,7 @@ def test_main_guard_refuses_before_generating_the_graph(tmp_path, monkeypatch, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "foggame: joint profile enumeration guard exceeded: size 1000000 > limit 15\n"
+        "foggame: joint profile enumeration guard exceeded: size 263144 > limit 131072\n"
     )
     # An invalid generator section is still reported as such, guard or not.
     bogus = _write(tmp_path, "bogus.json", {"mode": "poa", "graph": {"kind": "bogus", "n": 1000}})
@@ -752,9 +753,9 @@ def test_main_infinite_optimum_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("n2", [200000, 2**63 - 1])
 def test_main_poa_without_fog_vertices_exits_one_on_many_jobs(tmp_path, capsys, n2):
-    # n1 * n2 = 0 passes the joint guard at any n2.  Without fog vertices
-    # each job's only strategy is the empty set at cost 0, so the optimum is
-    # refused before any walk; a walk over 2^63 - 1 jobs cannot even start.
+    # Without fog vertices each job's only strategy is the empty set at
+    # cost 0, so the optimum is refused before the joint guard, which would
+    # refuse these n2 as a walk of n2 + 1 job-cost reads.
     path = _write(tmp_path, "many.json", {"graph": {"n": 0, "edges": []}, "n2": n2})
     assert cli.main(["poa", path]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
@@ -1242,7 +1243,7 @@ _PROCESS_CASES = {
     "dynamics-both": (["dynamics", "{dynamics}"], cli.EXIT_OK),
     "cost-csv": (["cost", "{cost}", "--format", "csv"], cli.EXIT_OK),
     "verify": (["verify"], cli.EXIT_OK),
-    "guard": (["poa", "{poa}", "--n2", "9"], cli.EXIT_GUARD),
+    "guard": (["poa", "{poa}", "--n2", "200000"], cli.EXIT_GUARD),
     "parse-error": (["gen", "--kind", "moebius", "--n", "3"], cli.EXIT_USAGE),
 }
 _PROCESS_SCENARIOS = {

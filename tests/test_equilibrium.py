@@ -290,6 +290,26 @@ def test_dynamics_validates_schedule_and_oracle():
         best_response_dynamics(st, GameConfig(), Scope.LEVEL2, max_rounds=-1)
 
 
+def test_is_nash_and_dynamics_refuse_more_jobs_than_the_cost_guard_first(monkeypatch):
+    # A run that builds and asks every job finishes on no more jobs than
+    # model.COST_PAIR_GUARD, read at call time; _check_run refuses that
+    # first, before a bad schedule.
+    st = GameState(generate("path", 3), _empty_jobs(3, 4), allow_unequal=True)
+    monkeypatch.setattr(model, "COST_PAIR_GUARD", 3)
+    calls = (
+        lambda: is_nash(st, GameConfig(), Scope.LEVEL2),
+        lambda: best_response_dynamics(st, GameConfig(), Scope.LEVEL2),
+        lambda: best_response_dynamics(st, GameConfig(), Scope.LEVEL2, schedule="sorted"),
+    )
+    for call in calls:
+        with pytest.raises(GuardExceeded, match="job count") as refused:
+            call()
+        assert str(refused.value) == "job count guard exceeded: size 4 > limit 3"
+    monkeypatch.setattr(model, "COST_PAIR_GUARD", 4)
+    assert is_nash(st, GameConfig(), Scope.LEVEL2)[0] is False
+    assert best_response_dynamics(st, GameConfig(), Scope.LEVEL2).moves
+
+
 # The reference for _check_run: the same refusals read from a built state,
 # listing the scoped players that is_nash and dynamics would ask.
 def _reference_players(state, scope):
@@ -450,7 +470,7 @@ def test_social_optimum_type1_single_vertex():
 
 def test_social_optimum_guard_validation():
     with pytest.raises(GuardExceeded, match="joint profile enumeration"):
-        social_optimum_level2(generate("complete", 5), 5, GameConfig())
+        social_optimum_level2(generate("path", 6), 4, GameConfig())
 
 
 def test_social_optimum_zero_jobs():
@@ -466,18 +486,22 @@ def test_social_optimum_refuses_a_negative_job_count():
 
 
 @pytest.mark.parametrize("analysis", [social_optimum_level2, enumerate_nash_level2])
-def test_joint_analyses_without_fog_vertices_refuse_more_jobs_than_the_cost_guard(
-    monkeypatch, analysis
-):
-    # n1 * n2 = 0 passes the joint guard at any n2, and the walk over n2
-    # empty strategies could not start at 2^63 - 1 jobs.
+def test_joint_analyses_without_fog_vertices_refuse_past_the_joint_guard(monkeypatch, analysis):
+    # Without fog vertices the walk is one vector of n2 empty strategies:
+    # n2 table reads plus one table of 2^0 costs, so the joint guard bounds
+    # n2, and a walk over 2^63 - 1 jobs never starts.
     g1 = Graph(0, frozenset())
     with pytest.raises(GuardExceeded) as refused:
         analysis(g1, 2**63 - 1, GameConfig())
-    assert (refused.value.guard, refused.value.limit) == ("job count", model.COST_PAIR_GUARD)
-    monkeypatch.setattr(model, "COST_PAIR_GUARD", 3)
-    with pytest.raises(GuardExceeded, match="job count"):
-        analysis(g1, 4, GameConfig())
+    assert (refused.value.guard, refused.value.limit, refused.value.actual) == (
+        "joint profile enumeration",
+        eq.JOINT_ENUMERATION_GUARD,
+        2**63,
+    )
+    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 3)
+    with pytest.raises(GuardExceeded, match="size 4 > limit 3"):
+        analysis(g1, 3, GameConfig())
+    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 4)
     empty = Level2Profile(0, (frozenset(),) * 3)
     expected = (0.0, empty) if analysis is social_optimum_level2 else [(empty, 0.0)]
     assert analysis(g1, 3, GameConfig()) == expected
@@ -519,29 +543,44 @@ def test_empirical_poa_rejects_non_positive_optimum():
 
 
 def test_empirical_poa_guard(monkeypatch):
-    with pytest.raises(GuardExceeded):
-        empirical_poa(generate("complete", 5), 5, GameConfig())
-    # The guard is read at call time and bounds n1 * n2: path 3x2 takes
-    # 2^6 profiles, complete 4x4 takes 2^16.
+    # Path 6x4 has 28 lend classes: 28^4 vectors of 4 reads and at most
+    # 28^3 tables of 2^6 costs.  The guard is read at call time: path 3,
+    # whose one class needs 3 + 2^3 reads at n2 = 3, runs at 11, and
+    # complete 4x4, 4 + 2^4 reads, at 20.
+    with pytest.raises(GuardExceeded) as refused:
+        empirical_poa(generate("path", 6), 4, GameConfig())
+    assert str(refused.value) == (
+        "joint profile enumeration guard exceeded: size 3863552 > limit 131072"
+    )
     path3, k4 = generate("path", 3), generate("complete", 4)
     cfg = GameConfig(beta=1.5)
-    accepted = empirical_poa(path3, 2, cfg)
-    with pytest.raises(GuardExceeded) as refused:
-        empirical_poa(k4, 4, cfg)
-    assert str(refused.value) == (
-        "joint profile enumeration guard exceeded: size 16 > limit 15"
-    )
-    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 5)
+    accepted = empirical_poa(path3, 3, cfg)
+    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 10)
     for analysis in (social_optimum_level2, enumerate_nash_level2, empirical_poa):
         with pytest.raises(GuardExceeded) as refused:
-            analysis(path3, 2, cfg)
+            analysis(path3, 3, cfg)
         assert str(refused.value) == (
-            "joint profile enumeration guard exceeded: size 6 > limit 5"
+            "joint profile enumeration guard exceeded: size 11 > limit 10"
         )
-    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 6)
-    assert empirical_poa(path3, 2, cfg) == accepted
-    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 16)
+    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 11)
+    assert empirical_poa(path3, 3, cfg) == accepted
+    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 20)
     assert empirical_poa(k4, 4, cfg).poa == 1.0
+
+
+def test_enumerate_nash_refuses_to_list_more_equilibria_than_the_guard(monkeypatch):
+    # Complete 3x3 at beta = 1.5: every job buys one of the three vertices,
+    # so 27 equilibria, listed after a walk of 3 + 2^3 reads.  Counting
+    # them lists none, so empirical_poa runs at any guard the walk fits.
+    k3, cfg = generate("complete", 3), GameConfig(beta=1.5)
+    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 27)
+    assert len(enumerate_nash_level2(k3, 3, cfg)) == 27
+    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 26)
+    with pytest.raises(GuardExceeded) as refused:
+        enumerate_nash_level2(k3, 3, cfg)
+    assert str(refused.value) == "joint equilibrium listing guard exceeded: size 27 > limit 26"
+    monkeypatch.setattr(eq, "JOINT_ENUMERATION_GUARD", 11)
+    assert empirical_poa(k3, 3, cfg).ne_count == 27
 
 
 # --------------------------------------------------------------- constructors

@@ -66,12 +66,12 @@ def _reference_profiles(n1, n2):
 
 
 def _reference_guard(n1, n2):
-    # The scan visits 2^(n1*n2) profiles; the guard bounds n1 * n2.
+    # The scan visits 2^(n1*n2) profiles, minutes past 2^15, so the
+    # references take shapes up to n1 * n2 = 15 only, whatever the engine's
+    # guard admits.
     if n2 < 0:
         raise ValueError(f"n2 must be non-negative, got {n2}")
-    joint_guard = equilibrium.JOINT_ENUMERATION_GUARD
-    if n1 * n2 > joint_guard:
-        raise GuardExceeded("joint profile enumeration", joint_guard, n1 * n2)
+    assert n1 * n2 <= 15, f"the reference scans are too slow for {n1}x{n2}"
 
 
 def _reference_best_cost(j, state, cfg):
@@ -368,65 +368,97 @@ def test_scan_matches_reference_on_infinite_optimum():
 
 
 def test_scan_matches_reference_on_guard():
-    # 2^20 profiles.
-    _assert_same(generate("complete", 5), 4, GameConfig())
-    # 2^16 profiles, one past the guard's n1 * n2 <= 15.
-    _assert_same(generate("path", 4), 4, GameConfig())
-    _assert_same(generate("path", 16), 1, GameConfig())
     # Without jobs one empty profile is the whole scan, at any n1.
     _assert_same(generate("path", 30), 0, GameConfig())
-    with pytest.raises(GuardExceeded, match=r"size 20 > limit 15"):
-        empirical_poa(generate("complete", 5), 4, GameConfig())
-    with pytest.raises(GuardExceeded, match=r"size 16 > limit 15"):
-        empirical_poa(generate("path", 4), 4, GameConfig())
+    # Path 6 has 28 lend classes, so 4 jobs would read 28^4 vector entries
+    # and fill up to 28^3 tables of 2^6 costs; the walk refuses before its
+    # first vector.
+    with pytest.raises(GuardExceeded, match=r"size 3863552 > limit 131072"):
+        empirical_poa(generate("path", 6), 4, GameConfig())
+    # One job on path 17 needs one table of 2^17 costs: refused on the counts.
+    with pytest.raises(GuardExceeded, match=r"size 131073 > limit 131072"):
+        social_optimum_level2(generate("path", 17), 1, GameConfig())
 
 
-def _predicted_work(n1, n2):
-    # The guard's former unit: 2^(n1*n2) profile visits plus
-    # C(2^n1 + n2 - 2, n2 - 1) cost tables of 2^n1 job costs.
-    if n2 == 0:
-        return 1
-    return 2 ** (n1 * n2) + math.comb(2**n1 + n2 - 2, n2 - 1) * 2**n1
+def _predicted_work(n1, n2, classes):
+    # equilibrium._check_joint_size's W, unclamped: n2 reads per vector of
+    # classes, 2^n1 costs per table, at most classes^(n2-1) tables.
+    return classes ** (n2 - 1) * (n2 * classes + 2**n1) if n2 else 0
 
 
-def _formula_accepts(n1, n2, budget):
-    # Past the budget's bit length the profile visits alone exceed it.
-    return n1 * n2 <= budget.bit_length() and _predicted_work(n1, n2) <= budget
+def _fog_graph(kind, n1):
+    return Graph(n1, frozenset()) if kind == "edgeless" else generate(kind, n1)
 
 
-def _guard_accepts(n1, n2):
-    try:
-        equilibrium._check_joint_size(n1, n2)
-    except GuardExceeded:
-        return False
-    return True
+@pytest.mark.parametrize("transit", tuple(TransitPolicy))
+@pytest.mark.parametrize("kind", ["path", "cycle", "star", "complete", "edgeless"])
+def test_class_walk_reads_no_more_than_its_predicted_work(monkeypatch, kind, transit):
+    # For each shape the walk refuses at a guard one below its prediction,
+    # before any table; at the prediction it runs, and its L^n2 vectors of
+    # n2 reads plus its tables of 2^n1 costs stay within it.  Shapes past
+    # the default guard are only refused, as they would be too slow to walk.
+    cfg = GameConfig(beta=1.5, transit_policy=transit)
+    budget = equilibrium.JOINT_ENUMERATION_GUARD
+    calls = _count_fills(monkeypatch)
+    for n1, n2 in itertools.product(range(0 if kind == "edgeless" else 1, 7), range(5)):
+        g1 = _fog_graph(kind, n1)
+        cands = joint._joint_candidates(n1, n2)
+        classes = len({kernel.lent_pairs(g1, c, cfg) if n2 > 1 else 0 for c in cands})
+        if kind == "edgeless" and n2 > 1 and transit is TransitPolicy.FULL_COMBINED:
+            assert classes == 2**n1 - n1  # every set of two or more vertices is its own
+        work = _predicted_work(n1, n2, classes)
+        monkeypatch.setattr(equilibrium, "JOINT_ENUMERATION_GUARD", work - 1)
+        with pytest.raises(GuardExceeded) as refused:
+            next(joint._class_walk(g1, cands, n2, cfg))
+        assert (refused.value.actual, calls) == (work, []), (n1, n2)
+        if work > budget:
+            continue
+        monkeypatch.setattr(equilibrium, "JOINT_ENUMERATION_GUARD", work)
+        vectors = sum(1 for _ in joint._class_walk(g1, cands, n2, cfg))
+        assert vectors == classes**n2
+        assert n2 * vectors + 2**n1 * len(calls) <= work, (n1, n2)
+        calls.clear()
 
 
-@pytest.mark.parametrize(
-    "n1, n2, work",
-    [(6, 2, 8192), (2, 7, 16720), (13, 1, 16384), (15, 1, 65536)],
-)
-def test_joint_guard_admits_predicted_work_within_budget(n1, n2, work):
-    # Shapes whose predicted work fit the former 2^16-step budget still
-    # run; 6x2 is the largest shape the guard of n1*n2 <= 12 before that
-    # accepted.
-    assert _predicted_work(n1, n2) == work
-    report = empirical_poa(generate("path", n1), n2, GameConfig(beta=1.5))
-    assert report.ne_count >= 1
-
-
-def test_joint_guard_accepts_what_the_predicted_work_formula_accepted():
-    # The table term never exceeds the profile count, so a budget of 2^b
-    # steps admitted exactly n1 * n2 <= b - 1, and 2^16 is n1 * n2 <= 15.
-    shapes = [(n1, n2) for n1 in range(70) for n2 in range(70)]
+def test_every_shape_of_at_most_15_job_bits_fits_at_the_worst_class_count():
+    # A set of fewer than two vertices lends no far pair, so no fog graph
+    # has more than 2^n1 - n1 lend classes, the edgeless one's count.  The
+    # former guard admitted n1 * n2 <= 15; every such shape with fog
+    # vertices still fits, the largest being edgeless 5x3.
+    shapes = [(n1, n2) for n1 in range(1, 16) for n2 in range(15 // n1 + 1)]
     for n1, n2 in shapes:
-        assert _guard_accepts(n1, n2) == _formula_accepts(n1, n2, 2**16), (n1, n2)
-    for b in (10, 12, 16, 20, 24):
-        for n1, n2 in shapes:
-            assert _formula_accepts(n1, n2, 2**b) == (n1 * n2 <= b - 1), (b, n1, n2)
-    refused = [shape for shape in shapes if shape[0] * shape[1] == 16]
-    assert refused == [(1, 16), (2, 8), (4, 4), (8, 2), (16, 1)]
-    assert not any(_guard_accepts(n1, n2) for n1, n2 in refused)
+        equilibrium._check_joint_size(n1, n2, 2**n1 - n1)
+    works = {shape: _predicted_work(*shape, 2 ** shape[0] - shape[0]) for shape in shapes}
+    assert max(works, key=works.get) == (5, 3)
+    assert works[5, 3] == 27**2 * (3 * 27 + 2**5) == 82377
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.5, 3.5])
+@pytest.mark.parametrize("cost_type", tuple(JobCostType))
+@pytest.mark.parametrize(
+    "kind, n", [("complete", 10), ("star", 12), ("cycle", 5), ("path", 14), ("complete", 1)]
+)
+def test_independent_jobs_match_the_lone_job_oracle(kind, n, cost_type, beta):
+    # Under FOG_ONLY no job lends another a path, so the jobs are
+    # independent: one lend class, one table.  The optimum is n lone best
+    # responses, the equilibria are the profiles of best responses, and
+    # every equilibrium is optimal.  The oracle engine prices the lone job.
+    # On one fog vertex TYPE_I at beta = 0.5 costs 0.5 - 1, a negative
+    # optimum.
+    g1 = generate(kind, n)
+    cfg = GameConfig(beta=beta, job_cost_type=cost_type, transit_policy=TransitPolicy.FOG_ONLY)
+    state = GameState(g1, Level2Profile(n, (frozenset(),) * n))
+    c = equilibrium.best_response_job_exact(0, state, cfg)[1]
+    m = sum(row.count(c) for row in kernel.job_rows(g1, 0, cfg).scan())
+    optimum = sum([c] * n)
+    assert social_optimum_level2(g1, n, cfg)[0] == optimum
+    if optimum <= 0:
+        with pytest.raises(ValueError, match="non-positive optimum"):
+            empirical_poa(g1, n, cfg)
+        return
+    report = empirical_poa(g1, n, cfg)
+    assert report.optimum_cost == report.worst_ne_cost == optimum
+    assert (report.poa, report.ne_count) == (1.0, m**n)
 
 
 # Rock-paper-scissors over the first three strategies of a one-fog,
@@ -510,8 +542,8 @@ def test_empirical_poa_cost_table_fills(monkeypatch, kind, n1, n2, beta, transit
     # apart in the fog graph) the other jobs lend.  Path 4 has the one far
     # pair {0, 3}, path 6 six and cycle 6 three; star 4, complete 4 and
     # path 2 have diameter <= 2, and under FOG_ONLY or with one job no
-    # pair is lent, so one table serves the scan.  The guard's count of
-    # one table per multiset of the other jobs' strategies bounds it.
+    # pair is lent, so one table serves the scan.  One table per multiset
+    # of the other jobs' strategies bounds it.
     calls = _count_fills(monkeypatch)
     empirical_poa(generate(kind, n1), n2, GameConfig(beta=beta, transit_policy=transit))
     assert len(calls) == fills
@@ -543,13 +575,11 @@ _P2_P3 = Graph(5, frozenset({(0, 1), (2, 3), (3, 4)}))
     ],
 )
 def test_scan_matches_multiset_scan(monkeypatch, g1, n2, cost_type, transit):
-    # The guard is lifted: path 4x4 and path 3x5 pass its 2^16 steps.  The
-    # Erdos-Renyi seeds give connected graphs of diameter 3, 4 and 5.  Each
+    # The Erdos-Renyi seeds give connected graphs of diameter 3, 4 and 5.  Each
     # scan runs once, and its profiles are compared and replayed to the
     # three analyses, which the engine must match; each engine analysis
     # fills as many tables as the lent-pair-keyed scan.
     cfg = GameConfig(beta=1.5, job_cost_type=cost_type, transit_policy=transit)
-    monkeypatch.setattr(equilibrium, "JOINT_ENUMERATION_GUARD", 2**40)
     calls = _count_fills(monkeypatch)
     streams, outcomes, fills = [], [], []
     for scan in (_level2_scan, _multiset_scan):
@@ -623,16 +653,16 @@ _FOUR_VERTEX = {
 
 
 @pytest.mark.parametrize("name", list(_FOUR_VERTEX))
-def test_engine_matches_profile_scan_on_four_vertex_graphs_with_four_jobs(monkeypatch, name):
-    # 2^16 profiles, one past the guard, which is lifted.
-    monkeypatch.setattr(equilibrium, "JOINT_ENUMERATION_GUARD", 16)
+def test_engine_matches_profile_scan_on_four_vertex_graphs_with_four_jobs(name):
+    # 2^16 profiles, one past the former n1 * n2 <= 15 guard; at most 2
+    # lend classes, so at most 2^3 * (4*2 + 2^4) = 192 predicted reads.
     g1 = Graph(4, frozenset(_FOUR_VERTEX[name]))
     for cfg in _CONFIGS:
         _assert_engine_matches_scan(g1, 4, cfg)
 
 
 def test_scan_of_many_jobs_without_fog_vertices():
-    # One profile of 9,000 empty strategies, predicted at 2 steps; its keys
+    # One profile of 9,000 empty strategies, predicted at 9,001 reads; its keys
     # come from a constant number of ORs per job, not one sort per job.
     (profile, cost), = enumerate_nash_level2(Graph(0, frozenset()), 9000, GameConfig())
     assert profile.strategies == (frozenset(),) * 9000
