@@ -237,7 +237,7 @@ def _check_joint_size(n1: int, n2: int, classes: int = 1) -> None:
     W = classes^(n2-1) * (n2*classes + 2^n1), 0 without jobs.  Exponents
     are clamped at the guard's bit length, past which a term alone exceeds
     it.  Checked on the counts with one class, the fewest any graph has,
-    then by the walk on its own classes.
+    then by the walk as each new class appears (W grows with classes).
     """
     if n2 < 0:
         raise ValueError(f"n2 must be non-negative, got {n2}")
@@ -277,15 +277,17 @@ def enumerate_nash_level2(
     from .joint import _class_walk, _joint_candidates, _profile
 
     cands = _joint_candidates(g1.n, n2)
-    found = []
+    found, sets = [], {}
     for jobs in _class_walk(g1, cands, n2, cfg):
         listed = len(found) + math.prod(len(job[1]) for job in jobs)
         if listed > JOINT_ENUMERATION_GUARD:
             raise GuardExceeded("joint equilibrium listing", JOINT_ENUMERATION_GUARD, listed)
         cost = sum([job[2] for job in jobs])
         found.extend((picks, cost) for picks in itertools.product(*(job[1] for job in jobs)))
+        # One frozenset per member listed, shared by every profile holding it.
+        sets.update((i, frozenset(cands[i])) for job in jobs for i in job[1] if i not in sets)
     found.sort()
-    return [(_profile(g1.n, cands, picks), cost) for picks, cost in found]
+    return [(_profile(g1.n, sets, picks), cost) for picks, cost in found]
 
 
 class PoAReport(NamedTuple):

@@ -12,8 +12,9 @@ lending the same far pairs, instead of the 2^(n1*n2) job profiles.  One
 cost table per lend key (one in all under FOG_ONLY transit, with a single
 job, or on a fog graph of diameter <= 2), one scan of the key's layers,
 prices every class, and each vector of classes, one per job, is read in
-O(n2) from those tables (see _class_walk).  The lend key is
-foggame.kernel's (lent_pairs, lend_keys, job_rows), as in foggame.oracles.
+O(n2) from those tables (see _class_walk, which checks the guard as each
+class appears).  The lend key is foggame.kernel's (lent_pairs, lend_keys,
+job_rows), as in foggame.oracles.
 """
 
 from __future__ import annotations
@@ -24,40 +25,43 @@ from typing import Iterator
 
 from . import kernel
 from .equilibrium import _check_joint_size
-from .graph import Graph, VertexSet
+from .graph import Graph
 from .model import GameConfig, Level2Profile
 
 
-def _joint_candidates(n1: int, n2: int) -> list[VertexSet]:
-    """Per-job strategies in scan order (see kernel.DeviationRows.scan); none without jobs."""
+def _joint_candidates(n1: int, n2: int) -> list[tuple[int, ...]]:
+    """Per-job strategies as tuples in scan order (kernel.DeviationRows.scan); () without jobs."""
     if not n2:
-        return []
-    return [frozenset(c) for k in range(n1 + 1) for c in itertools.combinations(range(n1), k)]
+        return [()]
+    return [c for k in range(n1 + 1) for c in itertools.combinations(range(n1), k)]
 
 
-def _profile(n1: int, cands: list[VertexSet], indices: tuple[int, ...]) -> Level2Profile:
-    return Level2Profile(n1, tuple(cands[i] for i in indices))
+def _profile(n1: int, strategy_of, indices: tuple[int, ...]) -> Level2Profile:
+    return Level2Profile(n1, tuple(strategy_of[i] for i in indices))
 
 
-def _class_walk(g1: Graph, cands: list[VertexSet], n2: int, cfg: GameConfig) -> Iterator[list]:
+def _class_walk(g1: Graph, cands: list, n2: int, cfg: GameConfig) -> Iterator[list]:
     """Every vector of lend classes once, one entry per job.
 
     Candidates that lend the same far pairs (none with one job) form a
     class, the same to every other job.  So with one class fixed per job,
     each job's key is fixed too, and the job picks inside its class alone.
-    Vectors come in itertools.product order over the L classes, L^n2 of
-    them, once the joint guard admits L.  A job's entry is (least cost in
-    its class, the class members whose cost equals the table minimum, that
-    minimum, the cost table, the class members), all candidate indices
-    ascending.  The first vector of a key fills its table by one whole scan
-    of the key's layers and prices every class on it: one table per key,
-    as many as a profile-by-profile pass would fill.
+    The joint guard is checked as each class appears in scan order, so a
+    refusal names a lower bound of the walk's work.  Vectors come in
+    itertools.product order over the L classes, L^n2 of them.  A job's
+    entry is (least cost in its class, the class members whose cost equals
+    the table minimum, that minimum, the cost table, the class members),
+    all candidate indices ascending.  The first vector of a key fills its
+    table by one whole scan of the key's layers and prices every class on
+    it: one table per key, as many as a profile-by-profile pass would fill.
     """
     classes: dict[int, list[int]] = {}
     for i, cand in enumerate(cands):
-        classes.setdefault(kernel.lent_pairs(g1, cand, cfg) if n2 > 1 else 0, []).append(i)
+        group = classes.setdefault(kernel.lent_pairs(g1, cand, cfg) if n2 > 1 else 0, [])
+        if not group:  # a new class
+            _check_joint_size(g1.n, n2, len(classes))
+        group.append(i)
     lends, members = list(classes), list(classes.values())
-    _check_joint_size(g1.n, n2, len(lends))
     tables: dict[int, list[tuple]] = {}
     for vector in itertools.product(range(len(lends)), repeat=n2):
         key_of = kernel.lend_keys(lends[c] for c in vector)

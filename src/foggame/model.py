@@ -307,8 +307,8 @@ def _job_costs(purchase: float, sums: list[Distance], cfg: GameConfig) -> list[f
 
 def social_cost_level1(state: GameState, cfg: GameConfig) -> float:
     """Sum of fog player costs; purchase terms count only in profile mode."""
-    return sum(edge_fog_player_cost(i, state, cfg) for i in range(state.n1))
+    return sum(_player_costs(state, cfg, range(state.n1), ()))
 
 
 def social_cost_level2(state: GameState, cfg: GameConfig) -> float:
-    return sum(job_player_cost(j, state, cfg) for j in range(state.n2))
+    return sum(_player_costs(state, cfg, (), range(state.n2)))

@@ -33,7 +33,7 @@ import itertools
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 PINS = Path(__file__).with_name("corpus_pins.txt")
 KINDS = ("inline", "path", "cycle", "star", "complete", "edgeless")
@@ -80,60 +80,46 @@ def shapes() -> Iterator[tuple[str, str, int, int, str, str, float]]:
             yield run, kind, n1, n2, "type2", "full_combined", beta
 
 
-def _printed(record: dict) -> str:
-    from foggame.serialize import emit_json
-
-    record["duration_seconds"] = "_"
-    out = io.StringIO()
-    emit_json(record, out)
-    return out.getvalue()
-
-
-def scenarios() -> Iterator[tuple[str, Callable[[], object]]]:
-    """(name, call) of every scenario; call() gives what it prints or returns."""
-    from foggame import equilibrium
-    from foggame.parsing import _graph_builder, _parse_config
-    from foggame.scenario import run_record
-
+def scenarios() -> Iterator[tuple[str, str, dict]]:
+    """(name, run, scenario data without its mode) of every scenario."""
     for run, kind, n1, n2, cost, transit, beta in shapes():
         data = {
-            "mode": run,
             "graph": graph_section(kind, n1),
             "n2": n2,
             "config": {"beta": beta, "job_cost_type": cost, "transit": transit},
         }
-        if run in ANALYSES:
-            analysis = getattr(equilibrium, run)
-            del data["mode"]
-
-            def call(analysis=analysis, data=data):
-                g1 = _graph_builder(data["graph"])[1]()
-                return repr(analysis(g1, data["n2"], _parse_config(data["config"])))
-
-        else:
-
-            def call(data=data):
-                return _printed(run_record(data))
-
-        yield f"{run} {kind} {n1}x{n2} {cost} {transit} {beta}", call
+        yield f"{run} {kind} {n1}x{n2} {cost} {transit} {beta}", run, data
 
 
-def outcome(call: Callable[[], object]) -> tuple:
+def outcome(run: str, data: dict) -> tuple:
+    """(exit class, stdout, error message) of one scenario."""
+    from foggame import equilibrium
     from foggame.errors import FogGameError
+    from foggame.parsing import _graph_builder, _parse_config
+    from foggame.scenario import run_record
+    from foggame.serialize import emit_json
 
     try:
-        return "ok", call(), ""
+        if run in ANALYSES:
+            g1 = _graph_builder(data["graph"])[1]()
+            result = getattr(equilibrium, run)(g1, data["n2"], _parse_config(data["config"]))
+            return "ok", repr(result), ""
+        record = run_record({"mode": run, **data})
     except (FogGameError, ValueError) as exc:
         return type(exc).__name__, "", str(exc)
+    record["duration_seconds"] = "_"
+    out = io.StringIO()
+    emit_json(record, out)
+    return "ok", out.getvalue(), ""
 
 
-def digest(outcome: tuple) -> str:
-    return hashlib.sha256(json.dumps(outcome).encode()).hexdigest()[:12]
+def digest(result: tuple) -> str:
+    return hashlib.sha256(json.dumps(result).encode()).hexdigest()[:12]
 
 
 def outcomes() -> dict[str, str]:
     """The digest of every scenario's outcome, by name."""
-    return {name: digest(outcome(call)) for name, call in scenarios()}
+    return {name: digest(outcome(run, data)) for name, run, data in scenarios()}
 
 
 def read_pins() -> dict[str, str]:

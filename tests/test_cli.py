@@ -429,13 +429,14 @@ def test_main_guard_exit_code(tmp_path, capsys):
 
 def test_main_guard_bounds_predicted_work(tmp_path, capsys):
     # Path 4 has 2 lend classes: 4 jobs read 2^3 * (4*2 + 2^4) = 192 job
-    # costs.  Path 6 has 28: 4 jobs would read 28^3 * (4*28 + 2^6).
+    # costs.  Path 6 has 28: 4 jobs would read 28^3 * (4*28 + 2^6); the
+    # walk refuses at its 11th class, on 11^3 * (4*11 + 2^6).
     small = _write(tmp_path, "p4.json", {"mode": "poa", "graph": {"kind": "path", "n": 4}})
     assert cli.main(["poa", small, "--n2", "4"]) == cli.EXIT_OK
     capsys.readouterr()
     large = _write(tmp_path, "p6.json", {"mode": "poa", "graph": {"kind": "path", "n": 6}})
     assert cli.main(["poa", large, "--n2", "4"]) == cli.EXIT_GUARD
-    assert "size 3863552 > limit 131072" in capsys.readouterr().err
+    assert "size 143748 > limit 131072" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", [3, 4])

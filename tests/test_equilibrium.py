@@ -544,13 +544,14 @@ def test_empirical_poa_rejects_non_positive_optimum():
 
 def test_empirical_poa_guard(monkeypatch):
     # Path 6x4 has 28 lend classes: 28^4 vectors of 4 reads and at most
-    # 28^3 tables of 2^6 costs.  The guard is read at call time: path 3,
+    # 28^3 tables of 2^6 costs; the walk refuses at its 11th class, on
+    # 11^3 * (4*11 + 2^6).  The guard is read at call time: path 3,
     # whose one class needs 3 + 2^3 reads at n2 = 3, runs at 11, and
     # complete 4x4, 4 + 2^4 reads, at 20.
     with pytest.raises(GuardExceeded) as refused:
         empirical_poa(generate("path", 6), 4, GameConfig())
     assert str(refused.value) == (
-        "joint profile enumeration guard exceeded: size 3863552 > limit 131072"
+        "joint profile enumeration guard exceeded: size 143748 > limit 131072"
     )
     path3, k4 = generate("path", 3), generate("complete", 4)
     cfg = GameConfig(beta=1.5)

@@ -27,6 +27,7 @@ import math
 import random
 from types import SimpleNamespace
 
+import corpus
 import pytest
 
 from foggame import equilibrium, joint, kernel, model
@@ -47,6 +48,7 @@ from foggame.model import (
     TransitPolicy,
     social_cost_level2,
 )
+from foggame.parsing import _graph_builder
 
 # ------------------------------------------------------------------ reference
 
@@ -371,9 +373,9 @@ def test_scan_matches_reference_on_guard():
     # Without jobs one empty profile is the whole scan, at any n1.
     _assert_same(generate("path", 30), 0, GameConfig())
     # Path 6 has 28 lend classes, so 4 jobs would read 28^4 vector entries
-    # and fill up to 28^3 tables of 2^6 costs; the walk refuses before its
-    # first vector.
-    with pytest.raises(GuardExceeded, match=r"size 3863552 > limit 131072"):
+    # and fill up to 28^3 tables of 2^6 costs; the walk refuses at its
+    # 11th class, on 11^3 * (4*11 + 2^6), before its first vector.
+    with pytest.raises(GuardExceeded, match=r"size 143748 > limit 131072"):
         empirical_poa(generate("path", 6), 4, GameConfig())
     # One job on path 17 needs one table of 2^17 costs: refused on the counts.
     with pytest.raises(GuardExceeded, match=r"size 131073 > limit 131072"):
@@ -433,6 +435,79 @@ def test_every_shape_of_at_most_15_job_bits_fits_at_the_worst_class_count():
     assert works[5, 3] == 27**2 * (3 * 27 + 2**5) == 82377
 
 
+def _count_lends(monkeypatch):
+    """Replace kernel.lent_pairs by a wrapper; return the list of the lends it gave."""
+    lends = []
+    original = kernel.lent_pairs
+
+    def counted(*args):
+        lends.append(original(*args))
+        return lends[-1]
+
+    monkeypatch.setattr(kernel, "lent_pairs", counted)
+    return lends
+
+
+def test_walk_refuses_as_its_classes_appear(monkeypatch):
+    # The walk checks the guard each time a class appears, so a refused
+    # shape groups only the candidates up to the first class past the
+    # guard.  Path 16x16 fits the counts' one class and is refused at its
+    # second, the 20th candidate {0, 3}, where a whole grouping makes
+    # 65,536 calls; path 6x4 at its 11th class of 28.
+    lends = _count_lends(monkeypatch)
+    with pytest.raises(GuardExceeded):
+        social_optimum_level2(generate("path", 16), 16, GameConfig())
+    assert (len(lends), len(set(lends))) == (20, 2)
+    lends.clear()
+    with pytest.raises(GuardExceeded, match=r"size 143748 > limit 131072"):
+        empirical_poa(generate("path", 6), 4, GameConfig())
+    assert len(set(lends)) == 11 and lends[-1] not in lends[:-1]
+
+
+def _reference_class_count(g1, n2, cfg):
+    """The lend classes of g1 for n2 jobs, from a grouping of every candidate set."""
+    if n2 < 2:
+        return 1
+    return len({kernel.lent_pairs(g1, c, cfg) for c in _reference_candidates(g1.n)})
+
+
+def test_walk_refuses_exactly_the_corpus_shapes_its_class_count_refuses(monkeypatch):
+    # On every shape of the outcome corpus (tests/corpus.py), under the
+    # default guard and two lower ones, the walk refuses before its first
+    # vector iff the guard refuses the work of the shape's whole class
+    # count, and then names the work of the classes it found, at most that.
+    shapes = {(kind, n1, n2, transit) for _, kind, n1, n2, _, transit, _ in corpus.shapes()}
+    walks = []
+    for kind, n1, n2, transit in sorted(shapes):
+        g1 = _graph_builder(corpus.graph_section(kind, n1))[1]()
+        cfg = GameConfig(transit_policy=TransitPolicy(transit))
+        work = _predicted_work(n1, n2, _reference_class_count(g1, n2, cfg))
+        walks.append((g1, n2, cfg, work))
+    for guard in (2**17, 2**10, 2**6):
+        monkeypatch.setattr(equilibrium, "JOINT_ENUMERATION_GUARD", guard)
+        refusals = 0
+        for g1, n2, cfg, work in walks:
+            try:
+                next(joint._class_walk(g1, joint._joint_candidates(g1.n, n2), n2, cfg))
+            except GuardExceeded as refused:
+                assert guard < refused.actual <= work, (g1, n2, cfg)
+                refusals += 1
+            else:
+                assert work <= guard, (g1, n2, cfg)
+        assert refusals, guard
+
+
+def test_an_equilibrium_listing_shares_one_frozenset_per_candidate():
+    # Complete 3x3 at beta = 3: every job on one vertex, 27 equilibria
+    # over 3 strategies, each one frozenset in every profile holding it.
+    listing = enumerate_nash_level2(generate("complete", 3), 3, GameConfig(beta=3.0))
+    first = {}
+    for profile, _ in listing:
+        for strategy in profile.strategies:
+            assert first.setdefault(strategy, strategy) is strategy
+    assert (len(listing), len(first)) == (27, 3)
+
+
 @pytest.mark.parametrize("beta", [0.5, 1.5, 3.5])
 @pytest.mark.parametrize("cost_type", tuple(JobCostType))
 @pytest.mark.parametrize(
@@ -480,6 +555,10 @@ def _rps_cost(j, state, cfg):
     return (-3.0, -4.0, -2.0)[(a - b) % 3]
 
 
+def _rps_social_cost(state, cfg):
+    return sum(_rps_cost(j, state, cfg) for j in range(state.n2))
+
+
 def _rps_rows(g1, key, cfg):
     # Every candidate lends its own bit and the key reaches here as it is
     # (see the test below), so a job's key is the other job's bit.
@@ -497,11 +576,16 @@ def test_scan_matches_reference_without_equilibrium(monkeypatch):
     # the cost tables; both get the same substituted cost.  Path 2 has no
     # far pairs, so one table would serve the whole scan; one lent bit per
     # candidate keys each table by the other job's strategy, which the
-    # substituted cost reads.
+    # substituted cost reads.  model.social_cost_level2 prices every job in
+    # one pass, not through job_player_cost, so the reference's social cost
+    # is replaced by the sum of the substituted costs.
     monkeypatch.setattr(model, "job_player_cost", _rps_cost)
+    monkeypatch.setitem(globals(), "social_cost_level2", _rps_social_cost)
     monkeypatch.setattr(kernel, "job_rows", _rps_rows)
     monkeypatch.setattr(
-        kernel, "lent_pairs", lambda g1, cand, cfg: 1 << _reference_candidates(g1.n).index(cand)
+        kernel,
+        "lent_pairs",
+        lambda g1, cand, cfg: 1 << _reference_candidates(g1.n).index(frozenset(cand)),
     )
     g1 = generate("path", 2)
     with pytest.raises(NoEquilibriumError):

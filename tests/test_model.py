@@ -404,6 +404,47 @@ def test_cost_report_matches_the_per_player_references(transit, profile_mode):
         assert repr(report.social_level2) == repr(social_cost_level2(state, cfg))
 
 
+def _per_player_social_costs(state, cfg):
+    """Both social costs as sums of per-player costs, each player priced on its own."""
+    fog = sum(edge_fog_player_cost(i, state, cfg) for i in range(state.n1))
+    return fog, sum(job_player_cost(j, state, cfg) for j in range(state.n2))
+
+
+@pytest.mark.parametrize("transit", tuple(TransitPolicy))
+@pytest.mark.parametrize("cost_type", tuple(JobCostType))
+@pytest.mark.parametrize("profile_mode", [False, True], ids=["fixed", "profile"])
+def test_social_costs_price_a_state_once_as_the_per_player_sums(transit, cost_type, profile_mode):
+    # social_cost_level1 and social_cost_level2 price every player in one
+    # pass; they must equal the per-player sums by repr, so an int sum
+    # (fixed-graph fog costs) and a float one differ.  Sparse random fog
+    # graphs and job links leave some players unreachable, at INF.
+    rng = random.Random(6200 + 4 * profile_mode + 2 * (cost_type is JobCostType.TYPE_II))
+    infinite = 0
+    for _ in range(30):
+        n1, n2 = rng.randint(0, 6), rng.randint(0, 5)
+        cfg = GameConfig(
+            alpha=rng.choice((0.5, 2.0)),
+            beta=rng.choice((0.5, 1.5, 3.5)),
+            job_cost_type=cost_type,
+            transit_policy=transit,
+        )
+        jobs = Level2Profile(
+            n1, (frozenset(rng.sample(range(n1), rng.randint(0, n1))) for _ in range(n2))
+        )
+        if profile_mode:
+            level1 = Level1Profile(
+                frozenset(v for v in range(n1) if v != i and rng.random() < 0.3) for i in range(n1)
+            )
+        else:
+            pairs = [(u, v) for u in range(n1) for v in range(u + 1, n1) if rng.random() < 0.3]
+            level1 = new_graph(n1, pairs)
+        state = GameState(level1, jobs, allow_unequal=True)
+        social = (social_cost_level1(state, cfg), social_cost_level2(state, cfg))
+        assert repr(social) == repr(_per_player_social_costs(state, cfg))
+        infinite += INF in social
+    assert infinite, "no draw left a player unreachable"
+
+
 def test_cost_report_and_the_bounds_check_run_the_cost_guard(monkeypatch):
     # The library calls are guarded where they price, not only in the
     # scenario layer.  Path 3 with jobs {0}, {1}, {2}: 6 BFS over 6
