@@ -1,17 +1,27 @@
-"""The outcome corpus: a deterministic grid of joint level-2 scenarios and one digest each.
+"""The outcome corpus: a deterministic grid of scenarios and one digest each.
 
 Each scenario is one run on one fog graph, job count and configuration:
 
-- the `poa` and `bounds` modes, run in process as `foggame <mode> <file>`
-  runs them (scenario.run_record, then serialize.emit_json);
+- a mode (`poa`, `bounds`, `cost`, `nash`, `dynamics` or `gen`), run in
+  process as `foggame <mode> <file>` runs it (scenario.run_record, then
+  serialize.emit_json);
 - social_optimum_level2, enumerate_nash_level2 and empirical_poa, called
   directly on the graph the scenario's graph section builds.
 
-The grid is every fog graph in KINDS with n1 = 0-5 (1-5 for a generator,
-which needs a vertex) and n2 = 0-3, both job cost types, both transit
-policies and every beta in BETAS, but for the SLOW shape; `bounds` takes
-n2 = n1 instead, the only counts its formulas accept.  The larger shapes
-in EXTRA follow, which the joint guard refuses.
+The joint grid (shapes) is every fog graph in KINDS with n1 = 0-5 (1-5
+for a generator, which needs a vertex) and n2 = 0-3, both job cost
+types, both transit policies and every beta in BETAS, but for the SLOW
+shape; `bounds` takes n2 = n1 instead, the only counts its formulas
+accept.  The larger shapes in EXTRA follow, which the joint guard
+refuses.
+
+The state grid (state_scenarios) runs `cost`, `nash` and `dynamics` on
+every source in SOURCES, the fog graphs and profile mode, with n1 = 0-5
+and n2 = 0-3, the jobs bare or drawn from a fixed seed; every
+configuration of the joint grid; every scope the source admits; and, for
+`dynamics`, both schedules, both oracles and max_rounds 0, 1 and the
+default.  `gen` runs on the generator kinds, and REFUSALS follow: one
+scenario per refusal path of these modes.
 
 A scenario's outcome is (exit class, stdout, error message): "ok", the
 printed record with duration_seconds masked (a mode) or the repr of the
@@ -31,6 +41,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -80,15 +91,143 @@ def shapes() -> Iterator[tuple[str, str, int, int, str, str, float]]:
             yield run, kind, n1, n2, "type2", "full_combined", beta
 
 
+def _config(cost: str, transit: str, beta: float) -> dict:
+    return {"beta": beta, "job_cost_type": cost, "transit": transit}
+
+
+# The state grid's fog graphs: inline, two generators and edgeless, then
+# profile mode, whose fog graph the drawn level-1 strategies buy.
+SOURCES = ("inline", "path", "erdos_renyi", "edgeless", "profile")
+SCHEDULES = ("round_robin", "random_permutation")
+ORACLES = ("exact", "greedy")
+MODES = ("nash", "dynamics")  # the modes with a scope
+# (n2, jobs) of the state grid: bare jobs at n2 = 0 and 2, drawn ones at 1-3.
+JOBS = ((0, "bare"), (1, "drawn"), (2, "bare"), (2, "drawn"), (3, "drawn"))
+# The state grid's configurations: cost runs on every cost type and transit
+# at the betas of COST_BETAS, dynamics' level-2 scope at the others, nash's
+# level-2 scope at all of BETAS.  The level-1 and both scopes run on
+# SCOPE_CONFIGS, and dynamics varies its options on the first of them.
+COST_BETAS = (0.5, 2.5)
+SCOPE_CONFIGS = (("type2", "full_combined", 1.5), ("type1", "fog_only", 2.5))
+
+
+def _subset(rng: random.Random, vertices: list[int]) -> list[int]:
+    return sorted(v for v in vertices if rng.random() < 0.4)
+
+
+def states() -> Iterator[tuple[str, int, int, str, dict, dict]]:
+    """(source, n1, n2, jobs, state sections, options) of every state of the state grid.
+
+    jobs is "bare" (n2 empty strategies) or "drawn" (level2_strategies,
+    as are profile mode's level1_strategies, drawn from one seeded
+    generator per state); every state allows unequal counts.
+    """
+    for source, n1 in itertools.product(SOURCES, range(6)):
+        if n1 == 0 and source in ("path", "erdos_renyi"):
+            continue
+        for n2, jobs in JOBS:
+            rng = random.Random(100 * n1 + 10 * n2 + SOURCES.index(source))
+            sections: dict = {"allow_unequal": True}
+            options: dict = {}
+            if source == "profile":
+                options["level1_strategies"] = [
+                    _subset(rng, [v for v in range(n1) if v != i]) for i in range(n1)
+                ]
+            elif source == "erdos_renyi":
+                sections["graph"] = {"kind": source, "n": n1, "p": 0.5, "seed": n1}
+            else:
+                sections["graph"] = graph_section(source, n1)
+            if jobs == "drawn":
+                options["level2_strategies"] = [_subset(rng, list(range(n1))) for _ in range(n2)]
+            else:
+                sections["n2"] = n2
+            yield source, n1, n2, jobs, sections, options
+
+
+def _dynamics_options() -> Iterator[dict]:
+    """Both schedules with both oracles, then max_rounds 0 and 1 (the default is 100)."""
+    for schedule, oracle in itertools.product(SCHEDULES, ORACLES):
+        yield {"schedule": schedule, "oracle": oracle}
+    for rounds in (0, 1):
+        yield {"max_rounds": rounds}
+
+
+def state_scenarios() -> Iterator[tuple[str, str, dict]]:
+    """(name, run, scenario data) of the state grid's cost, nash and dynamics runs."""
+    configs = list(itertools.product(COSTS, TRANSITS, BETAS))
+    priced = [c for c in configs if c[2] in COST_BETAS]
+    moved = [c for c in configs if c[2] not in COST_BETAS]
+    for source, n1, n2, jobs, sections, options in states():
+        scopes = ("level1", "both") if source == "profile" else ()
+        runs = [("cost", {}, c) for c in priced]
+        runs += [("nash", {"scope": "level2"}, c) for c in configs]
+        runs += [("dynamics", {"scope": "level2"}, c) for c in moved]
+        runs += [(mode, {"scope": s}, c) for mode in MODES for s in scopes for c in SCOPE_CONFIGS]
+        runs += [
+            ("dynamics", {"scope": s, **extra}, SCOPE_CONFIGS[0])
+            for s in ("level2", *scopes)
+            for extra in _dynamics_options()
+        ]
+        for mode, extra, config in runs:
+            data = {**sections, "config": _config(*config), "options": {**options, **extra}}
+            flags = " ".join(f"{k}={v}" for k, v in sorted(extra.items()))
+            name = f"{mode} {source} {n1}x{n2} {jobs} {' '.join(map(str, config))} {flags}"
+            yield name.rstrip(), mode, data
+
+
+def gen_scenarios() -> Iterator[tuple[str, str, dict]]:
+    """(name, "gen", scenario data) of every generator run."""
+    for kind, n in itertools.product(("path", "cycle", "star", "complete"), range(1, 6)):
+        yield f"gen {kind} {n}", "gen", {"graph": {"kind": kind, "n": n}}
+    for n, p, seed, connected in itertools.product(range(1, 6), (0.3, 0.7), (1, 2), (False, True)):
+        graph = {"kind": "erdos_renyi", "n": n, "p": p, "seed": seed}
+        graph["require_connected"] = connected
+        yield f"gen erdos_renyi {n} {p} {seed} {connected}", "gen", {"graph": graph}
+    for n in range(6):
+        yield f"gen inline {n}", "gen", {"graph": graph_section("inline", n)}
+
+
+def _on_path(n: int, n2: int | None = None, **options) -> dict:
+    """Scenario data on the generated path of n fog vertices, with n2 bare jobs if given."""
+    data: dict = {"graph": {"kind": "path", "n": n}, "allow_unequal": True, "options": options}
+    return data if n2 is None else {**data, "n2": n2}
+
+
+# One scenario per refusal path of the state modes and gen: (name, mode, data).
+REFUSALS = (
+    ("exact guard", "nash", _on_path(21, 1)),
+    ("exact guard", "dynamics", _on_path(21, 1)),
+    ("job count", "nash", _on_path(3, 2**24 + 1)),
+    ("job count", "dynamics", _on_path(3, 2**24 + 1)),
+    ("cost guard", "cost", _on_path(3, 5000)),
+    ("generation guard", "gen", {"graph": {"kind": "complete", "n": 1449}}),
+    (
+        "no connected draw",
+        "gen",
+        {"graph": {"kind": "erdos_renyi", "n": 3, "p": 0, "seed": 1, "require_connected": True}},
+    ),
+    ("bad schedule", "dynamics", _on_path(3, 3, schedule="bogus")),
+    ("bad oracle", "dynamics", _on_path(3, 3, oracle="bogus")),
+    ("level1 scope on a graph", "nash", _on_path(3, 3, scope="level1")),
+    ("level1 scope on a graph", "dynamics", _on_path(3, 3, scope="both")),
+    ("job member out of range", "cost", _on_path(3, level2_strategies=[[0], [3], [1]])),
+    (
+        "fog member out of range",
+        "nash",
+        {"n2": 2, "options": {"level1_strategies": [[1], [2]], "scope": "level1"}},
+    ),
+)
+
+
 def scenarios() -> Iterator[tuple[str, str, dict]]:
     """(name, run, scenario data without its mode) of every scenario."""
     for run, kind, n1, n2, cost, transit, beta in shapes():
-        data = {
-            "graph": graph_section(kind, n1),
-            "n2": n2,
-            "config": {"beta": beta, "job_cost_type": cost, "transit": transit},
-        }
+        data = {"graph": graph_section(kind, n1), "n2": n2, "config": _config(cost, transit, beta)}
         yield f"{run} {kind} {n1}x{n2} {cost} {transit} {beta}", run, data
+    yield from state_scenarios()
+    yield from gen_scenarios()
+    for name, run, data in REFUSALS:
+        yield f"{run} refused: {name}", run, data
 
 
 def outcome(run: str, data: dict) -> tuple:
