@@ -24,7 +24,6 @@ foggame.scenario runs the same check before it builds the state.
 
 from __future__ import annotations
 
-import itertools
 import math
 from enum import Enum
 from typing import NamedTuple
@@ -256,38 +255,24 @@ def social_optimum_level2(g1: Graph, n2: int, cfg: GameConfig) -> tuple[float, L
     wins.  Refuses as _check_joint_size does.
     """
     _check_joint_size(g1.n, n2)
-    from .joint import _joint_extremes, _profile
+    from .joint import _joint_extremes
 
-    cands, least, optimum, *_ = _joint_extremes(g1, n2, cfg)
-    return least, _profile(g1.n, cands, optimum)
+    return _joint_extremes(g1, n2, cfg)[:2]
 
 
 def enumerate_nash_level2(
     g1: Graph, n2: int, cfg: GameConfig
 ) -> list[tuple[Level2Profile, float]]:
-    """All pure level-2 equilibria with the fog graph held fixed.
+    """All pure level-2 equilibria with the fog graph held fixed, in profile order.
 
-    Each lend-class vector (see joint._class_walk) contributes the product
-    of its jobs' equilibrium members, every job at its table minimum,
-    which matches is_nash under Scope.LEVEL2 exactly; the equilibria come
-    in profile order, each with its social cost.  Refuses as
-    _check_joint_size does, and past JOINT_ENUMERATION_GUARD equilibria.
+    Each comes with its social cost and matches is_nash under Scope.LEVEL2
+    exactly (see joint._joint_equilibria).  Refuses as _check_joint_size
+    does, and past JOINT_ENUMERATION_GUARD equilibria.
     """
     _check_joint_size(g1.n, n2)
-    from .joint import _class_walk, _joint_candidates, _profile
+    from .joint import _joint_equilibria
 
-    cands = _joint_candidates(g1.n, n2)
-    found, sets = [], {}
-    for jobs in _class_walk(g1, cands, n2, cfg):
-        listed = len(found) + math.prod(len(job[1]) for job in jobs)
-        if listed > JOINT_ENUMERATION_GUARD:
-            raise GuardExceeded("joint equilibrium listing", JOINT_ENUMERATION_GUARD, listed)
-        cost = sum([job[2] for job in jobs])
-        found.extend((picks, cost) for picks in itertools.product(*(job[1] for job in jobs)))
-        # One frozenset per member listed, shared by every profile holding it.
-        sets.update((i, frozenset(cands[i])) for job in jobs for i in job[1] if i not in sets)
-    found.sort()
-    return [(_profile(g1.n, sets, picks), cost) for picks, cost in found]
+    return _joint_equilibria(g1, n2, cfg)
 
 
 class PoAReport(NamedTuple):
@@ -329,17 +314,17 @@ def empirical_poa(g1: Graph, n2: int, cfg: GameConfig) -> PoAReport:
     if g1.n == 0 and n2 >= 0:  # every job's only strategy, the empty set, costs 0.0
         _check_poa_optimum(0.0 if n2 else 0)
     _check_joint_size(g1.n, n2)
-    from .joint import _joint_extremes, _profile
+    from .joint import _joint_extremes
 
-    cands, optimum_cost, optimum, worst_cost, worst, ne_count = _joint_extremes(g1, n2, cfg)
+    optimum_cost, optimum, worst_cost, worst, ne_count = _joint_extremes(g1, n2, cfg)
     if worst is None:
         raise NoEquilibriumError(f"no pure level-2 equilibrium (n1={g1.n}, n2={n2})")
     _check_poa_optimum(optimum_cost)
     return PoAReport(
         optimum_cost=optimum_cost,
-        optimum_profile=_profile(g1.n, cands, optimum),
+        optimum_profile=optimum,
         worst_ne_cost=worst_cost,
-        worst_ne_profile=_profile(g1.n, cands, worst),
+        worst_ne_profile=worst,
         poa=worst_cost / optimum_cost,
         ne_count=ne_count,
     )

@@ -1,9 +1,10 @@
 """Lend-class engine of the joint level-2 analyses.
 
 social_optimum_level2, enumerate_nash_level2 and empirical_poa (in
-foggame.equilibrium) load this module, and foggame.kernel with it, on
-their first call after the joint guard, so a run that never asks for them
-never compiles it; a poa run compiles neither foggame.oracles nor greedy.
+foggame.equilibrium) check their counts, then load this module, and
+foggame.kernel with it, and take finished profiles from _joint_extremes
+or _joint_equilibria; a run that never asks for them never compiles it,
+and a poa run compiles neither foggame.oracles nor greedy.
 
 Another job can shorten a job's distances only by a two-hop fog -> job ->
 fog path between two of its members at least 3 hops apart in the fog
@@ -12,9 +13,8 @@ lending the same far pairs, instead of the 2^(n1*n2) job profiles.  One
 cost table per lend key (one in all under FOG_ONLY transit, with a single
 job, or on a fog graph of diameter <= 2), one scan of the key's layers,
 prices every class, and each vector of classes, one per job, is read in
-O(n2) from those tables (see _class_walk, which checks the guard as each
-class appears).  The lend key is foggame.kernel's (lent_pairs, lend_keys,
-job_rows), as in foggame.oracles.
+O(n2) from those tables (see _class_walk).  The lend key is
+foggame.kernel's (lent_pairs, lend_keys, job_rows), as in foggame.oracles.
 """
 
 from __future__ import annotations
@@ -23,31 +23,23 @@ import itertools
 import math
 from typing import Iterator
 
-from . import kernel
-from .equilibrium import _check_joint_size
+from . import equilibrium, kernel
+from .errors import GuardExceeded
 from .graph import Graph
 from .model import GameConfig, Level2Profile
 
 
-def _joint_candidates(n1: int, n2: int) -> list[tuple[int, ...]]:
-    """Per-job strategies as tuples in scan order (kernel.DeviationRows.scan); () without jobs."""
-    if not n2:
-        return [()]
-    return [c for k in range(n1 + 1) for c in itertools.combinations(range(n1), k)]
+def _class_walk(g1: Graph, n2: int, cfg: GameConfig) -> Iterator[list]:
+    """The candidates, then every vector of lend classes once, one entry per job.
 
-
-def _profile(n1: int, strategy_of, indices: tuple[int, ...]) -> Level2Profile:
-    return Level2Profile(n1, tuple(strategy_of[i] for i in indices))
-
-
-def _class_walk(g1: Graph, cands: list, n2: int, cfg: GameConfig) -> Iterator[list]:
-    """Every vector of lend classes once, one entry per job.
-
-    Candidates that lend the same far pairs (none with one job) form a
-    class, the same to every other job.  So with one class fixed per job,
-    each job's key is fixed too, and the job picks inside its class alone.
-    The joint guard is checked as each class appears in scan order, so a
-    refusal names a lower bound of the walk's work.  Vectors come in
+    The candidates, each job's strategies as tuples in scan order
+    (kernel.DeviationRows.scan), or () alone without jobs, come first as
+    one list, made as they are grouped.  Candidates that lend the same far
+    pairs (none with one job) form a class, the same to every other job,
+    so with one class fixed per job each job's key is fixed too, and the
+    job picks inside its class alone.  The joint guard is checked as each
+    class appears: a refusal names a lower bound of the walk's work, and
+    has made only the candidates up to that class.  Vectors come in
     itertools.product order over the L classes, L^n2 of them.  A job's
     entry is (least cost in its class, the class members whose cost equals
     the table minimum, that minimum, the cost table, the class members),
@@ -55,12 +47,15 @@ def _class_walk(g1: Graph, cands: list, n2: int, cfg: GameConfig) -> Iterator[li
     table by one whole scan of the key's layers and prices every class on
     it: one table per key, as many as a profile-by-profile pass would fill.
     """
-    classes: dict[int, list[int]] = {}
-    for i, cand in enumerate(cands):
-        group = classes.setdefault(kernel.lent_pairs(g1, cand, cfg) if n2 > 1 else 0, [])
-        if not group:  # a new class
-            _check_joint_size(g1.n, n2, len(classes))
-        group.append(i)
+    n1, cands, classes = g1.n, [], {}
+    for k in range(n1 + 1 if n2 else 1):  # only the empty tuple without jobs
+        for cand in itertools.combinations(range(n1), k):
+            group = classes.setdefault(kernel.lent_pairs(g1, cand, cfg) if n2 > 1 else 0, [])
+            if not group:  # a new class
+                equilibrium._check_joint_size(n1, n2, len(classes))
+            group.append(len(cands))
+            cands.append(cand)
+    yield cands
     lends, members = list(classes), list(classes.values())
     tables: dict[int, list[tuple]] = {}
     for vector in itertools.product(range(len(lends)), repeat=n2):
@@ -100,20 +95,20 @@ def _first_least(jobs: list, least: float) -> tuple[int, ...]:
 def _joint_extremes(g1: Graph, n2: int, cfg: GameConfig) -> tuple:
     """The optimum, the worst equilibrium and the equilibrium count, from one walk.
 
-    Returns (candidates, least social cost, its first profile, greatest
-    equilibrium cost, its first profile, equilibrium count), the two
-    equilibrium entries None when there is none.  A class vector's least
-    cost is the job-order sum of its class minima (see _class_walk), and
-    its equilibria, the products of its jobs' equilibrium members, all
-    cost the sum of the table minima.  Ties between vectors go to the
-    first profile in product order, as a profile-by-profile scan keeping
-    strict improvements reports it; only the current extremes are kept.
-    The caller checks the counts first (equilibrium._check_joint_size).
+    Returns (least social cost, its first profile, greatest equilibrium
+    cost, its first profile, equilibrium count), both equilibrium entries
+    None without one.  A class vector's least cost is the job-order sum of
+    its class minima (see _class_walk), and its equilibria, the products
+    of its jobs' equilibrium members, all cost the sum of the table
+    minima.  Ties go to the first profile in product order, as a
+    profile-by-profile scan keeping strict improvements reports it.  The
+    caller checks the counts first (equilibrium._check_joint_size).
     """
-    cands = _joint_candidates(g1.n, n2)
+    walk = _class_walk(g1, n2, cfg)
+    cands = next(walk)
     least = worst = optimum = first = None
     count = 0
-    for jobs in _class_walk(g1, cands, n2, cfg):
+    for jobs in walk:
         cost = sum([job[0] for job in jobs])
         if least is None or cost <= least:
             picks = _first_least(jobs, cost)
@@ -126,4 +121,28 @@ def _joint_extremes(g1: Graph, n2: int, cfg: GameConfig) -> tuple:
             picks = tuple(job[1][0] for job in jobs)
             if worst is None or cost > worst or cost == worst and picks < first:
                 worst, first = cost, picks
-    return cands, least, optimum, worst, first, count
+    worst_profile = None if first is None else Level2Profile(g1.n, (cands[i] for i in first))
+    return least, Level2Profile(g1.n, (cands[i] for i in optimum)), worst, worst_profile, count
+
+
+def _joint_equilibria(g1: Graph, n2: int, cfg: GameConfig) -> list[tuple[Level2Profile, float]]:
+    """Every equilibrium with its social cost, in profile order, from one walk.
+
+    Each class vector gives the products of its jobs' equilibrium members,
+    at their table minima.  Refused past equilibrium.JOINT_ENUMERATION_GUARD
+    listed profiles.  Each listed candidate is one frozenset, shared by the
+    profiles holding it.
+    """
+    walk = _class_walk(g1, n2, cfg)
+    cands = next(walk)
+    found, sets = [], {}
+    for jobs in walk:
+        listed = len(found) + math.prod(len(job[1]) for job in jobs)
+        guard = equilibrium.JOINT_ENUMERATION_GUARD
+        if listed > guard:
+            raise GuardExceeded("joint equilibrium listing", guard, listed)
+        cost = sum([job[2] for job in jobs])
+        found.extend((picks, cost) for picks in itertools.product(*(job[1] for job in jobs)))
+        sets.update((i, frozenset(cands[i])) for job in jobs for i in job[1] if i not in sets)
+    found.sort()
+    return [(Level2Profile(g1.n, (sets[i] for i in picks)), cost) for picks, cost in found]

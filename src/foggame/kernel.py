@@ -7,8 +7,8 @@ vertex over closed-neighbourhood bitmasks, with no graph built, and
 prices a strategy with one integer OR and one bit count, to the cost the
 references model.job_player_cost and model.edge_fog_player_cost give.
 
-A job's lend key, the far fog pairs the other jobs lend it, is the kernel's
-too: its format (lent_pairs), rule (lend_keys) and layers (job_rows).
+A job's lend key (n1-bit blocks of the far fog pairs the other jobs lend it)
+is the kernel's too: format (lent_pairs), rule (lend_keys), layers (job_rows).
 
 The engines that read it, foggame.oracles (best responses, is_nash,
 dynamics) and foggame.joint (the joint level-2 analyses), import it, so
@@ -160,16 +160,13 @@ def lent_pairs(g1: Graph, strategy: VertexSet, cfg: GameConfig) -> int:
 
     A job's two-hop path between members a, b shortens a fog distance only
     when b lies 3 or more hops from a in g1 (INF counts), and only under
-    FULL_COMBINED.  Bit b of block a, n1 bits in whole bytes, marks a, b.
+    FULL_COMBINED.  Bit b of block a, the n1 bits from bit a * n1, marks a, b.
     """
     if cfg.transit_policy is not TransitPolicy.FULL_COMBINED:
         return 0
-    far, size = _far_masks(g1), (g1.n + 7) // 8
+    far, n1 = _far_masks(g1), g1.n
     members = sum(1 << v for v in strategy)
-    packed = bytearray(size * (max(strategy, default=-1) + 1))
-    for a in strategy:
-        packed[a * size : (a + 1) * size] = (far[a] & members).to_bytes(size, "little")
-    return int.from_bytes(packed, "little")
+    return sum((far[a] & members) << a * n1 for a in strategy)
 
 
 def lend_keys(lends: Iterable[int]) -> Callable[[int], int]:
@@ -186,10 +183,8 @@ def lend_keys(lends: Iterable[int]) -> Callable[[int], int]:
 
 
 def job_rows(g1: Graph, key: int, cfg: GameConfig) -> DeviationRows:
-    """Distance layers of a job on g1 whose lend key is key, unpacked with one to_bytes."""
-    size = (g1.n + 7) // 8
-    packed = key.to_bytes(size * g1.n, "little")
-    partners = [int.from_bytes(packed[a * size : (a + 1) * size], "little") for a in range(g1.n)]
+    """Distance layers of a job on g1 whose lend key is key, read block by block."""
+    partners = [key >> a * g1.n & (1 << g1.n) - 1 for a in range(g1.n)]
 
     def cost(k: int, sums: list[Distance]) -> list[float]:
         return _job_costs(cfg.beta * k, sums, cfg)

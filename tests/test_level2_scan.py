@@ -25,6 +25,7 @@ profiles.
 import itertools
 import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import corpus
@@ -51,6 +52,17 @@ from foggame.model import (
 from foggame.parsing import _graph_builder
 
 # ------------------------------------------------------------------ reference
+
+
+def _joint_candidates(n1, n2):
+    """Per-job strategies as tuples in scan order, () alone without jobs, as the walk makes them."""
+    if not n2:
+        return [()]
+    return [c for k in range(n1 + 1) for c in itertools.combinations(range(n1), k)]
+
+
+def _profile(n1, strategy_of, indices):
+    return Level2Profile(n1, tuple(strategy_of[i] for i in indices))
 
 
 def _reference_candidates(n1):
@@ -174,7 +186,7 @@ def _level2_scan(g1, cands, n2, cfg):
 
 def _scan_setup(g1, n2):
     equilibrium._check_joint_size(g1.n, n2)
-    return joint._joint_candidates(g1.n, n2)
+    return _joint_candidates(g1.n, n2)
 
 
 def scan_social_optimum(g1, n2, cfg, scan=_level2_scan):
@@ -185,13 +197,13 @@ def scan_social_optimum(g1, n2, cfg, scan=_level2_scan):
     for indices, cost, _ in scan(g1, cands, n2, cfg):
         if best is None or cost < best_cost:
             best_cost, best = cost, indices
-    return best_cost, joint._profile(g1.n, cands, best)
+    return best_cost, _profile(g1.n, cands, best)
 
 
 def scan_enumerate_nash(g1, n2, cfg, scan=_level2_scan):
     cands = _scan_setup(g1, n2)
     return [
-        (joint._profile(g1.n, cands, indices), cost)
+        (_profile(g1.n, cands, indices), cost)
         for indices, cost, stable in scan(g1, cands, n2, cfg)
         if stable
     ]
@@ -220,9 +232,9 @@ def scan_poa(g1, n2, cfg, scan=_level2_scan):
         raise ValueError("price of anarchy undefined for infinite optimum cost")
     return PoAReport(
         optimum_cost=optimum_cost,
-        optimum_profile=joint._profile(g1.n, cands, optimum),
+        optimum_profile=_profile(g1.n, cands, optimum),
         worst_ne_cost=worst_cost,
-        worst_ne_profile=joint._profile(g1.n, cands, worst),
+        worst_ne_profile=_profile(g1.n, cands, worst),
         poa=worst_cost / optimum_cost,
         ne_count=ne_count,
     )
@@ -299,6 +311,8 @@ def _random_instance(rng):
     )
     return g1, n2, cfg
 
+
+_ENGINE = (social_optimum_level2, enumerate_nash_level2, empirical_poa)
 
 # ---------------------------------------------------------------------- tests
 
@@ -404,19 +418,21 @@ def test_class_walk_reads_no_more_than_its_predicted_work(monkeypatch, kind, tra
     calls = _count_fills(monkeypatch)
     for n1, n2 in itertools.product(range(0 if kind == "edgeless" else 1, 7), range(5)):
         g1 = _fog_graph(kind, n1)
-        cands = joint._joint_candidates(n1, n2)
+        cands = _joint_candidates(n1, n2)
         classes = len({kernel.lent_pairs(g1, c, cfg) if n2 > 1 else 0 for c in cands})
         if kind == "edgeless" and n2 > 1 and transit is TransitPolicy.FULL_COMBINED:
             assert classes == 2**n1 - n1  # every set of two or more vertices is its own
         work = _predicted_work(n1, n2, classes)
         monkeypatch.setattr(equilibrium, "JOINT_ENUMERATION_GUARD", work - 1)
         with pytest.raises(GuardExceeded) as refused:
-            next(joint._class_walk(g1, cands, n2, cfg))
+            next(joint._class_walk(g1, n2, cfg))
         assert (refused.value.actual, calls) == (work, []), (n1, n2)
         if work > budget:
             continue
         monkeypatch.setattr(equilibrium, "JOINT_ENUMERATION_GUARD", work)
-        vectors = sum(1 for _ in joint._class_walk(g1, cands, n2, cfg))
+        walk = joint._class_walk(g1, n2, cfg)
+        assert next(walk) == cands  # the candidates first, in scan order
+        vectors = sum(1 for _ in walk)
         assert vectors == classes**n2
         assert n2 * vectors + 2**n1 * len(calls) <= work, (n1, n2)
         calls.clear()
@@ -464,6 +480,23 @@ def test_walk_refuses_as_its_classes_appear(monkeypatch):
     assert len(set(lends)) == 11 and lends[-1] not in lends[:-1]
 
 
+@pytest.mark.parametrize("analysis", _ENGINE, ids=lambda fn: fn.__name__)
+def test_a_walk_refused_at_its_second_class_allocates_little(analysis):
+    # Path 16x16 is refused at its second class, the 20th candidate: the
+    # walk makes its candidates as it groups them, so a refusal allocates
+    # no list of all 65,536 (several MiB).  foggame.joint, imported above,
+    # is compiled before the trace starts.
+    g1 = generate("path", 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded, match=r"size 2148532224 > limit 131072"):
+            analysis(g1, 16, GameConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10, peak
+
+
 def _reference_class_count(g1, n2, cfg):
     """The lend classes of g1 for n2 jobs, from a grouping of every candidate set."""
     if n2 < 2:
@@ -488,7 +521,7 @@ def test_walk_refuses_exactly_the_corpus_shapes_its_class_count_refuses(monkeypa
         refusals = 0
         for g1, n2, cfg, work in walks:
             try:
-                next(joint._class_walk(g1, joint._joint_candidates(g1.n, n2), n2, cfg))
+                next(joint._class_walk(g1, n2, cfg))
             except GuardExceeded as refused:
                 assert guard < refused.actual <= work, (g1, n2, cfg)
                 refusals += 1
@@ -668,7 +701,7 @@ def test_scan_matches_multiset_scan(monkeypatch, g1, n2, cost_type, transit):
     streams, outcomes, fills = [], [], []
     for scan in (_level2_scan, _multiset_scan):
         calls.clear()
-        profiles = list(scan(g1, joint._joint_candidates(g1.n, n2), n2, cfg))
+        profiles = list(scan(g1, _joint_candidates(g1.n, n2), n2, cfg))
         fills.append(len(calls))
         streams.append(profiles)
         outcomes.append(_replayed(g1, n2, cfg, profiles))
@@ -680,7 +713,6 @@ def test_scan_matches_multiset_scan(monkeypatch, g1, n2, cost_type, transit):
     assert len(calls) == len(_ENGINE) * fills[0]
 
 
-_ENGINE = (social_optimum_level2, enumerate_nash_level2, empirical_poa)
 _CONFIGS = [
     GameConfig(beta=beta, job_cost_type=cost_type, transit_policy=transit)
     for cost_type, betas in ((JobCostType.TYPE_I, (0.5, 0.501)), (JobCostType.TYPE_II, (1.5, 3.5)))

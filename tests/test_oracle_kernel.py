@@ -860,9 +860,9 @@ def test_job_rows_match_one_vertex_per_job_reference():
     assert {("lends", "none"), ("lends", "lend")} <= seen
 
 
-def _blocks(key, n1):
-    """A packed lend or key as one partner mask per fog vertex, n1 bits in whole bytes each."""
-    stride = 8 * ((n1 + 7) // 8)
+def _blocks(key, n1, stride=None):
+    """A packed lend or key as one partner mask per fog vertex, n1 bits from bit a * stride."""
+    stride = stride or n1
     return [key >> a * stride & (1 << n1) - 1 for a in range(n1)]
 
 
@@ -871,8 +871,8 @@ def test_lent_pairs_are_the_pairs_at_least_3_hops_apart():
     far = kernel.lent_pairs(g1, frozenset(range(6)), GameConfig())
     dist = all_pairs_distances(g1)
     pairs = itertools.permutations(range(6), 2)
-    # one byte per fog vertex at n1 = 6
-    expected = sum(1 << a * 8 + b for a, b in pairs if dist[a][b] >= 3)
+    # one block of n1 = 6 bits per fog vertex
+    expected = sum(1 << a * 6 + b for a, b in pairs if dist[a][b] >= 3)
     assert far == expected and far.bit_count() == 20
     lends = [kernel.lent_pairs(g1, s, GameConfig()) for s in (frozenset({0, 1, 2}), frozenset())]
     assert lends == [0, 0]
@@ -885,7 +885,7 @@ def test_lent_pairs_are_the_pairs_at_least_3_hops_apart():
 def test_lend_keys_are_the_per_vertex_or_of_the_other_jobs():
     # The key rule gives every job the OR of the others' lends, and its
     # blocks are the per-vertex OR of their partners that job rows read
-    # before the lend key, also past one byte per vertex.
+    # before the lend key, also past 8 fog vertices.
     rng = random.Random(21)
     states = [_lending_state(rng) for _ in range(300)]
     g1 = generate("erdos_renyi", 11, p=0.15, seed=4)
@@ -908,6 +908,72 @@ def test_lend_keys_are_the_per_vertex_or_of_the_other_jobs():
             assert key == oracles._job_key(j, state, cfg, {}) == oracles._job_key(j, state, cfg, None)
             widths.add((g1.n > 8, key > 0))
     assert widths == {(False, False), (False, True), (True, True)}
+
+
+def byte_aligned_lent_pairs(g1, strategy, cfg):
+    """lent_pairs as it packed a lend before its n1-bit blocks: each block in whole bytes."""
+    if cfg.transit_policy is not TransitPolicy.FULL_COMBINED:
+        return 0
+    far, size = kernel._far_masks(g1), (g1.n + 7) // 8
+    members = sum(1 << v for v in strategy)
+    packed = bytearray(size * (max(strategy, default=-1) + 1))
+    for a in strategy:
+        packed[a * size : (a + 1) * size] = (far[a] & members).to_bytes(size, "little")
+    return int.from_bytes(packed, "little")
+
+
+def _lend_layout_cases():
+    """(fog graph, strategies, config) with random strategies, n1 = 1-20 and 150."""
+    rng = random.Random(33)
+    kinds = ("path", "cycle", "star", "complete", "erdos_renyi")
+    cases = []
+    for n1, kind, transit in itertools.product((*range(1, 21), 150), kinds, TransitPolicy):
+        if kind == "erdos_renyi":
+            g1 = generate(kind, n1, p=rng.choice((0.05, 0.2, 0.5)), seed=rng.randrange(10**6))
+        else:
+            g1 = generate(kind, n1)
+        jobs = [_random_subset(rng, range(n1), rng.choice((0.1, 0.3, 0.7))) for _ in range(4)]
+        cases.append((g1, jobs, GameConfig(beta=1.5, transit_policy=transit)))
+    return cases
+
+
+def byte_aligned_job_rows(g1, key, cfg):
+    """job_rows as it unpacked a byte-aligned key, with one to_bytes."""
+    size = (g1.n + 7) // 8
+    packed = key.to_bytes(size * g1.n, "little")
+    partners = [int.from_bytes(packed[a * size : (a + 1) * size], "little") for a in range(g1.n)]
+    return kernel.DeviationRows(
+        range(g1.n),
+        graph.closed_neighborhood_masks(g1),
+        lambda k, sums: model._job_costs(cfg.beta * k, sums, cfg),
+        partners=partners,
+    )
+
+
+def test_lend_layout_matches_the_byte_aligned_reference():
+    # The n1-bit blocks hold the byte-aligned packer's blocks, the key rule
+    # gives the same keys block for block, and a job's rows from its key
+    # price every strategy as the reference rows from the reference key:
+    # the same layers, the same costs by repr, scanned whole up to n1 = 10.
+    widths = set()
+    for g1, jobs, cfg in _lend_layout_cases():
+        n1, stride = g1.n, 8 * ((g1.n + 7) // 8)
+        lends = [kernel.lent_pairs(g1, s, cfg) for s in jobs]
+        widths.add((n1 > 8, any(lends)))
+        reference = [byte_aligned_lent_pairs(g1, s, cfg) for s in jobs]
+        blocks = [_blocks(lent, n1) for lent in lends]
+        assert blocks == [_blocks(lent, n1, stride) for lent in reference], (g1, cfg)
+        key_of, reference_key_of = kernel.lend_keys(lends), kernel.lend_keys(reference)
+        for lent, old in zip(lends, reference):
+            key, old_key = key_of(lent), reference_key_of(old)
+            assert _blocks(key, n1) == _blocks(old_key, n1, stride), (g1, cfg)
+            rows, old_rows = kernel.job_rows(g1, key, cfg), byte_aligned_job_rows(g1, old_key, cfg)
+            assert _layers(rows) == _layers(old_rows), (g1, cfg)
+            costs = [rows.evaluate(s) for s in jobs]
+            assert repr(costs) == repr([old_rows.evaluate(s) for s in jobs]), (g1, cfg)
+            if n1 <= 10:
+                assert repr(list(rows.scan())) == repr(list(old_rows.scan())), (g1, cfg)
+    assert widths == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_far_masks_are_kept_per_fog_graph():
