@@ -23,11 +23,19 @@ configuration of the joint grid; every scope the source admits; and, for
 default.  `gen` runs on the generator kinds, and REFUSALS follow: one
 scenario per refusal path of these modes.
 
+The third slice follows: `sweep` runs (sweep.sweep_record) of every
+parameter over the poa and cost templates of SWEEP_TEMPLATES, plus the
+sweep refusals; runs printed with `--format csv` (tabular.emit_csv): cost
+on the state grid, bounds, every sweep, and the modes without a csv form;
+and (pool_scenarios) nash and both oracles' dynamics with 4-8 jobs that
+share a pool of three drawn strategies, under both transits.
+
 A scenario's outcome is (exit class, stdout, error message): "ok", the
-printed record with duration_seconds masked (a mode) or the repr of the
-result (an analysis), and ""; or the exception's class name, which fixes
-the CLI's exit code, "" and its message.  PINS holds a SHA-256 prefix of
-each outcome's JSON, one scenario a line.
+printed record with every duration_seconds masked (a mode), the csv text
+(a csv run) or the repr of the result (an analysis), and ""; or the
+exception's class name, which fixes the CLI's exit code, "" and its
+message.  PINS holds a SHA-256 prefix of each outcome's JSON, one
+scenario a line.
 
 `python tests/corpus.py` rewrites PINS from the code as it stands and
 prints the name of every scenario whose outcome changed, appeared or went
@@ -219,6 +227,111 @@ REFUSALS = (
 )
 
 
+# The third slice: sweeps of a poa and a cost template, csv output, and
+# nash and dynamics with 4-8 jobs that share three drawn strategies.
+SWEEP_TEMPLATES = (
+    ("poa path", {"mode": "poa", "graph": {"kind": "path", "n": 3}, "n2": 2}),
+    (
+        "poa erdos_renyi",
+        {
+            "mode": "poa",
+            "graph": {"kind": "erdos_renyi", "n": 4, "p": 0.5, "seed": 1},
+            "n2": 2,
+            "config": {"transit": "fog_only"},
+        },
+    ),
+    (
+        "cost cycle",
+        {
+            "mode": "cost",
+            "graph": {"kind": "cycle", "n": 4},
+            "n2": 4,
+            "allow_unequal": True,
+            "config": {"beta": 2.5},
+        },
+    ),
+    (
+        "cost erdos_renyi",
+        {
+            "mode": "cost",
+            "graph": {"kind": "erdos_renyi", "n": 4, "p": 0.4, "seed": 2},
+            "options": {"level2_strategies": [[0], [1, 3], [2], [0, 2]]},
+            "config": {"job_cost_type": "type1"},
+        },
+    ),
+    (
+        "cost profile",
+        {
+            "mode": "cost",
+            "options": {"level1_strategies": [[1], [2], [0]], "level2_strategies": [[0], [1], [2]]},
+        },
+    ),
+)
+SWEEPS = (
+    ("beta", [0.5, 1.5, 2.5, 3.5]),
+    ("alpha", [0.5, 2.0]),
+    ("n", [2, 3, 4]),
+    ("n", [2.5]),
+    ("p", [0.0, 0.5, 1.0]),
+    ("beta", []),
+    ("gamma", [1.0]),
+)
+# nash and dynamics on shared strategies: per fog graph, per job count, a
+# pool of three non-empty strategies drawn from a fixed seed, each job
+# holding one of them.
+POOL_SOURCES = ("path", "cycle", "profile")
+POOL_N2 = range(4, 9)
+POOL_BETAS = (0.5, 2.5)
+
+
+def sweep_scenarios() -> Iterator[tuple[str, str, dict]]:
+    """(name, "sweep", sweep arguments) of every sweep, as `foggame sweep` passes them."""
+    for (label, template), (parameter, values) in itertools.product(SWEEP_TEMPLATES, SWEEPS):
+        data = {"template": template, "parameter": parameter, "values": values}
+        yield f"sweep {label} {parameter} {values}", "sweep", data
+
+
+def csv_scenarios() -> Iterator[tuple[str, str, dict]]:
+    """(name, "<mode> csv", data) of the runs printed with `--format csv`.
+
+    cost on every state of the state grid, bounds on the joint grid's
+    graphs, every sweep, and one run of each mode without a csv form.
+    """
+    for source, n1, n2, jobs, sections, options in states():
+        for config in (("type1", "full_combined", 0.5), ("type2", "fog_only", 2.5)):
+            data = {**sections, "config": _config(*config), "options": options}
+            name = f"csv cost {source} {n1}x{n2} {jobs} {' '.join(map(str, config))}"
+            yield name, "cost csv", data
+    for kind, n1, beta in itertools.product(KINDS, range(1, 5), (0.5, 3.5)):
+        data = {"graph": graph_section(kind, n1), "n2": n1, "config": {"beta": beta}}
+        yield f"csv bounds {kind} {n1}x{n1} {beta}", "bounds csv", data
+    for name, run, data in sweep_scenarios():
+        yield f"csv {name}", f"{run} csv", data
+    path = {"graph": {"kind": "path", "n": 3}, "n2": 3}
+    for mode in ("poa", "nash", "dynamics", "gen"):
+        yield f"csv {mode}", f"{mode} csv", path if mode != "gen" else {"graph": path["graph"]}
+
+
+def pool_scenarios() -> Iterator[tuple[str, str, dict]]:
+    """(name, run, data) of nash and both oracles' dynamics on jobs that share strategies."""
+    for source, n1, n2 in itertools.product(POOL_SOURCES, (4, 6), POOL_N2):
+        rng = random.Random(1000 * n1 + n2 + 7 * POOL_SOURCES.index(source))
+        pool = [_subset(rng, list(range(n1))) or [rng.randrange(n1)] for _ in range(3)]
+        options: dict = {"level2_strategies": [rng.choice(pool) for _ in range(n2)]}
+        sections: dict = {"allow_unequal": True}
+        if source == "profile":
+            options["level1_strategies"] = [[(i + 1) % n1] for i in range(n1)]
+        else:
+            sections["graph"] = {"kind": source, "n": n1}
+        runs = [("nash", {})] + [("dynamics", {"oracle": o}) for o in ORACLES]
+        for (mode, extra), transit, beta in itertools.product(runs, TRANSITS, POOL_BETAS):
+            config = ("type2", transit, beta)
+            data = {**sections, "config": _config(*config), "options": {**options, **extra}}
+            flags = " ".join(f"{k}={v}" for k, v in extra.items())
+            name = f"{mode} pool {source} {n1}x{n2} {' '.join(map(str, config))} {flags}"
+            yield name.rstrip(), mode, data
+
+
 def scenarios() -> Iterator[tuple[str, str, dict]]:
     """(name, run, scenario data without its mode) of every scenario."""
     for run, kind, n1, n2, cost, transit, beta in shapes():
@@ -228,27 +341,46 @@ def scenarios() -> Iterator[tuple[str, str, dict]]:
     yield from gen_scenarios()
     for name, run, data in REFUSALS:
         yield f"{run} refused: {name}", run, data
+    yield from sweep_scenarios()
+    yield from csv_scenarios()
+    yield from pool_scenarios()
+
+
+def _masked(value):
+    """value with every duration_seconds, a sweep's nested ones too, read as "_"."""
+    if isinstance(value, dict):
+        return {k: "_" if k == "duration_seconds" else _masked(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_masked(v) for v in value]
+    return value
 
 
 def outcome(run: str, data: dict) -> tuple:
-    """(exit class, stdout, error message) of one scenario."""
+    """(exit class, stdout, error message) of one scenario; run "<mode> csv" prints csv."""
     from foggame import equilibrium
     from foggame.errors import FogGameError
     from foggame.parsing import _graph_builder, _parse_config
     from foggame.scenario import run_record
     from foggame.serialize import emit_json
+    from foggame.sweep import sweep_record
+    from foggame.tabular import emit_csv
 
+    mode, _, form = run.partition(" ")
     try:
-        if run in ANALYSES:
+        if mode in ANALYSES:
             g1 = _graph_builder(data["graph"])[1]()
-            result = getattr(equilibrium, run)(g1, data["n2"], _parse_config(data["config"]))
+            result = getattr(equilibrium, mode)(g1, data["n2"], _parse_config(data["config"]))
             return "ok", repr(result), ""
-        record = run_record({"mode": run, **data})
+        if mode == "sweep":
+            record = sweep_record(data["template"], data["parameter"], data["values"])
+        else:
+            record = run_record({"mode": mode, **data})
+        if form == "csv":
+            return "ok", emit_csv(mode, record["payload"]), ""
     except (FogGameError, ValueError) as exc:
         return type(exc).__name__, "", str(exc)
-    record["duration_seconds"] = "_"
     out = io.StringIO()
-    emit_json(record, out)
+    emit_json(_masked(record), out)
     return "ok", out.getvalue(), ""
 
 
