@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .costs import _priced_links, cost_report
+from .costs import cost_report, interconnection_count
 from .domination import min_dominating_set
 from .equilibrium import empirical_poa
 from .errors import GuardExceeded, NoEquilibriumError
 from .graph import Graph
-from .model import GameConfig, GameState, JobCostType
+from .model import GameConfig, GameState, JobCostType, _within_cost_guard
 
 EQUALITY_TOLERANCE = 1e-9
 INEQUALITY_SLACK = 1e-12
@@ -228,7 +228,8 @@ def check_bounds_on_instance(state: GameState, cfg: GameConfig) -> list[BoundChe
     any lower bound.  Requires matching player counts, since the formulas
     assume a single n: compared after the guard, before any pricing.
     """
-    _priced_links(state)
+    links = state.g1.edge_count + interconnection_count(state.level2)
+    _within_cost_guard(state.n1 + state.n2, links)  # on the counts, before pricing
     if state.n1 != state.n2:
         raise ValueError(
             f"bound formulas assume n1 == n2, got n1={state.n1}, n2={state.n2}"

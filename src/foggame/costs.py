@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graph import VertexSet
-from .model import GameConfig, GameState, Level2Profile, _player_costs, _within_cost_guard
+from .model import GameConfig, GameState, Level2Profile, _player_costs
 
 
 class CostReport(NamedTuple):
@@ -33,13 +33,6 @@ def interconnection_union(profile: Level2Profile) -> VertexSet:
     return frozenset().union(*profile.strategies) if profile.strategies else frozenset()
 
 
-def _priced_links(state: GameState) -> int:
-    """The state's job link count, once model.COST_PAIR_GUARD admits pricing the state."""
-    links = interconnection_count(state.level2)
-    _within_cost_guard(state.n1 + state.n2, state.g1.edge_count + links)
-    return links
-
-
 def cost_report(state: GameState, cfg: GameConfig) -> CostReport:
     """Evaluate every player once; the social totals are exact sums.
 
@@ -48,7 +41,6 @@ def cost_report(state: GameState, cfg: GameConfig) -> CostReport:
     (model._player_costs), every BFS on one adjacency list.
     """
     n1, n2 = state.n1, state.n2
-    links = _priced_links(state)
     costs = _player_costs(state, cfg, range(n1), range(n2))
     level1, level2 = costs[:n1], costs[n1:]
     return CostReport(
@@ -56,5 +48,5 @@ def cost_report(state: GameState, cfg: GameConfig) -> CostReport:
         level2_costs=tuple(level2),
         social_level1=sum(level1),
         social_level2=sum(level2),
-        interconnection_count=links,
+        interconnection_count=interconnection_count(state.level2),
     )

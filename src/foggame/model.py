@@ -214,9 +214,9 @@ def _check_player_counts(n1: int, n2: int, allow_unequal: bool) -> None:
         )
 
 
-def _within_cost_guard(n: int, links: int) -> None:
-    """Refuse past COST_PAIR_GUARD n BFS, one per player, over n vertices and links edges."""
-    pairs = n * (n + links)
+def _within_cost_guard(n: int, links: int, bfs: int | None = None) -> None:
+    """Refuse past COST_PAIR_GUARD bfs BFS (default n) over n vertices and links edges."""
+    pairs = (n if bfs is None else bfs) * (n + links)
     if pairs > COST_PAIR_GUARD:
         raise GuardExceeded("cost evaluation", COST_PAIR_GUARD, pairs)
 
@@ -260,8 +260,11 @@ def _player_costs(
     job vertex n1 + j gets an out-list of its members, and under
     FULL_COMBINED each member a link back to it.  Without the back-links a
     BFS from a job never enters another job, which is what FOG_ONLY means.
+    Refused past COST_PAIR_GUARD, one BFS per player priced.
     """
     g1, n1, strategies = state.g1, state.n1, state.level2.strategies
+    links = sum(map(len, strategies))
+    _within_cost_guard(n1 + len(strategies), g1.edge_count + links, len(fog) + len(jobs))
     adjacency = g1.adjacency()
     costs = [sum(single_source_distances(g1, i, adjacency)) for i in fog]
     if state.profile_mode:

@@ -465,3 +465,45 @@ def test_cost_report_and_the_bounds_check_run_the_cost_guard(monkeypatch):
     assert cost_report(state, GameConfig()).interconnection_count == 3
     with pytest.raises(ValueError, match="bound formulas assume n1 == n2"):
         check_bounds_on_instance(unequal, GameConfig())
+
+
+# Path 4 with jobs {0}, {1, 3}, {2}: 7 vertices, 3 fog edges and 4 links.
+# The profile buys 0-1, 1-2 and 2-3 (3 fog edges) for jobs {0}, {2, 3}:
+# 6 vertices and 3 links.
+_PRICED_FIXED = _fixed(generate("path", 4), [{0}, {1, 3}, {2}])
+_PRICED_PROFILE = GameState(
+    Level1Profile([{1}, {2}, {3}, set()]), Level2Profile(4, [{0}, {2, 3}]), allow_unequal=True
+)
+
+
+@pytest.mark.parametrize(
+    "price, state, bfs",
+    [
+        (lambda st, cfg: job_player_cost(1, st, cfg), _PRICED_FIXED, 1),
+        (lambda st, cfg: edge_fog_player_cost(2, st, cfg), _PRICED_FIXED, 1),
+        (lambda st, cfg: edge_fog_player_cost(0, st, cfg), _PRICED_PROFILE, 1),
+        (social_cost_level1, _PRICED_PROFILE, 4),
+        (social_cost_level2, _PRICED_FIXED, 3),
+        (cost_report, _PRICED_FIXED, 7),
+    ],
+    ids=["job", "fog", "fog-profile", "social1", "social2", "report"],
+)
+def test_every_pricing_entry_point_checks_the_work_it_runs(monkeypatch, price, state, bfs):
+    # One BFS per player priced, each over every vertex, fog edge and link.
+    n = state.n1 + state.n2
+    work = bfs * (n + state.g1.edge_count + interconnection_count(state.level2))
+    monkeypatch.setattr(model, "COST_PAIR_GUARD", work - 1)
+    refusal = f"^cost evaluation guard exceeded: size {work} > limit {work - 1}$"
+    with pytest.raises(GuardExceeded, match=refusal):
+        price(state, GameConfig())
+    monkeypatch.setattr(model, "COST_PAIR_GUARD", work)
+    price(state, GameConfig())
+
+
+def test_pricing_refuses_a_large_state_on_its_counts():
+    # 6,000 BFS over 12,000 vertices, 5,999 fog edges and 6,000 links;
+    # one job's BFS is within the guard.
+    state = _fixed(generate("path", 6000), [{j} for j in range(6000)])
+    with pytest.raises(GuardExceeded, match="size 143994000 > limit 16777216"):
+        social_cost_level2(state, GameConfig())
+    assert job_player_cost(0, state, GameConfig()) == 1 + sum(1 + v for v in range(6000))
