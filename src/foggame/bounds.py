@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .costs import cost_report, interconnection_count
+from .costs import cost_report
 from .domination import min_dominating_set
 from .equilibrium import empirical_poa
 from .errors import GuardExceeded, NoEquilibriumError
 from .graph import Graph
-from .model import GameConfig, GameState, JobCostType, _within_cost_guard
+from .model import GameConfig, GameState, JobCostType, _within_cost_guard, interconnection_count
 
 EQUALITY_TOLERANCE = 1e-9
 INEQUALITY_SLACK = 1e-12
@@ -223,13 +223,15 @@ def check_bounds_on_instance(state: GameState, cfg: GameConfig) -> list[BoundChe
     statement, skipped when the joint guard refuses the walk's predicted
     work (equilibrium._check_joint_size) or the price of anarchy is
     undefined (no pure equilibrium, or an optimum not positive and
-    finite).  The social costs are costs.cost_report's, whose guard
-    refuses before any other check; an infinite measured cost satisfies
-    any lower bound.  Requires matching player counts, since the formulas
-    assume a single n: compared after the guard, before any pricing.
+    finite).  The social costs are costs.cost_report's; an infinite
+    measured cost satisfies any lower bound.  Requires matching player
+    counts, since the formulas assume a single n.  Before it compares n1
+    with n2 it refuses past model.COST_PAIR_GUARD on the counts
+    (model._within_cost_guard), the figure the pricing
+    (model._player_costs) checks again, so no player is priced first.
     """
-    links = state.g1.edge_count + interconnection_count(state.level2)
-    _within_cost_guard(state.n1 + state.n2, links)  # on the counts, before pricing
+    n = state.n1 + state.n2
+    _within_cost_guard(n, state.g1.edge_count + interconnection_count(state.level2), n)
     if state.n1 != state.n2:
         raise ValueError(
             f"bound formulas assume n1 == n2, got n1={state.n1}, n2={state.n2}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graph import VertexSet
-from .model import GameConfig, GameState, Level2Profile, _player_costs
+from .model import GameConfig, GameState, Level2Profile, _player_costs, interconnection_count
 
 
 class CostReport(NamedTuple):
@@ -21,11 +21,6 @@ class CostReport(NamedTuple):
     social_level1: float
     social_level2: float
     interconnection_count: int
-
-
-def interconnection_count(profile: Level2Profile) -> int:
-    """Total number of job-to-fog links, counting one per purchase."""
-    return sum(len(s) for s in profile.strategies)
 
 
 def interconnection_union(profile: Level2Profile) -> VertexSet:

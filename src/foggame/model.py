@@ -214,9 +214,14 @@ def _check_player_counts(n1: int, n2: int, allow_unequal: bool) -> None:
         )
 
 
-def _within_cost_guard(n: int, links: int, bfs: int | None = None) -> None:
-    """Refuse past COST_PAIR_GUARD bfs BFS (default n) over n vertices and links edges."""
-    pairs = (n if bfs is None else bfs) * (n + links)
+def interconnection_count(profile: Level2Profile) -> int:
+    """Total number of job-to-fog links, counting one per purchase."""
+    return sum(len(s) for s in profile.strategies)
+
+
+def _within_cost_guard(n: int, links: int, bfs: int) -> None:
+    """Refuse past COST_PAIR_GUARD bfs BFS over n vertices and links edges."""
+    pairs = bfs * (n + links)
     if pairs > COST_PAIR_GUARD:
         raise GuardExceeded("cost evaluation", COST_PAIR_GUARD, pairs)
 
@@ -263,8 +268,8 @@ def _player_costs(
     Refused past COST_PAIR_GUARD, one BFS per player priced.
     """
     g1, n1, strategies = state.g1, state.n1, state.level2.strategies
-    links = sum(map(len, strategies))
-    _within_cost_guard(n1 + len(strategies), g1.edge_count + links, len(fog) + len(jobs))
+    links = g1.edge_count + interconnection_count(state.level2)
+    _within_cost_guard(n1 + state.n2, links, len(fog) + len(jobs))
     adjacency = g1.adjacency()
     costs = [sum(single_source_distances(g1, i, adjacency)) for i in fog]
     if state.profile_mode:

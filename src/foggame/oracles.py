@@ -16,8 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
-from typing import Callable, Iterator
 
 from .equilibrium import DeviationWitness, DynamicsOutcome, DynamicsTrace, Move, Scope
 from .graph import VertexSet
@@ -30,18 +28,9 @@ def _exact_best(rows: DeviationRows) -> tuple[VertexSet, float]:
 
     Stops asking the scan for larger sizes once none of their floors (see
     DeviationRows.floors) lies below the incumbent: no larger candidate
-    can then strictly beat it, and ties never replace it.  Scans nothing
-    when the whole universe costs less than every smaller size's floor,
-    as for TYPE_II jobs at beta < 1 and fog players without inbound links
-    at alpha < 1: no smaller candidate can then tie.
+    can then strictly beat it, and ties never replace it.
     """
     floors = rows.floors()
-    smaller = min(floors[:-1], default=math.inf)
-    if floors[-1] < smaller:
-        universe = frozenset(rows.universe)
-        cost = rows.evaluate(universe)
-        if cost < smaller:
-            return universe, cost
     best_k = best_i = -1
     best_cost = 0.0
     for k, costs in enumerate(rows.scan()):
@@ -54,16 +43,6 @@ def _exact_best(rows: DeviationRows) -> tuple[VertexSet, float]:
     return frozenset(next(itertools.islice(members, best_i, None))), best_cost
 
 
-def _held_lends(held: Counter, lend: Callable[[VertexSet], int]) -> Iterator[int]:
-    """Each distinct strategy's lend once, or twice when two or more jobs hold it.
-
-    The key rule only asks whether a pair is lent once or twice, so this
-    gives every job the key that one lend per job gives it.
-    """
-    for strategy, count in held.items():
-        yield from itertools.repeat(lend(strategy), min(count, 2))
-
-
 def _job_key(j: int, state: GameState, cfg: GameConfig, memo: dict | None) -> int:
     """Job j's lend key; without memo, as in a lone best response, no lend is kept.
 
@@ -72,14 +51,12 @@ def _job_key(j: int, state: GameState, cfg: GameConfig, memo: dict | None) -> in
     """
     g1, jobs = state.g1, state.level2.strategies
     if memo is None:
-        lends = _held_lends(Counter(jobs), lambda s: lent_pairs(g1, s, cfg))
-        return lend_keys(lends)(lent_pairs(g1, jobs[j], cfg))
+        return lend_keys(lent_pairs(g1, s, cfg) for s in jobs)(lent_pairs(g1, jobs[j], cfg))
     if memo.get(None, (None,))[0] is not state:
         if len(memo) > 4 * len(jobs):
             memo.clear()
-        held = Counter(jobs)
-        memo.update(((g1, s), lent_pairs(g1, s, cfg)) for s in held if (g1, s) not in memo)
-        memo[None] = state, lend_keys(_held_lends(held, lambda s: memo[g1, s]))
+        memo.update((k, lent_pairs(*k, cfg)) for k in {(g1, s) for s in jobs}.difference(memo))
+        memo[None] = state, lend_keys(memo[g1, s] for s in jobs)
     return memo[None][1](memo[g1, jobs[j]])
 
 

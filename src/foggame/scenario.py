@@ -86,7 +86,7 @@ def _payload(data: Any) -> Any:
     n1, n2, edges, build_state = _state_builder(data, options, mode)
 
     if mode in ("cost", "bounds"):  # the modes that price the state
-        model._within_cost_guard(n1 + n2, edges)  # before building the graph
+        model._within_cost_guard(n1 + n2, edges, n1 + n2)  # before building the graph
         if mode == "cost":
             from .costs import cost_report  # loaded for this mode only
 

@@ -619,53 +619,6 @@ def test_size_pruning_matches_the_full_scan():
     assert 0.2 * compared < pruned < 0.9 * compared
 
 
-# At most one hop of price: below it every floor falls with the size, at it
-# the floors tie and a smaller dominating candidate must win.
-FORCING_PRICES = (0.0, 5e-324, 0.25, 0.5, 0.999, 1.0)
-
-
-def test_a_forced_universe_matches_the_full_scan():
-    rng = random.Random(23)
-    seen = collections.Counter()
-    for state in _pruning_states(29, 120):
-        for kind, transit in itertools.product(JobCostType, TransitPolicy):
-            price = rng.choice(FORCING_PRICES)
-            cfg = GameConfig(alpha=price, beta=price, job_cost_type=kind, transit_policy=transit)
-            deviations = [
-                (keyed_job_rows(j, state, cfg), best_response_job_exact, j)
-                for j in range(state.n2)
-            ]
-            if state.profile_mode:
-                deviations += [
-                    (kernel.fog_deviation_rows(i, state, cfg), best_response_fog_exact, i)
-                    for i in range(state.n1)
-                ]
-            for rows, oracle, player in deviations:
-                expected = repr(reference_exact_best(rows))
-                answer, sizes = _priced(oracles._exact_best, rows)
-                assert repr(answer) == expected, (state, cfg, player)
-                assert repr(oracle(player, state, cfg)) == expected, (state, cfg, player)
-                whole = answer[0] == frozenset(rows.universe)
-                if oracle is best_response_fog_exact and rows.base:
-                    # inbound links are 1 hop for free, so the floors rise past them
-                    assert sizes, (state, cfg, player)
-                    seen["inbound"] += 1
-                seen["scanned nothing"] += not sizes
-                seen["smaller tie"] += price == 1.0 and not whole and bool(rows.universe)
-    assert seen["scanned nothing"] > 100
-    assert seen["inbound"] > 100
-    assert seen["smaller tie"] > 50
-
-
-def test_a_lone_job_on_path_20_below_one_hop_of_price_scans_nothing(monkeypatch):
-    def scan(self):
-        raise AssertionError("the scan was asked for a size")
-
-    monkeypatch.setattr(kernel.DeviationRows, "scan", scan)
-    state = GameState(generate("path", 20), Level2Profile(20, (frozenset(),)), allow_unequal=True)
-    assert best_response_job_exact(0, state, GameConfig(beta=0.5)) == (frozenset(range(20)), 30.0)
-
-
 # ------------------------------------------------------------ distance layers
 
 
@@ -1119,41 +1072,6 @@ def _many_jobs_state(rng):
     pool = [_random_subset(rng, range(state.n1), 0.5) for _ in range(3)]
     jobs = tuple(rng.choice(pool) for _ in range(rng.randint(2, 12)))
     return GameState(state.level1, Level2Profile(state.n1, jobs), allow_unequal=True), cfg
-
-
-def reference_job_key(j, state, cfg):
-    """Job j's key from one lend per job, as _job_key read it before it counted strategies."""
-    g1, jobs = state.g1, state.level2.strategies
-    lends = [kernel.lent_pairs(g1, s, cfg) for s in jobs]
-    return kernel.lend_keys(lends)(lends[j])
-
-
-def test_job_keys_over_distinct_strategies_match_one_lend_per_job():
-    # 2-40 jobs share a pool of 1-4 strategies, so strategies are held
-    # once, twice and three or more times.  Feeding a shared strategy's
-    # lend only once would drop the pairs only it lends from its holders'
-    # keys; "shared alone" counts the jobs where that shows.
-    rng = random.Random(41)
-    seen = collections.Counter()
-    for _ in range(300):
-        n1 = rng.randint(4, 9)
-        kind = rng.choice(("path", "cycle", "erdos_renyi"))
-        g1 = generate(kind, n1, p=0.3, seed=n1) if kind == "erdos_renyi" else generate(kind, n1)
-        pool = [_random_subset(rng, range(n1), 0.4) for _ in range(rng.randint(1, 4))]
-        jobs = [rng.choice(pool) for _ in range(rng.randint(2, 40))]
-        held = collections.Counter(jobs)
-        seen.update(("held", min(count, 3)) for count in held.values())
-        for transit in TransitPolicy:
-            cfg, memo = GameConfig(transit_policy=transit), {}  # a memo serves one config
-            state = GameState(g1, Level2Profile(n1, jobs), allow_unequal=True)
-            once = kernel.lend_keys(kernel.lent_pairs(g1, s, cfg) for s in held)
-            for j in range(len(jobs)):
-                expected = reference_job_key(j, state, cfg)
-                assert oracles._job_key(j, state, cfg, None) == expected, (jobs, transit, j)
-                assert oracles._job_key(j, state, cfg, memo) == expected, (jobs, transit, j)
-                seen["shared alone"] += once(kernel.lent_pairs(g1, jobs[j], cfg)) != expected
-    assert {("held", 1), ("held", 2), ("held", 3)} <= seen.keys()
-    assert seen["shared alone"] > 100
 
 
 @pytest.mark.parametrize("oracle", ["exact", "greedy"])
