@@ -30,12 +30,20 @@ on the state grid, bounds, every sweep, and the modes without a csv form;
 and (pool_scenarios) nash and both oracles' dynamics with 4-8 jobs that
 share a pool of three drawn strategies, under both transits.
 
+The fourth slice (best_response_scenarios) calls the lone best responses
+of BEST_RESPONSES on every state of the state grid, under both cost
+types, both transits and every beta and alpha of BR_CONFIGS: each call
+asks every player of its level and then one index past the last.
+BR_REFUSALS follow, states on which some of them refuse.
+
 A scenario's outcome is (exit class, stdout, error message): "ok", the
 printed record with every duration_seconds masked (a mode), the csv text
 (a csv run) or the repr of the result (an analysis), and ""; or the
 exception's class name, which fixes the CLI's exit code, "" and its
 message.  PINS holds a SHA-256 prefix of each outcome's JSON, one
-scenario a line.
+scenario a line.  A best-response scenario's outcome is ("ok", the repr
+of one entry per player asked, ""), each entry (sorted members, cost) or
+the exception's (class name, message).
 
 `python tests/corpus.py` rewrites PINS from the code as it stands and
 prints the name of every scenario whose outcome changed, appeared or went
@@ -284,6 +292,16 @@ POOL_N2 = range(4, 9)
 POOL_BETAS = (0.5, 2.5)
 
 
+# The fourth slice: lone best responses on the state grid, and refusals.
+BEST_RESPONSES = ("best_response_job_exact", "best_response_job_greedy", "best_response_fog_exact")
+BR_CONFIGS = tuple(itertools.product(COSTS, TRANSITS, (0.5, 2.5), (0.5, 2.0)))  # (..., beta, alpha)
+BR_REFUSALS = (
+    ("fog player on a graph", _on_path(3, 3)),
+    ("path 21 one job", _on_path(21, 1)),
+    ("path 21 no jobs", _on_path(21, 0)),
+)
+
+
 def sweep_scenarios() -> Iterator[tuple[str, str, dict]]:
     """(name, "sweep", sweep arguments) of every sweep, as `foggame sweep` passes them."""
     for (label, template), (parameter, values) in itertools.product(SWEEP_TEMPLATES, SWEEPS):
@@ -332,6 +350,31 @@ def pool_scenarios() -> Iterator[tuple[str, str, dict]]:
             yield name.rstrip(), mode, data
 
 
+def best_response_scenarios() -> Iterator[tuple[str, str, dict]]:
+    """(name, best response, data) of every lone best-response scenario, refusals last."""
+    for source, n1, n2, jobs, sections, options in states():
+        for (cost, transit, beta, alpha), call in itertools.product(BR_CONFIGS, BEST_RESPONSES):
+            config = {**_config(cost, transit, beta), "alpha": alpha}
+            data = {**sections, "config": config, "options": options}
+            yield f"{call} {source} {n1}x{n2} {jobs} {cost} {transit} {beta} {alpha}", call, data
+    for (label, data), call in itertools.product(BR_REFUSALS, BEST_RESPONSES):
+        yield f"{call} refused: {label}", call, data
+
+
+def _answers(call, state, cfg, count: int) -> list[tuple]:
+    """call's answer for players 0..count, one past the last: (sorted members, cost) or the error."""
+    from foggame.errors import FogGameError
+
+    answers = []
+    for player in range(count + 1):
+        try:
+            members, cost = call(player, state, cfg)
+            answers.append((sorted(members), cost))
+        except (FogGameError, ValueError) as exc:
+            answers.append((type(exc).__name__, str(exc)))
+    return answers
+
+
 def scenarios() -> Iterator[tuple[str, str, dict]]:
     """(name, run, scenario data without its mode) of every scenario."""
     for run, kind, n1, n2, cost, transit, beta in shapes():
@@ -344,6 +387,7 @@ def scenarios() -> Iterator[tuple[str, str, dict]]:
     yield from sweep_scenarios()
     yield from csv_scenarios()
     yield from pool_scenarios()
+    yield from best_response_scenarios()
 
 
 def _masked(value):
@@ -359,7 +403,7 @@ def outcome(run: str, data: dict) -> tuple:
     """(exit class, stdout, error message) of one scenario; run "<mode> csv" prints csv."""
     from foggame import equilibrium
     from foggame.errors import FogGameError
-    from foggame.parsing import _graph_builder, _parse_config
+    from foggame.parsing import _graph_builder, _parse_config, _state_builder
     from foggame.scenario import run_record
     from foggame.serialize import emit_json
     from foggame.sweep import sweep_record
@@ -371,6 +415,11 @@ def outcome(run: str, data: dict) -> tuple:
             g1 = _graph_builder(data["graph"])[1]()
             result = getattr(equilibrium, mode)(g1, data["n2"], _parse_config(data["config"]))
             return "ok", repr(result), ""
+        if mode in BEST_RESPONSES:
+            state = _state_builder(data, data["options"], "cost")[3]()
+            count = state.n1 if mode == "best_response_fog_exact" else state.n2
+            cfg = _parse_config(data.get("config"))
+            return "ok", repr(_answers(getattr(equilibrium, mode), state, cfg, count)), ""
         if mode == "sweep":
             record = sweep_record(data["template"], data["parameter"], data["values"])
         else:
