@@ -17,9 +17,10 @@ Each analysis checks its arguments and guard, then loads its engine on
 first call: foggame.oracles for the best responses, is_nash and dynamics
 (foggame.greedy under it for the greedy oracle), foggame.joint for the
 joint analyses, each with foggame.kernel.  So a run compiles only the
-engine it uses, and a refused call none.  is_nash and dynamics state all
-their refusals once, in _check_run, from the player counts alone, so
-foggame.scenario runs the same check before it builds the state.
+engine it uses, and a refused call none.  The best responses, is_nash
+and dynamics state all their refusals once, in _check_run, from the
+player counts alone, so foggame.scenario runs the same check before it
+builds the state.
 """
 
 from __future__ import annotations
@@ -61,24 +62,15 @@ class DeviationWitness(NamedTuple):
     better_cost: float
 
 
-def _check_exact_size(n1: int) -> None:
-    guard = EXACT_ENUMERATION_GUARD
-    if n1 > guard:
-        raise GuardExceeded("exact best-response enumeration", guard, n1)
-
-
 def _best_response(
     level: Scope, player: int, state: GameState, cfg: GameConfig, oracle: str
 ) -> tuple[VertexSet, float]:
-    """A lone player's answer (oracles._deviation), after its refusals.
+    """A lone player's answer (oracles._deviation): a one-pass run of its level.
 
-    A fog player needs profile mode (PolicyError), checked before the
-    exact guard, then the player index (ValueError).
+    Refuses as _check_run does for that run, then on the player index
+    (ValueError).
     """
-    if level is Scope.LEVEL1 and not state.profile_mode:
-        raise PolicyError("fog best response needs profile mode, not a fixed graph")
-    if oracle == "exact":
-        _check_exact_size(state.n1)
+    _check_run(level, state.n1, state.n2, state.profile_mode, oracle=oracle)
     from .oracles import _deviation
 
     return _deviation(level, player, state, cfg, oracle, None)[2:]
@@ -128,13 +120,14 @@ def _check_run(
     oracle: str = "exact",
     max_rounds: int = 1,
 ) -> None:
-    """Every refusal of is_nash and best_response_dynamics, read from the run's counts.
+    """Every refusal of the best responses, is_nash and dynamics, read from the run's counts.
 
     In order: more jobs than model.COST_PAIR_GUARD, a bad schedule, oracle
     or max_rounds (ValueError), a level-1 scope outside profile mode
     (PolicyError), then the exact guard, only when the exact oracle would
     ask some scoped player in some round.  is_nash reads the defaults, one
-    exact pass.  Needs no state, so a scenario runs it before building one.
+    exact pass, and a lone best response one pass of its level.  Needs no
+    state, so a scenario runs it before building one.
     """
     if n2 > model.COST_PAIR_GUARD:
         raise GuardExceeded("job count", model.COST_PAIR_GUARD, n2)
@@ -147,8 +140,8 @@ def _check_run(
     if scope is not Scope.LEVEL2 and not profile_mode:
         raise PolicyError("level-1 scope needs profile mode, not a fixed graph")
     players = n2 if scope is Scope.LEVEL2 else n1 if scope is Scope.LEVEL1 else n1 + n2
-    if oracle == "exact" and max_rounds and players:
-        _check_exact_size(n1)
+    if oracle == "exact" and max_rounds and players and n1 > EXACT_ENUMERATION_GUARD:
+        raise GuardExceeded("exact best-response enumeration", EXACT_ENUMERATION_GUARD, n1)
 
 
 def is_nash(

@@ -323,9 +323,14 @@ def _reference_players(state, scope):
     return players
 
 
+def _reference_exact_guard(n1):
+    if n1 > eq.EXACT_ENUMERATION_GUARD:
+        raise GuardExceeded("exact best-response enumeration", eq.EXACT_ENUMERATION_GUARD, n1)
+
+
 def _reference_nash_refusal(state, scope):
     if _reference_players(state, scope):
-        eq._check_exact_size(state.n1)
+        _reference_exact_guard(state.n1)
 
 
 def _reference_dynamics_refusal(state, scope, schedule, oracle, max_rounds):
@@ -337,7 +342,7 @@ def _reference_dynamics_refusal(state, scope, schedule, oracle, max_rounds):
         raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
     players = _reference_players(state, scope)
     if oracle == "exact" and players and max_rounds:
-        eq._check_exact_size(state.n1)
+        _reference_exact_guard(state.n1)
 
 
 def _outcome(call):

@@ -97,7 +97,7 @@ def reference_job_exact(j, state, cfg):
 
 def reference_fog_exact(i, state, cfg):
     if not state.profile_mode:
-        raise PolicyError("fog best response needs profile mode, not a fixed graph")
+        raise PolicyError("level-1 scope needs profile mode, not a fixed graph")
     _reference_guard(state.n1)
     return _first_minimum(
         _subsets([v for v in range(state.n1) if v != i]),
@@ -115,7 +115,7 @@ def reference_job_greedy(j, state, cfg):
 
 def reference_fog_greedy(i, state, cfg):
     if not state.profile_mode:
-        raise PolicyError("fog best response needs profile mode, not a fixed graph")
+        raise PolicyError("level-1 scope needs profile mode, not a fixed graph")
     return greedy._local_search(
         state.level1.strategies[i],
         [v for v in range(state.n1) if v != i],
@@ -779,8 +779,6 @@ def per_job_deviation(level, player, state, cfg, oracle, memo):
     """
     if level is Scope.LEVEL1:
         return _keyed_deviation(level, player, state, cfg, oracle, {})
-    if oracle == "exact":
-        eq._check_exact_size(state.n1)
     current = state.level2.strategies[player]
     rows = per_job_rows(player, state, cfg)
     if oracle == "exact":
