@@ -386,6 +386,47 @@ def test_check_run_refuses_as_the_built_state_reference(monkeypatch):
             assert got == ran, (counts, args)
 
 
+def test_lone_calls_and_runs_of_their_level_refuse_alike(monkeypatch):
+    # A lone best response is a one-pass run of its level: on each refusal
+    # path it raises what is_nash and dynamics of that level raise, and
+    # with the greedy oracle past the exact guard both answer.
+    def ran(call):
+        outcome = _outcome(call)
+        return "ran" if outcome[0] == "ran" else outcome
+
+    def lone_and_runs(state, level, oracle="exact"):
+        lone = {
+            (Scope.LEVEL1, "exact"): best_response_fog_exact,
+            (Scope.LEVEL1, "greedy"): lambda i, st, c: eq._best_response(level, i, st, c, oracle),
+            (Scope.LEVEL2, "exact"): best_response_job_exact,
+            (Scope.LEVEL2, "greedy"): best_response_job_greedy,
+        }[level, oracle]
+        calls = [lambda: lone(0, state, cfg)]
+        if oracle == "exact":
+            calls.append(lambda: is_nash(state, cfg, level))
+        calls.append(lambda: best_response_dynamics(state, cfg, level, max_rounds=1, oracle=oracle))
+        return [ran(call) for call in calls]
+
+    cfg = GameConfig()
+    big = eq.EXACT_ENUMERATION_GUARD + 1
+    fixed = _fixed(generate("path", 3), [{0}, {1}, {2}])
+    live = GameState(Level1Profile(tuple(map(frozenset, ({1}, {2}, {0})))), _empty_jobs(3, 3))
+    past_guard = _fixed(generate("path", big), [{0}])
+    profile = GameState(Level1Profile((frozenset(),) * big), _empty_jobs(big, 1), allow_unequal=True)
+    policy = (PolicyError, "level-1 scope needs profile mode, not a fixed graph")
+    assert lone_and_runs(fixed, Scope.LEVEL1) == [policy] * 3
+    message = f"exact best-response enumeration guard exceeded: size {big} > limit {big - 1}"
+    assert lone_and_runs(past_guard, Scope.LEVEL2) == [(GuardExceeded, message)] * 3
+    assert lone_and_runs(profile, Scope.LEVEL1) == [(GuardExceeded, message)] * 3
+    assert lone_and_runs(past_guard, Scope.LEVEL2, "greedy") == ["ran"] * 2
+    assert lone_and_runs(profile, Scope.LEVEL1, "greedy") == ["ran"] * 2
+    monkeypatch.setattr(model, "COST_PAIR_GUARD", 2)
+    job_count = (GuardExceeded, "job count guard exceeded: size 3 > limit 2")
+    for level, oracle in itertools.product((Scope.LEVEL1, Scope.LEVEL2), ("exact", "greedy")):
+        calls = lone_and_runs(live if level is Scope.LEVEL1 else fixed, level, oracle)
+        assert calls == [job_count] * len(calls), (level, oracle)
+
+
 def test_dynamics_greedy_oracle_converges_on_star():
     st = GameState(generate("star", 4), _empty_jobs(4, 4))
     trace = best_response_dynamics(st, GameConfig(beta=1.5), Scope.LEVEL2, oracle="greedy")
