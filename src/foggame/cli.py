@@ -4,13 +4,15 @@ Subcommands mirror the scenario modes; anything beyond a trivial run
 belongs in a scenario file, with flags acting as overrides.  Results go to
 stdout as canonical JSON, written as it is encoded (or CSV for tabular
 payloads), diagnostics to stderr.  Exit codes: 0 success, 1 usage or
-parse problem, 2 enumeration guard exceeded, 3 verification failure.
+parse problem or output that cannot be written (silently for a closed
+pipe), 2 enumeration guard exceeded, 3 verification failure.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import os
 import sys
 from types import SimpleNamespace
 from typing import Any
@@ -185,12 +187,20 @@ def main(argv: list[str] | None = None) -> int:
             _apply_overrides(data, args)
             record = run_record(data)
         payload = record["payload"]
-        if args.format == "csv":
-            from .tabular import emit_csv  # loaded for its format only
+        try:
+            if args.format == "csv":
+                from .tabular import emit_csv  # loaded for its format only
 
-            sys.stdout.write(emit_csv(args.command, payload))
-        else:
-            emit_json(record, sys.stdout)
+                sys.stdout.write(emit_csv(args.command, payload))
+            else:
+                emit_json(record, sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            # What is still buffered goes to os.devnull, so the exit flush is silent.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):  # a closed pipe: its reader has gone
+                print(f"foggame: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         if args.command == "verify" and not payload["all_passed"]:
             failed = [c["name"] for c in payload["checks"] if not c["passed"]]
             print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
