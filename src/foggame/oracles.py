@@ -1,7 +1,7 @@
 """Per-player oracle engine: the exact scan, deviations, and the is_nash and dynamics loops.
 
 The public best responses, is_nash and best_response_dynamics (in
-foggame.equilibrium, the last two through its _check_run) check their
+foggame.equilibrium, each through its _check_run) check their
 arguments and the exact guard, then load this module, and foggame.kernel
 with it, on their first call: a poa run never compiles it, and a refused
 call compiles neither.  The is_nash and dynamics loops list their scoped
