@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 _SUBMODULE_NAMES = {
     "bounds": (
         "BoundCheck",
-        "MidBetaCostReport",
         "Type2PoAVerdict",
         "check_bounds_on_instance",
         "level1_lower_bound",
@@ -27,19 +26,15 @@ _SUBMODULE_NAMES = {
         "type1_saddle_grid",
         "type1_social_optimum",
         "type2_lower_bound",
-        "type2_mid_beta_report",
         "type2_poa_bound",
     ),
     "costs": (
         "CostReport",
         "cost_report",
-        "interconnection_count",
-        "interconnection_union",
     ),
     "domination": (
         "DominationDiagnostic",
         "construct_complete_bipartite",
-        "construct_mds_profile",
         "domination_diagnostic",
         "is_dominating_set",
         "min_dominating_set",
@@ -89,6 +84,7 @@ _SUBMODULE_NAMES = {
         "build_combined_graph",
         "build_level1_graph",
         "edge_fog_player_cost",
+        "interconnection_count",
         "job_player_cost",
         "social_cost_level1",
         "social_cost_level2",

@@ -11,11 +11,9 @@ import math
 from typing import NamedTuple, Sequence
 
 from .costs import cost_report
-from .domination import min_dominating_set
 from .equilibrium import empirical_poa
 from .errors import GuardExceeded, NoEquilibriumError
-from .graph import Graph
-from .model import GameConfig, GameState, JobCostType, _within_cost_guard, interconnection_count
+from .model import GameConfig, GameState, JobCostType
 
 EQUALITY_TOLERANCE = 1e-9
 INEQUALITY_SLACK = 1e-12
@@ -225,13 +223,10 @@ def check_bounds_on_instance(state: GameState, cfg: GameConfig) -> list[BoundChe
     undefined (no pure equilibrium, or an optimum not positive and
     finite).  The social costs are costs.cost_report's; an infinite
     measured cost satisfies any lower bound.  Requires matching player
-    counts, since the formulas assume a single n.  Before it compares n1
-    with n2 it refuses past model.COST_PAIR_GUARD on the counts
-    (model._within_cost_guard), the figure the pricing
-    (model._player_costs) checks again, so no player is priced first.
+    counts, since the formulas assume a single n: unequal counts are
+    refused before any player is priced, and the pricing refuses past
+    model.COST_PAIR_GUARD.
     """
-    n = state.n1 + state.n2
-    _within_cost_guard(n, state.g1.edge_count + interconnection_count(state.level2), n)
     if state.n1 != state.n2:
         raise ValueError(
             f"bound formulas assume n1 == n2, got n1={state.n1}, n2={state.n2}"
@@ -307,40 +302,3 @@ def check_bounds_on_instance(state: GameState, cfg: GameConfig) -> list[BoundChe
                 )
             )
     return checks
-
-
-class MidBetaCostReport(NamedTuple):
-    """Closed-form and measured optimum for TYPE_II with 1 < beta <= 2.
-
-    closed_form_flat adds one domination term for the whole instance;
-    closed_form_per_job scales that term by n, matching a reading where
-    every job buys its own dominating set.  Measured values come from
-    exhaustive enumeration, so the two candidates can be compared against
-    ground truth instead of asserted.
-    """
-
-    gamma: int
-    closed_form_flat: float
-    closed_form_per_job: float
-    measured_optimum: float
-    measured_worst_ne: float
-
-
-def type2_mid_beta_report(g1: Graph, n2: int, cfg: GameConfig) -> MidBetaCostReport:
-    """Compare 2n^2 + gamma(beta-1) and 2n^2 + n*gamma(beta-1) to measurement."""
-    if cfg.job_cost_type is not JobCostType.TYPE_II:
-        raise ValueError("this report is specific to TYPE_II costs")
-    if not 1 < cfg.beta <= 2:
-        raise ValueError(f"this report covers 1 < beta <= 2, got {cfg.beta}")
-    if g1.n != n2:
-        raise ValueError(f"formulas assume n1 == n2, got n1={g1.n}, n2={n2}")
-    n = g1.n
-    gamma = len(min_dominating_set(g1))
-    report = empirical_poa(g1, n2, cfg)
-    return MidBetaCostReport(
-        gamma=gamma,
-        closed_form_flat=2 * n * n + gamma * (cfg.beta - 1),
-        closed_form_per_job=2 * n * n + n * gamma * (cfg.beta - 1),
-        measured_optimum=report.optimum_cost,
-        measured_worst_ne=report.worst_ne_cost,
-    )

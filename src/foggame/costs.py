@@ -1,16 +1,15 @@
 """The cost mode: every player's cost and the social totals of one state.
 
 A scenario loads this module in the `cost` and `bounds` modes only, and
-verify for its interconnection counts; poa, nash and dynamics runs never
-compile it, and read the report's guard, model.COST_PAIR_GUARD, without it.
+verify through foggame.bounds; poa, nash and dynamics runs never compile
+it, and read the report's guard, model.COST_PAIR_GUARD, without it.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph import VertexSet
-from .model import GameConfig, GameState, Level2Profile, _player_costs, interconnection_count
+from .model import GameConfig, GameState, _player_costs, interconnection_count
 
 
 class CostReport(NamedTuple):
@@ -21,11 +20,6 @@ class CostReport(NamedTuple):
     social_level1: float
     social_level2: float
     interconnection_count: int
-
-
-def interconnection_union(profile: Level2Profile) -> VertexSet:
-    """Diagnostic alternative reading: fog vertices touched by any job."""
-    return frozenset().union(*profile.strategies) if profile.strategies else frozenset()
 
 
 def cost_report(state: GameState, cfg: GameConfig) -> CostReport:

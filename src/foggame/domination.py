@@ -1,8 +1,8 @@
 """Minimum dominating sets and the dominating-set structure of job best responses.
 
 A lone job's exact best response under TYPE_II costs with 1 < beta < 2 is
-a minimum dominating set of the fog graph.  Only the bounds and verify
-modes read this module, so a CLI run of any other mode does not load it.
+a minimum dominating set of the fog graph.  Only the verify mode reads
+this module, so a CLI run of any other mode does not load it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Iterable, NamedTuple
 
 from .equilibrium import best_response_job_exact
 from .errors import GuardExceeded
-from .graph import Graph, VertexSet, closed_neighborhood_masks, is_connected
+from .graph import Graph, VertexSet, closed_neighborhood_masks
 from .model import GameConfig, GameState, Level2Profile
 
 # Enumeration limit, read at call time: setting it on this module (for
@@ -66,14 +66,6 @@ def min_dominating_set(g: Graph) -> VertexSet:
 def construct_complete_bipartite(n1: int, n2: int) -> Level2Profile:
     """Every job buys a link to every fog vertex."""
     return Level2Profile(n1, (frozenset(range(n1)),) * n2)
-
-
-def construct_mds_profile(g1: Graph, n2: int) -> Level2Profile:
-    """Every job buys links to one minimum dominating set of g1."""
-    if not is_connected(g1):
-        raise ValueError("dominating-set profile needs a connected fog graph")
-    mds = min_dominating_set(g1)
-    return Level2Profile(g1.n, (mds,) * n2)
 
 
 class DominationDiagnostic(NamedTuple):

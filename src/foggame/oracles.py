@@ -112,6 +112,13 @@ def _first_witness(
     return True, None
 
 
+def _after(state: GameState, move: Move) -> GameState:
+    """state with move's player on its new strategy."""
+    if move.level is Scope.LEVEL1:
+        return state.with_level1_strategy(move.player, move.new_strategy)
+    return state.with_level2_strategy(move.player, move.new_strategy)
+
+
 def _dynamics(
     state: GameState,
     cfg: GameConfig,
@@ -121,10 +128,17 @@ def _dynamics(
     max_rounds: int,
     oracle: str,
 ) -> DynamicsTrace:
-    """best_response_dynamics' loop over the scoped players, its arguments already checked."""
+    """best_response_dynamics' loop over the scoped players, its arguments already checked.
+
+    A repeated state ends the run.  seen maps each visited state's hash to
+    the move counts it was reached at, so memory grows with the moves, not
+    with the moves times n2; on a hash hit the earlier states are rebuilt
+    from the moves and compared whole.
+    """
     players = _scoped_players(state, scope)
     rng = random.Random(seed)
-    seen: dict[GameState, int] = {state: 0}
+    start = state
+    seen: dict[int, list[int]] = {hash(state): [0]}
     moves: list[Move] = []
     memo: dict = {}
     for round_index in range(max_rounds):
@@ -133,16 +147,16 @@ def _dynamics(
         for level, player in order:
             old, current, cand, cand_cost = _deviation(level, player, state, cfg, oracle, memo)
             if cand_cost < current:
-                if level is Scope.LEVEL1:
-                    state = state.with_level1_strategy(player, cand)
-                else:
-                    state = state.with_level2_strategy(player, cand)
                 moves.append(Move(level, player, old, cand, current, cand_cost))
+                state = _after(state, moves[-1])
                 moved = True
-                if state in seen:
-                    outcome, period = DynamicsOutcome.CYCLE_DETECTED, len(moves) - seen[state]
-                    return DynamicsTrace(tuple(moves), outcome, state, round_index + 1, period)
-                seen[state] = len(moves)
+                counts = seen.setdefault(hash(state), [])
+                replayed = itertools.accumulate(moves, _after, initial=start) if counts else ()
+                for count, earlier in enumerate(replayed):
+                    if count in counts and earlier == state:
+                        outcome, period = DynamicsOutcome.CYCLE_DETECTED, len(moves) - count
+                        return DynamicsTrace(tuple(moves), outcome, state, round_index + 1, period)
+                counts.append(len(moves))
         if not moved:
             return DynamicsTrace(tuple(moves), DynamicsOutcome.CONVERGED, state, round_index + 1)
     return DynamicsTrace(tuple(moves), DynamicsOutcome.BUDGET_EXHAUSTED, state, max_rounds)

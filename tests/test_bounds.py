@@ -1,7 +1,5 @@
 """Closed-form bound formulas and the instance-level bound checker."""
 
-import math
-
 import pytest
 
 from foggame import bounds, equilibrium, model
@@ -19,9 +17,9 @@ from foggame.bounds import (
     type1_saddle_grid,
     type1_social_optimum,
     type2_lower_bound,
-    type2_mid_beta_report,
     type2_poa_bound,
 )
+from foggame.domination import min_dominating_set
 from foggame.generators import generate
 from foggame.graph import INF
 from foggame.model import (
@@ -337,38 +335,25 @@ def test_check_bounds_refuses_unequal_populations_before_pricing(monkeypatch):
         check_bounds_on_instance(st, GameConfig())
 
 
-# ------------------------------------------------------------ mid-beta report
+# ---------------------------------------------------------- mid-beta optimum
 
 
-def test_mid_beta_report_prefers_the_per_job_form():
-    report = type2_mid_beta_report(
-        generate("complete", 3),
-        3,
-        GameConfig(beta=1.5, transit_policy=TransitPolicy.FOG_ONLY),
-    )
-    assert report.gamma == 1
-    assert report.closed_form_flat == 18.5
-    assert report.closed_form_per_job == 19.5
-    assert report.measured_optimum == 19.5
-    assert report.measured_worst_ne == 19.5
-    assert math.isclose(report.measured_optimum, report.closed_form_per_job)
-    assert report.measured_optimum != report.closed_form_flat
-
-
-def test_mid_beta_report_on_a_path():
-    report = type2_mid_beta_report(generate("path", 3), 3, GameConfig(beta=1.5))
-    assert report.gamma == 1
-    assert report.measured_optimum == report.closed_form_per_job == 19.5
-
-
-def test_mid_beta_report_validation():
-    g1 = generate("complete", 3)
-    with pytest.raises(ValueError, match="TYPE_II"):
-        type2_mid_beta_report(g1, 3, GameConfig(beta=1.5, job_cost_type=JobCostType.TYPE_I))
-    with pytest.raises(ValueError, match="1 < beta"):
-        type2_mid_beta_report(g1, 3, GameConfig(beta=3.0))
-    with pytest.raises(ValueError, match="n1 == n2"):
-        type2_mid_beta_report(g1, 2, GameConfig(beta=1.5))
+@pytest.mark.parametrize(
+    "kind, transit",
+    [("complete", TransitPolicy.FOG_ONLY), ("path", TransitPolicy.FULL_COMBINED)],
+    ids=["complete-fog-only", "path"],
+)
+def test_mid_beta_optimum_charges_the_domination_term_per_job(kind, transit):
+    # For 1 < beta <= 2 the TYPE_II optimum is 2n^2 + n*gamma*(beta - 1),
+    # every job buying a dominating set, not 2n^2 + gamma*(beta - 1).
+    n, beta = 3, 1.5
+    g1 = generate(kind, n)
+    gamma = len(min_dominating_set(g1))
+    report = equilibrium.empirical_poa(g1, n, GameConfig(beta=beta, transit_policy=transit))
+    assert gamma == 1
+    assert report.optimum_cost == 2 * n * n + n * gamma * (beta - 1) == 19.5
+    assert report.optimum_cost != 2 * n * n + gamma * (beta - 1)
+    assert report.worst_ne_cost == 19.5
 
 
 def test_bound_check_is_a_frozen_record():

@@ -21,7 +21,6 @@ from foggame.equilibrium import (
 )
 from foggame.domination import (
     construct_complete_bipartite,
-    construct_mds_profile,
     domination_diagnostic,
     is_dominating_set,
 )
@@ -636,13 +635,6 @@ def test_enumerate_nash_refuses_to_list_more_equilibria_than_the_guard(monkeypat
 def test_construct_complete_bipartite():
     profile = construct_complete_bipartite(3, 2)
     assert profile.strategies == (frozenset({0, 1, 2}),) * 2
-
-
-def test_construct_mds_profile():
-    profile = construct_mds_profile(generate("path", 4), 2)
-    assert profile.strategies == (frozenset({0, 2}),) * 2
-    with pytest.raises(ValueError, match="connected"):
-        construct_mds_profile(Graph(3, frozenset()), 2)
 
 
 # ---------------------------------------------------------------- diagnostics

@@ -9,11 +9,11 @@ lend-class engine (joint) for poa, each with the distance-layer kernel
 (kernel), the cost mode's report (costs) in the cost mode, and the greedy
 local search (greedy) on the first greedy best response.  The bounds and
 verify modes load their modules on first use, as do generator graph
-sections (generators), the bounds and verify modes' dominating sets
-(domination), --format csv (tabular, csv) and the sweep command (sweep,
-copy); records are named tuples rather than dataclasses.  Each probe runs
-in a fresh interpreter without bytecode caching, and what it adds is
-measured against a bare interpreter.
+sections (generators), the verify mode's dominating sets (domination),
+--format csv (tabular, csv) and the sweep command (sweep, copy); records
+are named tuples rather than dataclasses.  Each probe runs in a fresh
+interpreter without bytecode caching, and what it adds is measured
+against a bare interpreter.
 
 Without a bytecode cache each module is parsed from source, and the
 parser's peak memory for the largest module parsed sets the process's
@@ -229,6 +229,14 @@ def test_cost_run_loads_the_cost_report_but_not_the_joint_engine(tmp_path):
     assert _mode_only(loaded) == ["foggame.costs"]
 
 
+def test_bounds_run_loads_no_dominating_set_module(tmp_path):
+    # The bounds checks price the state and, for TYPE_II, run the joint
+    # analyses; none of them reads a dominating set.
+    body = {"graph": {"n": 4, "edges": _EDGES}, "n2": 4, "config": {"beta": 1.5}}
+    loaded = _loaded_by_run(tmp_path, "bounds", body)
+    assert _mode_only(loaded) == ["foggame.bounds", "foggame.costs", "foggame.joint", "foggame.kernel"]
+
+
 def test_greedy_dynamics_loads_the_greedy_search(tmp_path):
     body = {"graph": {"n": 4, "edges": _EDGES}, "n2": 4, "options": {"oracle": "greedy"}}
     loaded = _loaded_by_run(tmp_path, "dynamics", body)
@@ -244,3 +252,9 @@ def test_exported_name_loads_its_module_on_first_use():
     loaded = _modules_after("import foggame\nfoggame.type2_poa_bound")
     assert "foggame.bounds" in loaded
     assert "foggame.verify" not in loaded
+
+
+def test_interconnection_count_loads_the_model_alone():
+    loaded = _modules_after("import foggame\nfoggame.interconnection_count")
+    assert "foggame.model" in loaded
+    assert "foggame.costs" not in loaded

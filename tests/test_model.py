@@ -7,7 +7,7 @@ import pytest
 
 from foggame import model
 from foggame.bounds import check_bounds_on_instance
-from foggame.costs import cost_report, interconnection_count, interconnection_union
+from foggame.costs import cost_report
 from foggame.domination import min_dominating_set
 from foggame.generators import generate
 from foggame.errors import GuardExceeded
@@ -22,6 +22,7 @@ from foggame.model import (
     build_combined_graph,
     build_level1_graph,
     edge_fog_player_cost,
+    interconnection_count,
     job_player_cost,
     social_cost_level1,
     social_cost_level2,
@@ -323,7 +324,6 @@ def test_social_cost_level2_two_jobs_one_anchor():
 def test_interconnection_counts():
     profile = Level2Profile(3, (frozenset({0, 1}), frozenset({1, 2})))
     assert interconnection_count(profile) == 4
-    assert interconnection_union(profile) == frozenset({0, 1, 2})
     assert interconnection_count(Level2Profile(3, (frozenset(),))) == 0
 
 
@@ -455,16 +455,14 @@ def test_cost_report_and_the_bounds_check_run_the_cost_guard(monkeypatch):
     for run in (cost_report, check_bounds_on_instance):
         with pytest.raises(GuardExceeded, match=refusal):
             run(state, GameConfig())
-    # The bounds check runs the cost guard first, so the guard refuses
-    # unequal counts (4 * 7 = 28 pairs here) before they are compared.
+    # The bounds check compares the counts first, so unequal counts are
+    # refused as such even past the guard (4 * 7 = 28 pairs here).
     unequal = _fixed(generate("path", 3), [{0}])
     monkeypatch.setattr(model, "COST_PAIR_GUARD", 27)
-    with pytest.raises(GuardExceeded, match="size 28 > limit 27"):
+    with pytest.raises(ValueError, match="bound formulas assume n1 == n2"):
         check_bounds_on_instance(unequal, GameConfig())
     monkeypatch.setattr(model, "COST_PAIR_GUARD", 66)
     assert cost_report(state, GameConfig()).interconnection_count == 3
-    with pytest.raises(ValueError, match="bound formulas assume n1 == n2"):
-        check_bounds_on_instance(unequal, GameConfig())
 
 
 # Path 4 with jobs {0}, {1, 3}, {2}: 7 vertices, 3 fog edges and 4 links.

@@ -36,6 +36,8 @@ from foggame import equilibrium as eq
 from foggame import graph, greedy, kernel, model, oracles
 from foggame.equilibrium import (
     DynamicsOutcome,
+    DynamicsTrace,
+    Move,
     Scope,
     best_response_dynamics,
     best_response_fog_exact,
@@ -1041,7 +1043,7 @@ def test_job_rows_hold_only_the_fog_vertices(monkeypatch):
 
 def test_job_key_holds_no_lent_int_per_job():
     # A lent int spans up to n1 * n1 bits, 2.8 KiB here: one per other job
-    # would take about 5 MiB.  Without a memo, as the greedy oracle asks,
+    # would take about 5 MiB.  Without a memo, as a lone best response asks,
     # the lends stream through the key rule, which keeps the pairs lent
     # once and twice, and the rows unpack one key.
     g1 = generate("erdos_renyi", 150, p=0.02, seed=3)
@@ -1181,3 +1183,94 @@ def test_dynamics_memo_stays_linear_in_the_jobs(monkeypatch):
     # slot and at most n2 lends and n2 answers
     assert len(builds) > 50 * n2
     assert max(sizes) <= 6 * n2 + 1
+
+
+# ------------------------------------------------------ cycle detection by hash
+
+
+def reference_dynamics(state, cfg, scope, schedule, seed, max_rounds, oracle):
+    """oracles._dynamics as it was when it kept every visited state, not its hash."""
+    players = oracles._scoped_players(state, scope)
+    rng = random.Random(seed)
+    seen = {state: 0}
+    moves = []
+    memo = {}
+    for round_index in range(max_rounds):
+        order = players if schedule == "round_robin" else rng.sample(players, len(players))
+        moved = False
+        for level, player in order:
+            old, current, cand, cand_cost = oracles._deviation(level, player, state, cfg, oracle, memo)
+            if cand_cost < current:
+                if level is Scope.LEVEL1:
+                    state = state.with_level1_strategy(player, cand)
+                else:
+                    state = state.with_level2_strategy(player, cand)
+                moves.append(Move(level, player, old, cand, current, cand_cost))
+                moved = True
+                if state in seen:
+                    outcome, period = DynamicsOutcome.CYCLE_DETECTED, len(moves) - seen[state]
+                    return DynamicsTrace(tuple(moves), outcome, state, round_index + 1, period)
+                seen[state] = len(moves)
+        if not moved:
+            return DynamicsTrace(tuple(moves), DynamicsOutcome.CONVERGED, state, round_index + 1)
+    return DynamicsTrace(tuple(moves), DynamicsOutcome.BUDGET_EXHAUSTED, state, max_rounds)
+
+
+def table_deviation(level, player, state, cfg, oracle, memo):
+    """A stand-in oracle whose answer depends on the player and its strategy alone.
+
+    Each player's strategies then follow a fixed map, so runs revisit
+    states and end in cycles as well as converging or running out of rounds.
+    """
+    current = (state.level1 if level is Scope.LEVEL1 else state.level2).strategies[player]
+    rng = random.Random(f"{level.value} {player} {sorted(current)}")
+    universe = [v for v in range(state.n1) if level is Scope.LEVEL2 or v != player]
+    cand = _random_subset(rng, universe, 0.5)
+    if cand == current or rng.random() < 0.1:
+        return current, 1.0, current, 1.0
+    return current, 2.0, cand, 1.0
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["hash", "one-hash"])
+@pytest.mark.parametrize("oracle", ["exact", "greedy", "table"])
+def test_dynamics_match_the_state_keeping_reference(oracle, collide, monkeypatch):
+    # With one hash for every state each new state is compared with every
+    # earlier one, and a collision must not read as a cycle.
+    hashed = []
+    if collide:
+        monkeypatch.setattr(oracles, "hash", lambda s: hashed.append(s) or 0, raising=False)
+    if oracle == "table":
+        monkeypatch.setattr(oracles, "_deviation", table_deviation)
+    outcomes = set()
+    for index, (state, cfg) in enumerate(_states(37, 40)):
+        for scope in _scopes(state):
+            kwargs = dict(
+                schedule=("round_robin", "random_permutation")[index % 2],
+                seed=index,
+                max_rounds=(3, 40)[index % 3 > 0],
+                oracle="exact" if oracle == "table" else oracle,
+            )
+            fast = best_response_dynamics(state, cfg, scope, **kwargs)
+            slow = reference_dynamics(state, cfg, scope, **kwargs)
+            assert fast == slow, (state, cfg, scope, kwargs)
+            assert repr(fast.moves) == repr(slow.moves)
+            outcomes.add(fast.outcome)
+    assert len(hashed) > 100 if collide else not hashed
+    if oracle == "table":
+        assert outcomes == set(DynamicsOutcome)
+
+
+def test_dynamics_memory_grows_with_the_moves_not_the_states():
+    # 3,000 bare jobs on path 3 each buy a link in one round: 3,000 moves,
+    # each to a state of 3,000 strategies.  Kept whole, the visited states
+    # peaked near 70 MiB; their hashes and move counts take about 1 MiB.
+    jobs = Level2Profile(3, (frozenset(),) * 3000)
+    state = GameState(generate("path", 3), jobs, allow_unequal=True)
+    tracemalloc.start()
+    try:
+        trace = best_response_dynamics(state, GameConfig(), Scope.LEVEL2, max_rounds=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(trace.moves), trace.outcome) == (3000, DynamicsOutcome.BUDGET_EXHAUSTED)
+    assert peak < 8 * 2**20, peak

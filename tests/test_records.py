@@ -13,7 +13,7 @@ import math
 import pytest
 
 import foggame
-from foggame.bounds import BoundCheck, MidBetaCostReport, type2_poa_bound
+from foggame.bounds import BoundCheck, type2_poa_bound
 from foggame.costs import CostReport
 from foggame.domination import DominationDiagnostic
 from foggame.equilibrium import (
@@ -58,7 +58,6 @@ def _samples():
         DominationDiagnostic(frozenset({1}), 4.5, True, 1, 1, 1.5, True, True, ""),
         BoundCheck("demo", 1.0, 2.0, "<=", True, ""),
         type2_poa_bound(1.5),
-        MidBetaCostReport(1, 2.0, 3.0, 4.0, 5.0),
         CheckResult("demo", True, "ok"),
     ]
 
@@ -67,7 +66,7 @@ SAMPLES = _samples()
 
 
 def test_every_record_class_is_sampled():
-    assert len({type(r) for r in SAMPLES}) == 15
+    assert len({type(r) for r in SAMPLES}) == 14
 
 
 def test_reprs_keep_the_dataclass_format():
